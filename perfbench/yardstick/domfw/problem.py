@@ -1,0 +1,399 @@
+"""Constraint sets, streaming ridge-regression losses, and problem constants.
+
+Conventions used across the package: rounds are numbered ``1..T`` (the label
+noise decays with the round number, so round numbers start at one), agents
+are numbered ``0..n-1`` and double as array indices.
+"""
+
+from __future__ import annotations
+
+import csv
+from dataclasses import dataclass
+from enum import Enum
+from pathlib import Path
+
+import numpy as np
+
+#: absolute tolerance for feasibility checks
+FEASIBILITY_TOL = 1e-12
+
+
+class ConstraintKind(Enum):
+    """Supported feasible sets."""
+
+    UNIT_SIMPLEX = "simplex"
+    L1_BALL = "l1ball"
+
+
+@dataclass(frozen=True)
+class ConstraintSpec:
+    """A compact convex feasible set exposing a vertex-based linear oracle.
+
+    Two sets are supported: the unit probability simplex and the l1 ball of
+    a given radius. ``radius`` is fixed at 1 for the simplex and is only a
+    free parameter for the ball.
+    """
+
+    kind: ConstraintKind
+    dimension: int
+    radius: float = 1.0
+
+    def __post_init__(self):
+        if self.dimension < 1:
+            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
+        if not self.radius > 0:
+            raise ValueError(f"radius must be > 0, got {self.radius}")
+        if self.kind is ConstraintKind.UNIT_SIMPLEX and self.radius != 1.0:
+            raise ValueError("the unit simplex has radius fixed at 1")
+
+    @classmethod
+    def simplex(cls, dimension: int) -> "ConstraintSpec":
+        return cls(ConstraintKind.UNIT_SIMPLEX, dimension)
+
+    @classmethod
+    def l1_ball(cls, dimension: int, radius: float = 2.0) -> "ConstraintSpec":
+        return cls(ConstraintKind.L1_BALL, dimension, radius)
+
+    def vertices(self) -> np.ndarray:
+        """All extreme points, one per row.
+
+        The row order is the tie-breaking order of :func:`lmo`: simplex
+        vertices are ``e_0..e_{d-1}``; ball vertices are interleaved as
+        ``-r*e_0, +r*e_0, -r*e_1, +r*e_1, ...``.
+        """
+        d = self.dimension
+        if self.kind is ConstraintKind.UNIT_SIMPLEX:
+            return np.eye(d)
+        out = np.zeros((2 * d, d))
+        for j in range(d):
+            out[2 * j, j] = -self.radius
+            out[2 * j + 1, j] = self.radius
+        return out
+
+    def feasibility_violation(self, x: np.ndarray) -> float:
+        """Distance-like measure of constraint violation (0 when feasible)."""
+        x = np.asarray(x, dtype=float)
+        if self.kind is ConstraintKind.UNIT_SIMPLEX:
+            return max(abs(float(x.sum()) - 1.0), max(0.0, -float(x.min())))
+        return max(0.0, float(np.abs(x).sum()) - self.radius)
+
+    def contains(self, x: np.ndarray, tol: float = FEASIBILITY_TOL) -> bool:
+        return self.feasibility_violation(x) <= tol
+
+    def max_norm(self) -> float:
+        """Largest Euclidean norm over the set (attained at a vertex)."""
+        if self.kind is ConstraintKind.UNIT_SIMPLEX:
+            return 1.0
+        return self.radius
+
+
+def lmo(spec: ConstraintSpec, g: np.ndarray) -> np.ndarray:
+    """Linear minimization oracle: the vertex minimizing ``<v, g>``.
+
+    Ties are broken by returning the first minimizer in ``spec.vertices()``
+    order, which for both sets amounts to the lowest coordinate index (with
+    ``sign(0) == +1`` for the ball).
+    """
+    g = np.asarray(g, dtype=float)
+    if g.shape != (spec.dimension,):
+        raise ValueError(f"gradient shape {g.shape} != ({spec.dimension},)")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("gradient has non-finite entries")
+    v = np.zeros(spec.dimension)
+    if spec.kind is ConstraintKind.UNIT_SIMPLEX:
+        v[int(np.argmin(g))] = 1.0
+    else:
+        j = int(np.argmax(np.abs(g)))
+        v[j] = -spec.radius if g[j] >= 0 else spec.radius
+    return v
+
+
+def diameter(spec: ConstraintSpec) -> float:
+    """Euclidean diameter: sqrt(2) for the simplex, 2r for the l1 ball."""
+    if spec.kind is ConstraintKind.UNIT_SIMPLEX:
+        return float(np.sqrt(2.0))
+    return 2.0 * spec.radius
+
+
+def sample_feasible(spec: ConstraintSpec, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Seeded feasible points: normalized exponentials on the simplex, a
+    random convex mixture of signed vertices on the ball."""
+    m = 1 if size is None else size
+    d = spec.dimension
+    if spec.kind is ConstraintKind.UNIT_SIMPLEX:
+        e = rng.standard_exponential((m, d))
+        pts = e / e.sum(axis=1, keepdims=True)
+    else:
+        w = rng.standard_exponential((m, 2 * d))
+        w /= w.sum(axis=1, keepdims=True)
+        pts = (w[:, :d] - w[:, d:]) * spec.radius
+    return pts[0] if size is None else pts
+
+
+def _lock(a: np.ndarray) -> np.ndarray:
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
+class LossStream:
+    """The full time-indexed family of per-agent ridge losses.
+
+    Agent ``i`` at round ``t`` suffers
+    ``f(x) = 0.5 * (a_i @ x - b[i, t-1])**2 + lambda1 * ||x||**2`` where the
+    label is ``b[i, t-1] = a_i @ ground_truth + noise[i, t-1] / (4 t)``.
+
+    ``features`` has shape ``(n, d)`` when features are fixed per agent (the
+    default regime) or ``(T, n, d)`` when they are redrawn every round.
+    """
+
+    n: int
+    T: int
+    d: int
+    lambda1: float
+    features: np.ndarray
+    ground_truth: np.ndarray
+    noise: np.ndarray       # (n, T), entries in [0, 1]
+    labels: np.ndarray      # (n, T)
+    constraint: ConstraintSpec
+
+    def __post_init__(self):
+        if self.n < 1 or self.T < 1 or self.d < 1:
+            raise ValueError("n, T, d must all be >= 1")
+        if self.lambda1 < 0:
+            raise ValueError("lambda1 must be >= 0")
+        fixed_shape = (self.n, self.d)
+        redrawn_shape = (self.T, self.n, self.d)
+        if self.features.shape not in (fixed_shape, redrawn_shape):
+            raise ValueError(f"features shape {self.features.shape} is neither {fixed_shape} nor {redrawn_shape}")
+        if self.ground_truth.shape != (self.d,):
+            raise ValueError("ground_truth has wrong shape")
+        if self.noise.shape != (self.n, self.T) or self.labels.shape != (self.n, self.T):
+            raise ValueError("noise and labels must have shape (n, T)")
+        if np.any(self.noise < 0) or np.any(self.noise > 1):
+            raise ValueError("noise entries must lie in [0, 1]")
+        if np.any(np.abs(self.features) > 5 + FEASIBILITY_TOL):
+            raise ValueError("feature entries must lie in [-5, 5]")
+        if not self.constraint.contains(self.ground_truth):
+            raise ValueError("ground_truth is infeasible")
+        for name in ("features", "ground_truth", "noise", "labels"):
+            object.__setattr__(self, name, _lock(getattr(self, name)))
+
+    @property
+    def fixed_features(self) -> bool:
+        return self.features.ndim == 2
+
+    def feature_matrix(self, t: int) -> np.ndarray:
+        """Per-agent feature rows ``(n, d)`` for round ``t``."""
+        self._check_round(t)
+        return self.features if self.fixed_features else self.features[t - 1]
+
+    def _check_round(self, t: int):
+        if not 1 <= t <= self.T:
+            raise ValueError(f"round {t} out of range 1..{self.T}")
+
+    def _check_agent(self, i: int):
+        if not 0 <= i < self.n:
+            raise ValueError(f"agent {i} out of range 0..{self.n - 1}")
+
+    @classmethod
+    def from_components(cls, lambda1, features, ground_truth, noise, constraint) -> "LossStream":
+        """Build a stream from raw arrays, deriving the labels."""
+        features = np.asarray(features, dtype=float)
+        noise = np.asarray(noise, dtype=float)
+        ground_truth = np.asarray(ground_truth, dtype=float)
+        n, T = noise.shape
+        d = ground_truth.shape[0]
+        t_grid = np.arange(1, T + 1)
+        clean = features @ ground_truth if features.ndim == 2 else np.einsum("tnd,d->tn", features, ground_truth).T
+        if features.ndim == 2:
+            labels = clean[:, None] + noise / (4.0 * t_grid)
+        else:
+            labels = clean + noise / (4.0 * t_grid)
+        return cls(n=n, T=T, d=d, lambda1=float(lambda1), features=features,
+                   ground_truth=ground_truth, noise=noise, labels=labels, constraint=constraint)
+
+
+def generate_stream(n: int, T: int, d: int, lambda1: float, spec: ConstraintSpec,
+                    seed: int, redraw_features: bool = False) -> LossStream:
+    """Draw a seeded loss stream.
+
+    Features are uniform on ``[-5, 5]^d`` (one draw per agent, or one per
+    agent and round when ``redraw_features``), the ground truth is a seeded
+    feasible point, and the noise is uniform on ``[0, 1]``. The draw order is
+    fixed (features, ground truth, noise) so results are bit-reproducible
+    from the seed.
+    """
+    if spec.dimension != d:
+        raise ValueError("constraint dimension does not match d")
+    rng = np.random.default_rng(seed)
+    shape = (T, n, d) if redraw_features else (n, d)
+    features = rng.uniform(-5.0, 5.0, shape)
+    ground_truth = sample_feasible(spec, rng)
+    noise = rng.uniform(0.0, 1.0, (n, T))
+    return LossStream.from_components(lambda1, features, ground_truth, noise, spec)
+
+
+def loss_eval(stream: LossStream, t: int, i: int, x: np.ndarray) -> float:
+    """Agent ``i``'s loss at round ``t``."""
+    stream._check_round(t)
+    stream._check_agent(i)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (stream.d,):
+        raise ValueError(f"point shape {x.shape} != ({stream.d},)")
+    a = stream.feature_matrix(t)[i]
+    r = float(a @ x) - stream.labels[i, t - 1]
+    return 0.5 * r * r + stream.lambda1 * float(x @ x)
+
+
+def grad_eval(stream: LossStream, t: int, i: int, x: np.ndarray) -> np.ndarray:
+    """Gradient of :func:`loss_eval` in ``x``."""
+    stream._check_round(t)
+    stream._check_agent(i)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (stream.d,):
+        raise ValueError(f"point shape {x.shape} != ({stream.d},)")
+    a = stream.feature_matrix(t)[i]
+    return a * (float(a @ x) - stream.labels[i, t - 1]) + 2.0 * stream.lambda1 * x
+
+
+def global_loss(stream: LossStream, t: int, x: np.ndarray) -> float:
+    """Sum of all agents' losses at round ``t`` (fixed agent-index order)."""
+    stream._check_round(t)
+    x = np.asarray(x, dtype=float)
+    feats = stream.feature_matrix(t)
+    resid = feats @ x - stream.labels[:, t - 1]
+    return 0.5 * float(resid @ resid) + stream.n * stream.lambda1 * float(x @ x)
+
+
+def global_grad(stream: LossStream, t: int, x: np.ndarray) -> np.ndarray:
+    """Gradient of :func:`global_loss` in ``x``."""
+    stream._check_round(t)
+    x = np.asarray(x, dtype=float)
+    feats = stream.feature_matrix(t)
+    resid = feats @ x - stream.labels[:, t - 1]
+    return feats.T @ resid + 2.0 * stream.n * stream.lambda1 * x
+
+
+def estimate_function_variation(stream: LossStream, spec: ConstraintSpec,
+                                samples: int = 1000, seed: int = 0) -> float:
+    """Sampled lower estimate of the cumulative worst-case loss change.
+
+    For each consecutive round pair the inner maximization of
+    ``|f_{i,t+1}(x) - f_{i,t}(x)|`` over the set is replaced by a maximum
+    over all vertices plus ``samples`` seeded uniform feasible points, so the
+    result is a lower bound of the true variation. Sample points are drawn
+    from a single generator, so the estimate is nondecreasing in ``samples``
+    for a fixed seed.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    pts = np.vstack([spec.vertices(), sample_feasible(spec, np.random.default_rng(seed), samples)])
+    total = 0.0
+    if stream.fixed_features:
+        z = pts @ stream.features.T   # (m, n): a_i @ x per point and agent
+        for t in range(1, stream.T):
+            b0 = stream.labels[:, t - 1]
+            b1 = stream.labels[:, t]
+            diff = np.abs((b0 - b1) * (z - 0.5 * (b0 + b1)))
+            total += float(diff.max())
+    else:
+        sq = np.einsum("md,md->m", pts, pts)
+        z_next = pts @ stream.features[0].T
+        for t in range(1, stream.T):
+            z0, z_next = z_next, pts @ stream.features[t].T
+            f0 = 0.5 * (z0 - stream.labels[:, t - 1]) ** 2 + stream.lambda1 * sq[:, None]
+            f1 = 0.5 * (z_next - stream.labels[:, t]) ** 2 + stream.lambda1 * sq[:, None]
+            total += float(np.abs(f1 - f0).max())
+    return total
+
+
+def function_variation_bound(stream: LossStream, spec: ConstraintSpec) -> float:
+    """Analytic upper bound on the cumulative worst-case loss change.
+
+    Requires fixed per-agent features: the loss difference between rounds is
+    then affine in the residual and is bounded by
+    ``|b_t - b_{t+1}| * (||a|| R + max(|b_t|, |b_{t+1}|))`` with ``R`` the
+    largest norm over the set. Always at least the sampled estimate.
+    """
+    if not stream.fixed_features:
+        raise ValueError("upper bound requires features fixed per agent")
+    if stream.T == 1:
+        return 0.0
+    r_x = spec.max_norm()
+    b0 = stream.labels[:, :-1]
+    b1 = stream.labels[:, 1:]
+    anorm = np.linalg.norm(stream.features, axis=1)
+    per_agent = np.abs(b0 - b1) * (anorm[:, None] * r_x + np.maximum(np.abs(b0), np.abs(b1)))
+    return float(per_agent.max(axis=0).sum())
+
+
+@dataclass(frozen=True)
+class ProblemConstants:
+    """Diameter, gradient-norm bound, and gradient-Lipschitz bound over the set."""
+
+    diameter: float
+    grad_norm_bound: float
+    grad_lipschitz: float
+
+    def __post_init__(self):
+        for name in ("diameter", "grad_norm_bound", "grad_lipschitz"):
+            v = getattr(self, name)
+            if not np.isfinite(v):
+                raise ValueError(f"{name} must be finite")
+
+
+def problem_constants(stream: LossStream, spec: ConstraintSpec) -> ProblemConstants:
+    """Exact analytic bounds for the ridge losses over the feasible set.
+
+    The Hessian of every per-agent loss is ``a a^T + 2 lambda1 I``, so the
+    gradient-Lipschitz constant is ``max_i ||a_i||^2 + 2 lambda1``; the
+    gradient norm is bounded by
+    ``max_i [ ||a_i|| (||a_i|| R + max_t |b_{i,t}|) + 2 lambda1 R ]``.
+    """
+    r_x = spec.max_norm()
+    feats = stream.features if stream.fixed_features else stream.features.reshape(-1, stream.d)
+    anorm = np.linalg.norm(feats, axis=1)
+    if stream.fixed_features:
+        bmax = np.abs(stream.labels).max(axis=1)
+        lip = float((anorm * (anorm * r_x + bmax) + 2.0 * stream.lambda1 * r_x).max())
+    else:
+        bmax = np.abs(stream.labels).max()
+        lip = float((anorm * (anorm * r_x + bmax) + 2.0 * stream.lambda1 * r_x).max())
+    smooth = float((anorm ** 2).max() + 2.0 * stream.lambda1)
+    return ProblemConstants(diameter=diameter(spec), grad_norm_bound=lip, grad_lipschitz=smooth)
+
+
+def write_stream_csv(stream: LossStream, path) -> None:
+    """Dump the stream as rows ``agent, t, a_1..a_d, b`` for replay."""
+    path = Path(path)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["agent", "t"] + [f"a_{j + 1}" for j in range(stream.d)] + ["b"])
+        for i in range(stream.n):
+            for t in range(1, stream.T + 1):
+                a = stream.feature_matrix(t)[i]
+                writer.writerow([i, t] + [repr(float(v)) for v in a] + [repr(float(stream.labels[i, t - 1]))])
+
+
+def read_stream_csv(path):
+    """Read a stream dump back as ``(features, labels)`` arrays.
+
+    ``features`` has shape ``(T, n, d)`` (one row per round even when the
+    dump came from a fixed-feature stream); ``labels`` has shape ``(n, T)``.
+    """
+    path = Path(path)
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        d = len(header) - 3
+        rows = [(int(r[0]), int(r[1]), [float(v) for v in r[2:2 + d]], float(r[-1])) for r in reader]
+    n = max(r[0] for r in rows) + 1
+    T = max(r[1] for r in rows)
+    features = np.zeros((T, n, d))
+    labels = np.zeros((n, T))
+    for i, t, a, b in rows:
+        features[t - 1, i] = a
+        labels[i, t - 1] = b
+    return features, labels
