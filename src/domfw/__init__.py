@@ -42,6 +42,7 @@ from .problem import (
     global_loss,
     grad_eval,
     lmo,
+    local_grads,
     loss_eval,
     problem_constants,
     sample_feasible,
@@ -53,12 +54,9 @@ from .regret import (
     RegretSeries,
     RoundOptimizer,
     SolverError,
-    dynamic_regret,
     envelopes,
     project,
     projected_gradient_optimum,
     regret_series,
     regret_upper_bound,
-    solve_all_optima,
-    solve_round_optimum,
 )

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .network import GraphSchedule, WeightMatrix
-from .problem import ConstraintKind, ConstraintSpec, LossStream, diameter, global_grad, global_loss, lmo, sample_feasible
+from .problem import ConstraintKind, ConstraintSpec, LossStream, global_grad, global_loss, lmo, local_grads, sample_feasible
 
 CONSERVATION_TOL = 1e-9
 FEASIBILITY_RUN_TOL = 1e-10
@@ -133,44 +133,16 @@ def tracking_step(grad_tracked_prev: np.ndarray | None, grad_prev: np.ndarray | 
 
 
 def fw_step(x_mixed: np.ndarray, grad_tracked: np.ndarray, alpha: float, spec: ConstraintSpec):
-    """One agent's Frank-Wolfe update from its mixed iterate.
+    """Frank-Wolfe update from the mixed iterates, row by row.
 
-    Returns ``(x_next, vertex)`` with ``x_next = x_mixed + alpha * (v - x_mixed)``.
+    ``x_mixed`` and ``grad_tracked`` are one agent's ``(d,)`` vectors or all
+    agents' stacked ``(n, d)`` rows. Returns ``(x_next, vertex)`` with
+    ``x_next = x_mixed + alpha * (v - x_mixed)``.
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     v = lmo(spec, grad_tracked)
     return x_mixed + alpha * (v - x_mixed), v
-
-
-def _lmo_stack(spec: ConstraintSpec, grads: np.ndarray) -> np.ndarray:
-    """Row-wise linear oracle; identical to :func:`lmo` per row."""
-    if not np.all(np.isfinite(grads)):
-        raise ValueError("gradient has non-finite entries")
-    m, d = grads.shape
-    out = np.zeros((m, d))
-    rows = np.arange(m)
-    if spec.kind is ConstraintKind.UNIT_SIMPLEX:
-        out[rows, np.argmin(grads, axis=1)] = 1.0
-    else:
-        j = np.argmax(np.abs(grads), axis=1)
-        sign = np.where(grads[rows, j] >= 0, -1.0, 1.0)
-        out[rows, j] = sign * spec.radius
-    return out
-
-
-def _grad_stack(stream: LossStream, t: int, xs: np.ndarray) -> np.ndarray:
-    """Each agent's own gradient at its own row of ``xs``."""
-    feats = stream.feature_matrix(t)
-    resid = np.einsum("nd,nd->n", feats, xs) - stream.labels[:, t - 1]
-    return feats * resid[:, None] + 2.0 * stream.lambda1 * xs
-
-
-def _feasibility_gap(spec: ConstraintSpec, arr: np.ndarray) -> float:
-    """Worst constraint violation across stacked rows."""
-    if spec.kind is ConstraintKind.UNIT_SIMPLEX:
-        return max(float(np.abs(arr.sum(axis=1) - 1.0).max()), max(0.0, -float(arr.min())))
-    return max(0.0, float(np.abs(arr).sum(axis=1).max()) - spec.radius)
 
 
 @dataclass
@@ -219,8 +191,6 @@ class RoundDiagnostics:
     conservation_gap: float        # worst per-coordinate tracking-sum mismatch
     feasibility_gap: float         # worst constraint violation over inner iterates
     avg_recursion_gap: float       # residual of the average-iterate recursion
-    objective_start: float         # F_t at the round-start average
-    objective_end: float           # F_t at the round-end average
     lo_calls_total: int
     messages_total: int
     trace: InnerTrace | None = None
@@ -243,17 +213,14 @@ def run_round(xs: np.ndarray, stream: LossStream, schedule: GraphSchedule, spec:
         raise ValueError("schedule size does not match the stream")
     k_t = inner_count(params, t, schedule.horizon)
     alpha = step_size(params, k_t)
-    weights = wm.weights
     edge_count = wm.directed_edges
 
     mean0 = xs.mean(axis=0)
     consistency = float(np.linalg.norm(xs - mean0, axis=1).sum())
-    objective_start = global_loss(stream, t, mean0)
 
     trace = InnerTrace() if record_inner else None
     x = xs
     grad_hat = None
-    grad_bar = None
     fresh_prev = None
     tracking_residual = 0.0
     conservation_gap = 0.0
@@ -262,23 +229,19 @@ def run_round(xs: np.ndarray, stream: LossStream, schedule: GraphSchedule, spec:
 
     for k in range(1, k_t + 1):
         x_avg = x.mean(axis=0)
-        x_hat = weights @ x
-        fresh = _grad_stack(stream, t, x_hat)
-        if k == 1:
-            grad_bar = fresh.copy()
-        else:
-            grad_bar = grad_hat + fresh - fresh_prev
-        grad_hat = weights @ grad_bar
+        x_hat = consensus_step(x, wm)
+        fresh = local_grads(stream, t, x_hat)
+        grad_bar, grad_hat = tracking_step(grad_hat, fresh_prev, fresh, wm, k)
 
         conservation_gap = max(conservation_gap, float(np.abs(grad_bar.sum(axis=0) - fresh.sum(axis=0)).max()))
         mean_grad = global_grad(stream, t, x_avg) / n
         tracking_residual += alpha * float(np.linalg.norm(grad_hat - mean_grad, axis=1).sum())
 
-        v = _lmo_stack(spec, grad_hat)
-        x_next = x_hat + alpha * (v - x_hat)
+        x_next, v = fw_step(x_hat, grad_hat, alpha, spec)
         drift_sum += v.mean(axis=0) - x_avg
 
-        feasibility_gap = max(feasibility_gap, _feasibility_gap(spec, x_hat), _feasibility_gap(spec, x_next))
+        feasibility_gap = max(feasibility_gap, spec.feasibility_violation(x_hat),
+                              spec.feasibility_violation(x_next))
         if trace is not None:
             trace.x.append(x.copy())
             trace.x_mixed.append(x_hat)
@@ -304,8 +267,6 @@ def run_round(xs: np.ndarray, stream: LossStream, schedule: GraphSchedule, spec:
         conservation_gap=conservation_gap,
         feasibility_gap=feasibility_gap,
         avg_recursion_gap=recursion_gap,
-        objective_start=objective_start,
-        objective_end=global_loss(stream, t, end_mean),
         lo_calls_total=lo_calls + n * k_t,
         messages_total=messages + 2 * k_t * edge_count,
         trace=trace,
@@ -340,10 +301,6 @@ class Trajectory:
         if not 1 <= t <= self.horizon + 1:
             raise ValueError(f"round {t} out of range 1..{self.horizon + 1}")
         return self.decisions[t - 1]
-
-    def committed(self, j: int) -> np.ndarray:
-        """Agent ``j``'s decisions for rounds ``1..T`` (the regret arguments)."""
-        return self.decisions[:-1, j, :]
 
     @property
     def x_init(self) -> np.ndarray:

@@ -13,14 +13,6 @@ from pathlib import Path
 from .harness import ConfigError, fit_loglog_slope, parse_config, run_experiment, sweep
 
 
-def _load_config(path: str, seed: int | None):
-    text = Path(path).read_text()
-    config = parse_config(text)
-    if seed is not None:
-        config = config.with_master_seed(seed)
-    return config
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="domfw", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -47,20 +39,6 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "validate":
-        try:
-            _load_config(args.config, None)
-        except ConfigError as exc:
-            for lineno, message in exc.violations:
-                where = f"line {lineno}: " if lineno else ""
-                print(f"{where}{message}", file=sys.stderr)
-            return 1
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print("ok")
-        return 0
-
     if args.command == "slope":
         try:
             with open(args.csv, newline="") as fh:
@@ -76,7 +54,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        config = _load_config(args.config, args.seed)
+        config = parse_config(Path(args.config).read_text())
     except ConfigError as exc:
         for lineno, message in exc.violations:
             where = f"line {lineno}: " if lineno else ""
@@ -85,11 +63,16 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.command == "validate":
+        print("ok")
+        return 0
+    if args.seed is not None:
+        config = config.with_master_seed(args.seed)
 
     try:
         if args.command == "run":
-            out = run_experiment(config, out_dir=args.out_dir, dump_network=args.dump_network)
-            print(out)
+            result = run_experiment(config, out_dir=args.out_dir, dump_network=args.dump_network)
+            print(result.directory)
             return 0
         values = [v.strip() for v in args.values.split(",") if v.strip()]
         rows = sweep(config, args.axis, values, out_dir=args.out_dir, dump_network=args.dump_network)

@@ -9,11 +9,13 @@ reproduces the run bit-for-bit.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import platform
 import time
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +24,12 @@ from . import __version__
 from .algorithm import (
     ScheduleMode,
     ScheduleParams,
-    inner_count,
+    Trajectory,
     run,
     write_diagnostics_csv,
     write_trajectory_csv,
 )
-from .network import MixingConstants, check_mixing, random_connected_schedule, write_schedule_csv
+from .network import MixingConstants, MixingReport, check_mixing, random_connected_schedule, write_schedule_csv
 from .problem import (
     ConstraintKind,
     ConstraintSpec,
@@ -38,6 +40,9 @@ from .problem import (
     write_stream_csv,
 )
 from .regret import (
+    BoundReport,
+    Envelopes,
+    RegretSeries,
     RoundOptimizer,
     envelopes,
     regret_series,
@@ -132,7 +137,6 @@ class InitBlock:
 @dataclass(frozen=True)
 class OutputBlock:
     directory: str = "out"
-    formats: str = "csv"
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,7 @@ def _parse_bool(raw: str) -> bool:
 
 # key -> (block, field, converter, range check, range description)
 _SCHEMA = {
-    "problem.n": ("problem", "n", int, lambda v: v >= 1, ">= 1"),
+    "problem.n": ("problem", "n", int, lambda v: v >= 2, ">= 2"),
     "problem.T": ("problem", "T", int, lambda v: v >= 1, ">= 1"),
     "problem.d": ("problem", "d", int, lambda v: v >= 1, ">= 1"),
     "problem.lambda1": ("problem", "lambda1", float, lambda v: v >= 0, ">= 0"),
@@ -179,7 +183,6 @@ _SCHEMA = {
     "seeds.init": ("seeds", "init", int, None, None),
     "init.mode": ("init", "mode", str, lambda v: v in ("vertex", "random"), "vertex or random"),
     "output.directory": ("output", "directory", str, None, None),
-    "output.formats": ("output", "formats", str, lambda v: v == "csv", "csv"),
 }
 
 
@@ -215,22 +218,12 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         values[key] = value
 
-    blocks = {
-        "problem": {}, "network": {}, "schedule": {}, "solver": {},
-        "seeds": {}, "init": {}, "output": {},
-    }
+    blocks = {f.name: {} for f in fields(ExperimentConfig)}
     for key, value in values.items():
         block, attr = _SCHEMA[key][0], _SCHEMA[key][1]
         blocks[block][attr] = value
-    config = ExperimentConfig(
-        problem=ProblemBlock(**blocks["problem"]),
-        network=NetworkBlock(**blocks["network"]),
-        schedule=ScheduleBlock(**blocks["schedule"]),
-        solver=SolverBlock(**blocks["solver"]),
-        seeds=SeedsBlock(**blocks["seeds"]),
-        init=InitBlock(**blocks["init"]),
-        output=OutputBlock(**blocks["output"]),
-    )
+    default = ExperimentConfig()
+    config = replace(default, **{name: replace(getattr(default, name), **attrs) for name, attrs in blocks.items()})
 
     # cross-field constraints, attributed to the offending line when known
     sched = config.schedule
@@ -248,39 +241,25 @@ def parse_config(text: str) -> ExperimentConfig:
     return config
 
 
+def _echo_value(value) -> str:
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def config_to_text(config: ExperimentConfig) -> str:
-    """Canonical full echo of a config (parses back to an equal config)."""
-    lines = [
-        f"problem.n = {config.problem.n}",
-        f"problem.T = {config.problem.T}",
-        f"problem.d = {config.problem.d}",
-        f"problem.lambda1 = {config.problem.lambda1!r}",
-        f"problem.constraint = {config.problem.constraint.value}",
-        f"problem.radius = {config.problem.radius!r}",
-        f"problem.redraw_features = {str(config.problem.redraw_features).lower()}",
-        f"network.edge_prob = {config.network.edge_prob!r}",
-        f"schedule.mode = {config.schedule.mode.value}",
-        f"schedule.epsilon = {config.schedule.epsilon!r}",
-        f"schedule.gamma = {config.schedule.gamma!r}",
-        f"schedule.rho = {config.schedule.rho!r}",
-    ]
-    if config.schedule.fixed_count is not None:
-        lines.append(f"schedule.fixed_count = {config.schedule.fixed_count}")
-    if config.schedule.baseline_alpha is not None:
-        lines.append(f"schedule.baseline_alpha = {config.schedule.baseline_alpha!r}")
-    lines += [
-        f"solver.tolerance = {config.solver.tolerance!r}",
-        f"seeds.master = {config.seeds.master}",
-    ]
-    for name in ("stream", "network", "init"):
-        value = getattr(config.seeds, name)
+    """Canonical full echo of a config (parses back to an equal config).
+
+    One line per ``_SCHEMA`` key in schema order; optional keys left unset
+    are omitted.
+    """
+    lines = []
+    for key, (block, attr, *_) in _SCHEMA.items():
+        value = getattr(getattr(config, block), attr)
         if value is not None:
-            lines.append(f"seeds.{name} = {value}")
-    lines += [
-        f"init.mode = {config.init.mode}",
-        f"output.directory = {config.output.directory}",
-        f"output.formats = {config.output.formats}",
-    ]
+            lines.append(f"{key} = {_echo_value(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -292,12 +271,71 @@ plot 'envelopes.csv' using 1:2 with lines, '' using 1:3 with lines, '' using 1:4
 """
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None, dump_network: bool = False) -> Path:
-    """End-to-end seeded run; returns the artifact directory.
+@dataclass(frozen=True)
+class RunResult:
+    """Everything one :func:`run_experiment` computed.
+
+    ``bound.txt`` and ``manifest.txt`` are rendered from it, and
+    :func:`sweep` builds its rows from it.
+    """
+
+    directory: Path
+    config: ExperimentConfig
+    trajectory: Trajectory
+    regret: RegretSeries
+    envelopes: Envelopes
+    ht_estimate: float              # sampled lower estimate of the function variation
+    ht_upper_bound: float | None    # analytic variation bound; needs fixed features
+    bound: BoundReport | None       # regret bound; needs fixed features and a tracked schedule
+    mixing: MixingReport
+    wall_seconds: float
+
+    def bound_text(self) -> str:
+        """The ``bound.txt`` report: bounds, certificate margins, counters."""
+        worst = float(self.regret.cumulative[:, -1].max())
+        lines = [f"ht_estimate = {self.ht_estimate!r}"]
+        if self.ht_upper_bound is not None:
+            lines.append(f"ht_upper_bound = {self.ht_upper_bound!r}")
+        lines.append(f"max_final_regret = {worst!r}")
+        if self.bound is not None:
+            lines.append(f"e1 = {self.bound.e1!r}")
+            lines.append(f"e2 = {self.bound.e2!r}")
+            lines.append(f"e3 = {self.bound.e3!r}")
+            lines.append(f"bound_total = {self.bound.total!r}")
+            lines.append(f"bound_margin = {self.bound.total - worst!r}")
+        lines.append(f"mixing_deviation = {self.mixing.deviation!r}")
+        lines.append(f"mixing_bound = {self.mixing.bound!r}")
+        lines.append(f"mixing_margin = {self.mixing.margin!r}")
+        lines.append(f"mixing_holds = {self.mixing.ok}")
+        lines.append(f"lo_calls = {self.trajectory.lo_calls}")
+        lines.append(f"messages = {self.trajectory.messages}")
+        lines.append(f"max_conservation_gap = {self.trajectory.max_conservation_gap()!r}")
+        lines.append(f"max_feasibility_gap = {self.trajectory.max_feasibility_gap()!r}")
+        return "\n".join(lines) + "\n"
+
+    def manifest_text(self) -> str:
+        """The ``manifest.txt`` record: versions, wall time, and the config echo."""
+        body = [
+            "# manifest",
+            f"package_version = {__version__}",
+            f"python_version = {platform.python_version()}",
+            f"numpy_version = {np.__version__}",
+            f"wall_seconds = {self.wall_seconds:.3f}",
+            "",
+            "# config",
+            config_to_text(self.config).rstrip("\n"),
+            "",
+        ]
+        return "\n".join(body)
+
+
+def run_experiment(config: ExperimentConfig, out_dir=None, dump_network: bool = False) -> RunResult:
+    """End-to-end seeded run; returns its :class:`RunResult`.
 
     Writes the stream dump, trajectory and diagnostics, regret and envelope
-    series, a bound report, and a manifest. On failure the partial outputs
-    are retained next to a ``FAILED`` marker and the error is re-raised.
+    series, a bound report, and a manifest into the artifact directory
+    (``result.directory``). On failure the partial outputs are retained next
+    to a ``FAILED`` marker and the error is re-raised.
     """
     out = Path(out_dir if out_dir is not None else config.output.directory)
     out.mkdir(parents=True, exist_ok=True)
@@ -327,57 +365,26 @@ def run_experiment(config: ExperimentConfig, out_dir=None, dump_network: bool = 
         write_regret_csv(series, out / "regret.csv")
         write_envelopes_csv(env, out / "envelopes.csv")
         (out / "envelopes.gp").write_text(_GNUPLOT)
-        _write_bound_report(out / "bound.txt", stream, spec, schedule, params, trajectory, series)
-        elapsed = time.perf_counter() - started
-        _write_manifest(out / "manifest.txt", config, elapsed)
-        return out
+
+        counts = [r.inner_count for r in trajectory.rounds]
+        ht_estimate = estimate_function_variation(stream, spec)
+        ht_upper_bound = function_variation_bound(stream, spec) if stream.fixed_features else None
+        bound = None
+        # the analytic bound needs fixed features and a tracked multi-iteration schedule
+        if stream.fixed_features and params.mode is not ScheduleMode.BASELINE:
+            mixing_constants = MixingConstants.from_zeta(schedule.zeta, stream.n)
+            bound = regret_upper_bound(problem_constants(stream, spec), mixing_constants, params,
+                                       stream, spec, counts, trajectory.x_init)
+        mixing = check_mixing(schedule, counts, stream.T, 1)
+        result = RunResult(directory=out, config=config, trajectory=trajectory, regret=series,
+                           envelopes=env, ht_estimate=ht_estimate, ht_upper_bound=ht_upper_bound,
+                           bound=bound, mixing=mixing, wall_seconds=time.perf_counter() - started)
+        (out / "bound.txt").write_text(result.bound_text())
+        (out / "manifest.txt").write_text(result.manifest_text())
+        return result
     except Exception:
         (out / "FAILED").write_text(traceback.format_exc())
         raise
-
-
-def _write_bound_report(path, stream, spec, schedule, params, trajectory, series):
-    counts = [inner_count(params, t, stream.T) for t in range(1, stream.T + 1)]
-    lines = [f"ht_estimate = {estimate_function_variation(stream, spec)!r}"]
-    worst = float(series.cumulative[:, -1].max())
-    if stream.fixed_features:
-        lines.append(f"ht_upper_bound = {function_variation_bound(stream, spec)!r}")
-    lines.append(f"max_final_regret = {worst!r}")
-    # the analytic bound needs fixed features and a tracked multi-iteration schedule
-    if stream.fixed_features and params.mode is not ScheduleMode.BASELINE:
-        constants = problem_constants(stream, spec)
-        mixing = MixingConstants.from_zeta(schedule.zeta, stream.n)
-        report = regret_upper_bound(constants, mixing, params, stream, spec, counts, trajectory.x_init)
-        lines.append(f"e1 = {report.e1!r}")
-        lines.append(f"e2 = {report.e2!r}")
-        lines.append(f"e3 = {report.e3!r}")
-        lines.append(f"bound_total = {report.total!r}")
-        lines.append(f"bound_margin = {report.total - worst!r}")
-    mix = check_mixing(schedule, counts, stream.T, 1)
-    lines.append(f"mixing_deviation = {mix.deviation!r}")
-    lines.append(f"mixing_bound = {mix.bound!r}")
-    lines.append(f"mixing_margin = {mix.margin!r}")
-    lines.append(f"mixing_holds = {mix.ok}")
-    lines.append(f"lo_calls = {trajectory.lo_calls}")
-    lines.append(f"messages = {trajectory.messages}")
-    lines.append(f"max_conservation_gap = {trajectory.max_conservation_gap()!r}")
-    lines.append(f"max_feasibility_gap = {trajectory.max_feasibility_gap()!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _write_manifest(path, config: ExperimentConfig, elapsed: float) -> None:
-    body = [
-        "# manifest",
-        f"package_version = {__version__}",
-        f"python_version = {platform.python_version()}",
-        f"numpy_version = {np.__version__}",
-        f"wall_seconds = {elapsed:.3f}",
-        "",
-        "# config",
-        config_to_text(config).rstrip("\n"),
-        "",
-    ]
-    Path(path).write_text("\n".join(body))
 
 
 def read_manifest_config(path) -> ExperimentConfig:
@@ -430,20 +437,14 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir=None, dump_networ
         cfg = replace(config, **{block: replace(getattr(config, block), **{attr: converted})})
         run_dir = out / f"run_{axis}={value}"
         try:
-            run_experiment(cfg, out_dir=run_dir, dump_network=dump_network)
-            env_rows = (run_dir / "envelopes.csv").read_text().splitlines()
-            final_avg = float(env_rows[-1].split(",")[1])
-            bound_text = (run_dir / "bound.txt").read_text()
-            counters = dict(line.split(" = ") for line in bound_text.splitlines() if " = " in line)
-            rows.append(SweepRow(value=converted, final_avg_regret=final_avg,
-                                 lo_calls=int(counters["lo_calls"]), messages=int(counters["messages"])))
+            result = run_experiment(cfg, out_dir=run_dir, dump_network=dump_network)
+            rows.append(SweepRow(value=converted, final_avg_regret=float(result.envelopes.avg[-1]),
+                                 lo_calls=result.trajectory.lo_calls, messages=result.trajectory.messages))
         except Exception as exc:
             rows.append(SweepRow(value=converted, final_avg_regret=None,
                                  lo_calls=None, messages=None, error=f"{type(exc).__name__}: {exc}"))
-    import csv as _csv
-
     with (out / "sweep.csv").open("w", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([axis, "final_avg_regret", "lo_calls", "messages", "status"])
         for row in rows:
             value = row.value.value if isinstance(row.value, ScheduleMode) else row.value

@@ -9,6 +9,7 @@ bit determinism.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -204,10 +205,6 @@ class MixingConstants:
         return cls(rate=rate, coeff=1.0 / rate)
 
 
-def _power(a: np.ndarray, k: int) -> np.ndarray:
-    return np.linalg.matrix_power(a, k)
-
-
 def transition_product(schedule: GraphSchedule, counts: Sequence[int], t: int, s: int) -> np.ndarray:
     """Ordered product of per-round matrices, each raised to its inner count.
 
@@ -222,7 +219,7 @@ def transition_product(schedule: GraphSchedule, counts: Sequence[int], t: int, s
         k = int(counts[p - 1])
         if k < 1:
             raise ValueError("inner counts must be >= 1")
-        out = _power(schedule.matrix(p).weights, k) @ out
+        out = np.linalg.matrix_power(schedule.matrix(p).weights, k) @ out
     if s <= t:
         drift = max(np.abs(out.sum(axis=0) - 1.0).max(), np.abs(out.sum(axis=1) - 1.0).max())
         if drift > PRODUCT_TOL:
@@ -274,7 +271,7 @@ def check_mixing(schedule: GraphSchedule, counts: Sequence[int], t: int, s: int,
         a_s = schedule.matrix(s).weights
         worst = np.inf
         for l in range(1, k_s):
-            part = head @ _power(a_s, k_s - l)
+            part = head @ np.linalg.matrix_power(a_s, k_s - l)
             dev_l = float(np.abs(part - 1.0 / n).max())
             worst = min(worst, mc.coeff * mc.rate ** (total - l - 1) - dev_l)
         shifted_margin = float(worst)
@@ -295,15 +292,13 @@ def mixing_deviation_series(schedule: GraphSchedule, counts: Sequence[int], upto
     n = schedule.n
     prod = np.eye(n)
     for t in range(1, upto + 1):
-        prod = _power(schedule.matrix(t).weights, int(counts[t - 1])) @ prod
+        prod = np.linalg.matrix_power(schedule.matrix(t).weights, int(counts[t - 1])) @ prod
         out[t - 1] = np.abs(prod - 1.0 / n).max()
     return out
 
 
 def write_schedule_csv(schedule: GraphSchedule, path, rounds: Sequence[int] | None = None) -> None:
     """Dump nonzero weights as rows ``round, i, j, weight``."""
-    from pathlib import Path
-
     rounds = range(1, schedule.horizon + 1) if rounds is None else rounds
     with Path(path).open("w", newline="") as fh:
         fh.write("round,i,j,weight\n")

@@ -71,11 +71,15 @@ class ConstraintSpec:
         return out
 
     def feasibility_violation(self, x: np.ndarray) -> float:
-        """Distance-like measure of constraint violation (0 when feasible)."""
+        """Distance-like measure of constraint violation (0 when feasible).
+
+        ``x`` is one point ``(d,)`` or stacked points ``(m, d)``; the result
+        is the worst violation over the rows.
+        """
         x = np.asarray(x, dtype=float)
         if self.kind is ConstraintKind.UNIT_SIMPLEX:
-            return max(abs(float(x.sum()) - 1.0), max(0.0, -float(x.min())))
-        return max(0.0, float(np.abs(x).sum()) - self.radius)
+            return max(float(np.abs(x.sum(axis=-1) - 1.0).max()), max(0.0, -float(x.min())))
+        return max(0.0, float(np.abs(x).sum(axis=-1).max()) - self.radius)
 
     def contains(self, x: np.ndarray, tol: float = FEASIBILITY_TOL) -> bool:
         return self.feasibility_violation(x) <= tol
@@ -90,22 +94,26 @@ class ConstraintSpec:
 def lmo(spec: ConstraintSpec, g: np.ndarray) -> np.ndarray:
     """Linear minimization oracle: the vertex minimizing ``<v, g>``.
 
-    Ties are broken by returning the first minimizer in ``spec.vertices()``
-    order, which for both sets amounts to the lowest coordinate index (with
-    ``sign(0) == +1`` for the ball).
+    Works row-wise: ``g`` is one gradient ``(d,)`` or stacked gradients
+    ``(m, d)``, and the result has the shape of ``g``. Ties are broken by
+    returning the first minimizer in ``spec.vertices()`` order, which for
+    both sets amounts to the lowest coordinate index (with ``sign(0) == +1``
+    for the ball).
     """
     g = np.asarray(g, dtype=float)
-    if g.shape != (spec.dimension,):
-        raise ValueError(f"gradient shape {g.shape} != ({spec.dimension},)")
-    if not np.all(np.isfinite(g)):
+    if g.ndim not in (1, 2) or g.shape[-1] != spec.dimension:
+        raise ValueError(f"gradient shape {g.shape} is neither ({spec.dimension},) nor (m, {spec.dimension})")
+    if not np.isfinite(g).all():
         raise ValueError("gradient has non-finite entries")
-    v = np.zeros(spec.dimension)
+    grads = np.atleast_2d(g)
+    rows = np.arange(grads.shape[0])
+    v = np.zeros(grads.shape)
     if spec.kind is ConstraintKind.UNIT_SIMPLEX:
-        v[int(np.argmin(g))] = 1.0
+        v[rows, np.argmin(grads, axis=1)] = 1.0
     else:
-        j = int(np.argmax(np.abs(g)))
-        v[j] = -spec.radius if g[j] >= 0 else spec.radius
-    return v
+        j = np.argmax(np.abs(grads), axis=1)
+        v[rows, j] = np.where(grads[rows, j] >= 0, -spec.radius, spec.radius)
+    return v.reshape(g.shape)
 
 
 def diameter(spec: ConstraintSpec) -> float:
@@ -247,15 +255,27 @@ def loss_eval(stream: LossStream, t: int, i: int, x: np.ndarray) -> float:
     return 0.5 * r * r + stream.lambda1 * float(x @ x)
 
 
+def local_grads(stream: LossStream, t: int, xs: np.ndarray) -> np.ndarray:
+    """Every agent's gradient of its own loss at round ``t``, at its own row
+    of the stacked points ``xs`` of shape ``(n, d)``."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.shape != (stream.n, stream.d):
+        raise ValueError(f"expected ({stream.n}, {stream.d}) stacked points, got {xs.shape}")
+    feats = stream.feature_matrix(t)
+    resid = np.einsum("nd,nd->n", feats, xs) - stream.labels[:, t - 1]
+    return feats * resid[:, None] + 2.0 * stream.lambda1 * xs
+
+
 def grad_eval(stream: LossStream, t: int, i: int, x: np.ndarray) -> np.ndarray:
-    """Gradient of :func:`loss_eval` in ``x``."""
+    """Gradient of :func:`loss_eval` in ``x``: row ``i`` of :func:`local_grads`."""
     stream._check_round(t)
     stream._check_agent(i)
     x = np.asarray(x, dtype=float)
     if x.shape != (stream.d,):
         raise ValueError(f"point shape {x.shape} != ({stream.d},)")
-    a = stream.feature_matrix(t)[i]
-    return a * (float(a @ x) - stream.labels[i, t - 1]) + 2.0 * stream.lambda1 * x
+    xs = np.zeros((stream.n, stream.d))
+    xs[i] = x
+    return local_grads(stream, t, xs)[i]
 
 
 def global_loss(stream: LossStream, t: int, x: np.ndarray) -> float:
@@ -357,10 +377,9 @@ def problem_constants(stream: LossStream, spec: ConstraintSpec) -> ProblemConsta
     anorm = np.linalg.norm(feats, axis=1)
     if stream.fixed_features:
         bmax = np.abs(stream.labels).max(axis=1)
-        lip = float((anorm * (anorm * r_x + bmax) + 2.0 * stream.lambda1 * r_x).max())
     else:
         bmax = np.abs(stream.labels).max()
-        lip = float((anorm * (anorm * r_x + bmax) + 2.0 * stream.lambda1 * r_x).max())
+    lip = float((anorm * (anorm * r_x + bmax) + 2.0 * stream.lambda1 * r_x).max())
     smooth = float((anorm ** 2).max() + 2.0 * stream.lambda1)
     return ProblemConstants(diameter=diameter(spec), grad_norm_bound=lip, grad_lipschitz=smooth)
 

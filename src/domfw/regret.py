@@ -146,19 +146,6 @@ class RoundOptimizer:
                           f"after {self.max_iter} iterations", gap=gap)
 
 
-def solve_round_optimum(stream: LossStream, t: int, spec: ConstraintSpec,
-                        tol: float = 1e-9, max_iter: int = 10 ** 6) -> OptimumRecord:
-    """Cold-start solve of one round's optimum (see :class:`RoundOptimizer`)."""
-    return RoundOptimizer(stream, spec, tol=tol, max_iter=max_iter).solve(t)
-
-
-def solve_all_optima(stream: LossStream, spec: ConstraintSpec,
-                     tol: float = 1e-9, max_iter: int = 10 ** 6) -> list[OptimumRecord]:
-    """Warm-started optima for every round, in round order."""
-    solver = RoundOptimizer(stream, spec, tol=tol, max_iter=max_iter)
-    return [solver.solve(t) for t in range(1, stream.T + 1)]
-
-
 def _project_to_sum(v: np.ndarray, total: float) -> np.ndarray:
     """Euclidean projection onto ``{x >= 0, sum x = total}`` (sorted threshold)."""
     u = np.sort(v)[::-1]
@@ -255,12 +242,6 @@ def regret_series(trajectory: Trajectory, optima, stream: LossStream,
     if increments.min() < -tol:
         raise ValueError(f"negative regret increment {increments.min():.3e} below -tol")
     return RegretSeries(cumulative=np.cumsum(increments, axis=1))
-
-
-def dynamic_regret(trajectory: Trajectory, optima, stream: LossStream, j: int) -> np.ndarray:
-    """Agent ``j``'s cumulative dynamic regret series."""
-    stream._check_agent(j)
-    return regret_series(trajectory, optima, stream).cumulative[j]
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from domfw.regret import (
     projected_gradient_optimum,
     regret_series,
     regret_upper_bound,
-    solve_round_optimum,
 )
 
 SEEDS = (101, 202, 303, 404, 505)
@@ -206,7 +205,7 @@ def test_criterion_9_optimum_solver_cross_check():
         stream = generate_stream(20, 25, spec.dimension, 5e-6, spec,
                                  seed=derive_seed(9, f"stream-{spec.kind.value}"))
         for t in rng.integers(1, 26, size=25):
-            a = solve_round_optimum(stream, int(t), spec, tol=1e-9)
+            a = RoundOptimizer(stream, spec, tol=1e-9).solve(int(t))
             b = projected_gradient_optimum(stream, int(t), spec, tol=1e-9)
             worst = max(worst, abs(a.f_star - b.f_star))
             count += 1

@@ -6,7 +6,6 @@ import pytest
 from domfw.algorithm import (
     ScheduleMode,
     ScheduleParams,
-    _lmo_stack,
     consensus_step,
     fw_step,
     initial_decisions,
@@ -20,7 +19,15 @@ from domfw.algorithm import (
     write_trajectory_csv,
 )
 from domfw.network import WeightMatrix, constant_schedule, metropolis_weights, random_connected_schedule
-from domfw.problem import ConstraintSpec, LossStream, generate_stream, grad_eval, lmo, sample_feasible
+from domfw.problem import (
+    ConstraintSpec,
+    LossStream,
+    generate_stream,
+    grad_eval,
+    lmo,
+    local_grads,
+    sample_feasible,
+)
 
 PER_ROUND = ScheduleMode.PER_ROUND
 HORIZON = ScheduleMode.HORIZON
@@ -204,16 +211,29 @@ class TestFwStep:
             fw_step(np.array([1.0, 0.0]), np.zeros(2), 0.0, spec)
 
 
-class TestLmoStack:
-    def test_matches_scalar_oracle(self):
+class TestRowViews:
+    def test_row_calls_equal_stacked_rows(self):
+        # the per-agent calls the tests use are row views of the stacked
+        # calls the run makes
         rng = np.random.default_rng(5)
         for spec in (ConstraintSpec.simplex(6), ConstraintSpec.l1_ball(6, 1.5)):
             grads = rng.normal(size=(40, 6))
             grads[3] = 0.0                      # all-zero tie
             grads[7, 0] = grads[7, 1] = 2.0     # magnitude tie
-            stacked = _lmo_stack(spec, grads)
-            for row, g in zip(stacked, grads):
-                assert np.array_equal(row, lmo(spec, g))
+            xs = sample_feasible(spec, rng, 40)
+            xs[5] = 2.0 * spec.vertices()[1]    # one infeasible row
+            stream = generate_stream(40, 3, 6, 1e-3, spec, seed=20)
+            vertices = lmo(spec, grads)
+            x_next, v_next = fw_step(xs, grads, 0.3, spec)
+            fresh = local_grads(stream, 2, xs)
+            assert np.array_equal(v_next, vertices)
+            for i in range(40):
+                assert np.array_equal(vertices[i], lmo(spec, grads[i]))
+                assert np.array_equal(x_next[i], fw_step(xs[i], grads[i], 0.3, spec)[0])
+                assert np.array_equal(fresh[i], grad_eval(stream, 2, i, xs[i]))
+            worst = max(spec.feasibility_violation(row) for row in x_next)
+            assert spec.feasibility_violation(x_next) == worst
+            assert spec.feasibility_violation(xs) == max(spec.feasibility_violation(row) for row in xs) > 0
 
 
 class TestRunRound:

@@ -9,6 +9,7 @@ from domfw.cli import main
 from domfw.harness import (
     ConfigError,
     ExperimentConfig,
+    config_to_text,
     derive_seed,
     fit_loglog_slope,
     parse_config,
@@ -81,6 +82,36 @@ class TestParseConfig:
         cfg = parse_config("schedule.mode = fixed\nschedule.fixed_count = 5")
         assert cfg.schedule.params(10).fixed_count == 5
 
+    def test_echo_pins_every_key(self):
+        text = "\n".join([
+            "problem.n = 6",
+            "problem.T = 30",
+            "problem.d = 5",
+            "problem.lambda1 = 0.001",
+            "problem.constraint = l1ball",
+            "problem.radius = 1.5",
+            "problem.redraw_features = true",
+            "network.edge_prob = 0.25",
+            "schedule.mode = baseline",
+            "schedule.epsilon = 3.0",
+            "schedule.gamma = 0.7",
+            "schedule.rho = 2.0",
+            "schedule.fixed_count = 7",
+            "schedule.baseline_alpha = 0.05",
+            "solver.tolerance = 1e-08",
+            "seeds.master = 9",
+            "seeds.stream = 11",
+            "seeds.network = 12",
+            "seeds.init = 13",
+            "init.mode = random",
+            "output.directory = results/run",
+        ]) + "\n"
+        cfg = parse_config(text)
+        assert config_to_text(cfg) == text
+        assert parse_config(config_to_text(cfg)) == cfg
+        # unset optional keys are left out of the echo
+        assert "fixed_count" not in config_to_text(parse_config(""))
+
     def test_baseline_alpha_defaults_from_horizon(self):
         cfg = parse_config("schedule.mode = baseline\nproblem.T = 1000")
         params = cfg.schedule.params(1000)
@@ -112,7 +143,7 @@ class TestSeedDiscipline:
 class TestRunExperiment:
     def test_smoke_outputs(self, tmp_path):
         cfg = parse_config("problem.n = 2\nproblem.T = 2\nproblem.d = 3\nseeds.master = 1")
-        out = run_experiment(cfg, out_dir=tmp_path / "run")
+        out = run_experiment(cfg, out_dir=tmp_path / "run").directory
         expected = {"stream.csv", "trajectory.csv", "diagnostics.csv", "regret.csv",
                     "envelopes.csv", "envelopes.gp", "bound.txt", "manifest.txt"}
         assert expected <= {p.name for p in out.iterdir()}
@@ -121,7 +152,7 @@ class TestRunExperiment:
 
     def test_network_dump_optional(self, tmp_path):
         cfg = parse_config("problem.n = 2\nproblem.T = 2\nproblem.d = 2")
-        out = run_experiment(cfg, out_dir=tmp_path / "run", dump_network=True)
+        out = run_experiment(cfg, out_dir=tmp_path / "run", dump_network=True).directory
         assert (out / "network.csv").exists()
 
     def test_failure_leaves_marker(self, tmp_path, monkeypatch):
@@ -139,23 +170,23 @@ class TestRunExperiment:
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = parse_config(SMALL)
-        a = run_experiment(cfg, out_dir=tmp_path / "a")
-        b = run_experiment(cfg, out_dir=tmp_path / "b")
+        a = run_experiment(cfg, out_dir=tmp_path / "a").directory
+        b = run_experiment(cfg, out_dir=tmp_path / "b").directory
         for name in ("regret.csv", "trajectory.csv", "envelopes.csv", "stream.csv", "diagnostics.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_manifest_replay_bit_identical(self, tmp_path):
         cfg = parse_config(SMALL)
-        first = run_experiment(cfg, out_dir=tmp_path / "first")
+        first = run_experiment(cfg, out_dir=tmp_path / "first").directory
         replay_cfg = read_manifest_config(first / "manifest.txt")
         assert replay_cfg == cfg
-        second = run_experiment(replay_cfg, out_dir=tmp_path / "second")
+        second = run_experiment(replay_cfg, out_dir=tmp_path / "second").directory
         for name in ("regret.csv", "trajectory.csv", "envelopes.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
     def test_bound_report_holds(self, tmp_path):
         cfg = parse_config(SMALL)
-        out = run_experiment(cfg, out_dir=tmp_path / "run")
+        out = run_experiment(cfg, out_dir=tmp_path / "run").directory
         entries = dict(line.split(" = ") for line in (out / "bound.txt").read_text().splitlines())
         assert float(entries["bound_margin"]) > 0
         assert entries["mixing_holds"] == "True"
@@ -170,7 +201,7 @@ class TestRunExperiment:
             "schedule.epsilon = 0.3\nschedule.gamma = 0.5\nschedule.rho = 3.5\n"
             "seeds.master = 2\n"
         )
-        out = run_experiment(cfg, out_dir=tmp_path / "run")
+        out = run_experiment(cfg, out_dir=tmp_path / "run").directory
         lines = (out / "envelopes.csv").read_text().splitlines()
         assert lines[0] == "t,avg,sup,inf"
         assert len(lines) == 1 + 6
@@ -182,7 +213,7 @@ class TestRunExperiment:
             "problem.n = 3\nproblem.T = 5\nproblem.d = 4\n"
             "problem.redraw_features = true\nseeds.master = 4\n"
         )
-        out = run_experiment(cfg, out_dir=tmp_path / "run")
+        out = run_experiment(cfg, out_dir=tmp_path / "run").directory
         report = (out / "bound.txt").read_text()
         assert "ht_estimate" in report
         assert "ht_upper_bound" not in report    # needs fixed features
@@ -191,11 +222,21 @@ class TestRunExperiment:
 
 
 class TestSweep:
+    def test_row_equals_direct_run_result(self, tmp_path):
+        cfg = parse_config(SMALL)
+        row, = sweep(cfg, "gamma", [0.5], out_dir=tmp_path / "sweep")
+        result = run_experiment(cfg, out_dir=tmp_path / "direct")
+        assert result.directory == tmp_path / "direct"
+        assert (result.directory / "bound.txt").read_text() == result.bound_text()
+        assert row.final_avg_regret == float(result.envelopes.avg[-1])
+        assert row.lo_calls == result.trajectory.lo_calls
+        assert row.messages == result.trajectory.messages
+
     def test_single_value_matches_run(self, tmp_path):
         cfg = parse_config(SMALL)
         rows = sweep(cfg, "gamma", [0.5], out_dir=tmp_path / "sweep")
         assert len(rows) == 1 and rows[0].ok
-        direct = run_experiment(cfg, out_dir=tmp_path / "direct")
+        direct = run_experiment(cfg, out_dir=tmp_path / "direct").directory
         sweep_env = (tmp_path / "sweep" / "run_gamma=0.5" / "envelopes.csv").read_bytes()
         assert sweep_env == (direct / "envelopes.csv").read_bytes()
         table = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
@@ -296,6 +337,13 @@ class TestCli:
                    "--out-dir", str(tmp_path / "s")])
         assert rc == 0
         assert (tmp_path / "s" / "sweep.csv").exists()
+
+    def test_validate_rejects_single_agent(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("problem.T = 5\nproblem.n = 1\n")
+        assert main(["validate", str(cfgfile)]) == 1
+        err = capsys.readouterr().err
+        assert "line 2" in err and "problem.n" in err
 
     def test_slope_command(self, tmp_path, capsys):
         csvfile = tmp_path / "counts.csv"

@@ -17,14 +17,11 @@ from domfw.problem import (
 from domfw.regret import (
     RoundOptimizer,
     SolverError,
-    dynamic_regret,
     envelopes,
     project,
     projected_gradient_optimum,
     regret_series,
     regret_upper_bound,
-    solve_all_optima,
-    solve_round_optimum,
     write_envelopes_csv,
     write_regret_csv,
 )
@@ -94,12 +91,18 @@ class TestProject:
                 assert np.allclose(got, expected, atol=1e-12)
 
 
+def all_optima(stream, spec, tol=1e-9):
+    """Warm-started optima for every round, in round order."""
+    solver = RoundOptimizer(stream, spec, tol=tol)
+    return [solver.solve(t) for t in range(1, stream.T + 1)]
+
+
 class TestSolveRoundOptimum:
     def test_zero_residual_vertex(self):
         # single agent, a=(1,0), b=1, no regularizer: the vertex (1,0) is optimal
         spec = ConstraintSpec.simplex(2)
         stream = LossStream.from_components(0.0, [[1.0, 0.0]], [1.0, 0.0], [[0.0]], spec)
-        rec = solve_round_optimum(stream, 1, spec)
+        rec = RoundOptimizer(stream, spec).solve(1)
         assert rec.gap <= 1e-9
         assert rec.f_star <= 1e-9
         assert np.allclose(rec.x_star, [1, 0], atol=1e-6)
@@ -108,7 +111,7 @@ class TestSolveRoundOptimum:
         # lambda1 >> ||a||^2 pulls the optimum toward the origin
         spec = ConstraintSpec.l1_ball(2, 2.0)
         stream = LossStream.from_components(50.0, [[1.0, -0.5]], [0.5, 0.5], [[0.25]], spec)
-        rec = solve_round_optimum(stream, 1, spec)
+        rec = RoundOptimizer(stream, spec).solve(1)
         grid = np.linspace(-2, 2, 4001)
         xs = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
         xs = xs[np.abs(xs).sum(axis=1) <= 2.0]
@@ -121,7 +124,7 @@ class TestSolveRoundOptimum:
     def test_gap_certificate_bounds_suboptimality(self):
         spec = ConstraintSpec.simplex(2)
         stream = generate_stream(3, 2, 2, 1e-3, spec, seed=3)
-        rec = solve_round_optimum(stream, 1, spec, tol=1e-10)
+        rec = RoundOptimizer(stream, spec, tol=1e-10).solve(1)
         # exhaustive 1-d parametrization of the 2-simplex
         s = np.linspace(0, 1, 200001)
         pts = np.stack([s, 1 - s], axis=1)
@@ -137,7 +140,7 @@ class TestSolveRoundOptimum:
         for spec in (ConstraintSpec.simplex(8), ConstraintSpec.l1_ball(16, 2.0)):
             stream = generate_stream(20, 25, spec.dimension, 5e-6, spec, seed=int(rng.integers(1 << 30)))
             for t in rng.integers(1, 26, size=25):
-                a = solve_round_optimum(stream, int(t), spec, tol=1e-9)
+                a = RoundOptimizer(stream, spec, tol=1e-9).solve(int(t))
                 b = projected_gradient_optimum(stream, int(t), spec, tol=1e-9)
                 mismatches.append(abs(a.f_star - b.f_star))
         assert max(mismatches) <= 1e-6
@@ -146,15 +149,15 @@ class TestSolveRoundOptimum:
         spec = ConstraintSpec.simplex(4)
         stream = generate_stream(6, 2, 4, 1e-4, spec, seed=5)
         with pytest.raises(SolverError) as info:
-            solve_round_optimum(stream, 1, spec, tol=1e-16, max_iter=3)
+            RoundOptimizer(stream, spec, tol=1e-16, max_iter=3).solve(1)
         assert info.value.gap > 0
 
     def test_warm_start_sweep_consistent_with_cold(self):
         spec = ConstraintSpec.simplex(6)
         stream = generate_stream(10, 30, 6, 5e-6, spec, seed=6)
-        warm = solve_all_optima(stream, spec, tol=1e-10)
+        warm = all_optima(stream, spec, tol=1e-10)
         for t in (1, 15, 30):
-            cold = solve_round_optimum(stream, t, spec, tol=1e-10)
+            cold = RoundOptimizer(stream, spec, tol=1e-10).solve(t)
             assert warm[t - 1].f_star == pytest.approx(cold.f_star, abs=1e-9)
             assert warm[t - 1].gap <= 1e-10
 
@@ -169,7 +172,7 @@ class TestDynamicRegret:
     def test_zero_when_decisions_equal_optima(self):
         spec = ConstraintSpec.simplex(3)
         stream = generate_stream(2, 4, 3, 1e-4, spec, seed=7)
-        optima = solve_all_optima(stream, spec, tol=1e-12)
+        optima = all_optima(stream, spec, tol=1e-12)
         decisions = np.stack([np.tile(rec.x_star, (2, 1)) for rec in optima] + [np.tile(optima[-1].x_star, (2, 1))])
         traj = Trajectory(decisions=decisions, lo_calls=0, messages=0, rounds=())
         series = regret_series(traj, optima, stream, tol=1e-9)
@@ -178,7 +181,7 @@ class TestDynamicRegret:
     def test_single_round_direct_difference(self):
         spec = ConstraintSpec.simplex(2)
         stream = generate_stream(2, 1, 2, 0.0, spec, seed=8)
-        optima = solve_all_optima(stream, spec)
+        optima = all_optima(stream, spec)
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
         traj = constant_decision_trajectory(x, 1)
         series = regret_series(traj, optima, stream)
@@ -200,7 +203,7 @@ class TestDynamicRegret:
             grid_f_star.append(vals.min())
         x = np.array([[0.7, 0.3], [0.2, 0.8]])
         traj = constant_decision_trajectory(x, 3)
-        optima = solve_all_optima(stream, spec)
+        optima = all_optima(stream, spec)
         series = regret_series(traj, optima, stream)
         for j in range(2):
             explicit = 0.0
@@ -214,7 +217,7 @@ class TestDynamicRegret:
         sched = random_connected_schedule(5, 12, 0.4, seed=11)
         params = ScheduleParams(ScheduleMode.PER_ROUND, epsilon=2, gamma=0.5, rho=3)
         traj = run(stream, sched, spec, params)
-        optima = solve_all_optima(stream, spec)
+        optima = all_optima(stream, spec)
         series = regret_series(traj, optima, stream, tol=1e-9)
         diffs = np.diff(series.cumulative, axis=1)
         assert diffs.min() >= -1e-9
@@ -222,7 +225,7 @@ class TestDynamicRegret:
     def test_corrupted_optimum_rejected(self):
         spec = ConstraintSpec.simplex(2)
         stream = generate_stream(2, 2, 2, 0.0, spec, seed=12)
-        optima = solve_all_optima(stream, spec)
+        optima = all_optima(stream, spec)
         bad = [OptimumRecord(t=rec.t, x_star=rec.x_star, f_star=rec.f_star + 100.0,
                              gap=rec.gap, iterations=rec.iterations) for rec in optima]
         traj = constant_decision_trajectory(np.array([[1.0, 0.0], [0.5, 0.5]]), 2)
@@ -232,10 +235,13 @@ class TestDynamicRegret:
     def test_dynamic_regret_single_agent_view(self):
         spec = ConstraintSpec.simplex(2)
         stream = generate_stream(3, 4, 2, 1e-4, spec, seed=13)
-        optima = solve_all_optima(stream, spec)
-        traj = constant_decision_trajectory(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]), 4)
+        optima = all_optima(stream, spec)
+        x = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+        traj = constant_decision_trajectory(x, 4)
         series = regret_series(traj, optima, stream)
-        assert np.array_equal(dynamic_regret(traj, optima, stream, 2), series.cumulative[2])
+        explicit = np.cumsum([global_loss(stream, t, x[2]) - optima[t - 1].f_star for t in range(1, 5)])
+        assert series.cumulative[2] == pytest.approx(explicit, rel=1e-12, abs=1e-15)
+        assert series.final(2) == series.cumulative[2, -1]
 
 
 class TestEnvelopes:
@@ -310,7 +316,7 @@ class TestRegretBound:
     def test_dominates_empirical_regret_small_run(self):
         spec, stream, sched, params, counts, constants, mixing = self.make_setup(T=6)
         traj = run(stream, sched, spec, params)
-        optima = solve_all_optima(stream, spec)
+        optima = all_optima(stream, spec)
         series = regret_series(traj, optima, stream)
         report = regret_upper_bound(constants, mixing, params, stream, spec, counts, traj.x_init)
         assert series.cumulative[:, -1].max() < report.total
