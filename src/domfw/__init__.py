@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .algorithm import (
-    AgentState,
+    InnerStep,
     RoundDiagnostics,
     ScheduleMode,
     ScheduleParams,
@@ -12,6 +12,7 @@ from .algorithm import (
     fw_step,
     initial_decisions,
     inner_count,
+    inner_steps,
     lo_call_count,
     run,
     run_round,

@@ -17,14 +17,14 @@ arrays; reductions use a fixed agent order so runs are bit-deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from .network import GraphSchedule, WeightMatrix
-from .problem import ConstraintKind, ConstraintSpec, LossStream, global_grad, global_loss, lmo, local_grads, sample_feasible
+from .problem import ConstraintKind, ConstraintSpec, LossStream, global_grad, lmo, local_grads, sample_feasible
 
 CONSERVATION_TOL = 1e-9
 FEASIBILITY_RUN_TOL = 1e-10
@@ -145,43 +145,43 @@ def fw_step(x_mixed: np.ndarray, grad_tracked: np.ndarray, alpha: float, spec: C
     return x_mixed + alpha * (v - x_mixed), v
 
 
-@dataclass
-class InnerTrace:
-    """Optional per-inner-step record of one round (stacked over agents)."""
-
-    x: list = field(default_factory=list)                 # x^k before consensus
-    x_mixed: list = field(default_factory=list)           # after consensus
-    grad_local: list = field(default_factory=list)        # fresh local gradients
-    grad_tracked_pre: list = field(default_factory=list)  # before the tracking mix
-    grad_tracked: list = field(default_factory=list)      # after the tracking mix
-    vertex: list = field(default_factory=list)            # linear-oracle outputs
-    objective: list = field(default_factory=list)         # F_t at the running average
-
-    def agent_state(self, k: int, i: int) -> "AgentState":
-        """Snapshot of agent ``i`` at inner step ``k`` (1-based)."""
-        return AgentState(
-            x=self.x[k - 1][i],
-            x_mixed=self.x_mixed[k - 1][i],
-            grad_tracked_pre=self.grad_tracked_pre[k - 1][i],
-            grad_tracked=self.grad_tracked[k - 1][i],
-            grad_prev=self.grad_local[k - 2][i] if k > 1 else None,
-        )
-
-
 @dataclass(frozen=True)
-class AgentState:
-    """One agent's inner-loop variables at a single inner step."""
+class InnerStep:
+    """All agents' variables at one inner iteration (stacked ``(n, d)`` rows)."""
 
-    x: np.ndarray
-    x_mixed: np.ndarray
-    grad_tracked_pre: np.ndarray
-    grad_tracked: np.ndarray
-    grad_prev: np.ndarray | None
+    x: np.ndarray                  # iterates before consensus
+    x_mixed: np.ndarray            # after consensus
+    grad_local: np.ndarray         # fresh local gradients at x_mixed
+    grad_tracked_pre: np.ndarray   # tracked gradients before the tracking mix
+    grad_tracked: np.ndarray       # after the tracking mix
+    vertex: np.ndarray             # linear-oracle outputs
+    x_next: np.ndarray             # iterates after the Frank-Wolfe step
+
+
+def inner_steps(xs: np.ndarray, stream: LossStream, wm: WeightMatrix, spec: ConstraintSpec,
+                alpha: float, k_t: int, t: int):
+    """Yield round ``t``'s ``k_t`` inner iterations from ``xs``, one ``InnerStep`` each.
+
+    Each iteration mixes the iterates, refreshes the local gradients at the
+    mixed points, updates the tracked gradients, and takes the Frank-Wolfe
+    step; the last step's ``x_next`` is the round's committed decision.
+    """
+    x = xs
+    grad_hat = None
+    fresh_prev = None
+    for k in range(1, k_t + 1):
+        x_hat = consensus_step(x, wm)
+        fresh = local_grads(stream, t, x_hat)
+        grad_bar, grad_hat = tracking_step(grad_hat, fresh_prev, fresh, wm, k)
+        x_next, v = fw_step(x_hat, grad_hat, alpha, spec)
+        yield InnerStep(x, x_hat, fresh, grad_bar, grad_hat, v, x_next)
+        fresh_prev = fresh
+        x = x_next
 
 
 @dataclass(frozen=True)
 class RoundDiagnostics:
-    """Per-round monitoring quantities recorded during a run."""
+    """Per-round monitoring quantities and counters recorded during a run."""
 
     t: int
     inner_count: int
@@ -190,19 +190,16 @@ class RoundDiagnostics:
     tracking_residual: float       # sum_k alpha * sum_i ||tracked_i - mean grad||
     conservation_gap: float        # worst per-coordinate tracking-sum mismatch
     feasibility_gap: float         # worst constraint violation over inner iterates
-    avg_recursion_gap: float       # residual of the average-iterate recursion
-    lo_calls_total: int
-    messages_total: int
-    trace: InnerTrace | None = None
+    lo_calls: int                  # linear-oracle calls this round: n * K_t
+    messages: int                  # messages this round: 2 * K_t * directed edges
 
 
 def run_round(xs: np.ndarray, stream: LossStream, schedule: GraphSchedule, spec: ConstraintSpec,
-              params: ScheduleParams, t: int, lo_calls: int = 0, messages: int = 0,
-              record_inner: bool = False):
+              params: ScheduleParams, t: int):
     """Execute round ``t``'s inner loop for all agents.
 
-    Returns ``(xs_next, RoundDiagnostics)``. ``lo_calls`` and ``messages``
-    are running totals carried into the recorded diagnostics.
+    Returns ``(xs_next, RoundDiagnostics)``; the diagnostics summarize the
+    ``inner_steps`` of the round.
     """
     n, d = stream.n, stream.d
     xs = np.asarray(xs, dtype=float)
@@ -213,50 +210,20 @@ def run_round(xs: np.ndarray, stream: LossStream, schedule: GraphSchedule, spec:
         raise ValueError("schedule size does not match the stream")
     k_t = inner_count(params, t, schedule.horizon)
     alpha = step_size(params, k_t)
-    edge_count = wm.directed_edges
 
-    mean0 = xs.mean(axis=0)
-    consistency = float(np.linalg.norm(xs - mean0, axis=1).sum())
-
-    trace = InnerTrace() if record_inner else None
+    consistency = float(np.linalg.norm(xs - xs.mean(axis=0), axis=1).sum())
     x = xs
-    grad_hat = None
-    fresh_prev = None
     tracking_residual = 0.0
     conservation_gap = 0.0
     feasibility_gap = 0.0
-    drift_sum = np.zeros(d)
-
-    for k in range(1, k_t + 1):
-        x_avg = x.mean(axis=0)
-        x_hat = consensus_step(x, wm)
-        fresh = local_grads(stream, t, x_hat)
-        grad_bar, grad_hat = tracking_step(grad_hat, fresh_prev, fresh, wm, k)
-
-        conservation_gap = max(conservation_gap, float(np.abs(grad_bar.sum(axis=0) - fresh.sum(axis=0)).max()))
-        mean_grad = global_grad(stream, t, x_avg) / n
-        tracking_residual += alpha * float(np.linalg.norm(grad_hat - mean_grad, axis=1).sum())
-
-        x_next, v = fw_step(x_hat, grad_hat, alpha, spec)
-        drift_sum += v.mean(axis=0) - x_avg
-
-        feasibility_gap = max(feasibility_gap, spec.feasibility_violation(x_hat),
-                              spec.feasibility_violation(x_next))
-        if trace is not None:
-            trace.x.append(x.copy())
-            trace.x_mixed.append(x_hat)
-            trace.grad_local.append(fresh)
-            trace.grad_tracked_pre.append(grad_bar)
-            trace.grad_tracked.append(grad_hat)
-            trace.vertex.append(v)
-            trace.objective.append(global_loss(stream, t, x_avg))
-        fresh_prev = fresh
-        x = x_next
-
-    end_mean = x.mean(axis=0)
-    if trace is not None:
-        trace.objective.append(global_loss(stream, t, end_mean))
-    recursion_gap = float(np.linalg.norm(end_mean - (mean0 + alpha * drift_sum)))
+    for step in inner_steps(xs, stream, wm, spec, alpha, k_t, t):
+        conservation_gap = max(conservation_gap, float(np.abs(
+            step.grad_tracked_pre.sum(axis=0) - step.grad_local.sum(axis=0)).max()))
+        mean_grad = global_grad(stream, t, step.x.mean(axis=0)) / n
+        tracking_residual += alpha * float(np.linalg.norm(step.grad_tracked - mean_grad, axis=1).sum())
+        feasibility_gap = max(feasibility_gap, spec.feasibility_violation(step.x_mixed),
+                              spec.feasibility_violation(step.x_next))
+        x = step.x_next
 
     diag = RoundDiagnostics(
         t=t,
@@ -266,17 +233,15 @@ def run_round(xs: np.ndarray, stream: LossStream, schedule: GraphSchedule, spec:
         tracking_residual=tracking_residual,
         conservation_gap=conservation_gap,
         feasibility_gap=feasibility_gap,
-        avg_recursion_gap=recursion_gap,
-        lo_calls_total=lo_calls + n * k_t,
-        messages_total=messages + 2 * k_t * edge_count,
-        trace=trace,
+        lo_calls=n * k_t,
+        messages=2 * k_t * wm.directed_edges,
     )
     return x, diag
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Committed decisions plus oracle and message counters for a full run.
+    """Committed decisions plus the per-round diagnostics of a full run.
 
     ``decisions[t - 1]`` holds all agents' committed points for round ``t``,
     for ``t = 1 .. T + 1`` (the last row is the decision the agents would
@@ -284,9 +249,7 @@ class Trajectory:
     """
 
     decisions: np.ndarray          # (T + 1, n, d)
-    lo_calls: int
-    messages: int
-    rounds: tuple
+    rounds: tuple                  # RoundDiagnostics for t = 1 .. T
 
     def __post_init__(self):
         a = np.array(self.decisions, dtype=float)
@@ -306,14 +269,21 @@ class Trajectory:
     def x_init(self) -> np.ndarray:
         return self.decisions[0]
 
+    @property
+    def lo_calls(self) -> int:
+        """Linear-oracle calls over the whole run."""
+        return sum(r.lo_calls for r in self.rounds)
+
+    @property
+    def messages(self) -> int:
+        """Messages exchanged over the whole run."""
+        return sum(r.messages for r in self.rounds)
+
     def max_conservation_gap(self) -> float:
         return max(r.conservation_gap for r in self.rounds)
 
     def max_feasibility_gap(self) -> float:
         return max(r.feasibility_gap for r in self.rounds)
-
-    def max_avg_recursion_gap(self) -> float:
-        return max(r.avg_recursion_gap for r in self.rounds)
 
 
 def initial_decisions(spec: ConstraintSpec, n: int, init: str = "vertex",
@@ -334,7 +304,7 @@ def initial_decisions(spec: ConstraintSpec, n: int, init: str = "vertex",
 
 
 def run(stream: LossStream, schedule: GraphSchedule, spec: ConstraintSpec, params: ScheduleParams,
-        init: str = "vertex", init_seed: int | None = None, record_inner: bool = False) -> Trajectory:
+        init: str = "vertex", init_seed: int | None = None) -> Trajectory:
     """Run the full horizon and return the committed trajectory.
 
     Deterministic for fixed inputs. Raises with the offending round index if
@@ -351,19 +321,14 @@ def run(stream: LossStream, schedule: GraphSchedule, spec: ConstraintSpec, param
     decisions = np.empty((stream.T + 1, stream.n, stream.d))
     decisions[0] = xs
     rounds = []
-    lo_calls = 0
-    messages = 0
     for t in range(1, stream.T + 1):
         try:
-            xs, diag = run_round(xs, stream, schedule, spec, params, t,
-                                 lo_calls=lo_calls, messages=messages, record_inner=record_inner)
+            xs, diag = run_round(xs, stream, schedule, spec, params, t)
         except Exception as exc:
             raise RuntimeError(f"round {t} failed: {exc}") from exc
-        lo_calls = diag.lo_calls_total
-        messages = diag.messages_total
         decisions[t] = xs
         rounds.append(diag)
-    return Trajectory(decisions=decisions, lo_calls=lo_calls, messages=messages, rounds=tuple(rounds))
+    return Trajectory(decisions=decisions, rounds=tuple(rounds))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -378,10 +343,13 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def write_diagnostics_csv(traj: Trajectory, path) -> None:
-    """Per-round schedule, error, and counter columns."""
+    """Per-round schedule, error, and cumulative counter columns."""
+    lo_calls = messages = 0
     with Path(path).open("w", newline="") as fh:
         fh.write("t,K_t,alpha_t,consistency_error,tracking_residual,"
                  "lo_calls_cumulative,messages_cumulative\n")
         for r in traj.rounds:
+            lo_calls += r.lo_calls
+            messages += r.messages
             fh.write(f"{r.t},{r.inner_count},{r.alpha!r},{r.consistency_error!r},"
-                     f"{r.tracking_residual!r},{r.lo_calls_total},{r.messages_total}\n")
+                     f"{r.tracking_residual!r},{lo_calls},{messages}\n")

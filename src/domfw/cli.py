@@ -10,7 +10,7 @@ import csv
 import sys
 from pathlib import Path
 
-from .harness import ConfigError, fit_loglog_slope, parse_config, run_experiment, sweep
+from .harness import _SWEEP_AXES, ConfigError, fit_loglog_slope, parse_config, run_experiment, sweep
 
 
 def main(argv=None) -> int:
@@ -25,7 +25,7 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="run the config once per axis value")
     p_sweep.add_argument("config")
-    p_sweep.add_argument("--axis", required=True, choices=["gamma", "epsilon", "rho", "mode", "n", "T"])
+    p_sweep.add_argument("--axis", required=True, choices=list(_SWEEP_AXES))
     p_sweep.add_argument("--values", required=True, help="comma-separated axis values")
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--out-dir", default=None)

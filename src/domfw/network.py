@@ -280,23 +280,6 @@ def check_mixing(schedule: GraphSchedule, counts: Sequence[int], t: int, s: int,
                         holds=margin >= 0, shifted_margin=shifted_margin, shifted_holds=shifted_holds)
 
 
-def mixing_deviation_series(schedule: GraphSchedule, counts: Sequence[int], upto: int) -> np.ndarray:
-    """Max entrywise deviation of the product from round 1 through each t.
-
-    Monitoring helper: the series is expected to contract on connected
-    schedules but is reported rather than asserted.
-    """
-    if not 1 <= upto <= schedule.horizon:
-        raise ValueError("upto out of range")
-    out = np.empty(upto)
-    n = schedule.n
-    prod = np.eye(n)
-    for t in range(1, upto + 1):
-        prod = np.linalg.matrix_power(schedule.matrix(t).weights, int(counts[t - 1])) @ prod
-        out[t - 1] = np.abs(prod - 1.0 / n).max()
-    return out
-
-
 def write_schedule_csv(schedule: GraphSchedule, path, rounds: Sequence[int] | None = None) -> None:
     """Dump nonzero weights as rows ``round, i, j, weight``."""
     rounds = range(1, schedule.horizon + 1) if rounds is None else rounds

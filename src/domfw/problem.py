@@ -179,6 +179,13 @@ class LossStream:
             raise ValueError("ground_truth has wrong shape")
         if self.noise.shape != (self.n, self.T) or self.labels.shape != (self.n, self.T):
             raise ValueError("noise and labels must have shape (n, T)")
+        bad = np.argwhere(~np.isfinite(self.features))
+        if bad.size:
+            where = f"agent {bad[0][0]}" if self.fixed_features else f"agent {bad[0][1]} at round {bad[0][0] + 1}"
+            raise ValueError(f"features of {where} have non-finite entries")
+        bad = np.argwhere(~np.isfinite(self.noise))
+        if bad.size:
+            raise ValueError(f"noise of agent {bad[0][0]} at round {bad[0][1] + 1} is not finite")
         if np.any(self.noise < 0) or np.any(self.noise > 1):
             raise ValueError("noise entries must lie in [0, 1]")
         if np.any(np.abs(self.features) > 5 + FEASIBILITY_TOL):

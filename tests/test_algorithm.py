@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domfw.algorithm import (
+    CONSERVATION_TOL,
+    FEASIBILITY_RUN_TOL,
     ScheduleMode,
     ScheduleParams,
     consensus_step,
     fw_step,
     initial_decisions,
     inner_count,
+    inner_steps,
     lo_call_count,
     run,
     run_round,
@@ -23,6 +28,7 @@ from domfw.problem import (
     ConstraintSpec,
     LossStream,
     generate_stream,
+    global_loss,
     grad_eval,
     lmo,
     local_grads,
@@ -40,6 +46,21 @@ def single_agent_stream(a, truth, noise, lambda1=0.0, radius=2.0):
     spec = ConstraintSpec.l1_ball(a.shape[1], radius)
     return LossStream.from_components(lambda1, a, np.asarray(truth, float),
                                       np.atleast_2d(np.asarray(noise, float)), spec), spec
+
+
+def round_steps(xs, stream, sched, spec, params, t):
+    """Round ``t``'s inner steps, with the weights, count and step the run uses."""
+    k_t = inner_count(params, t, sched.horizon)
+    return list(inner_steps(xs, stream, sched.matrix(t), spec, step_size(params, k_t), k_t, t))
+
+
+def recursion_gap(steps, alpha):
+    """Residual of the average-iterate recursion over one round's steps: the
+    agents' average moves by ``alpha * (mean vertex - average)`` each step,
+    because the weights are doubly stochastic."""
+    drift = sum(s.vertex.mean(axis=0) - s.x.mean(axis=0) for s in steps)
+    start, end = steps[0].x.mean(axis=0), steps[-1].x_next.mean(axis=0)
+    return float(np.linalg.norm(end - (start + alpha * drift)))
 
 
 class TestInnerCount:
@@ -247,7 +268,7 @@ class TestRunRound:
         expected, _ = fw_step(x0[0], g, 0.3, spec)
         assert np.allclose(xs[0], expected, atol=1e-15)
         assert diag.inner_count == 1
-        assert diag.lo_calls_total == 1
+        assert diag.lo_calls == 1
 
     def test_single_agent_matches_independent_scalar_loop(self):
         # 1-d quadratic on [-2, 2]: the inner loop degenerates to fixed-step
@@ -265,18 +286,20 @@ class TestRunRound:
             v = -2.0 if g >= 0 else 2.0
             x = x + alpha * (v - x)
             scalar_path.append(x)
-        xs, diag = run_round(np.array([[-2.0]]), stream, sched, spec, params, 1, record_inner=True)
-        engine_path = [float(diag.trace.x_mixed[k][0, 0] + alpha * (diag.trace.vertex[k][0, 0] - diag.trace.x_mixed[k][0, 0]))
-                       for k in range(k_count)]
+        x0 = np.array([[-2.0]])
+        steps = round_steps(x0, stream, sched, spec, params, 1)
+        engine_path = [float(s.x_next[0, 0]) for s in steps]
         assert np.allclose(engine_path, scalar_path, atol=1e-14)
+        xs, _ = run_round(x0, stream, sched, spec, params, 1)
         assert xs[0, 0] == pytest.approx(scalar_path[-1], abs=1e-14)
 
     def test_inner_objective_decreases_after_transient(self):
         stream, spec = single_agent_stream([1.5], [0.4], [[0.2]])
         params = ScheduleParams(FIXED, fixed_count=80, rho=1.5)
         sched = constant_schedule(WeightMatrix(np.array([[1.0]]), zeta=1.0), 1)
-        _, diag = run_round(np.array([[-2.0]]), stream, sched, spec, params, 1, record_inner=True)
-        objectives = np.array(diag.trace.objective)
+        steps = round_steps(np.array([[-2.0]]), stream, sched, spec, params, 1)
+        iterates = [s.x for s in steps] + [steps[-1].x_next]
+        objectives = np.array([global_loss(stream, 1, x.mean(axis=0)) for x in iterates])
         # geometric-plus-floor decrease: monotone after the first few steps
         # until the step-size floor is reached
         drops = np.diff(objectives[:40])
@@ -290,22 +313,43 @@ class TestRunRound:
         params = ScheduleParams(PER_ROUND, epsilon=2, gamma=0.5, rho=3)
         xs = initial_decisions(spec, 8)
         for t in range(1, 6):
-            xs, diag = run_round(xs, stream, sched, spec, params, t)
-            assert diag.avg_recursion_gap <= 1e-10
+            steps = round_steps(xs, stream, sched, spec, params, t)
+            assert recursion_gap(steps, step_size(params, len(steps))) <= 1e-10
+            xs = steps[-1].x_next
 
-    def test_agent_state_snapshot(self):
+    def test_inner_step_snapshot(self):
         spec = ConstraintSpec.simplex(4)
         stream = generate_stream(3, 2, 4, 0.0, spec, seed=8)
         sched = random_connected_schedule(3, 2, 1.0, seed=9)
         params = ScheduleParams(FIXED, fixed_count=3, rho=2)
-        xs, diag = run_round(initial_decisions(spec, 3), stream, sched, spec, params, 1, record_inner=True)
-        first = diag.trace.agent_state(1, 0)
-        assert first.grad_prev is None
-        assert np.array_equal(first.grad_tracked_pre, diag.trace.grad_local[0][0])
-        later = diag.trace.agent_state(2, 1)
-        assert np.array_equal(later.grad_prev, diag.trace.grad_local[0][1])
-        assert spec.contains(later.x, tol=1e-10)
-        assert spec.contains(later.x_mixed, tol=1e-10)
+        first, second, _ = round_steps(initial_decisions(spec, 3), stream, sched, spec, params, 1)
+        assert np.array_equal(first.grad_tracked_pre, first.grad_local)
+        assert np.array_equal(second.x, first.x_next)
+        assert np.array_equal(second.grad_tracked_pre,
+                              first.grad_tracked + second.grad_local - first.grad_local)
+        assert np.array_equal(second.grad_local, local_grads(stream, 1, second.x_mixed))
+        assert spec.contains(second.x[1], tol=1e-10)
+        assert spec.contains(second.x_mixed[1], tol=1e-10)
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(n=st.integers(2, 6), d=st.integers(1, 6), ball=st.booleans(),
+           edge_prob=st.floats(0.0, 1.0), seed=st.integers(0, 2**16), fixed=st.booleans())
+    def test_inner_step_invariants(self, n, d, ball, edge_prob, seed, fixed):
+        spec = ConstraintSpec.l1_ball(d, 1.5) if ball else ConstraintSpec.simplex(d)
+        stream = generate_stream(n, 3, d, 1e-3, spec, seed=seed)
+        sched = random_connected_schedule(n, 3, edge_prob, seed=seed + 1)
+        params = (ScheduleParams(FIXED, fixed_count=3, rho=2) if fixed
+                  else ScheduleParams(PER_ROUND, epsilon=2, gamma=0.5, rho=3))
+        xs = initial_decisions(spec, n, init="random", seed=seed + 2)
+        for t in range(1, 4):
+            steps = round_steps(xs, stream, sched, spec, params, t)
+            for s in steps:
+                assert spec.feasibility_violation(s.x_mixed) <= FEASIBILITY_RUN_TOL
+                assert spec.feasibility_violation(s.x_next) <= FEASIBILITY_RUN_TOL
+                assert np.abs(s.grad_tracked_pre.sum(axis=0) - s.grad_local.sum(axis=0)).max() <= CONSERVATION_TOL
+            assert recursion_gap(steps, step_size(params, len(steps))) <= 1e-10
+            xs, _ = run_round(xs, stream, sched, spec, params, t)
+            assert np.array_equal(xs, steps[-1].x_next)
 
 
 class TestRun:
@@ -344,9 +388,8 @@ class TestRun:
         sched = random_connected_schedule(20, 40, 0.3, seed=13)
         params = ScheduleParams(PER_ROUND, epsilon=4, gamma=0.5, rho=4)
         traj = run(stream, sched, spec, params)
-        assert traj.max_feasibility_gap() <= 1e-10
-        assert traj.max_conservation_gap() <= 1e-9
-        assert traj.max_avg_recursion_gap() <= 1e-10
+        assert traj.max_feasibility_gap() <= FEASIBILITY_RUN_TOL
+        assert traj.max_conservation_gap() <= CONSERVATION_TOL
 
     def test_determinism_bitwise(self):
         spec = ConstraintSpec.l1_ball(5, 2.0)

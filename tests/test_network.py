@@ -8,7 +8,6 @@ from domfw.network import (
     check_mixing,
     constant_schedule,
     metropolis_weights,
-    mixing_deviation_series,
     random_connected_schedule,
     transition_product,
     validate,
@@ -175,12 +174,6 @@ class TestCheckMixing:
         report = check_mixing(sched, [2] * 50, 50, 1)
         assert report.deviation == pytest.approx(0.5)
         assert not report.holds
-
-    def test_deviation_series_contracts_empirically(self):
-        sched = random_connected_schedule(6, 30, 0.2, seed=9)
-        series = mixing_deviation_series(sched, [2] * 30, 30)
-        assert np.all(np.diff(series) <= 1e-12)
-        assert series[-1] < series[0]
 
     def test_realized_zeta_tightens_the_certificate(self):
         # both the conservative schedule-wide bound and the realized minimum

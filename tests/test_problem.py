@@ -120,6 +120,22 @@ class TestGenerateStream:
         with pytest.raises(ValueError):
             LossStream.from_components(0.0, [[1.0]], [2.0], [[0.5]], spec)   # infeasible truth
 
+    def test_non_finite_features_rejected(self):
+        spec = ConstraintSpec.simplex(2)
+        noise = [[0.1, 0.2], [0.3, 0.4]]
+        with pytest.raises(ValueError, match="features of agent 0 have non-finite"):
+            LossStream.from_components(0.0, [[1.0, np.nan], [0.5, 0.2]], [0.5, 0.5], noise, spec)
+        redrawn = np.full((2, 2, 2), 0.5)
+        redrawn[1, 0, 1] = np.inf
+        with pytest.raises(ValueError, match="features of agent 0 at round 2 have non-finite"):
+            LossStream.from_components(0.0, redrawn, [0.5, 0.5], noise, spec)
+
+    def test_non_finite_noise_rejected(self):
+        spec = ConstraintSpec.simplex(2)
+        with pytest.raises(ValueError, match="noise of agent 1 at round 2 is not finite"):
+            LossStream.from_components(0.0, [[1.0, 0.0], [0.5, 0.2]], [0.5, 0.5],
+                                       [[0.1, 0.2], [0.3, np.nan]], spec)
+
     def test_immutable_after_construction(self):
         s = generate_stream(2, 3, 2, 0.0, ConstraintSpec.simplex(2), seed=0)
         with pytest.raises(ValueError):

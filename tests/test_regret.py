@@ -165,7 +165,7 @@ class TestSolveRoundOptimum:
 def constant_decision_trajectory(points, T):
     """A fake trajectory committing the same stacked decisions each round."""
     stacked = np.tile(points, (T + 1, 1, 1))
-    return Trajectory(decisions=stacked, lo_calls=0, messages=0, rounds=())
+    return Trajectory(decisions=stacked, rounds=())
 
 
 class TestDynamicRegret:
@@ -174,7 +174,7 @@ class TestDynamicRegret:
         stream = generate_stream(2, 4, 3, 1e-4, spec, seed=7)
         optima = all_optima(stream, spec, tol=1e-12)
         decisions = np.stack([np.tile(rec.x_star, (2, 1)) for rec in optima] + [np.tile(optima[-1].x_star, (2, 1))])
-        traj = Trajectory(decisions=decisions, lo_calls=0, messages=0, rounds=())
+        traj = Trajectory(decisions=decisions, rounds=())
         series = regret_series(traj, optima, stream, tol=1e-9)
         assert np.all(np.abs(series.cumulative) <= 4 * 1e-9)
 
