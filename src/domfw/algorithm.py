@@ -39,15 +39,44 @@ class ScheduleMode(Enum):
     BASELINE = "baseline"     # K_t = 1 with a fixed step (single-iteration comparator)
 
 
+def schedule_violations(mode: ScheduleMode, epsilon: float, gamma: float, rho: float,
+                        fixed_count: int | None, baseline_alpha: float | None) -> list[tuple[str, str]]:
+    """Every broken schedule rule, as ``(field, message)`` pairs.
+
+    Each field is range-checked whatever the mode; the mode adds two rules:
+    the per-round schedule needs ``gamma < 1`` and the fixed one needs
+    ``fixed_count``.
+    """
+    problems = []
+    if not 0 < epsilon < math.inf:
+        problems.append(("epsilon", f"must be finite and > 0, got {epsilon}"))
+    if mode is ScheduleMode.PER_ROUND:
+        if not 0 < gamma < 1:
+            problems.append(("gamma", f"per-round schedule requires 0 < gamma < 1, got {gamma}"))
+    elif not 0 < gamma <= 1:
+        problems.append(("gamma", f"must lie in (0, 1], got {gamma}"))
+    if not 1 <= rho < math.inf:
+        problems.append(("rho", f"must be finite and >= 1, got {rho}"))
+    if fixed_count is None:
+        if mode is ScheduleMode.FIXED:
+            problems.append(("fixed_count", "required for mode fixed"))
+    elif not fixed_count >= 2:
+        problems.append(("fixed_count", f"must be >= 2, got {fixed_count}"))
+    if baseline_alpha is not None and not 0 < baseline_alpha <= 1:
+        problems.append(("baseline_alpha", f"must lie in (0, 1], got {baseline_alpha}"))
+    return problems
+
+
 @dataclass(frozen=True)
 class ScheduleParams:
     """Inner-loop schedule and step-size parameters.
 
     Non-baseline modes derive the step as ``alpha_t = 1 / (rho * K_t)``; the
-    baseline mode runs one inner iteration per round with ``baseline_alpha``.
+    baseline mode runs one inner iteration per round with ``baseline_alpha``,
+    or ``1 / (4 T**0.4)`` of the run's horizon ``T`` when it is unset.
     """
 
-    mode: ScheduleMode
+    mode: ScheduleMode = ScheduleMode.PER_ROUND
     epsilon: float = 4.0
     gamma: float = 0.5
     rho: float = 4.0
@@ -55,22 +84,9 @@ class ScheduleParams:
     baseline_alpha: float | None = None
 
     def __post_init__(self):
-        if self.mode is not ScheduleMode.BASELINE:
-            if self.rho < 1:
-                raise ValueError("rho must be >= 1")
-        if self.mode in (ScheduleMode.PER_ROUND, ScheduleMode.HORIZON):
-            if not self.epsilon > 0:
-                raise ValueError("epsilon must be > 0")
-            if not 0 < self.gamma <= 1:
-                raise ValueError("gamma must lie in (0, 1]")
-            if self.mode is ScheduleMode.PER_ROUND and self.gamma >= 1:
-                raise ValueError("per-round schedule requires 0 < gamma < 1")
-        if self.mode is ScheduleMode.FIXED:
-            if self.fixed_count is None or self.fixed_count < 2:
-                raise ValueError("fixed mode needs fixed_count >= 2")
-        if self.mode is ScheduleMode.BASELINE:
-            if self.baseline_alpha is None or not 0 < self.baseline_alpha <= 1:
-                raise ValueError("baseline mode needs baseline_alpha in (0, 1]")
+        problems = schedule_violations(**vars(self))
+        if problems:
+            raise ValueError("; ".join(f"{name}: {message}" for name, message in problems))
 
 
 def inner_count(params: ScheduleParams, t: int, horizon: int) -> int:
@@ -86,10 +102,11 @@ def inner_count(params: ScheduleParams, t: int, horizon: int) -> int:
     return 1
 
 
-def step_size(params: ScheduleParams, k_t: int) -> float:
+def step_size(params: ScheduleParams, k_t: int, horizon: int) -> float:
     """Inner step size: ``1 / (rho * K_t)``, or the fixed baseline step."""
     if params.mode is ScheduleMode.BASELINE:
-        return float(params.baseline_alpha)
+        alpha = params.baseline_alpha
+        return float(alpha if alpha is not None else 1.0 / (4.0 * horizon ** 0.4))
     if k_t < 1:
         raise ValueError("K_t must be >= 1")
     return 1.0 / (params.rho * k_t)
@@ -209,7 +226,7 @@ def run_round(xs: np.ndarray, stream: LossStream, schedule: GraphSchedule, spec:
     if wm.n != n:
         raise ValueError("schedule size does not match the stream")
     k_t = inner_count(params, t, schedule.horizon)
-    alpha = step_size(params, k_t)
+    alpha = step_size(params, k_t, schedule.horizon)
 
     consistency = float(np.linalg.norm(xs - xs.mean(axis=0), axis=1).sum())
     x = xs

@@ -26,6 +26,7 @@ from .algorithm import (
     ScheduleParams,
     Trajectory,
     run,
+    schedule_violations,
     write_diagnostics_csv,
     write_trajectory_csv,
 )
@@ -89,25 +90,6 @@ class NetworkBlock:
 
 
 @dataclass(frozen=True)
-class ScheduleBlock:
-    mode: ScheduleMode = ScheduleMode.PER_ROUND
-    epsilon: float = 4.0
-    gamma: float = 0.5
-    rho: float = 4.0
-    fixed_count: int | None = None
-    baseline_alpha: float | None = None
-
-    def params(self, horizon: int) -> ScheduleParams:
-        """Materialize schedule params, defaulting the baseline step to
-        ``1 / (4 T**0.4)`` when left unset."""
-        alpha = self.baseline_alpha
-        if self.mode is ScheduleMode.BASELINE and alpha is None:
-            alpha = 1.0 / (4.0 * horizon ** 0.4)
-        return ScheduleParams(mode=self.mode, epsilon=self.epsilon, gamma=self.gamma,
-                              rho=self.rho, fixed_count=self.fixed_count, baseline_alpha=alpha)
-
-
-@dataclass(frozen=True)
 class SolverBlock:
     tolerance: float = 1e-9
 
@@ -143,7 +125,7 @@ class OutputBlock:
 class ExperimentConfig:
     problem: ProblemBlock = field(default_factory=ProblemBlock)
     network: NetworkBlock = field(default_factory=NetworkBlock)
-    schedule: ScheduleBlock = field(default_factory=ScheduleBlock)
+    schedule: ScheduleParams = field(default_factory=ScheduleParams)
     solver: SolverBlock = field(default_factory=SolverBlock)
     seeds: SeedsBlock = field(default_factory=SeedsBlock)
     init: InitBlock = field(default_factory=InitBlock)
@@ -160,29 +142,30 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected true/false, got {raw!r}")
 
 
-# key -> (block, field, converter, range check, range description)
+# "block.field" -> (converter, range check, range description); the schedule
+# keys' ranges are algorithm.schedule_violations
 _SCHEMA = {
-    "problem.n": ("problem", "n", int, lambda v: v >= 2, ">= 2"),
-    "problem.T": ("problem", "T", int, lambda v: v >= 1, ">= 1"),
-    "problem.d": ("problem", "d", int, lambda v: v >= 1, ">= 1"),
-    "problem.lambda1": ("problem", "lambda1", float, lambda v: v >= 0, ">= 0"),
-    "problem.constraint": ("problem", "constraint", lambda raw: ConstraintKind(raw), None, None),
-    "problem.radius": ("problem", "radius", float, lambda v: v > 0, "> 0"),
-    "problem.redraw_features": ("problem", "redraw_features", _parse_bool, None, None),
-    "network.edge_prob": ("network", "edge_prob", float, lambda v: 0 <= v <= 1, "in [0, 1]"),
-    "schedule.mode": ("schedule", "mode", lambda raw: ScheduleMode(raw), None, None),
-    "schedule.epsilon": ("schedule", "epsilon", float, lambda v: v > 0, "> 0"),
-    "schedule.gamma": ("schedule", "gamma", float, None, None),   # range depends on the mode
-    "schedule.rho": ("schedule", "rho", float, lambda v: v >= 1, ">= 1"),
-    "schedule.fixed_count": ("schedule", "fixed_count", int, lambda v: v >= 2, ">= 2"),
-    "schedule.baseline_alpha": ("schedule", "baseline_alpha", float, lambda v: 0 < v <= 1, "in (0, 1]"),
-    "solver.tolerance": ("solver", "tolerance", float, lambda v: v > 0, "> 0"),
-    "seeds.master": ("seeds", "master", int, None, None),
-    "seeds.stream": ("seeds", "stream", int, None, None),
-    "seeds.network": ("seeds", "network", int, None, None),
-    "seeds.init": ("seeds", "init", int, None, None),
-    "init.mode": ("init", "mode", str, lambda v: v in ("vertex", "random"), "vertex or random"),
-    "output.directory": ("output", "directory", str, None, None),
+    "problem.n": (int, lambda v: v >= 2, ">= 2"),
+    "problem.T": (int, lambda v: v >= 1, ">= 1"),
+    "problem.d": (int, lambda v: v >= 1, ">= 1"),
+    "problem.lambda1": (float, lambda v: 0 <= v < np.inf, "finite and >= 0"),
+    "problem.constraint": (ConstraintKind, None, None),
+    "problem.radius": (float, lambda v: 0 < v < np.inf, "finite and > 0"),
+    "problem.redraw_features": (_parse_bool, None, None),
+    "network.edge_prob": (float, lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "schedule.mode": (ScheduleMode, None, None),
+    "schedule.epsilon": (float, None, None),
+    "schedule.gamma": (float, None, None),
+    "schedule.rho": (float, None, None),
+    "schedule.fixed_count": (int, None, None),
+    "schedule.baseline_alpha": (float, None, None),
+    "solver.tolerance": (float, lambda v: 0 < v < np.inf, "finite and > 0"),
+    "seeds.master": (int, None, None),
+    "seeds.stream": (int, lambda v: v >= 0, ">= 0"),
+    "seeds.network": (int, lambda v: v >= 0, ">= 0"),
+    "seeds.init": (int, lambda v: v >= 0, ">= 0"),
+    "init.mode": (str, lambda v: v in ("vertex", "random"), "vertex or random"),
+    "output.directory": (str, None, None),
 }
 
 
@@ -207,7 +190,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if entry is None:
             violations.append((lineno, f"unknown key {key!r}"))
             continue
-        _, _, convert, check, describe = entry
+        convert, check, describe = entry
         try:
             value = convert(raw)
         except (TypeError, ValueError):
@@ -220,25 +203,16 @@ def parse_config(text: str) -> ExperimentConfig:
 
     blocks = {f.name: {} for f in fields(ExperimentConfig)}
     for key, value in values.items():
-        block, attr = _SCHEMA[key][0], _SCHEMA[key][1]
+        block, attr = key.split(".")
         blocks[block][attr] = value
     default = ExperimentConfig()
-    config = replace(default, **{name: replace(getattr(default, name), **attrs) for name, attrs in blocks.items()})
-
-    # cross-field constraints, attributed to the offending line when known
-    sched = config.schedule
-    if sched.mode is ScheduleMode.PER_ROUND:
-        if not 0 < sched.gamma < 1:
-            violations.append((seen.get("schedule.gamma"),
-                               f"schedule.gamma: per-round schedule requires 0 < gamma < 1, got {sched.gamma}"))
-    elif not 0 < sched.gamma <= 1:
-        violations.append((seen.get("schedule.gamma"),
-                           f"schedule.gamma: value must lie in (0, 1], got {sched.gamma}"))
-    if sched.mode is ScheduleMode.FIXED and sched.fixed_count is None:
-        violations.append((seen.get("schedule.mode"), "schedule.fixed_count is required for mode=fixed"))
+    # each broken schedule rule at its key's line, or at the mode's line when the key is unset
+    for attr, message in schedule_violations(**(vars(default.schedule) | blocks["schedule"])):
+        key = f"schedule.{attr}"
+        violations.append((seen.get(key, seen.get("schedule.mode")), f"{key}: {message}"))
     if violations:
         raise ConfigError(sorted(violations, key=lambda v: (v[0] or 0)))
-    return config
+    return replace(default, **{name: replace(getattr(default, name), **attrs) for name, attrs in blocks.items()})
 
 
 def _echo_value(value) -> str:
@@ -256,7 +230,8 @@ def config_to_text(config: ExperimentConfig) -> str:
     are omitted.
     """
     lines = []
-    for key, (block, attr, *_) in _SCHEMA.items():
+    for key in _SCHEMA:
+        block, attr = key.split(".")
         value = getattr(getattr(config, block), attr)
         if value is not None:
             lines.append(f"{key} = {_echo_value(value)}")
@@ -348,8 +323,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, dump_network: bool = 
                                  redraw_features=prob.redraw_features)
         schedule = random_connected_schedule(prob.n, prob.T, config.network.edge_prob,
                                              seed=config.seeds.network_seed())
-        params = config.schedule.params(prob.T)
-        trajectory = run(stream, schedule, spec, params,
+        trajectory = run(stream, schedule, spec, config.schedule,
                          init=config.init.mode, init_seed=config.seeds.init_seed())
 
         solver = RoundOptimizer(stream, spec, tol=config.solver.tolerance)
@@ -371,9 +345,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None, dump_network: bool = 
         ht_upper_bound = function_variation_bound(stream, spec) if stream.fixed_features else None
         bound = None
         # the analytic bound needs fixed features and a tracked multi-iteration schedule
-        if stream.fixed_features and params.mode is not ScheduleMode.BASELINE:
+        if stream.fixed_features and config.schedule.mode is not ScheduleMode.BASELINE:
             mixing_constants = MixingConstants.from_zeta(schedule.zeta, stream.n)
-            bound = regret_upper_bound(problem_constants(stream, spec), mixing_constants, params,
+            bound = regret_upper_bound(problem_constants(stream, spec), mixing_constants, config.schedule,
                                        stream, spec, counts, trajectory.x_init)
         mixing = check_mixing(schedule, counts, stream.T, 1)
         result = RunResult(directory=out, config=config, trajectory=trajectory, regret=series,
@@ -397,13 +371,14 @@ def read_manifest_config(path) -> ExperimentConfig:
     return parse_config("\n".join(lines[start:]))
 
 
+# axis -> its _SCHEMA key
 _SWEEP_AXES = {
-    "gamma": ("schedule", "gamma", float),
-    "epsilon": ("schedule", "epsilon", float),
-    "rho": ("schedule", "rho", float),
-    "mode": ("schedule", "mode", lambda raw: ScheduleMode(str(raw))),
-    "n": ("problem", "n", int),
-    "T": ("problem", "T", int),
+    "gamma": "schedule.gamma",
+    "epsilon": "schedule.epsilon",
+    "rho": "schedule.rho",
+    "mode": "schedule.mode",
+    "n": "problem.n",
+    "T": "problem.T",
 }
 
 
@@ -428,16 +403,17 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir=None, dump_networ
     """
     if axis not in _SWEEP_AXES:
         raise ValueError(f"axis must be one of {sorted(_SWEEP_AXES)}, got {axis!r}")
-    block, attr, convert = _SWEEP_AXES[axis]
+    key = _SWEEP_AXES[axis]
+    block, attr = key.split(".")
+    convert = _SCHEMA[key][0]
     out = Path(out_dir if out_dir is not None else config.output.directory)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for value in values:
         converted = convert(value)
-        cfg = replace(config, **{block: replace(getattr(config, block), **{attr: converted})})
-        run_dir = out / f"run_{axis}={value}"
         try:
-            result = run_experiment(cfg, out_dir=run_dir, dump_network=dump_network)
+            cfg = replace(config, **{block: replace(getattr(config, block), **{attr: converted})})
+            result = run_experiment(cfg, out_dir=out / f"run_{axis}={value}", dump_network=dump_network)
             rows.append(SweepRow(value=converted, final_avg_regret=float(result.envelopes.avg[-1]),
                                  lo_calls=result.trajectory.lo_calls, messages=result.trajectory.messages))
         except Exception as exc:

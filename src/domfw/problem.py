@@ -41,8 +41,8 @@ class ConstraintSpec:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        if not self.radius > 0:
-            raise ValueError(f"radius must be > 0, got {self.radius}")
+        if not 0 < self.radius < np.inf:
+            raise ValueError(f"radius must be finite and > 0, got {self.radius}")
         if self.kind is ConstraintKind.UNIT_SIMPLEX and self.radius != 1.0:
             raise ValueError("the unit simplex has radius fixed at 1")
 
@@ -169,8 +169,8 @@ class LossStream:
     def __post_init__(self):
         if self.n < 1 or self.T < 1 or self.d < 1:
             raise ValueError("n, T, d must all be >= 1")
-        if self.lambda1 < 0:
-            raise ValueError("lambda1 must be >= 0")
+        if not 0 <= self.lambda1 < np.inf:
+            raise ValueError(f"lambda1 must be finite and >= 0, got {self.lambda1}")
         fixed_shape = (self.n, self.d)
         redrawn_shape = (self.T, self.n, self.d)
         if self.features.shape not in (fixed_shape, redrawn_shape):

@@ -284,8 +284,6 @@ def regret_upper_bound(constants: ProblemConstants, mixing: MixingConstants,
     """
     if params.mode is ScheduleMode.BASELINE:
         raise ValueError("the bound does not cover the fixed-step baseline")
-    if params.rho < 1:
-        raise ValueError("rho must be >= 1")
     counts = [int(k) for k in counts]
     if len(counts) < stream.T:
         raise ValueError("need an inner count for every round")

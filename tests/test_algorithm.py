@@ -51,7 +51,7 @@ def single_agent_stream(a, truth, noise, lambda1=0.0, radius=2.0):
 def round_steps(xs, stream, sched, spec, params, t):
     """Round ``t``'s inner steps, with the weights, count and step the run uses."""
     k_t = inner_count(params, t, sched.horizon)
-    return list(inner_steps(xs, stream, sched.matrix(t), spec, step_size(params, k_t), k_t, t))
+    return list(inner_steps(xs, stream, sched.matrix(t), spec, step_size(params, k_t, sched.horizon), k_t, t))
 
 
 def recursion_gap(steps, alpha):
@@ -97,18 +97,18 @@ class TestInnerCount:
 class TestStepSize:
     def test_inverse_rho_k(self):
         params = ScheduleParams(PER_ROUND, epsilon=4, gamma=0.5, rho=4)
-        assert step_size(params, 9) == pytest.approx(1 / 36, rel=1e-15)
+        assert step_size(params, 9, 100) == pytest.approx(1 / 36, rel=1e-15)
 
     def test_boundary_value_one(self):
         params = ScheduleParams(FIXED, fixed_count=2, rho=1)
-        assert step_size(params, 1) == 1.0
+        assert step_size(params, 1, 10) == 1.0
 
     def test_baseline_reference_step(self):
         # alpha = 1 / (4 * T**0.4) at T = 1000
         alpha = 1 / (4 * 1000 ** 0.4)
         assert alpha == pytest.approx(0.01577393361200483, rel=1e-12)
         params = ScheduleParams(BASELINE, baseline_alpha=alpha)
-        assert step_size(params, 1) == alpha
+        assert step_size(params, 1, 50) == alpha
 
 
 class TestScheduleParamsValidation:
@@ -121,15 +121,24 @@ class TestScheduleParamsValidation:
         with pytest.raises(ValueError):
             ScheduleParams(PER_ROUND, epsilon=1, gamma=0.5, rho=0.5)
 
+    @pytest.mark.parametrize("mode", list(ScheduleMode))
+    @pytest.mark.parametrize("field, value", [("gamma", 0.0), ("rho", 0.5), ("rho", math.inf),
+                                              ("epsilon", math.inf), ("epsilon", math.nan),
+                                              ("fixed_count", 1), ("baseline_alpha", 1.5)])
+    def test_every_field_checked_in_every_mode(self, mode, field, value):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            ScheduleParams(mode, **{"fixed_count": 3, field: value})
+
     def test_fixed_count_required(self):
         with pytest.raises(ValueError):
             ScheduleParams(FIXED)
         with pytest.raises(ValueError):
             ScheduleParams(FIXED, fixed_count=1)
 
-    def test_baseline_alpha_required(self):
-        with pytest.raises(ValueError):
-            ScheduleParams(BASELINE)
+    def test_baseline_alpha_defaults_to_horizon_step(self):
+        params = ScheduleParams(BASELINE)
+        assert step_size(params, 1, 1000) == 1 / (4 * 1000 ** 0.4)
+        assert step_size(params, 1, 10) == 1 / (4 * 10 ** 0.4)
         with pytest.raises(ValueError):
             ScheduleParams(BASELINE, baseline_alpha=1.5)
 
@@ -314,7 +323,7 @@ class TestRunRound:
         xs = initial_decisions(spec, 8)
         for t in range(1, 6):
             steps = round_steps(xs, stream, sched, spec, params, t)
-            assert recursion_gap(steps, step_size(params, len(steps))) <= 1e-10
+            assert recursion_gap(steps, step_size(params, len(steps), sched.horizon)) <= 1e-10
             xs = steps[-1].x_next
 
     def test_inner_step_snapshot(self):
@@ -347,7 +356,7 @@ class TestRunRound:
                 assert spec.feasibility_violation(s.x_mixed) <= FEASIBILITY_RUN_TOL
                 assert spec.feasibility_violation(s.x_next) <= FEASIBILITY_RUN_TOL
                 assert np.abs(s.grad_tracked_pre.sum(axis=0) - s.grad_local.sum(axis=0)).max() <= CONSERVATION_TOL
-            assert recursion_gap(steps, step_size(params, len(steps))) <= 1e-10
+            assert recursion_gap(steps, step_size(params, len(steps), sched.horizon)) <= 1e-10
             xs, _ = run_round(xs, stream, sched, spec, params, t)
             assert np.array_equal(xs, steps[-1].x_next)
 

@@ -1,10 +1,13 @@
+import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import domfw.harness as harness
-from domfw.algorithm import ScheduleMode
+from domfw.algorithm import ScheduleMode, ScheduleParams, inner_count, step_size
 from domfw.cli import main
 from domfw.harness import (
     ConfigError,
@@ -18,6 +21,13 @@ from domfw.harness import (
     sweep,
 )
 from domfw.problem import ConstraintKind, generate_stream
+
+FLOAT_KEYS = [key for key, (convert, *_) in harness._SCHEMA.items() if convert is float]
+
+# raw values for generated configs: numbers at and around the range edges,
+# non-finite and unparseable values, and every enum and boolean name
+RAW_POOL = (["-1", "0", "1", "2", "3", "0.5", "1.0", "1.5", "1e300", "inf", "nan", "x", "true", "false",
+             "vertex", "random"] + [m.value for m in ScheduleMode] + [k.value for k in ConstraintKind])
 
 SMALL = """
 problem.n = 3
@@ -80,7 +90,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("schedule.mode = fixed")
         cfg = parse_config("schedule.mode = fixed\nschedule.fixed_count = 5")
-        assert cfg.schedule.params(10).fixed_count == 5
+        assert cfg.schedule.fixed_count == 5
 
     def test_echo_pins_every_key(self):
         text = "\n".join([
@@ -112,10 +122,34 @@ class TestParseConfig:
         # unset optional keys are left out of the echo
         assert "fixed_count" not in config_to_text(parse_config(""))
 
+    def test_sub_seeds_non_negative(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config("seeds.master = -1\nseeds.stream = -1\nseeds.network = -2\nseeds.init = -3")
+        assert [(line, message.split(":")[0]) for line, message in info.value.violations] == [
+            (2, "seeds.stream"), (3, "seeds.network"), (4, "seeds.init")]
+        assert parse_config("seeds.master = -1").seeds.master == -1   # only hashed
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.dictionaries(st.sampled_from(list(harness._SCHEMA)), st.sampled_from(RAW_POOL)))
+    def test_validated_config_is_runnable(self, raw):
+        try:
+            cfg = parse_config("\n".join(f"{key} = {value}" for key, value in raw.items()))
+        except ConfigError:
+            return
+        cfg.problem.spec()
+        horizon = cfg.problem.T
+        for t in (1, horizon):
+            k_t = inner_count(cfg.schedule, t, horizon)
+            assert k_t >= 1
+            assert 0 < step_size(cfg.schedule, k_t, horizon) <= 1
+        for seed in (cfg.seeds.stream_seed(), cfg.seeds.network_seed(), cfg.seeds.init_seed()):
+            np.random.default_rng(seed)
+        assert parse_config(config_to_text(cfg)) == cfg
+
     def test_baseline_alpha_defaults_from_horizon(self):
         cfg = parse_config("schedule.mode = baseline\nproblem.T = 1000")
-        params = cfg.schedule.params(1000)
-        assert params.baseline_alpha == pytest.approx(1 / (4 * 1000 ** 0.4), rel=1e-15)
+        assert cfg.schedule.baseline_alpha is None
+        assert step_size(cfg.schedule, 1, 1000) == pytest.approx(1 / (4 * 1000 ** 0.4), rel=1e-15)
 
 
 class TestSeedDiscipline:
@@ -251,8 +285,17 @@ class TestSweep:
         # oracle-count column equals n * sum K_t recomputed from the counts
         from domfw.algorithm import lo_call_count
         for row in rows:
-            params = harness.ScheduleBlock(mode=ScheduleMode.PER_ROUND, epsilon=2, gamma=row.value, rho=3).params(4)
+            params = ScheduleParams(ScheduleMode.PER_ROUND, epsilon=2, gamma=row.value, rho=3)
             assert row.lo_calls == lo_call_count(params, 4, n=3)
+
+    def test_rejected_value_is_a_failed_row(self, tmp_path):
+        rows = sweep(parse_config(SMALL), "gamma", ["0.5", "1.5"], out_dir=tmp_path / "sweep")
+        assert [row.ok for row in rows] == [True, False]
+        assert rows[1].error.startswith("ValueError: gamma: ")
+        with (tmp_path / "sweep" / "sweep.csv").open(newline="") as fh:
+            table = list(csv.reader(fh))
+        assert table[1][0] == "0.5" and table[1][-1] == "ok"
+        assert table[2][:4] == ["1.5", "", "", ""] and table[2][4] == rows[1].error
 
     def test_mode_sweep_includes_baseline(self, tmp_path):
         cfg = parse_config("problem.n = 3\nproblem.T = 4\nproblem.d = 3")
@@ -318,6 +361,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert "line 1" in err and "line 2" in err
         assert main(["validate", str(tmp_path / "missing.cfg")]) == 1
+
+    @pytest.mark.parametrize("text", ["seeds.stream = -1", "seeds.init = -1", "seeds.network = -1",
+                                      *[f"{key} = {raw}" for key in FLOAT_KEYS for raw in ("inf", "nan")]])
+    def test_validate_rejects_what_run_cannot_run(self, tmp_path, capsys, text):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(f"problem.T = 5\n{text}\n")
+        assert main(["validate", str(cfgfile)]) == 1
+        assert f"line 2: {text.split(' = ')[0]}: " in capsys.readouterr().err
 
     def test_run_and_seed_override(self, tmp_path):
         cfgfile = tmp_path / "c.cfg"

@@ -56,6 +56,11 @@ class TestLMO:
         with pytest.raises(ValueError):
             lmo(spec, np.array([1.0, np.nan, 0.0]))
 
+    @pytest.mark.parametrize("radius", [np.inf, np.nan, 0.0])
+    def test_radius_must_be_finite_and_positive(self, radius):
+        with pytest.raises(ValueError, match="radius must be finite and > 0"):
+            ConstraintSpec.l1_ball(3, radius)
+
     @pytest.mark.parametrize("make", [ConstraintSpec.simplex, lambda d: ConstraintSpec.l1_ball(d, 1.7)])
     def test_minimizes_over_all_vertices(self, make):
         rng = np.random.default_rng(0)
@@ -135,6 +140,12 @@ class TestGenerateStream:
         with pytest.raises(ValueError, match="noise of agent 1 at round 2 is not finite"):
             LossStream.from_components(0.0, [[1.0, 0.0], [0.5, 0.2]], [0.5, 0.5],
                                        [[0.1, 0.2], [0.3, np.nan]], spec)
+
+    @pytest.mark.parametrize("lambda1", [np.nan, np.inf, -1.0])
+    def test_lambda1_must_be_finite_and_non_negative(self, lambda1):
+        spec = ConstraintSpec.simplex(2)
+        with pytest.raises(ValueError, match="lambda1 must be finite and >= 0"):
+            LossStream.from_components(lambda1, [[1.0, 0.0]], [0.5, 0.5], [[0.1, 0.2]], spec)
 
     def test_immutable_after_construction(self):
         s = generate_stream(2, 3, 2, 0.0, ConstraintSpec.simplex(2), seed=0)
