@@ -6,8 +6,10 @@ convex objective. The solver takes pairwise Frank-Wolfe steps (move weight
 from the worst active vertex to the linear-oracle vertex, exact line search
 on the quadratic): plain steps along ``v - x`` stall in a sublinear tail on
 boundary optima and would need orders of magnitude more iterations to reach
-tight gaps. An independent projected-gradient solver with exact Euclidean
-projections cross-checks the optima; projections appear nowhere else.
+tight gaps. The active vertex set is a weight array over vertex slots plus
+the active slots in insertion order, so each step is a few NumPy calls. An
+independent projected-gradient solver with exact Euclidean projections
+cross-checks the optima; projections appear nowhere else.
 """
 
 from __future__ import annotations
@@ -63,6 +65,13 @@ class RoundOptimizer:
     Keeps the active vertex decomposition between calls, so sweeping
     ``t = 1..T`` (where consecutive objectives differ only through the
     decaying label noise) costs a handful of iterations per round.
+
+    The decomposition is a weight per vertex slot, in ``spec.vertices()``
+    order (slot ``j`` is ``e_j`` on the simplex; slot ``2j`` is ``-r e_j``
+    and ``2j + 1`` is ``+r e_j`` on the ball), and the active slots in the
+    order they entered. That insertion order breaks ties for the away
+    vertex (first maximum) and fixes the left-to-right order of the
+    warm-start renormalization sum.
     """
 
     def __init__(self, stream: LossStream, spec: ConstraintSpec,
@@ -73,21 +82,20 @@ class RoundOptimizer:
         self.spec = spec
         self.tol = tol
         self.max_iter = max_iter
-        self._active: dict[tuple[int, int], float] | None = None
+        verts = spec.vertices()
+        self._coord = np.abs(verts).argmax(axis=1)
+        self._sign_r = verts[np.arange(len(verts)), self._coord]
+        self._active: tuple[np.ndarray, np.ndarray] | None = None
         self._h = None
         if stream.fixed_features:
             self._h = _quadratic(stream, 1)[0]
 
-    def _vertex_value(self, key, g):
-        j, s = key
-        return s * self.spec.radius * g[j] if self.spec.kind is ConstraintKind.L1_BALL else g[j]
-
-    def _point(self, active):
-        x = np.zeros(self.spec.dimension)
-        r = self.spec.radius if self.spec.kind is ConstraintKind.L1_BALL else 1.0
-        for (j, s), w in active.items():
-            x[j] += s * r * w
-        return x
+    def _oracle_slot(self, g: np.ndarray) -> int:
+        """Slot of the first vertex minimizing ``<v, g>``."""
+        if self.spec.kind is ConstraintKind.L1_BALL:
+            j = int(np.abs(g).argmax())
+            return 2 * j + 1 if g[j] < 0 else 2 * j
+        return int(g.argmin())
 
     def solve(self, t: int) -> OptimumRecord:
         stream, spec = self.stream, self.spec
@@ -97,51 +105,50 @@ class RoundOptimizer:
             c = -stream.features.T @ stream.labels[:, t - 1]
         else:
             h, c = _quadratic(stream, t)
-        r = spec.radius if spec.kind is ConstraintKind.L1_BALL else 1.0
-        ball = spec.kind is ConstraintKind.L1_BALL
+        coord, sign_r = self._coord, self._sign_r
 
         if self._active is None:
-            if ball:
-                j = int(np.argmax(np.abs(c)))
-                active = {(j, -1 if c[j] >= 0 else 1): 1.0}
-            else:
-                active = {(int(np.argmin(c)), 1): 1.0}
+            active = np.array([self._oracle_slot(c)])
+            weights = np.zeros(sign_r.size)
+            weights[active] = 1.0
         else:
-            # renormalize carried-over weights so float drift cannot pile up
-            active = dict(self._active)
-            total = sum(active.values())
-            active = {k: w / total for k, w in active.items()}
-        x = self._point(active)
+            # renormalize carried-over weights so float drift cannot pile up;
+            # the sum runs left to right in insertion order
+            weights, active = self._active
+            weights = weights / sum(weights[active].tolist())
+        x = np.zeros(spec.dimension)
+        np.add.at(x, coord[active], sign_r[active] * weights[active])
 
         gap = math.inf
         for it in range(self.max_iter):
             g = h @ x + c
-            if ball:
-                jf = int(np.argmax(np.abs(g)))
-                sf = -1 if g[jf] >= 0 else 1
-            else:
-                jf, sf = int(np.argmin(g)), 1
-            fw_key = (jf, sf)
-            gap = float(x @ g) - self._vertex_value(fw_key, g)
+            fw = self._oracle_slot(g)
+            gap = float(x @ g) - sign_r[fw] * g[coord[fw]]
+            if not math.isfinite(gap):
+                raise SolverError(f"round {t}: gap {gap} is not finite at iteration {it}", gap=gap)
             if gap <= self.tol:
-                self._active = dict(active)
+                self._active = (weights, active)
                 return OptimumRecord(t=t, x_star=x.copy(), f_star=global_loss(stream, t, x),
                                      gap=gap, iterations=it)
-            away_key = max(active, key=lambda key: self._vertex_value(key, g))
+            # argmax takes the first maximum in insertion order: the tie-break
+            away = int(active[(sign_r[active] * g[coord[active]]).argmax()])
             direction = np.zeros(spec.dimension)
-            direction[fw_key[0]] += fw_key[1] * r
-            direction[away_key[0]] -= away_key[1] * r
+            direction[coord[fw]] += sign_r[fw]
+            direction[coord[away]] -= sign_r[away]
             descent = -float(g @ direction)
             curvature = float(direction @ h @ direction)
-            weight_cap = active[away_key]
+            weight_cap = weights[away]
             step = weight_cap if curvature <= 0 else min(weight_cap, descent / curvature)
             x = x + step * direction
-            active[fw_key] = active.get(fw_key, 0.0) + step
+            if fw not in active.tolist():
+                active = np.append(active, fw)
+            weights[fw] += step
             remaining = weight_cap - step
             if remaining <= 1e-15:
-                active.pop(away_key, None)
+                active = active[active != away]
+                weights[away] = 0.0
             else:
-                active[away_key] = remaining
+                weights[away] = remaining
         raise SolverError(f"round {t}: gap {gap:.3e} above tol {self.tol:.1e} "
                           f"after {self.max_iter} iterations", gap=gap)
 

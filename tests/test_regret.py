@@ -1,12 +1,17 @@
+import hashlib
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domfw.algorithm import ScheduleMode, ScheduleParams, Trajectory, inner_count, run
 from domfw.network import MixingConstants, random_connected_schedule
 from domfw.problem import (
+    FEASIBILITY_TOL,
     ConstraintSpec,
     LossStream,
     generate_stream,
@@ -152,6 +157,29 @@ class TestSolveRoundOptimum:
             RoundOptimizer(stream, spec, tol=1e-16, max_iter=3).solve(1)
         assert info.value.gap > 0
 
+    def test_non_finite_gap_raises_at_once(self):
+        # the products with a radius of 1e300 overflow, so the first gap is inf
+        spec = ConstraintSpec.l1_ball(3, 1e300)
+        stream = generate_stream(3, 3, 3, 1e-3, spec, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(SolverError, match=r"^round 1: gap .* not finite at iteration 0$") as info:
+            RoundOptimizer(stream, spec).solve(1)
+        assert not math.isfinite(info.value.gap)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(d=st.integers(1, 6), extra=st.integers(2, 6), T=st.integers(1, 6), ball=st.booleans(),
+           radius=st.floats(0.5, 3.0), lambda1=st.floats(1e-2, 1.0), redraw=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    def test_warm_records_feasible_certified_and_equal_to_cold(self, d, extra, T, ball, radius,
+                                                               lambda1, redraw, seed):
+        spec = ConstraintSpec.l1_ball(d, radius) if ball else ConstraintSpec.simplex(d)
+        stream = generate_stream(d + extra, T, d, lambda1, spec, seed=seed, redraw_features=redraw)
+        for rec in all_optima(stream, spec, tol=1e-10):
+            assert spec.contains(rec.x_star, tol=FEASIBILITY_TOL)
+            assert rec.gap <= 1e-10
+            cold = RoundOptimizer(stream, spec, tol=1e-10).solve(rec.t)
+            assert rec.f_star == pytest.approx(cold.f_star, rel=0, abs=1e-9)
+
     def test_warm_start_sweep_consistent_with_cold(self):
         spec = ConstraintSpec.simplex(6)
         stream = generate_stream(10, 30, 6, 5e-6, spec, seed=6)
@@ -160,6 +188,54 @@ class TestSolveRoundOptimum:
             cold = RoundOptimizer(stream, spec, tol=1e-10).solve(t)
             assert warm[t - 1].f_star == pytest.approx(cold.f_star, abs=1e-9)
             assert warm[t - 1].gap <= 1e-10
+
+
+def solver_digest(stream, spec):
+    """sha256 over every warm-started round's x_star bytes, f_star, gap and iterations."""
+    h = hashlib.sha256()
+    for rec in all_optima(stream, spec):
+        h.update(rec.x_star.tobytes())
+        h.update(struct.pack("<ddq", rec.f_star, rec.gap, rec.iterations))
+    return h.hexdigest()
+
+
+def tie_stream(spec, seed, n=10, T=30):
+    """Duplicated feature columns and lambda1 = 0: twin columns get equal gradients,
+    so away values tie exactly whenever both twins are active."""
+    rng = np.random.default_rng(seed)
+    feats = np.repeat(rng.uniform(-5, 5, (n, spec.dimension // 2)), 2, axis=1)
+    truth = np.zeros(spec.dimension)
+    truth[0] = 1.0 if spec.kind.value == "simplex" else 0.5
+    return LossStream.from_components(0.0, feats, truth, rng.uniform(0, 1, (n, T)), spec)
+
+
+class TestSolverGolden:
+    """Pins the solver's bits: every iterate, tie-break and stopping point."""
+
+    CASES = {
+        "simplex-fixed": (ConstraintSpec.simplex(8),
+                          lambda spec: generate_stream(12, 20, 8, 1e-4, spec, seed=21)),
+        "ball-r2-redraw": (ConstraintSpec.l1_ball(8, 2.0),
+                           lambda spec: generate_stream(16, 20, 8, 1e-4, spec, seed=22, redraw_features=True)),
+        "ball-r1.5-redraw": (ConstraintSpec.l1_ball(8, 1.5),
+                             lambda spec: generate_stream(16, 20, 8, 1e-4, spec, seed=23, redraw_features=True)),
+        "ties-simplex": (ConstraintSpec.simplex(8), lambda spec: tie_stream(spec, 24)),
+        "ties-ball": (ConstraintSpec.l1_ball(8, 1.5), lambda spec: tie_stream(spec, 26)),
+    }
+    # the bits depend on the BLAS build, like perfbench/digests.json; these are
+    # scipy-openblas 0.3.31 with NumPy 2.4.6
+    DIGESTS = {
+        "simplex-fixed": "2c4a023495971dd3a54e1fe93cccea53d73a1785dde6bbd5df6a5ed977a47972",
+        "ball-r2-redraw": "e879b3ae216f0bb1bbaa61766ae07fa5a8cf4ee82783fbf41187dd6f3582cf2e",
+        "ball-r1.5-redraw": "b524945c018b7b3ab04926bf0e4d0cfbc834d3768ed068e08b1eff866d5490ad",
+        "ties-simplex": "1d7781ccf30696b34a96a94e25499eafeca878da3465aafa09b1b0ae0fbdeb99",
+        "ties-ball": "817a064a3c78050d63345b60c9acaa51ae45f5fa51d14cd230ae7a0f51542406",
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_optima_bytes(self, name):
+        spec, make = self.CASES[name]
+        assert solver_digest(make(spec), spec) == self.DIGESTS[name]
 
 
 def constant_decision_trajectory(points, T):
