@@ -109,7 +109,10 @@ def step_size(params: ScheduleParams, k_t: int, horizon: int) -> float:
         return float(alpha if alpha is not None else 1.0 / (4.0 * horizon ** 0.4))
     if k_t < 1:
         raise ValueError("K_t must be >= 1")
-    return 1.0 / (params.rho * k_t)
+    alpha = 1.0 / (params.rho * k_t)
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"step 1/(rho * K_t) = {alpha} is not a positive finite number at K_t = {k_t:.6g}")
+    return alpha
 
 
 def lo_call_count(params: ScheduleParams, horizon: int, n: int = 1) -> int:
@@ -175,8 +178,7 @@ class InnerStep:
     x_next: np.ndarray             # iterates after the Frank-Wolfe step
 
 
-def inner_steps(xs: np.ndarray, stream: LossStream, wm: WeightMatrix, spec: ConstraintSpec,
-                alpha: float, k_t: int, t: int):
+def inner_steps(xs: np.ndarray, stream: LossStream, wm: WeightMatrix, alpha: float, k_t: int, t: int):
     """Yield round ``t``'s ``k_t`` inner iterations from ``xs``, one ``InnerStep`` each.
 
     Each iteration mixes the iterates, refreshes the local gradients at the
@@ -190,7 +192,7 @@ def inner_steps(xs: np.ndarray, stream: LossStream, wm: WeightMatrix, spec: Cons
         x_hat = consensus_step(x, wm)
         fresh = local_grads(stream, t, x_hat)
         grad_bar, grad_hat = tracking_step(grad_hat, fresh_prev, fresh, wm, k)
-        x_next, v = fw_step(x_hat, grad_hat, alpha, spec)
+        x_next, v = fw_step(x_hat, grad_hat, alpha, stream.constraint)
         yield InnerStep(x, x_hat, fresh, grad_bar, grad_hat, v, x_next)
         fresh_prev = fresh
         x = x_next
@@ -211,14 +213,13 @@ class RoundDiagnostics:
     messages: int                  # messages this round: 2 * K_t * directed edges
 
 
-def run_round(xs: np.ndarray, stream: LossStream, schedule: GraphSchedule, spec: ConstraintSpec,
-              params: ScheduleParams, t: int):
+def run_round(xs: np.ndarray, stream: LossStream, schedule: GraphSchedule, params: ScheduleParams, t: int):
     """Execute round ``t``'s inner loop for all agents.
 
     Returns ``(xs_next, RoundDiagnostics)``; the diagnostics summarize the
     ``inner_steps`` of the round.
     """
-    n, d = stream.n, stream.d
+    n, d, spec = stream.n, stream.d, stream.constraint
     xs = np.asarray(xs, dtype=float)
     if xs.shape != (n, d):
         raise ValueError(f"expected ({n}, {d}) stacked decisions, got {xs.shape}")
@@ -233,7 +234,7 @@ def run_round(xs: np.ndarray, stream: LossStream, schedule: GraphSchedule, spec:
     tracking_residual = 0.0
     conservation_gap = 0.0
     feasibility_gap = 0.0
-    for step in inner_steps(xs, stream, wm, spec, alpha, k_t, t):
+    for step in inner_steps(xs, stream, wm, alpha, k_t, t):
         conservation_gap = max(conservation_gap, float(np.abs(
             step.grad_tracked_pre.sum(axis=0) - step.grad_local.sum(axis=0)).max()))
         mean_grad = global_grad(stream, t, step.x.mean(axis=0)) / n
@@ -320,7 +321,7 @@ def initial_decisions(spec: ConstraintSpec, n: int, init: str = "vertex",
     raise ValueError(f"unknown init mode {init!r}")
 
 
-def run(stream: LossStream, schedule: GraphSchedule, spec: ConstraintSpec, params: ScheduleParams,
+def run(stream: LossStream, schedule: GraphSchedule, params: ScheduleParams,
         init: str = "vertex", init_seed: int | None = None) -> Trajectory:
     """Run the full horizon and return the committed trajectory.
 
@@ -331,16 +332,14 @@ def run(stream: LossStream, schedule: GraphSchedule, spec: ConstraintSpec, param
         raise ValueError("schedule and stream disagree on the number of agents")
     if schedule.horizon < stream.T:
         raise ValueError("schedule horizon is shorter than the stream")
-    if spec.dimension != stream.d:
-        raise ValueError("constraint dimension does not match the stream")
 
-    xs = initial_decisions(spec, stream.n, init=init, seed=init_seed)
+    xs = initial_decisions(stream.constraint, stream.n, init=init, seed=init_seed)
     decisions = np.empty((stream.T + 1, stream.n, stream.d))
     decisions[0] = xs
     rounds = []
     for t in range(1, stream.T + 1):
         try:
-            xs, diag = run_round(xs, stream, schedule, spec, params, t)
+            xs, diag = run_round(xs, stream, schedule, params, t)
         except Exception as exc:
             raise RuntimeError(f"round {t} failed: {exc}") from exc
         decisions[t] = xs

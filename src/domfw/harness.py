@@ -25,8 +25,10 @@ from .algorithm import (
     ScheduleMode,
     ScheduleParams,
     Trajectory,
+    inner_count,
     run,
     schedule_violations,
+    step_size,
     write_diagnostics_csv,
     write_trajectory_csv,
 )
@@ -206,8 +208,17 @@ def parse_config(text: str) -> ExperimentConfig:
         block, attr = key.split(".")
         blocks[block][attr] = value
     default = ExperimentConfig()
+    schedule = vars(default.schedule) | blocks["schedule"]
+    problems = schedule_violations(**schedule)
+    # the step shrinks as K_t grows, so a schedule with a step at round T (once T parsed) has one every round
+    if not problems and ("problem.T" in values or "problem.T" not in seen):
+        params, horizon = ScheduleParams(**schedule), values.get("problem.T", default.problem.T)
+        try:
+            step_size(params, inner_count(params, horizon, horizon), horizon)
+        except (ValueError, OverflowError) as exc:
+            problems.append(("rho", f"no step at round {horizon}: {exc}"))
     # each broken schedule rule at its key's line, or at the mode's line when the key is unset
-    for attr, message in schedule_violations(**(vars(default.schedule) | blocks["schedule"])):
+    for attr, message in problems:
         key = f"schedule.{attr}"
         violations.append((seen.get(key, seen.get("schedule.mode")), f"{key}: {message}"))
     if violations:
@@ -317,16 +328,14 @@ def run_experiment(config: ExperimentConfig, out_dir=None, dump_network: bool = 
     started = time.perf_counter()
     try:
         prob = config.problem
-        spec = prob.spec()
-        stream = generate_stream(prob.n, prob.T, prob.d, prob.lambda1, spec,
-                                 seed=config.seeds.stream_seed(),
+        stream = generate_stream(prob.n, prob.T, prob.lambda1, prob.spec(), seed=config.seeds.stream_seed(),
                                  redraw_features=prob.redraw_features)
         schedule = random_connected_schedule(prob.n, prob.T, config.network.edge_prob,
                                              seed=config.seeds.network_seed())
-        trajectory = run(stream, schedule, spec, config.schedule,
+        trajectory = run(stream, schedule, config.schedule,
                          init=config.init.mode, init_seed=config.seeds.init_seed())
 
-        solver = RoundOptimizer(stream, spec, tol=config.solver.tolerance)
+        solver = RoundOptimizer(stream, tol=config.solver.tolerance)
         optima = [solver.solve(t) for t in range(1, prob.T + 1)]
         series = regret_series(trajectory, optima, stream, tol=config.solver.tolerance)
         env = envelopes(series)
@@ -341,14 +350,14 @@ def run_experiment(config: ExperimentConfig, out_dir=None, dump_network: bool = 
         (out / "envelopes.gp").write_text(_GNUPLOT)
 
         counts = [r.inner_count for r in trajectory.rounds]
-        ht_estimate = estimate_function_variation(stream, spec)
-        ht_upper_bound = function_variation_bound(stream, spec) if stream.fixed_features else None
+        ht_estimate = estimate_function_variation(stream)
+        ht_upper_bound = function_variation_bound(stream) if stream.fixed_features else None
         bound = None
         # the analytic bound needs fixed features and a tracked multi-iteration schedule
         if stream.fixed_features and config.schedule.mode is not ScheduleMode.BASELINE:
             mixing_constants = MixingConstants.from_zeta(schedule.zeta, stream.n)
-            bound = regret_upper_bound(problem_constants(stream, spec), mixing_constants, config.schedule,
-                                       stream, spec, counts, trajectory.x_init)
+            bound = regret_upper_bound(problem_constants(stream), mixing_constants, config.schedule,
+                                       stream, counts, trajectory.x_init)
         mixing = check_mixing(schedule, counts, stream.T, 1)
         result = RunResult(directory=out, config=config, trajectory=trajectory, regret=series,
                            envelopes=env, ht_estimate=ht_estimate, ht_upper_bound=ht_upper_bound,

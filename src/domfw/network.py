@@ -41,9 +41,7 @@ class WeightMatrix:
     @property
     def directed_edges(self) -> int:
         """Number of off-diagonal nonzero entries (one per transmission)."""
-        off = self.weights.copy()
-        np.fill_diagonal(off, 0.0)
-        return int(np.count_nonzero(off))
+        return int(np.count_nonzero(self.weights) - np.count_nonzero(np.diagonal(self.weights)))
 
 
 def metropolis_weights(edges, n: int) -> WeightMatrix:

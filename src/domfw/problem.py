@@ -169,6 +169,8 @@ class LossStream:
     def __post_init__(self):
         if self.n < 1 or self.T < 1 or self.d < 1:
             raise ValueError("n, T, d must all be >= 1")
+        if self.constraint.dimension != self.d:
+            raise ValueError(f"constraint dimension {self.constraint.dimension} does not match d = {self.d}")
         if not 0 <= self.lambda1 < np.inf:
             raise ValueError(f"lambda1 must be finite and >= 0, got {self.lambda1}")
         fixed_shape = (self.n, self.d)
@@ -230,20 +232,18 @@ class LossStream:
                    ground_truth=ground_truth, noise=noise, labels=labels, constraint=constraint)
 
 
-def generate_stream(n: int, T: int, d: int, lambda1: float, spec: ConstraintSpec,
+def generate_stream(n: int, T: int, lambda1: float, spec: ConstraintSpec,
                     seed: int, redraw_features: bool = False) -> LossStream:
-    """Draw a seeded loss stream.
+    """Draw a seeded loss stream over the set ``spec``.
 
-    Features are uniform on ``[-5, 5]^d`` (one draw per agent, or one per
-    agent and round when ``redraw_features``), the ground truth is a seeded
-    feasible point, and the noise is uniform on ``[0, 1]``. The draw order is
-    fixed (features, ground truth, noise) so results are bit-reproducible
-    from the seed.
+    Features are uniform on ``[-5, 5]^d`` with ``d = spec.dimension`` (one
+    draw per agent, or one per agent and round when ``redraw_features``), the
+    ground truth is a seeded feasible point, and the noise is uniform on
+    ``[0, 1]``. The draw order is fixed (features, ground truth, noise) so
+    results are bit-reproducible from the seed.
     """
-    if spec.dimension != d:
-        raise ValueError("constraint dimension does not match d")
     rng = np.random.default_rng(seed)
-    shape = (T, n, d) if redraw_features else (n, d)
+    shape = (T, n, spec.dimension) if redraw_features else (n, spec.dimension)
     features = rng.uniform(-5.0, 5.0, shape)
     ground_truth = sample_feasible(spec, rng)
     noise = rng.uniform(0.0, 1.0, (n, T))
@@ -303,8 +303,7 @@ def global_grad(stream: LossStream, t: int, x: np.ndarray) -> np.ndarray:
     return feats.T @ resid + 2.0 * stream.n * stream.lambda1 * x
 
 
-def estimate_function_variation(stream: LossStream, spec: ConstraintSpec,
-                                samples: int = 1000, seed: int = 0) -> float:
+def estimate_function_variation(stream: LossStream, samples: int = 1000, seed: int = 0) -> float:
     """Sampled lower estimate of the cumulative worst-case loss change.
 
     For each consecutive round pair the inner maximization of
@@ -316,6 +315,7 @@ def estimate_function_variation(stream: LossStream, spec: ConstraintSpec,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    spec = stream.constraint
     pts = np.vstack([spec.vertices(), sample_feasible(spec, np.random.default_rng(seed), samples)])
     total = 0.0
     if stream.fixed_features:
@@ -336,7 +336,7 @@ def estimate_function_variation(stream: LossStream, spec: ConstraintSpec,
     return total
 
 
-def function_variation_bound(stream: LossStream, spec: ConstraintSpec) -> float:
+def function_variation_bound(stream: LossStream) -> float:
     """Analytic upper bound on the cumulative worst-case loss change.
 
     Requires fixed per-agent features: the loss difference between rounds is
@@ -348,7 +348,7 @@ def function_variation_bound(stream: LossStream, spec: ConstraintSpec) -> float:
         raise ValueError("upper bound requires features fixed per agent")
     if stream.T == 1:
         return 0.0
-    r_x = spec.max_norm()
+    r_x = stream.constraint.max_norm()
     b0 = stream.labels[:, :-1]
     b1 = stream.labels[:, 1:]
     anorm = np.linalg.norm(stream.features, axis=1)
@@ -371,7 +371,7 @@ class ProblemConstants:
                 raise ValueError(f"{name} must be finite")
 
 
-def problem_constants(stream: LossStream, spec: ConstraintSpec) -> ProblemConstants:
+def problem_constants(stream: LossStream) -> ProblemConstants:
     """Exact analytic bounds for the ridge losses over the feasible set.
 
     The Hessian of every per-agent loss is ``a a^T + 2 lambda1 I``, so the
@@ -379,7 +379,7 @@ def problem_constants(stream: LossStream, spec: ConstraintSpec) -> ProblemConsta
     gradient norm is bounded by
     ``max_i [ ||a_i|| (||a_i|| R + max_t |b_{i,t}|) + 2 lambda1 R ]``.
     """
-    r_x = spec.max_norm()
+    r_x = stream.constraint.max_norm()
     feats = stream.features if stream.fixed_features else stream.features.reshape(-1, stream.d)
     anorm = np.linalg.norm(feats, axis=1)
     if stream.fixed_features:
@@ -388,7 +388,7 @@ def problem_constants(stream: LossStream, spec: ConstraintSpec) -> ProblemConsta
         bmax = np.abs(stream.labels).max()
     lip = float((anorm * (anorm * r_x + bmax) + 2.0 * stream.lambda1 * r_x).max())
     smooth = float((anorm ** 2).max() + 2.0 * stream.lambda1)
-    return ProblemConstants(diameter=diameter(spec), grad_norm_bound=lip, grad_lipschitz=smooth)
+    return ProblemConstants(diameter=diameter(stream.constraint), grad_norm_bound=lip, grad_lipschitz=smooth)
 
 
 def write_stream_csv(stream: LossStream, path) -> None:

@@ -66,39 +66,35 @@ class RoundOptimizer:
     ``t = 1..T`` (where consecutive objectives differ only through the
     decaying label noise) costs a handful of iterations per round.
 
-    The decomposition is a weight per vertex slot, in ``spec.vertices()``
-    order (slot ``j`` is ``e_j`` on the simplex; slot ``2j`` is ``-r e_j``
-    and ``2j + 1`` is ``+r e_j`` on the ball), and the active slots in the
-    order they entered. That insertion order breaks ties for the away
-    vertex (first maximum) and fixes the left-to-right order of the
-    warm-start renormalization sum.
+    The decomposition is a weight per vertex slot, in the stream's
+    ``constraint.vertices()`` order (slot ``j`` is ``e_j`` on the simplex;
+    slot ``2j`` is ``-r e_j`` and ``2j + 1`` is ``+r e_j`` on the ball), and
+    the active slots in the order they entered. That insertion order breaks
+    ties for the away vertex (first maximum) and fixes the left-to-right
+    order of the warm-start renormalization sum.
     """
 
-    def __init__(self, stream: LossStream, spec: ConstraintSpec,
-                 tol: float = 1e-9, max_iter: int = 10 ** 6):
+    def __init__(self, stream: LossStream, tol: float = 1e-9, max_iter: int = 10 ** 6):
         if tol <= 0:
             raise ValueError("tol must be > 0")
         self.stream = stream
-        self.spec = spec
         self.tol = tol
         self.max_iter = max_iter
-        verts = spec.vertices()
+        verts = stream.constraint.vertices()
         self._coord = np.abs(verts).argmax(axis=1)
         self._sign_r = verts[np.arange(len(verts)), self._coord]
         self._active: tuple[np.ndarray, np.ndarray] | None = None
-        self._h = None
-        if stream.fixed_features:
-            self._h = _quadratic(stream, 1)[0]
+        self._h = _quadratic(stream, 1)[0] if stream.fixed_features else None
 
     def _oracle_slot(self, g: np.ndarray) -> int:
         """Slot of the first vertex minimizing ``<v, g>``."""
-        if self.spec.kind is ConstraintKind.L1_BALL:
+        if self.stream.constraint.kind is ConstraintKind.L1_BALL:
             j = int(np.abs(g).argmax())
             return 2 * j + 1 if g[j] < 0 else 2 * j
         return int(g.argmin())
 
     def solve(self, t: int) -> OptimumRecord:
-        stream, spec = self.stream, self.spec
+        stream = self.stream
         stream._check_round(t)
         if self._h is not None:
             h = self._h
@@ -116,7 +112,7 @@ class RoundOptimizer:
             # the sum runs left to right in insertion order
             weights, active = self._active
             weights = weights / sum(weights[active].tolist())
-        x = np.zeros(spec.dimension)
+        x = np.zeros(stream.d)
         np.add.at(x, coord[active], sign_r[active] * weights[active])
 
         gap = math.inf
@@ -132,7 +128,7 @@ class RoundOptimizer:
                                      gap=gap, iterations=it)
             # argmax takes the first maximum in insertion order: the tie-break
             away = int(active[(sign_r[active] * g[coord[active]]).argmax()])
-            direction = np.zeros(spec.dimension)
+            direction = np.zeros(stream.d)
             direction[coord[fw]] += sign_r[fw]
             direction[coord[away]] -= sign_r[away]
             descent = -float(g @ direction)
@@ -179,20 +175,18 @@ def project(spec: ConstraintSpec, y: np.ndarray) -> np.ndarray:
     return np.sign(y) * w
 
 
-def projected_gradient_optimum(stream: LossStream, t: int, spec: ConstraintSpec,
+def projected_gradient_optimum(stream: LossStream, t: int,
                                tol: float = 1e-9, max_iter: int = 2 * 10 ** 6) -> OptimumRecord:
     """Independent round-optimum solver: projected gradient with step ``1/L``.
 
     The stopping certificate is the same Frank-Wolfe gap, but evaluated by
     brute enumeration of the vertex set rather than through the oracle.
     """
+    spec = stream.constraint
     h, c = _quadratic(stream, t)
     lips = float(np.linalg.eigvalsh(h)[-1])
     verts = spec.vertices()
-    if spec.kind is ConstraintKind.UNIT_SIMPLEX:
-        x = np.full(spec.dimension, 1.0 / spec.dimension)
-    else:
-        x = np.zeros(spec.dimension)
+    x = np.full(stream.d, 1.0 / stream.d) if spec.kind is ConstraintKind.UNIT_SIMPLEX else np.zeros(stream.d)
     gap = math.inf
     for it in range(max_iter):
         g = h @ x + c
@@ -281,7 +275,7 @@ class BoundReport:
 
 
 def regret_upper_bound(constants: ProblemConstants, mixing: MixingConstants,
-                       params: ScheduleParams, stream: LossStream, spec: ConstraintSpec,
+                       params: ScheduleParams, stream: LossStream,
                        counts, x_init: np.ndarray) -> BoundReport:
     """Evaluate the analytic dynamic-regret bound for a tracked run.
 
@@ -326,7 +320,7 @@ def regret_upper_bound(constants: ProblemConstants, mixing: MixingConstants,
           + n * g_x * m * m / (2.0 * rho) * inv_rho_factor
           + n * n * l_x * m / rho * (n * gam / (sig * one_minus_sig * one_minus_sig_k1) + 2.0))
 
-    variation = function_variation_bound(stream, spec)
+    variation = function_variation_bound(stream)
     inv_sum = float(sum(1.0 / k for k in counts[:stream.T]))
     return BoundReport(e1=float(e1), e2=float(e2), e3=float(e3),
                        variation_bound=variation, inv_count_sum=inv_sum)

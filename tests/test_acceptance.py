@@ -49,15 +49,15 @@ def reference_runs():
     started = time.perf_counter()
     seeds_data = {}
     for master in SEEDS:
-        stream = generate_stream(REFERENCE["n"], HORIZON, REFERENCE["d"], REFERENCE["lambda1"],
+        stream = generate_stream(REFERENCE["n"], HORIZON, REFERENCE["lambda1"],
                                  spec, seed=derive_seed(master, "stream"))
         schedule = random_connected_schedule(REFERENCE["n"], HORIZON, REFERENCE["edge_prob"],
                                              seed=derive_seed(master, "network"))
-        solver = RoundOptimizer(stream, spec, tol=1e-9)
+        solver = RoundOptimizer(stream, tol=1e-9)
         optima = [solver.solve(t) for t in range(1, HORIZON + 1)]
         runs = {}
         for name, params in RUN_PARAMS.items():
-            trajectory = run(stream, schedule, spec, params)
+            trajectory = run(stream, schedule, params)
             series = regret_series(trajectory, optima, stream, tol=1e-9)
             runs[name] = dict(params=params, trajectory=trajectory, series=series,
                               envelopes=envelopes(series))
@@ -68,10 +68,10 @@ def reference_runs():
 def test_criterion_1_tracking_conservation():
     started = time.perf_counter()
     spec = ConstraintSpec.simplex(8)
-    stream = generate_stream(10, 200, 8, 5e-6, spec, seed=derive_seed(1, "stream"))
+    stream = generate_stream(10, 200, 5e-6, spec, seed=derive_seed(1, "stream"))
     schedule = random_connected_schedule(10, 200, 0.3, seed=derive_seed(1, "network"))
     params = ScheduleParams(ScheduleMode.PER_ROUND, epsilon=4, gamma=0.5, rho=4)
-    trajectory = run(stream, schedule, spec, params)
+    trajectory = run(stream, schedule, params)
     worst = trajectory.max_conservation_gap()
     elapsed = time.perf_counter() - started
     report(1, worst <= 1e-9 and elapsed < 30,
@@ -167,13 +167,13 @@ def test_criterion_7_regret_bound_inequality(reference_runs):
     for data in reference_runs["seeds"].values():
         stream = data["stream"]
         schedule = data["schedule"]
-        constants = problem_constants(stream, spec)
+        constants = problem_constants(stream)
         mixing = MixingConstants.from_zeta(schedule.zeta, stream.n)
         for name, bundle in data["runs"].items():
             if bundle["params"].mode is ScheduleMode.BASELINE:
                 continue   # the bound covers the tracked multi-iteration schedules
             counts = [inner_count(bundle["params"], t, HORIZON) for t in range(1, HORIZON + 1)]
-            bound = regret_upper_bound(constants, mixing, bundle["params"], stream, spec,
+            bound = regret_upper_bound(constants, mixing, bundle["params"], stream,
                                        counts, bundle["trajectory"].x_init)
             finals = bundle["series"].cumulative[:, -1]
             worst_margin = min(worst_margin, float(bound.total - finals.max()))
@@ -202,11 +202,11 @@ def test_criterion_9_optimum_solver_cross_check():
     worst = 0.0
     count = 0
     for spec in (ConstraintSpec.simplex(8), ConstraintSpec.l1_ball(16, 2.0)):
-        stream = generate_stream(20, 25, spec.dimension, 5e-6, spec,
+        stream = generate_stream(20, 25, 5e-6, spec,
                                  seed=derive_seed(9, f"stream-{spec.kind.value}"))
         for t in rng.integers(1, 26, size=25):
-            a = RoundOptimizer(stream, spec, tol=1e-9).solve(int(t))
-            b = projected_gradient_optimum(stream, int(t), spec, tol=1e-9)
+            a = RoundOptimizer(stream, tol=1e-9).solve(int(t))
+            b = projected_gradient_optimum(stream, int(t), tol=1e-9)
             worst = max(worst, abs(a.f_star - b.f_star))
             count += 1
     report(9, worst <= 1e-6,

@@ -45,13 +45,13 @@ def single_agent_stream(a, truth, noise, lambda1=0.0, radius=2.0):
     a = np.atleast_2d(np.asarray(a, dtype=float))
     spec = ConstraintSpec.l1_ball(a.shape[1], radius)
     return LossStream.from_components(lambda1, a, np.asarray(truth, float),
-                                      np.atleast_2d(np.asarray(noise, float)), spec), spec
+                                      np.atleast_2d(np.asarray(noise, float)), spec)
 
 
-def round_steps(xs, stream, sched, spec, params, t):
+def round_steps(xs, stream, sched, params, t):
     """Round ``t``'s inner steps, with the weights, count and step the run uses."""
     k_t = inner_count(params, t, sched.horizon)
-    return list(inner_steps(xs, stream, sched.matrix(t), spec, step_size(params, k_t, sched.horizon), k_t, t))
+    return list(inner_steps(xs, stream, sched.matrix(t), step_size(params, k_t, sched.horizon), k_t, t))
 
 
 def recursion_gap(steps, alpha):
@@ -102,6 +102,11 @@ class TestStepSize:
     def test_boundary_value_one(self):
         params = ScheduleParams(FIXED, fixed_count=2, rho=1)
         assert step_size(params, 1, 10) == 1.0
+
+    def test_underflowing_step_rejected(self):
+        params = ScheduleParams(PER_ROUND, epsilon=1e300, rho=1e300)
+        with pytest.raises(ValueError, match="not a positive finite number at K_t = 3.16228e"):
+            step_size(params, inner_count(params, 10, 10), 10)
 
     def test_baseline_reference_step(self):
         # alpha = 1 / (4 * T**0.4) at T = 1000
@@ -252,7 +257,7 @@ class TestRowViews:
             grads[7, 0] = grads[7, 1] = 2.0     # magnitude tie
             xs = sample_feasible(spec, rng, 40)
             xs[5] = 2.0 * spec.vertices()[1]    # one infeasible row
-            stream = generate_stream(40, 3, 6, 1e-3, spec, seed=20)
+            stream = generate_stream(40, 3, 1e-3, spec, seed=20)
             vertices = lmo(spec, grads)
             x_next, v_next = fw_step(xs, grads, 0.3, spec)
             fresh = local_grads(stream, 2, xs)
@@ -268,13 +273,13 @@ class TestRowViews:
 
 class TestRunRound:
     def test_single_agent_single_step_is_centralized_fw(self):
-        stream, spec = single_agent_stream([1.0, -2.0], [0.25, 0.25], [[0.5]])
+        stream = single_agent_stream([1.0, -2.0], [0.25, 0.25], [[0.5]])
         sched = constant_schedule(WeightMatrix(np.array([[1.0]]), zeta=1.0), 1)
         params = ScheduleParams(BASELINE, baseline_alpha=0.3)
         x0 = np.array([[2.0, 0.0]])
-        xs, diag = run_round(x0, stream, sched, spec, params, 1)
+        xs, diag = run_round(x0, stream, sched, params, 1)
         g = grad_eval(stream, 1, 0, x0[0])
-        expected, _ = fw_step(x0[0], g, 0.3, spec)
+        expected, _ = fw_step(x0[0], g, 0.3, stream.constraint)
         assert np.allclose(xs[0], expected, atol=1e-15)
         assert diag.inner_count == 1
         assert diag.lo_calls == 1
@@ -282,7 +287,7 @@ class TestRunRound:
     def test_single_agent_matches_independent_scalar_loop(self):
         # 1-d quadratic on [-2, 2]: the inner loop degenerates to fixed-step
         # Frank-Wolfe, reproduced here with scalar arithmetic
-        stream, spec = single_agent_stream([1.5], [0.5], [[1.0]])
+        stream = single_agent_stream([1.5], [0.5], [[1.0]])
         b = stream.labels[0, 0]
         k_count, rho = 40, 2.0
         params = ScheduleParams(FIXED, fixed_count=k_count, rho=rho)
@@ -296,17 +301,17 @@ class TestRunRound:
             x = x + alpha * (v - x)
             scalar_path.append(x)
         x0 = np.array([[-2.0]])
-        steps = round_steps(x0, stream, sched, spec, params, 1)
+        steps = round_steps(x0, stream, sched, params, 1)
         engine_path = [float(s.x_next[0, 0]) for s in steps]
         assert np.allclose(engine_path, scalar_path, atol=1e-14)
-        xs, _ = run_round(x0, stream, sched, spec, params, 1)
+        xs, _ = run_round(x0, stream, sched, params, 1)
         assert xs[0, 0] == pytest.approx(scalar_path[-1], abs=1e-14)
 
     def test_inner_objective_decreases_after_transient(self):
-        stream, spec = single_agent_stream([1.5], [0.4], [[0.2]])
+        stream = single_agent_stream([1.5], [0.4], [[0.2]])
         params = ScheduleParams(FIXED, fixed_count=80, rho=1.5)
         sched = constant_schedule(WeightMatrix(np.array([[1.0]]), zeta=1.0), 1)
-        steps = round_steps(np.array([[-2.0]]), stream, sched, spec, params, 1)
+        steps = round_steps(np.array([[-2.0]]), stream, sched, params, 1)
         iterates = [s.x for s in steps] + [steps[-1].x_next]
         objectives = np.array([global_loss(stream, 1, x.mean(axis=0)) for x in iterates])
         # geometric-plus-floor decrease: monotone after the first few steps
@@ -317,21 +322,21 @@ class TestRunRound:
 
     def test_average_iterate_recursion_identity(self):
         spec = ConstraintSpec.simplex(6)
-        stream = generate_stream(8, 5, 6, 1e-4, spec, seed=6)
+        stream = generate_stream(8, 5, 1e-4, spec, seed=6)
         sched = random_connected_schedule(8, 5, 0.4, seed=7)
         params = ScheduleParams(PER_ROUND, epsilon=2, gamma=0.5, rho=3)
         xs = initial_decisions(spec, 8)
         for t in range(1, 6):
-            steps = round_steps(xs, stream, sched, spec, params, t)
+            steps = round_steps(xs, stream, sched, params, t)
             assert recursion_gap(steps, step_size(params, len(steps), sched.horizon)) <= 1e-10
             xs = steps[-1].x_next
 
     def test_inner_step_snapshot(self):
         spec = ConstraintSpec.simplex(4)
-        stream = generate_stream(3, 2, 4, 0.0, spec, seed=8)
+        stream = generate_stream(3, 2, 0.0, spec, seed=8)
         sched = random_connected_schedule(3, 2, 1.0, seed=9)
         params = ScheduleParams(FIXED, fixed_count=3, rho=2)
-        first, second, _ = round_steps(initial_decisions(spec, 3), stream, sched, spec, params, 1)
+        first, second, _ = round_steps(initial_decisions(spec, 3), stream, sched, params, 1)
         assert np.array_equal(first.grad_tracked_pre, first.grad_local)
         assert np.array_equal(second.x, first.x_next)
         assert np.array_equal(second.grad_tracked_pre,
@@ -345,28 +350,28 @@ class TestRunRound:
            edge_prob=st.floats(0.0, 1.0), seed=st.integers(0, 2**16), fixed=st.booleans())
     def test_inner_step_invariants(self, n, d, ball, edge_prob, seed, fixed):
         spec = ConstraintSpec.l1_ball(d, 1.5) if ball else ConstraintSpec.simplex(d)
-        stream = generate_stream(n, 3, d, 1e-3, spec, seed=seed)
+        stream = generate_stream(n, 3, 1e-3, spec, seed=seed)
         sched = random_connected_schedule(n, 3, edge_prob, seed=seed + 1)
         params = (ScheduleParams(FIXED, fixed_count=3, rho=2) if fixed
                   else ScheduleParams(PER_ROUND, epsilon=2, gamma=0.5, rho=3))
         xs = initial_decisions(spec, n, init="random", seed=seed + 2)
         for t in range(1, 4):
-            steps = round_steps(xs, stream, sched, spec, params, t)
+            steps = round_steps(xs, stream, sched, params, t)
             for s in steps:
                 assert spec.feasibility_violation(s.x_mixed) <= FEASIBILITY_RUN_TOL
                 assert spec.feasibility_violation(s.x_next) <= FEASIBILITY_RUN_TOL
                 assert np.abs(s.grad_tracked_pre.sum(axis=0) - s.grad_local.sum(axis=0)).max() <= CONSERVATION_TOL
             assert recursion_gap(steps, step_size(params, len(steps), sched.horizon)) <= 1e-10
-            xs, _ = run_round(xs, stream, sched, spec, params, t)
+            xs, _ = run_round(xs, stream, sched, params, t)
             assert np.array_equal(xs, steps[-1].x_next)
 
 
 class TestRun:
     def test_minimal_run_counters(self):
-        stream, spec = single_agent_stream([1.0], [0.5], [[0.3]])
+        stream = single_agent_stream([1.0], [0.5], [[0.3]])
         sched = constant_schedule(WeightMatrix(np.array([[1.0]]), zeta=1.0), 1)
         params = ScheduleParams(BASELINE, baseline_alpha=0.5)
-        traj = run(stream, sched, spec, params)
+        traj = run(stream, sched, params)
         assert traj.lo_calls == 1
         assert traj.messages == 0      # no neighbors
         assert traj.decisions.shape == (2, 1, 1)
@@ -375,17 +380,17 @@ class TestRun:
         # eps=1, gamma=0.5, T=100, n=1: sum_t (ceil(sqrt(t)) + 1) = 815
         params = ScheduleParams(PER_ROUND, epsilon=1, gamma=0.5, rho=4)
         assert lo_call_count(params, 100, n=1) == 815
-        stream, spec = single_agent_stream([1.0], [0.5], [np.full(100, 0.5)])
+        stream = single_agent_stream([1.0], [0.5], [np.full(100, 0.5)])
         sched = constant_schedule(WeightMatrix(np.array([[1.0]]), zeta=1.0), 100)
-        traj = run(stream, sched, spec, params)
+        traj = run(stream, sched, params)
         assert traj.lo_calls == 815
 
     def test_message_accounting_matches_direct_count(self):
         spec = ConstraintSpec.simplex(3)
-        stream = generate_stream(5, 6, 3, 1e-4, spec, seed=10)
+        stream = generate_stream(5, 6, 1e-4, spec, seed=10)
         sched = random_connected_schedule(5, 6, 0.5, seed=11)
         params = ScheduleParams(PER_ROUND, epsilon=2, gamma=0.4, rho=2)
-        traj = run(stream, sched, spec, params)
+        traj = run(stream, sched, params)
         expected = sum(2 * inner_count(params, t, 6) * sched.matrix(t).directed_edges
                        for t in range(1, 7))
         assert traj.messages == expected
@@ -393,30 +398,30 @@ class TestRun:
 
     def test_reference_configuration_completes(self):
         spec = ConstraintSpec.simplex(8)
-        stream = generate_stream(20, 40, 8, 5e-6, spec, seed=12)
+        stream = generate_stream(20, 40, 5e-6, spec, seed=12)
         sched = random_connected_schedule(20, 40, 0.3, seed=13)
         params = ScheduleParams(PER_ROUND, epsilon=4, gamma=0.5, rho=4)
-        traj = run(stream, sched, spec, params)
+        traj = run(stream, sched, params)
         assert traj.max_feasibility_gap() <= FEASIBILITY_RUN_TOL
         assert traj.max_conservation_gap() <= CONSERVATION_TOL
 
     def test_determinism_bitwise(self):
         spec = ConstraintSpec.l1_ball(5, 2.0)
-        stream = generate_stream(6, 10, 5, 1e-5, spec, seed=14)
+        stream = generate_stream(6, 10, 1e-5, spec, seed=14)
         sched = random_connected_schedule(6, 10, 0.4, seed=15)
         params = ScheduleParams(PER_ROUND, epsilon=2, gamma=0.5, rho=3)
-        t1 = run(stream, sched, spec, params, init="random", init_seed=3)
-        t2 = run(stream, sched, spec, params, init="random", init_seed=3)
+        t1 = run(stream, sched, params, init="random", init_seed=3)
+        t2 = run(stream, sched, params, init="random", init_seed=3)
         assert np.array_equal(t1.decisions, t2.decisions)
         assert t1.lo_calls == t2.lo_calls and t1.messages == t2.messages
 
     def test_dimension_mismatches_rejected(self):
         spec = ConstraintSpec.simplex(3)
-        stream = generate_stream(4, 5, 3, 0.0, spec, seed=16)
+        stream = generate_stream(4, 5, 0.0, spec, seed=16)
         sched = random_connected_schedule(5, 5, 0.5, seed=17)   # wrong agent count
         params = ScheduleParams(FIXED, fixed_count=2)
         with pytest.raises(ValueError):
-            run(stream, sched, spec, params)
+            run(stream, sched, params)
 
     def test_initial_decisions_modes(self):
         simplex = ConstraintSpec.simplex(4)
@@ -436,10 +441,10 @@ class TestRun:
 class TestExports:
     def test_trajectory_and_diagnostics_csv(self, tmp_path):
         spec = ConstraintSpec.simplex(3)
-        stream = generate_stream(2, 4, 3, 1e-4, spec, seed=18)
+        stream = generate_stream(2, 4, 1e-4, spec, seed=18)
         sched = random_connected_schedule(2, 4, 0.0, seed=19)
         params = ScheduleParams(PER_ROUND, epsilon=2, gamma=0.5, rho=2)
-        traj = run(stream, sched, spec, params)
+        traj = run(stream, sched, params)
         tpath = tmp_path / "trajectory.csv"
         dpath = tmp_path / "diagnostics.csv"
         write_trajectory_csv(traj, tpath)

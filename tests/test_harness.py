@@ -168,8 +168,8 @@ class TestSeedDiscipline:
             solver=base.solver, seeds=harness.SeedsBlock(master=5, network=123),
             init=base.init, output=base.output)
         spec = base.problem.spec()
-        a = generate_stream(3, 6, 4, base.problem.lambda1, spec, seed=base.seeds.stream_seed())
-        b = generate_stream(3, 6, 4, other.problem.lambda1, spec, seed=other.seeds.stream_seed())
+        a = generate_stream(3, 6, base.problem.lambda1, spec, seed=base.seeds.stream_seed())
+        b = generate_stream(3, 6, other.problem.lambda1, spec, seed=other.seeds.stream_seed())
         assert np.array_equal(a.labels, b.labels)
         assert base.seeds.network_seed() != other.seeds.network_seed()
 
@@ -369,6 +369,17 @@ class TestCli:
         cfgfile.write_text(f"problem.T = 5\n{text}\n")
         assert main(["validate", str(cfgfile)]) == 1
         assert f"line 2: {text.split(' = ')[0]}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, line", [
+        ("schedule.epsilon = 1e300\nschedule.rho = 1e300", 3),   # the step underflows to 0
+        ("schedule.rho = 1e300\nschedule.epsilon = 1e300", 2),
+        ("schedule.mode = horizon\nschedule.gamma = 1\nschedule.epsilon = 1e308", 2),   # K_T overflows
+    ])
+    def test_validate_rejects_a_schedule_without_a_step(self, tmp_path, capsys, text, line):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(f"problem.T = 5\n{text}\n")
+        assert main(["validate", str(cfgfile)]) == 1
+        assert f"line {line}: schedule.rho: no step at round 5" in capsys.readouterr().err
 
     def test_run_and_seed_override(self, tmp_path):
         cfgfile = tmp_path / "c.cfg"

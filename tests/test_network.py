@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domfw.network import (
     GraphSchedule,
@@ -97,6 +99,17 @@ class TestRandomSchedule:
             assert np.array_equal(a.matrix(t).weights, b.matrix(t).weights)
         c = random_connected_schedule(8, 10, 0.4, seed=6)
         assert not np.array_equal(a.matrix(1).weights, c.matrix(1).weights)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(n=st.integers(2, 40), edge_prob=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1),
+           t=st.integers(1, 1000))
+    def test_every_round_valid_and_symmetric(self, n, edge_prob, seed, t):
+        wm = random_connected_schedule(n, t, edge_prob, seed=seed).matrix(t)
+        assert validate(wm).ok
+        assert np.array_equal(wm.weights, wm.weights.T)
+        off = wm.weights.copy()
+        np.fill_diagonal(off, 0.0)
+        assert wm.directed_edges == np.count_nonzero(off)
 
     def test_round_range_checked(self):
         sched = random_connected_schedule(4, 5, 0.5, seed=1)

@@ -94,7 +94,7 @@ class TestDiameter:
 class TestGenerateStream:
     def test_reference_parameters(self):
         spec = ConstraintSpec.simplex(8)
-        s = generate_stream(20, 30, 8, 5e-6, spec, seed=3)
+        s = generate_stream(20, 30, 5e-6, spec, seed=3)
         assert s.features.shape == (20, 8)
         assert np.all(np.abs(s.features) <= 5)
         assert np.all((s.noise >= 0) & (s.noise <= 1))
@@ -102,8 +102,8 @@ class TestGenerateStream:
 
     def test_same_seed_bit_identical(self):
         spec = ConstraintSpec.l1_ball(4, 2.0)
-        a = generate_stream(3, 7, 4, 0.1, spec, seed=11)
-        b = generate_stream(3, 7, 4, 0.1, spec, seed=11)
+        a = generate_stream(3, 7, 0.1, spec, seed=11)
+        b = generate_stream(3, 7, 0.1, spec, seed=11)
         for name in ("features", "ground_truth", "noise", "labels"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
@@ -124,6 +124,11 @@ class TestGenerateStream:
             LossStream.from_components(0.0, [[1.0]], [0.0], [[1.5]], spec)   # noise out of range
         with pytest.raises(ValueError):
             LossStream.from_components(0.0, [[1.0]], [2.0], [[0.5]], spec)   # infeasible truth
+
+    def test_constraint_dimension_must_match_d(self):
+        with pytest.raises(ValueError, match="constraint dimension 5 does not match d = 3"):
+            LossStream.from_components(0.0, np.full((2, 3), 0.5), [1.0, 0, 0], np.zeros((2, 4)),
+                                       ConstraintSpec.simplex(5))
 
     def test_non_finite_features_rejected(self):
         spec = ConstraintSpec.simplex(2)
@@ -148,7 +153,7 @@ class TestGenerateStream:
             LossStream.from_components(lambda1, [[1.0, 0.0]], [0.5, 0.5], [[0.1, 0.2]], spec)
 
     def test_immutable_after_construction(self):
-        s = generate_stream(2, 3, 2, 0.0, ConstraintSpec.simplex(2), seed=0)
+        s = generate_stream(2, 3, 0.0, ConstraintSpec.simplex(2), seed=0)
         with pytest.raises(ValueError):
             s.labels[0, 0] = 1.0
 
@@ -190,7 +195,7 @@ class TestLossAndGrad:
 
     def test_grad_matches_finite_differences_on_random_points(self):
         spec = ConstraintSpec.l1_ball(5, 2.0)
-        s = generate_stream(4, 6, 5, 1e-3, spec, seed=5)
+        s = generate_stream(4, 6, 1e-3, spec, seed=5)
         rng = np.random.default_rng(6)
         pts = sample_feasible(spec, rng, 100)
         h = 1e-6
@@ -205,7 +210,7 @@ class TestLossAndGrad:
                 assert g[j] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
     def test_index_errors(self):
-        s = generate_stream(2, 3, 2, 0.0, ConstraintSpec.simplex(2), seed=0)
+        s = generate_stream(2, 3, 0.0, ConstraintSpec.simplex(2), seed=0)
         with pytest.raises(ValueError):
             loss_eval(s, 0, 0, np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
@@ -217,7 +222,7 @@ class TestLossAndGrad:
 class TestGlobal:
     def test_single_agent_equals_local(self):
         spec = ConstraintSpec.simplex(3)
-        s = generate_stream(1, 4, 3, 0.01, spec, seed=2)
+        s = generate_stream(1, 4, 0.01, spec, seed=2)
         x = sample_feasible(spec, np.random.default_rng(0))
         assert global_loss(s, 2, x) == pytest.approx(loss_eval(s, 2, 0, x), rel=1e-15)
 
@@ -230,7 +235,7 @@ class TestGlobal:
 
     def test_matches_explicit_sum(self):
         spec = ConstraintSpec.simplex(4)
-        s = generate_stream(3, 5, 4, 1e-2, spec, seed=9)
+        s = generate_stream(3, 5, 1e-2, spec, seed=9)
         rng = np.random.default_rng(10)
         for _ in range(10):
             x = sample_feasible(spec, rng)
@@ -242,7 +247,7 @@ class TestGlobal:
 
     def test_global_loss_convexity(self):
         spec = ConstraintSpec.l1_ball(4, 2.0)
-        s = generate_stream(5, 3, 4, 1e-4, spec, seed=20)
+        s = generate_stream(5, 3, 1e-4, spec, seed=20)
         rng = np.random.default_rng(21)
         for _ in range(50):
             x, z = sample_feasible(spec, rng, 2)
@@ -256,8 +261,8 @@ class TestFunctionVariation:
     def test_constant_stream_zero(self):
         s = ball_stream([[1.0, 2.0]], [0.5, -0.25], np.zeros((1, 8)))
         spec = s.constraint
-        assert estimate_function_variation(s, spec, samples=10) == 0
-        assert function_variation_bound(s, spec) == 0
+        assert estimate_function_variation(s, samples=10) == 0
+        assert function_variation_bound(s) == 0
 
     def test_one_dimensional_grid_oracle(self):
         # n=1, d=1, T=2: inner max of |f_2 - f_1| is affine in x, attained at an endpoint
@@ -270,42 +275,42 @@ class TestFunctionVariation:
         oracle = np.abs(f2 - f1).max()
         closed_form = abs(b1 - b2) * np.abs(1.5 * grid - 0.5 * (b1 + b2)).max()
         assert oracle == pytest.approx(closed_form, rel=1e-12)
-        assert estimate_function_variation(s, spec, samples=5) == pytest.approx(oracle, rel=1e-12)
+        assert estimate_function_variation(s, samples=5) == pytest.approx(oracle, rel=1e-12)
 
     def test_estimate_monotone_in_sample_count(self):
         spec = ConstraintSpec.simplex(6)
-        s = generate_stream(4, 12, 6, 1e-5, spec, seed=13)
-        values = [estimate_function_variation(s, spec, samples=m, seed=77) for m in (1, 10, 100, 400)]
+        s = generate_stream(4, 12, 1e-5, spec, seed=13)
+        values = [estimate_function_variation(s, samples=m, seed=77) for m in (1, 10, 100, 400)]
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
     def test_estimate_below_upper_bound(self):
         for kind, spec in (("simplex", ConstraintSpec.simplex(5)), ("ball", ConstraintSpec.l1_ball(5, 2.0))):
-            s = generate_stream(6, 15, 5, 1e-4, spec, seed=abs(hash(kind)) % 1000)
-            assert estimate_function_variation(s, spec, samples=200) <= function_variation_bound(s, spec)
+            s = generate_stream(6, 15, 1e-4, spec, seed=abs(hash(kind)) % 1000)
+            assert estimate_function_variation(s, samples=200) <= function_variation_bound(s)
 
     def test_upper_bound_single_agent_closed_form(self):
         s = ball_stream([[1.5]], [0.25], [[0.8, 0.4, 0.1]], radius=2.0)
         b = s.labels[0]
         expected = sum(abs(b[t] - b[t + 1]) * (1.5 * 2.0 + max(abs(b[t]), abs(b[t + 1]))) for t in range(2))
-        assert function_variation_bound(s, s.constraint) == pytest.approx(expected, rel=1e-13)
+        assert function_variation_bound(s) == pytest.approx(expected, rel=1e-13)
 
 
 class TestProblemConstants:
     def test_unit_feature_no_regularizer(self):
         s = ball_stream([[1.0, 0.0]], [0.5, 0.0], np.zeros((1, 2)))
-        c = problem_constants(s, s.constraint)
+        c = problem_constants(s)
         assert c.grad_lipschitz == 1.0
 
     def test_zero_feature_zero_lambda(self):
         s = ball_stream([[0.0]], [0.0], np.zeros((1, 2)), radius=1.0)
-        c = problem_constants(s, s.constraint)
+        c = problem_constants(s)
         assert c.grad_norm_bound == 0
         assert c.grad_lipschitz == 0
 
     def test_gradient_norms_within_bound(self):
         spec = ConstraintSpec.l1_ball(6, 2.0)
-        s = generate_stream(5, 8, 6, 1e-3, spec, seed=31)
-        c = problem_constants(s, spec)
+        s = generate_stream(5, 8, 1e-3, spec, seed=31)
+        c = problem_constants(s)
         rng = np.random.default_rng(32)
         pts = sample_feasible(spec, rng, 10_000)
         worst = 0.0
@@ -320,8 +325,8 @@ class TestProblemConstants:
 
     def test_gradient_lipschitz_property(self):
         spec = ConstraintSpec.simplex(5)
-        s = generate_stream(4, 6, 5, 1e-4, spec, seed=41)
-        c = problem_constants(s, spec)
+        s = generate_stream(4, 6, 1e-4, spec, seed=41)
+        c = problem_constants(s)
         rng = np.random.default_rng(42)
         for _ in range(200):
             x, z = sample_feasible(spec, rng, 2)
@@ -343,7 +348,7 @@ class TestSampling:
 class TestStreamCsv:
     def test_round_trip(self, tmp_path):
         spec = ConstraintSpec.simplex(3)
-        s = generate_stream(4, 5, 3, 1e-4, spec, seed=8)
+        s = generate_stream(4, 5, 1e-4, spec, seed=8)
         path = tmp_path / "stream.csv"
         write_stream_csv(s, path)
         feats, labels = read_stream_csv(path)

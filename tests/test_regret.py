@@ -96,9 +96,9 @@ class TestProject:
                 assert np.allclose(got, expected, atol=1e-12)
 
 
-def all_optima(stream, spec, tol=1e-9):
+def all_optima(stream, tol=1e-9):
     """Warm-started optima for every round, in round order."""
-    solver = RoundOptimizer(stream, spec, tol=tol)
+    solver = RoundOptimizer(stream, tol=tol)
     return [solver.solve(t) for t in range(1, stream.T + 1)]
 
 
@@ -107,7 +107,7 @@ class TestSolveRoundOptimum:
         # single agent, a=(1,0), b=1, no regularizer: the vertex (1,0) is optimal
         spec = ConstraintSpec.simplex(2)
         stream = LossStream.from_components(0.0, [[1.0, 0.0]], [1.0, 0.0], [[0.0]], spec)
-        rec = RoundOptimizer(stream, spec).solve(1)
+        rec = RoundOptimizer(stream).solve(1)
         assert rec.gap <= 1e-9
         assert rec.f_star <= 1e-9
         assert np.allclose(rec.x_star, [1, 0], atol=1e-6)
@@ -116,7 +116,7 @@ class TestSolveRoundOptimum:
         # lambda1 >> ||a||^2 pulls the optimum toward the origin
         spec = ConstraintSpec.l1_ball(2, 2.0)
         stream = LossStream.from_components(50.0, [[1.0, -0.5]], [0.5, 0.5], [[0.25]], spec)
-        rec = RoundOptimizer(stream, spec).solve(1)
+        rec = RoundOptimizer(stream).solve(1)
         grid = np.linspace(-2, 2, 4001)
         xs = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
         xs = xs[np.abs(xs).sum(axis=1) <= 2.0]
@@ -128,8 +128,8 @@ class TestSolveRoundOptimum:
 
     def test_gap_certificate_bounds_suboptimality(self):
         spec = ConstraintSpec.simplex(2)
-        stream = generate_stream(3, 2, 2, 1e-3, spec, seed=3)
-        rec = RoundOptimizer(stream, spec, tol=1e-10).solve(1)
+        stream = generate_stream(3, 2, 1e-3, spec, seed=3)
+        rec = RoundOptimizer(stream, tol=1e-10).solve(1)
         # exhaustive 1-d parametrization of the 2-simplex
         s = np.linspace(0, 1, 200001)
         pts = np.stack([s, 1 - s], axis=1)
@@ -143,27 +143,27 @@ class TestSolveRoundOptimum:
         rng = np.random.default_rng(4)
         mismatches = []
         for spec in (ConstraintSpec.simplex(8), ConstraintSpec.l1_ball(16, 2.0)):
-            stream = generate_stream(20, 25, spec.dimension, 5e-6, spec, seed=int(rng.integers(1 << 30)))
+            stream = generate_stream(20, 25, 5e-6, spec, seed=int(rng.integers(1 << 30)))
             for t in rng.integers(1, 26, size=25):
-                a = RoundOptimizer(stream, spec, tol=1e-9).solve(int(t))
-                b = projected_gradient_optimum(stream, int(t), spec, tol=1e-9)
+                a = RoundOptimizer(stream, tol=1e-9).solve(int(t))
+                b = projected_gradient_optimum(stream, int(t), tol=1e-9)
                 mismatches.append(abs(a.f_star - b.f_star))
         assert max(mismatches) <= 1e-6
 
     def test_iteration_cap_raises_with_gap(self):
         spec = ConstraintSpec.simplex(4)
-        stream = generate_stream(6, 2, 4, 1e-4, spec, seed=5)
+        stream = generate_stream(6, 2, 1e-4, spec, seed=5)
         with pytest.raises(SolverError) as info:
-            RoundOptimizer(stream, spec, tol=1e-16, max_iter=3).solve(1)
+            RoundOptimizer(stream, tol=1e-16, max_iter=3).solve(1)
         assert info.value.gap > 0
 
     def test_non_finite_gap_raises_at_once(self):
         # the products with a radius of 1e300 overflow, so the first gap is inf
         spec = ConstraintSpec.l1_ball(3, 1e300)
-        stream = generate_stream(3, 3, 3, 1e-3, spec, seed=0)
+        stream = generate_stream(3, 3, 1e-3, spec, seed=0)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(SolverError, match=r"^round 1: gap .* not finite at iteration 0$") as info:
-            RoundOptimizer(stream, spec).solve(1)
+            RoundOptimizer(stream).solve(1)
         assert not math.isfinite(info.value.gap)
 
     @settings(derandomize=True, deadline=None, max_examples=60)
@@ -173,27 +173,27 @@ class TestSolveRoundOptimum:
     def test_warm_records_feasible_certified_and_equal_to_cold(self, d, extra, T, ball, radius,
                                                                lambda1, redraw, seed):
         spec = ConstraintSpec.l1_ball(d, radius) if ball else ConstraintSpec.simplex(d)
-        stream = generate_stream(d + extra, T, d, lambda1, spec, seed=seed, redraw_features=redraw)
-        for rec in all_optima(stream, spec, tol=1e-10):
+        stream = generate_stream(d + extra, T, lambda1, spec, seed=seed, redraw_features=redraw)
+        for rec in all_optima(stream, tol=1e-10):
             assert spec.contains(rec.x_star, tol=FEASIBILITY_TOL)
             assert rec.gap <= 1e-10
-            cold = RoundOptimizer(stream, spec, tol=1e-10).solve(rec.t)
+            cold = RoundOptimizer(stream, tol=1e-10).solve(rec.t)
             assert rec.f_star == pytest.approx(cold.f_star, rel=0, abs=1e-9)
 
     def test_warm_start_sweep_consistent_with_cold(self):
         spec = ConstraintSpec.simplex(6)
-        stream = generate_stream(10, 30, 6, 5e-6, spec, seed=6)
-        warm = all_optima(stream, spec, tol=1e-10)
+        stream = generate_stream(10, 30, 5e-6, spec, seed=6)
+        warm = all_optima(stream, tol=1e-10)
         for t in (1, 15, 30):
-            cold = RoundOptimizer(stream, spec, tol=1e-10).solve(t)
+            cold = RoundOptimizer(stream, tol=1e-10).solve(t)
             assert warm[t - 1].f_star == pytest.approx(cold.f_star, abs=1e-9)
             assert warm[t - 1].gap <= 1e-10
 
 
-def solver_digest(stream, spec):
+def solver_digest(stream):
     """sha256 over every warm-started round's x_star bytes, f_star, gap and iterations."""
     h = hashlib.sha256()
-    for rec in all_optima(stream, spec):
+    for rec in all_optima(stream):
         h.update(rec.x_star.tobytes())
         h.update(struct.pack("<ddq", rec.f_star, rec.gap, rec.iterations))
     return h.hexdigest()
@@ -214,11 +214,11 @@ class TestSolverGolden:
 
     CASES = {
         "simplex-fixed": (ConstraintSpec.simplex(8),
-                          lambda spec: generate_stream(12, 20, 8, 1e-4, spec, seed=21)),
+                          lambda spec: generate_stream(12, 20, 1e-4, spec, seed=21)),
         "ball-r2-redraw": (ConstraintSpec.l1_ball(8, 2.0),
-                           lambda spec: generate_stream(16, 20, 8, 1e-4, spec, seed=22, redraw_features=True)),
+                           lambda spec: generate_stream(16, 20, 1e-4, spec, seed=22, redraw_features=True)),
         "ball-r1.5-redraw": (ConstraintSpec.l1_ball(8, 1.5),
-                             lambda spec: generate_stream(16, 20, 8, 1e-4, spec, seed=23, redraw_features=True)),
+                             lambda spec: generate_stream(16, 20, 1e-4, spec, seed=23, redraw_features=True)),
         "ties-simplex": (ConstraintSpec.simplex(8), lambda spec: tie_stream(spec, 24)),
         "ties-ball": (ConstraintSpec.l1_ball(8, 1.5), lambda spec: tie_stream(spec, 26)),
     }
@@ -235,7 +235,7 @@ class TestSolverGolden:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_optima_bytes(self, name):
         spec, make = self.CASES[name]
-        assert solver_digest(make(spec), spec) == self.DIGESTS[name]
+        assert solver_digest(make(spec)) == self.DIGESTS[name]
 
 
 def constant_decision_trajectory(points, T):
@@ -247,8 +247,8 @@ def constant_decision_trajectory(points, T):
 class TestDynamicRegret:
     def test_zero_when_decisions_equal_optima(self):
         spec = ConstraintSpec.simplex(3)
-        stream = generate_stream(2, 4, 3, 1e-4, spec, seed=7)
-        optima = all_optima(stream, spec, tol=1e-12)
+        stream = generate_stream(2, 4, 1e-4, spec, seed=7)
+        optima = all_optima(stream, tol=1e-12)
         decisions = np.stack([np.tile(rec.x_star, (2, 1)) for rec in optima] + [np.tile(optima[-1].x_star, (2, 1))])
         traj = Trajectory(decisions=decisions, rounds=())
         series = regret_series(traj, optima, stream, tol=1e-9)
@@ -256,8 +256,8 @@ class TestDynamicRegret:
 
     def test_single_round_direct_difference(self):
         spec = ConstraintSpec.simplex(2)
-        stream = generate_stream(2, 1, 2, 0.0, spec, seed=8)
-        optima = all_optima(stream, spec)
+        stream = generate_stream(2, 1, 0.0, spec, seed=8)
+        optima = all_optima(stream)
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
         traj = constant_decision_trajectory(x, 1)
         series = regret_series(traj, optima, stream)
@@ -268,7 +268,7 @@ class TestDynamicRegret:
     def test_matches_grid_search_oracle(self):
         # n=2, d=2, T=3 on the 2-simplex: optima by 1-d grid at 1e-4 resolution
         spec = ConstraintSpec.simplex(2)
-        stream = generate_stream(2, 3, 2, 1e-3, spec, seed=9)
+        stream = generate_stream(2, 3, 1e-3, spec, seed=9)
         s = np.linspace(0.0, 1.0, 10001)
         pts = np.stack([s, 1 - s], axis=1)
         feats = stream.features
@@ -279,7 +279,7 @@ class TestDynamicRegret:
             grid_f_star.append(vals.min())
         x = np.array([[0.7, 0.3], [0.2, 0.8]])
         traj = constant_decision_trajectory(x, 3)
-        optima = all_optima(stream, spec)
+        optima = all_optima(stream)
         series = regret_series(traj, optima, stream)
         for j in range(2):
             explicit = 0.0
@@ -289,19 +289,19 @@ class TestDynamicRegret:
 
     def test_increments_nonnegative_and_cumulative_nondecreasing(self):
         spec = ConstraintSpec.l1_ball(4, 2.0)
-        stream = generate_stream(5, 12, 4, 1e-4, spec, seed=10)
+        stream = generate_stream(5, 12, 1e-4, spec, seed=10)
         sched = random_connected_schedule(5, 12, 0.4, seed=11)
         params = ScheduleParams(ScheduleMode.PER_ROUND, epsilon=2, gamma=0.5, rho=3)
-        traj = run(stream, sched, spec, params)
-        optima = all_optima(stream, spec)
+        traj = run(stream, sched, params)
+        optima = all_optima(stream)
         series = regret_series(traj, optima, stream, tol=1e-9)
         diffs = np.diff(series.cumulative, axis=1)
         assert diffs.min() >= -1e-9
 
     def test_corrupted_optimum_rejected(self):
         spec = ConstraintSpec.simplex(2)
-        stream = generate_stream(2, 2, 2, 0.0, spec, seed=12)
-        optima = all_optima(stream, spec)
+        stream = generate_stream(2, 2, 0.0, spec, seed=12)
+        optima = all_optima(stream)
         bad = [OptimumRecord(t=rec.t, x_star=rec.x_star, f_star=rec.f_star + 100.0,
                              gap=rec.gap, iterations=rec.iterations) for rec in optima]
         traj = constant_decision_trajectory(np.array([[1.0, 0.0], [0.5, 0.5]]), 2)
@@ -310,8 +310,8 @@ class TestDynamicRegret:
 
     def test_dynamic_regret_single_agent_view(self):
         spec = ConstraintSpec.simplex(2)
-        stream = generate_stream(3, 4, 2, 1e-4, spec, seed=13)
-        optima = all_optima(stream, spec)
+        stream = generate_stream(3, 4, 1e-4, spec, seed=13)
+        optima = all_optima(stream)
         x = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
         traj = constant_decision_trajectory(x, 4)
         series = regret_series(traj, optima, stream)
@@ -348,7 +348,7 @@ class TestRegretBound:
     def make_setup(self, noise=None, T=6):
         spec = ConstraintSpec.simplex(3)
         if noise is None:
-            stream = generate_stream(4, T, 3, 1e-4, spec, seed=15)
+            stream = generate_stream(4, T, 1e-4, spec, seed=15)
         else:
             rng = np.random.default_rng(15)
             feats = rng.uniform(-5, 5, (4, 3))
@@ -357,19 +357,19 @@ class TestRegretBound:
         sched = random_connected_schedule(4, T, 0.5, seed=16)
         params = ScheduleParams(ScheduleMode.PER_ROUND, epsilon=2, gamma=0.5, rho=3)
         counts = [inner_count(params, t, T) for t in range(1, T + 1)]
-        constants = problem_constants(stream, spec)
+        constants = problem_constants(stream)
         mixing = MixingConstants.from_zeta(sched.zeta, 4)
         return spec, stream, sched, params, counts, constants, mixing
 
     def test_e2_reference_value(self):
         # 2 * 20 / (1 - e^{-1/4}), cross-checked via expm1
         spec = ConstraintSpec.simplex(2)
-        stream = generate_stream(20, 2, 2, 0.0, spec, seed=17)
+        stream = generate_stream(20, 2, 0.0, spec, seed=17)
         params = ScheduleParams(ScheduleMode.PER_ROUND, epsilon=4, gamma=0.5, rho=4)
         counts = [inner_count(params, t, 2) for t in (1, 2)]
-        constants = problem_constants(stream, spec)
+        constants = problem_constants(stream)
         mixing = MixingConstants.from_zeta(1 / 20, 20)
-        report = regret_upper_bound(constants, mixing, params, stream, spec, counts,
+        report = regret_upper_bound(constants, mixing, params, stream, counts,
                                     np.tile([1.0, 0.0], (20, 1)))
         assert report.e2 == pytest.approx(180.83246656751194, rel=1e-13)
         assert report.e2 == pytest.approx(40 / (-math.expm1(-0.25)), rel=1e-15)
@@ -377,37 +377,37 @@ class TestRegretBound:
     def test_zero_variation_reduces_to_two_terms(self):
         spec, stream, sched, params, counts, constants, mixing = self.make_setup(noise=np.zeros((4, 6)))
         x_init = np.tile([1.0, 0.0, 0.0], (4, 1))
-        report = regret_upper_bound(constants, mixing, params, stream, spec, counts, x_init)
+        report = regret_upper_bound(constants, mixing, params, stream, counts, x_init)
         assert report.variation_bound == 0
         assert report.total == report.e1 + report.e3 * report.inv_count_sum
 
     def test_bound_parts_positive_and_finite(self):
         spec, stream, sched, params, counts, constants, mixing = self.make_setup()
         x_init = np.tile([1.0, 0.0, 0.0], (4, 1))
-        report = regret_upper_bound(constants, mixing, params, stream, spec, counts, x_init)
+        report = regret_upper_bound(constants, mixing, params, stream, counts, x_init)
         for part in (report.e1, report.e2, report.e3, report.total):
             assert np.isfinite(part) and part > 0
         assert report.inv_count_sum == pytest.approx(sum(1 / k for k in counts), rel=1e-15)
 
     def test_dominates_empirical_regret_small_run(self):
         spec, stream, sched, params, counts, constants, mixing = self.make_setup(T=6)
-        traj = run(stream, sched, spec, params)
-        optima = all_optima(stream, spec)
+        traj = run(stream, sched, params)
+        optima = all_optima(stream)
         series = regret_series(traj, optima, stream)
-        report = regret_upper_bound(constants, mixing, params, stream, spec, counts, traj.x_init)
+        report = regret_upper_bound(constants, mixing, params, stream, counts, traj.x_init)
         assert series.cumulative[:, -1].max() < report.total
 
     def test_baseline_mode_rejected(self):
         spec, stream, sched, params, counts, constants, mixing = self.make_setup()
         baseline = ScheduleParams(ScheduleMode.BASELINE, baseline_alpha=0.05)
         with pytest.raises(ValueError):
-            regret_upper_bound(constants, mixing, baseline, stream, spec, [1] * 6,
+            regret_upper_bound(constants, mixing, baseline, stream, [1] * 6,
                                np.tile([1.0, 0.0, 0.0], (4, 1)))
 
     def test_first_round_count_must_be_at_least_two(self):
         spec, stream, sched, params, counts, constants, mixing = self.make_setup()
         with pytest.raises(ValueError):
-            regret_upper_bound(constants, mixing, params, stream, spec, [1] + counts[1:],
+            regret_upper_bound(constants, mixing, params, stream, [1] + counts[1:],
                                np.tile([1.0, 0.0, 0.0], (4, 1)))
 
 
