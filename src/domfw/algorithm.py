@@ -12,6 +12,9 @@ for all agents in lockstep:
 The committed decision for round ``t + 1`` is the iterate left after the
 ``K_t``-th inner step. All agents' variables are stored as stacked ``(n, d)``
 arrays; reductions use a fixed agent order so runs are bit-deterministic.
+
+Each step operation is a checked public function over an unchecked private
+body; the inner loop runs the bodies and checks its inputs once per round.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .network import GraphSchedule, WeightMatrix
-from .problem import ConstraintKind, ConstraintSpec, LossStream, global_grad, lmo, local_grads, sample_feasible
+from .problem import ConstraintKind, ConstraintSpec, LossStream, _global_grad, _lmo, _local_grads, lmo, sample_feasible
 
 CONSERVATION_TOL = 1e-9
 FEASIBILITY_RUN_TOL = 1e-10
@@ -93,20 +96,25 @@ def inner_count(params: ScheduleParams, t: int, horizon: int) -> int:
     """Number of inner iterations for round ``t`` (always >= 2 except baseline)."""
     if not 1 <= t <= horizon:
         raise ValueError(f"round {t} out of range 1..{horizon}")
-    if params.mode is ScheduleMode.PER_ROUND:
-        return math.ceil(params.epsilon * t ** params.gamma) + 1
-    if params.mode is ScheduleMode.HORIZON:
-        return math.ceil(params.epsilon * horizon ** params.gamma) + 1
     if params.mode is ScheduleMode.FIXED:
         return int(params.fixed_count)
-    return 1
+    if params.mode is ScheduleMode.BASELINE:
+        return 1
+    per_round = params.mode is ScheduleMode.PER_ROUND
+    try:
+        return math.ceil(params.epsilon * (t if per_round else horizon) ** params.gamma) + 1
+    except OverflowError:   # an infinite product, or a round number too large for a float
+        raise ValueError(f"round {t}: epsilon * {'t' if per_round else 'T'}**gamma is not finite") from None
 
 
 def step_size(params: ScheduleParams, k_t: int, horizon: int) -> float:
     """Inner step size: ``1 / (rho * K_t)``, or the fixed baseline step."""
     if params.mode is ScheduleMode.BASELINE:
         alpha = params.baseline_alpha
-        return float(alpha if alpha is not None else 1.0 / (4.0 * horizon ** 0.4))
+        try:
+            return float(alpha if alpha is not None else 1.0 / (4.0 * horizon ** 0.4))
+        except OverflowError:   # a horizon too large for a float
+            raise ValueError("no baseline step 1/(4 T**0.4) for a horizon this large") from None
     if k_t < 1:
         raise ValueError("K_t must be >= 1")
     alpha = 1.0 / (params.rho * k_t)
@@ -125,7 +133,11 @@ def consensus_step(xs: np.ndarray, wm: WeightMatrix) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[0] != wm.n:
         raise ValueError(f"expected ({wm.n}, d) stacked iterates, got {xs.shape}")
-    return wm.weights @ xs
+    return _mix(wm.weights, xs)
+
+
+def _mix(weights: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    return weights @ xs
 
 
 def tracking_step(grad_tracked_prev: np.ndarray | None, grad_prev: np.ndarray | None,
@@ -143,13 +155,14 @@ def tracking_step(grad_tracked_prev: np.ndarray | None, grad_prev: np.ndarray | 
     grad_fresh = np.asarray(grad_fresh, dtype=float)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k == 1:
-        bar = grad_fresh.copy()
-    else:
-        if grad_tracked_prev is None or grad_prev is None:
-            raise RuntimeError("tracking update at k > 1 requires the previous tracked and local gradients")
-        bar = grad_tracked_prev + grad_fresh - grad_prev
-    return bar, wm.weights @ bar
+    if k > 1 and (grad_tracked_prev is None or grad_prev is None):
+        raise RuntimeError("tracking update at k > 1 requires the previous tracked and local gradients")
+    return _track(grad_tracked_prev if k > 1 else None, grad_prev, grad_fresh, wm.weights)
+
+
+def _track(grad_tracked_prev, grad_prev, grad_fresh: np.ndarray, weights: np.ndarray):   # prev None at k = 1
+    bar = grad_fresh.copy() if grad_tracked_prev is None else grad_tracked_prev + grad_fresh - grad_prev
+    return bar, _mix(weights, bar)
 
 
 def fw_step(x_mixed: np.ndarray, grad_tracked: np.ndarray, alpha: float, spec: ConstraintSpec):
@@ -161,7 +174,10 @@ def fw_step(x_mixed: np.ndarray, grad_tracked: np.ndarray, alpha: float, spec: C
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
-    v = lmo(spec, grad_tracked)
+    return _fw_step(x_mixed, lmo(spec, grad_tracked), alpha)
+
+
+def _fw_step(x_mixed, v: np.ndarray, alpha: float):
     return x_mixed + alpha * (v - x_mixed), v
 
 
@@ -184,15 +200,29 @@ def inner_steps(xs: np.ndarray, stream: LossStream, wm: WeightMatrix, alpha: flo
     Each iteration mixes the iterates, refreshes the local gradients at the
     mixed points, updates the tracked gradients, and takes the Frank-Wolfe
     step; the last step's ``x_next`` is the round's committed decision.
+
+    The inputs are checked once, on the first ``next()``; the steps run
+    unchecked, and ``run_round`` checks the tracked gradients once per round.
     """
+    xs = np.asarray(xs, dtype=float)
+    if xs.shape != (stream.n, stream.d):
+        raise ValueError(f"expected ({stream.n}, {stream.d}) stacked decisions, got {xs.shape}")
+    if wm.n != stream.n:
+        raise ValueError("schedule size does not match the stream")
+    if not 0 < alpha <= 1:
+        raise ValueError("alpha must lie in (0, 1]")
+    if k_t < 1:
+        raise ValueError("K_t must be >= 1")
+    feats, labels, lambda1 = stream.feature_matrix(t), stream.labels[:, t - 1], stream.lambda1
+    weights, spec = wm.weights, stream.constraint
     x = xs
     grad_hat = None
     fresh_prev = None
-    for k in range(1, k_t + 1):
-        x_hat = consensus_step(x, wm)
-        fresh = local_grads(stream, t, x_hat)
-        grad_bar, grad_hat = tracking_step(grad_hat, fresh_prev, fresh, wm, k)
-        x_next, v = fw_step(x_hat, grad_hat, alpha, stream.constraint)
+    for _ in range(k_t):
+        x_hat = _mix(weights, x)
+        fresh = _local_grads(feats, labels, lambda1, x_hat)
+        grad_bar, grad_hat = _track(grad_hat, fresh_prev, fresh, weights)
+        x_next, v = _fw_step(x_hat, _lmo(spec, grad_hat), alpha)
         yield InnerStep(x, x_hat, fresh, grad_bar, grad_hat, v, x_next)
         fresh_prev = fresh
         x = x_next
@@ -217,31 +247,33 @@ def run_round(xs: np.ndarray, stream: LossStream, schedule: GraphSchedule, param
     """Execute round ``t``'s inner loop for all agents.
 
     Returns ``(xs_next, RoundDiagnostics)``; the diagnostics summarize the
-    ``inner_steps`` of the round.
+    ``inner_steps`` of the round, computed from its steps stacked into
+    ``(K_t, n, d)`` arrays. Raises if any tracked gradient is not finite.
     """
     n, d, spec = stream.n, stream.d, stream.constraint
-    xs = np.asarray(xs, dtype=float)
-    if xs.shape != (n, d):
-        raise ValueError(f"expected ({n}, {d}) stacked decisions, got {xs.shape}")
     wm = schedule.matrix(t)
-    if wm.n != n:
-        raise ValueError("schedule size does not match the stream")
     k_t = inner_count(params, t, schedule.horizon)
     alpha = step_size(params, k_t, schedule.horizon)
+    steps = list(inner_steps(xs, stream, wm, alpha, k_t, t))
 
-    consistency = float(np.linalg.norm(xs - xs.mean(axis=0), axis=1).sum())
-    x = xs
+    def stacked(field):
+        return np.array([getattr(step, field) for step in steps])
+
+    grad_tracked = stacked("grad_tracked")
+    if not np.isfinite(grad_tracked).all():
+        raise ValueError("gradient has non-finite entries")
+    x = stacked("x")
+    consistency = float(np.linalg.norm(x[0] - x[0].mean(axis=0), axis=1).sum())
+    conservation_gap = float(np.abs(stacked("grad_tracked_pre").sum(axis=1) - stacked("grad_local").sum(axis=1)).max())
+    feasibility_gap = max(spec.feasibility_violation(stacked("x_mixed").reshape(-1, d)),
+                          spec.feasibility_violation(stacked("x_next").reshape(-1, d)))
+    # one gradient product per step: a batched product could round differently
+    feats, labels = stream.feature_matrix(t), stream.labels[:, t - 1]
+    mean_grads = np.array([_global_grad(feats, labels, stream.lambda1, x_bar)
+                           for x_bar in x.mean(axis=1)]) / n
     tracking_residual = 0.0
-    conservation_gap = 0.0
-    feasibility_gap = 0.0
-    for step in inner_steps(xs, stream, wm, alpha, k_t, t):
-        conservation_gap = max(conservation_gap, float(np.abs(
-            step.grad_tracked_pre.sum(axis=0) - step.grad_local.sum(axis=0)).max()))
-        mean_grad = global_grad(stream, t, step.x.mean(axis=0)) / n
-        tracking_residual += alpha * float(np.linalg.norm(step.grad_tracked - mean_grad, axis=1).sum())
-        feasibility_gap = max(feasibility_gap, spec.feasibility_violation(step.x_mixed),
-                              spec.feasibility_violation(step.x_next))
-        x = step.x_next
+    for residual in np.linalg.norm(grad_tracked - mean_grads[:, None], axis=2).sum(axis=1).tolist():
+        tracking_residual += alpha * residual
 
     diag = RoundDiagnostics(
         t=t,
@@ -254,7 +286,7 @@ def run_round(xs: np.ndarray, stream: LossStream, schedule: GraphSchedule, param
         lo_calls=n * k_t,
         messages=2 * k_t * wm.directed_edges,
     )
-    return x, diag
+    return steps[-1].x_next, diag
 
 
 @dataclass(frozen=True)

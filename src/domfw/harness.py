@@ -215,7 +215,7 @@ def parse_config(text: str) -> ExperimentConfig:
         params, horizon = ScheduleParams(**schedule), values.get("problem.T", default.problem.T)
         try:
             step_size(params, inner_count(params, horizon, horizon), horizon)
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             problems.append(("rho", f"no step at round {horizon}: {exc}"))
     # each broken schedule rule at its key's line, or at the mode's line when the key is unset
     for attr, message in problems:

@@ -2,7 +2,10 @@
 
 Conventions used across the package: rounds are numbered ``1..T`` (the label
 noise decays with the round number, so round numbers start at one), agents
-are numbered ``0..n-1`` and double as array indices.
+are numbered ``0..n-1`` and double as array indices. ``lmo``, ``local_grads``
+and ``global_grad`` check their arguments, then call unchecked private bodies
+(taking stacked ``(m, d)`` gradients, or a round's features and labels) that
+the inner loop of :mod:`domfw.algorithm` runs directly.
 """
 
 from __future__ import annotations
@@ -105,15 +108,18 @@ def lmo(spec: ConstraintSpec, g: np.ndarray) -> np.ndarray:
         raise ValueError(f"gradient shape {g.shape} is neither ({spec.dimension},) nor (m, {spec.dimension})")
     if not np.isfinite(g).all():
         raise ValueError("gradient has non-finite entries")
-    grads = np.atleast_2d(g)
+    return _lmo(spec, np.atleast_2d(g)).reshape(g.shape)
+
+
+def _lmo(spec: ConstraintSpec, grads: np.ndarray) -> np.ndarray:
     rows = np.arange(grads.shape[0])
     v = np.zeros(grads.shape)
     if spec.kind is ConstraintKind.UNIT_SIMPLEX:
-        v[rows, np.argmin(grads, axis=1)] = 1.0
+        v[rows, grads.argmin(axis=1)] = 1.0
     else:
-        j = np.argmax(np.abs(grads), axis=1)
+        j = np.abs(grads).argmax(axis=1)
         v[rows, j] = np.where(grads[rows, j] >= 0, -spec.radius, spec.radius)
-    return v.reshape(g.shape)
+    return v
 
 
 def diameter(spec: ConstraintSpec) -> float:
@@ -268,9 +274,12 @@ def local_grads(stream: LossStream, t: int, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.shape != (stream.n, stream.d):
         raise ValueError(f"expected ({stream.n}, {stream.d}) stacked points, got {xs.shape}")
-    feats = stream.feature_matrix(t)
-    resid = np.einsum("nd,nd->n", feats, xs) - stream.labels[:, t - 1]
-    return feats * resid[:, None] + 2.0 * stream.lambda1 * xs
+    return _local_grads(stream.feature_matrix(t), stream.labels[:, t - 1], stream.lambda1, xs)
+
+
+def _local_grads(feats: np.ndarray, labels: np.ndarray, lambda1: float, xs: np.ndarray) -> np.ndarray:
+    resid = np.einsum("nd,nd->n", feats, xs) - labels
+    return feats * resid[:, None] + 2.0 * lambda1 * xs
 
 
 def grad_eval(stream: LossStream, t: int, i: int, x: np.ndarray) -> np.ndarray:
@@ -296,11 +305,13 @@ def global_loss(stream: LossStream, t: int, x: np.ndarray) -> float:
 
 def global_grad(stream: LossStream, t: int, x: np.ndarray) -> np.ndarray:
     """Gradient of :func:`global_loss` in ``x``."""
-    stream._check_round(t)
     x = np.asarray(x, dtype=float)
-    feats = stream.feature_matrix(t)
-    resid = feats @ x - stream.labels[:, t - 1]
-    return feats.T @ resid + 2.0 * stream.n * stream.lambda1 * x
+    return _global_grad(stream.feature_matrix(t), stream.labels[:, t - 1], stream.lambda1, x)
+
+
+def _global_grad(feats: np.ndarray, labels: np.ndarray, lambda1: float, x: np.ndarray) -> np.ndarray:
+    resid = feats @ x - labels
+    return feats.T @ resid + 2.0 * feats.shape[0] * lambda1 * x
 
 
 def estimate_function_variation(stream: LossStream, samples: int = 1000, seed: int = 0) -> float:

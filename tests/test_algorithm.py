@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from domfw.algorithm import (
     CONSERVATION_TOL,
     FEASIBILITY_RUN_TOL,
+    RoundDiagnostics,
     ScheduleMode,
     ScheduleParams,
     consensus_step,
@@ -28,6 +30,7 @@ from domfw.problem import (
     ConstraintSpec,
     LossStream,
     generate_stream,
+    global_grad,
     global_loss,
     grad_eval,
     lmo,
@@ -63,6 +66,33 @@ def recursion_gap(steps, alpha):
     return float(np.linalg.norm(end - (start + alpha * drift)))
 
 
+def per_step_round(xs, stream, sched, params, t):
+    """Round ``t`` stepped and monitored one inner step at a time with the
+    public checked operations: the oracle for ``run_round``'s diagnostics."""
+    n, spec = stream.n, stream.constraint
+    wm = sched.matrix(t)
+    k_t = inner_count(params, t, sched.horizon)
+    alpha = step_size(params, k_t, sched.horizon)
+    consistency = float(np.linalg.norm(xs - xs.mean(axis=0), axis=1).sum())
+    x, grad_hat, fresh_prev = xs, None, None
+    tracking_residual = conservation_gap = feasibility_gap = 0.0
+    for k in range(1, k_t + 1):
+        x_hat = consensus_step(x, wm)
+        fresh = local_grads(stream, t, x_hat)
+        grad_bar, grad_hat = tracking_step(grad_hat, fresh_prev, fresh, wm, k)
+        x_next, _ = fw_step(x_hat, grad_hat, alpha, spec)
+        conservation_gap = max(conservation_gap, float(np.abs(grad_bar.sum(axis=0) - fresh.sum(axis=0)).max()))
+        mean_grad = global_grad(stream, t, x.mean(axis=0)) / n
+        tracking_residual += alpha * float(np.linalg.norm(grad_hat - mean_grad, axis=1).sum())
+        feasibility_gap = max(feasibility_gap, spec.feasibility_violation(x_hat),
+                              spec.feasibility_violation(x_next))
+        fresh_prev, x = fresh, x_next
+    return x, RoundDiagnostics(t=t, inner_count=k_t, alpha=alpha, consistency_error=consistency,
+                               tracking_residual=tracking_residual, conservation_gap=conservation_gap,
+                               feasibility_gap=feasibility_gap, lo_calls=n * k_t,
+                               messages=2 * k_t * wm.directed_edges)
+
+
 class TestInnerCount:
     def test_per_round_reference_value(self):
         params = ScheduleParams(PER_ROUND, epsilon=4, gamma=0.5, rho=4)
@@ -85,6 +115,12 @@ class TestInnerCount:
     def test_baseline_single_iteration(self):
         params = ScheduleParams(BASELINE, baseline_alpha=0.05)
         assert inner_count(params, 7, 50) == 1
+
+    @pytest.mark.parametrize("mode, symbol", [(HORIZON, "T"), (PER_ROUND, "t")])
+    def test_overflowing_count_names_the_round(self, mode, symbol):
+        params = ScheduleParams(mode, gamma=1 if mode is HORIZON else 0.5, epsilon=1e308)
+        with pytest.raises(ValueError, match=rf"^round 5: epsilon \* {symbol}\*\*gamma is not finite$"):
+            inner_count(params, 5, 5)
 
     def test_round_bounds(self):
         params = ScheduleParams(FIXED, fixed_count=3)
@@ -365,6 +401,37 @@ class TestRunRound:
             xs, _ = run_round(xs, stream, sched, params, t)
             assert np.array_equal(xs, steps[-1].x_next)
 
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(n=st.integers(2, 6), d=st.integers(1, 6), ball=st.booleans(),
+           edge_prob=st.floats(0.0, 1.0), seed=st.integers(0, 2**16), fixed=st.booleans())
+    def test_diagnostics_equal_per_step_oracle(self, n, d, ball, edge_prob, seed, fixed):
+        spec = ConstraintSpec.l1_ball(d, 1.5) if ball else ConstraintSpec.simplex(d)
+        stream = generate_stream(n, 3, 1e-3, spec, seed=seed)
+        sched = random_connected_schedule(n, 3, edge_prob, seed=seed + 1)
+        params = (ScheduleParams(FIXED, fixed_count=3, rho=2) if fixed
+                  else ScheduleParams(PER_ROUND, epsilon=2, gamma=0.5, rho=3))
+        xs = initial_decisions(spec, n, init="random", seed=seed + 2)
+        for t in range(1, 4):
+            expected_xs, expected = per_step_round(xs, stream, sched, params, t)
+            xs, diag = run_round(xs, stream, sched, params, t)
+            assert np.array_equal(xs, expected_xs)
+            assert diag == expected
+
+    @pytest.mark.parametrize("change, message", [
+        ({"xs": np.zeros((3, 2))}, r"got \(3, 2\)"),
+        ({"wm": WeightMatrix(np.eye(3), zeta=1.0)}, None),
+        ({"alpha": 0.0}, r"alpha must lie in \(0, 1\]"),
+        ({"alpha": 1.5}, r"alpha must lie in \(0, 1\]"),
+    ])
+    def test_inner_steps_checks_inputs_on_first_step(self, change, message):
+        spec = ConstraintSpec.simplex(3)
+        stream = generate_stream(4, 2, 1e-3, spec, seed=27)
+        args = {"xs": initial_decisions(spec, 4), "wm": random_connected_schedule(4, 2, 0.5, seed=28).matrix(1),
+                "alpha": 0.25} | change
+        steps = inner_steps(args["xs"], stream, args["wm"], args["alpha"], 3, 1)
+        with pytest.raises(ValueError, match=message):
+            next(steps)
+
 
 class TestRun:
     def test_minimal_run_counters(self):
@@ -423,6 +490,15 @@ class TestRun:
         with pytest.raises(ValueError):
             run(stream, sched, params)
 
+    def test_overflowing_gradient_names_the_round(self):
+        spec = ConstraintSpec.l1_ball(3, 1e307)
+        stream = generate_stream(4, 3, 1e-3, spec, seed=29)
+        sched = random_connected_schedule(4, 3, 0.5, seed=30)
+        params = ScheduleParams(PER_ROUND, epsilon=2, gamma=0.5, rho=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError, match="^round 1 failed: gradient has non-finite entries$"):
+                run(stream, sched, params)
+
     def test_initial_decisions_modes(self):
         simplex = ConstraintSpec.simplex(4)
         xs = initial_decisions(simplex, 3)
@@ -436,6 +512,87 @@ class TestRun:
             assert ball.contains(row, tol=1e-9)
         with pytest.raises(ValueError):
             initial_decisions(ball, 2, init="bogus")
+
+
+def single_agent_schedule(T):
+    return constant_schedule(WeightMatrix(np.array([[1.0]]), zeta=1.0), T)
+
+
+class TestRunGolden:
+    """Pins a run's bits: every committed decision and every round's diagnostics."""
+
+    CASES = {
+        "simplex-per_round-fixed": (
+            lambda: generate_stream(4, 6, 1e-3, ConstraintSpec.simplex(3), seed=31),
+            lambda: random_connected_schedule(4, 6, 0.5, seed=32),
+            ScheduleParams(PER_ROUND, epsilon=2, gamma=0.5, rho=3), "random"),
+        "ball-horizon-redraw": (
+            lambda: generate_stream(3, 5, 1e-3, ConstraintSpec.l1_ball(4, 1.5), seed=33, redraw_features=True),
+            lambda: random_connected_schedule(3, 5, 0.3, seed=34),
+            ScheduleParams(HORIZON, epsilon=1, gamma=1.0, rho=2), "vertex"),
+        "simplex-fixed-redraw": (
+            lambda: generate_stream(5, 4, 1e-4, ConstraintSpec.simplex(5), seed=35, redraw_features=True),
+            lambda: random_connected_schedule(5, 4, 0.4, seed=36),
+            ScheduleParams(FIXED, fixed_count=3, rho=2), "random"),
+        "ball-baseline-fixed": (
+            lambda: generate_stream(6, 5, 1e-3, ConstraintSpec.l1_ball(2, 2.0), seed=37),
+            lambda: random_connected_schedule(6, 5, 0.2, seed=38),
+            ScheduleParams(BASELINE, baseline_alpha=0.2), "random"),
+        "single-ball-per_round-fixed": (
+            lambda: generate_stream(1, 6, 1e-3, ConstraintSpec.l1_ball(3, 2.0), seed=39),
+            lambda: single_agent_schedule(6),
+            ScheduleParams(PER_ROUND, epsilon=4, gamma=0.5, rho=4), "vertex"),
+        "single-simplex-baseline-redraw": (
+            lambda: generate_stream(1, 5, 0.0, ConstraintSpec.simplex(4), seed=40, redraw_features=True),
+            lambda: single_agent_schedule(5),
+            ScheduleParams(BASELINE), "random"),
+    }
+    # sha256 of trajectory.csv, diagnostics.csv and repr(trajectory.rounds);
+    # the bits depend on the BLAS build, like perfbench/digests.json; these are
+    # scipy-openblas 0.3.31 with NumPy 2.4.6
+    DIGESTS = {
+        "ball-baseline-fixed": (
+            "abc6333fdd9e356478ad12d33891ec267df3e99b4642605072b1b7105b2ae0ca",
+            "8e64e624b764d58f14f3958441ae0131e432dd73cb6678a805e7e8851b4bf867",
+            "28e2df1db9c2b81c44b7c681eee5249d5537b7032c0508ccfddddb685f70a85d",
+        ),
+        "ball-horizon-redraw": (
+            "de41b8918c671908b97b02f302ac1f30cd4d227c189aefbce76326a4dca1e9f2",
+            "72948301724f9d035e9074645565f3823a2fd1cd0185683a32870288081c9fcb",
+            "2e0c2dcc794c1f3e15291d7a9afbb1970d6f0f14cb48ac56b0c0fdd521ef099e",
+        ),
+        "simplex-fixed-redraw": (
+            "9ec6667718478a757b602a550338c6215afd0f0494e360aa6cebf179068c94cc",
+            "65bec59ad38ab28c42ae8fa5c8a701880cf6210b2c8046bebc57676ed836e1ab",
+            "6ef3c97fbcafdad31ac042d64bca1abcb8dda3657fc1b411a5beb79ada71bf23",
+        ),
+        "simplex-per_round-fixed": (
+            "6c80302e27941b1ca9057bef2f58c5293c1b3334688cdc385fa48dca5546e607",
+            "491ea75a4266d78eedb2658b489c101e74451cffcb3c18b0a5f59e1809d877aa",
+            "7f89b12ae4031afae83175054bd6cae59cb2a9be6b438b775d063fc336293ee0",
+        ),
+        "single-ball-per_round-fixed": (
+            "24a4f68bd63e9fbb9a173ad82c491934e75480c2b01afb3d9559b2a77c19830b",
+            "1fa26de52b2d279b0fecd09c19b65239d7c31476d9b4103a3284a2ae022f2ed0",
+            "881e36dd766f780dd3321da0f8d6f53b454f7e038478e3ac7f61f7bd8bbf77c3",
+        ),
+        "single-simplex-baseline-redraw": (
+            "70fb6e3e9a02ce6158630e7342e23f870f7ef732be605b08ae3ab949c7bf9448",
+            "a2133fd612931e037349d953dd3c1638a049bd506f1501efbbd444f179819e00",
+            "80d98447736a703f98b7d65ac1cf27eab07a85ef17c1c4043ad131f63f8619d0",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_run_bytes(self, name, tmp_path):
+        make_stream, make_schedule, params, init = self.CASES[name]
+        traj = run(make_stream(), make_schedule(), params, init=init, init_seed=41)
+        write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+        write_diagnostics_csv(traj, tmp_path / "diagnostics.csv")
+        digests = tuple(hashlib.sha256(data).hexdigest() for data in (
+            (tmp_path / "trajectory.csv").read_bytes(), (tmp_path / "diagnostics.csv").read_bytes(),
+            repr(traj.rounds).encode()))
+        assert digests == self.DIGESTS[name]
 
 
 class TestExports:
