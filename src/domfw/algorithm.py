@@ -385,9 +385,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     with Path(path).open("w", newline="") as fh:
         fh.write("t,agent," + ",".join(f"x_{j + 1}" for j in range(d)) + "\n")
         for t in range(1, traj.horizon + 2):
-            xs = traj.decisions[t - 1]
-            for i, row in enumerate(xs):
-                fh.write(f"{t},{i}," + ",".join(repr(float(v)) for v in row) + "\n")
+            for i, row in enumerate(traj.decisions[t - 1].tolist()):
+                fh.write(f"{t},{i}," + ",".join(map(repr, row)) + "\n")
 
 
 def write_diagnostics_csv(traj: Trajectory, path) -> None:

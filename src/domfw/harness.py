@@ -144,11 +144,15 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected true/false, got {raw!r}")
 
 
+#: largest accepted ``problem.T``: a run keeps its whole stream, its trajectory
+#: and one cached n x n weight matrix per round in memory
+MAX_HORIZON = 1_000_000
+
 # "block.field" -> (converter, range check, range description); the schedule
 # keys' ranges are algorithm.schedule_violations
 _SCHEMA = {
     "problem.n": (int, lambda v: v >= 2, ">= 2"),
-    "problem.T": (int, lambda v: v >= 1, ">= 1"),
+    "problem.T": (int, lambda v: 1 <= v <= MAX_HORIZON, f"in 1..{MAX_HORIZON}"),
     "problem.d": (int, lambda v: v >= 1, ">= 1"),
     "problem.lambda1": (float, lambda v: 0 <= v < np.inf, "finite and >= 0"),
     "problem.constraint": (ConstraintKind, None, None),
@@ -214,9 +218,14 @@ def parse_config(text: str) -> ExperimentConfig:
     if not problems and ("problem.T" in values or "problem.T" not in seen):
         params, horizon = ScheduleParams(**schedule), values.get("problem.T", default.problem.T)
         try:
-            step_size(params, inner_count(params, horizon, horizon), horizon)
-        except ValueError as exc:
-            problems.append(("rho", f"no step at round {horizon}: {exc}"))
+            k_t = inner_count(params, horizon, horizon)
+        except ValueError as exc:   # its message names the round
+            problems.append(("epsilon", str(exc)))
+        else:
+            try:
+                step_size(params, k_t, horizon)
+            except ValueError as exc:
+                problems.append(("rho", f"no step at round {horizon}: {exc}"))
     # each broken schedule rule at its key's line, or at the mode's line when the key is unset
     for attr, message in problems:
         key = f"schedule.{attr}"

@@ -44,6 +44,31 @@ class WeightMatrix:
         return int(np.count_nonzero(self.weights) - np.count_nonzero(np.diagonal(self.weights)))
 
 
+def _connected(adj: np.ndarray) -> bool:
+    """Whether every agent is reachable from agent 0 over a symmetric adjacency."""
+    seen = np.zeros(adj.shape[0], dtype=bool)
+    seen[0] = True
+    front = seen.copy()
+    while front.any():
+        front = adj[front].any(axis=0) & ~seen
+        seen |= front
+    return bool(seen.all())
+
+
+def _metropolis(adj: np.ndarray) -> WeightMatrix:
+    """Metropolis weights of a symmetric boolean adjacency with an empty diagonal."""
+    if not _connected(adj):
+        raise ValueError("edge set does not form a connected graph")
+    n = adj.shape[0]
+    deg = adj.sum(axis=1)
+    a = np.zeros((n, n))
+    ii, jj = np.nonzero(adj)
+    a[ii, jj] = 1.0 / (1.0 + np.maximum(deg[ii], deg[jj]))
+    np.fill_diagonal(a, 1.0 - a.sum(axis=1))
+    zeta = float(a[a > 0].min())
+    return WeightMatrix(weights=a, zeta=zeta)
+
+
 def metropolis_weights(edges, n: int) -> WeightMatrix:
     """Metropolis-Hastings weights for an undirected edge set.
 
@@ -60,17 +85,7 @@ def metropolis_weights(edges, n: int) -> WeightMatrix:
         if i == j:
             continue
         adj[i, j] = adj[j, i] = True
-    if n > 1:
-        comps, _ = connected_components(csr_matrix(adj), directed=False)
-        if comps != 1:
-            raise ValueError("edge set does not form a connected graph")
-    deg = adj.sum(axis=1)
-    a = np.zeros((n, n))
-    ii, jj = np.nonzero(adj)
-    a[ii, jj] = 1.0 / (1.0 + np.maximum(deg[ii], deg[jj]))
-    np.fill_diagonal(a, 1.0 - a.sum(axis=1))
-    zeta = float(a[a > 0].min())
-    return WeightMatrix(weights=a, zeta=zeta)
+    return _metropolis(adj)
 
 
 @dataclass(frozen=True)
@@ -150,9 +165,11 @@ class GraphSchedule:
 
 def random_connected_schedule(n: int, horizon: int, edge_prob: float, seed: int) -> GraphSchedule:
     """Erdos-Renyi edges at rate ``edge_prob`` plus a random Hamiltonian
-    cycle per round, weighted by :func:`metropolis_weights`.
+    cycle per round, with the Metropolis weights of :func:`metropolis_weights`.
 
     The forced cycle makes every round connected without rejection sampling.
+    Each round's adjacency is built with array operations and goes through
+    the same connectivity check as an explicit edge list.
     Each round is drawn from ``default_rng((seed, t))``, mask first and cycle
     permutation second, so rounds are independent pure functions of the seed.
     """
@@ -163,14 +180,10 @@ def random_connected_schedule(n: int, horizon: int, edge_prob: float, seed: int)
 
     def build(t: int) -> WeightMatrix:
         rng = np.random.default_rng((seed, t))
-        mask = rng.random((n, n)) < edge_prob
-        edges = {(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]}
+        adj = np.triu(rng.random((n, n)) < edge_prob, 1)
         perm = rng.permutation(n)
-        for k in range(n):
-            i, j = int(perm[k]), int(perm[(k + 1) % n])
-            if i != j:
-                edges.add((min(i, j), max(i, j)))
-        return metropolis_weights(sorted(edges), n)
+        adj[perm, np.roll(perm, -1)] = True
+        return _metropolis(adj | adj.T)
 
     return GraphSchedule(n=n, horizon=horizon, builder=build, zeta=1.0 / n)
 
@@ -285,7 +298,6 @@ def write_schedule_csv(schedule: GraphSchedule, path, rounds: Sequence[int] | No
         fh.write("round,i,j,weight\n")
         for t in rounds:
             a = schedule.matrix(t).weights
-            for i in range(schedule.n):
-                for j in range(schedule.n):
-                    if a[i, j] != 0.0:
-                        fh.write(f"{t},{i},{j},{float(a[i, j])!r}\n")
+            ii, jj = np.nonzero(a)   # row-major order
+            for i, j, w in zip(ii.tolist(), jj.tolist(), a[ii, jj].tolist()):
+                fh.write(f"{t},{i},{j},{w!r}\n")

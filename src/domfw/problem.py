@@ -11,6 +11,7 @@ the inner loop of :mod:`domfw.algorithm` runs directly.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -404,14 +405,15 @@ def problem_constants(stream: LossStream) -> ProblemConstants:
 
 def write_stream_csv(stream: LossStream, path) -> None:
     """Dump the stream as rows ``agent, t, a_1..a_d, b`` for replay."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["agent", "t"] + [f"a_{j + 1}" for j in range(stream.d)] + ["b"])
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(["agent", "t"] + [f"a_{j + 1}" for j in range(stream.d)] + ["b"]) + "\n")
         for i in range(stream.n):
-            for t in range(1, stream.T + 1):
-                a = stream.feature_matrix(t)[i]
-                writer.writerow([i, t] + [repr(float(v)) for v in a] + [repr(float(stream.labels[i, t - 1]))])
+            if stream.fixed_features:
+                rows = itertools.repeat(",".join(map(repr, stream.features[i].tolist())))
+            else:
+                rows = (",".join(map(repr, a)) for a in stream.features[:, i].tolist())
+            for t, (row, b) in enumerate(zip(rows, stream.labels[i].tolist()), start=1):
+                fh.write(f"{i},{t},{row},{b!r}\n")
 
 
 def read_stream_csv(path):

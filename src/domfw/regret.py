@@ -330,17 +330,16 @@ def write_regret_csv(series: RegretSeries, path) -> None:
     """Rows ``t, agent, cumulative_regret, average_regret``."""
     cumulative = series.cumulative
     average = series.average
-    n, T = cumulative.shape
     with Path(path).open("w", newline="") as fh:
         fh.write("t,agent,cumulative_regret,average_regret\n")
-        for t in range(1, T + 1):
-            for j in range(n):
-                fh.write(f"{t},{j},{float(cumulative[j, t - 1])!r},{float(average[j, t - 1])!r}\n")
+        for t in range(1, cumulative.shape[1] + 1):
+            for j, (c, a) in enumerate(zip(cumulative[:, t - 1].tolist(), average[:, t - 1].tolist())):
+                fh.write(f"{t},{j},{c!r},{a!r}\n")
 
 
 def write_envelopes_csv(env: Envelopes, path) -> None:
     """Rows ``t, avg, sup, inf`` of the average-regret envelopes."""
     with Path(path).open("w", newline="") as fh:
         fh.write("t,avg,sup,inf\n")
-        for t in range(env.avg.size):
-            fh.write(f"{t + 1},{float(env.avg[t])!r},{float(env.sup[t])!r},{float(env.inf[t])!r}\n")
+        for t, (avg, sup, inf) in enumerate(zip(env.avg.tolist(), env.sup.tolist(), env.inf.tolist()), start=1):
+            fh.write(f"{t},{avg!r},{sup!r},{inf!r}\n")

@@ -373,13 +373,31 @@ class TestCli:
     @pytest.mark.parametrize("text, line", [
         ("schedule.epsilon = 1e300\nschedule.rho = 1e300", 3),   # the step underflows to 0
         ("schedule.rho = 1e300\nschedule.epsilon = 1e300", 2),
-        ("schedule.mode = horizon\nschedule.gamma = 1\nschedule.epsilon = 1e308", 2),   # K_T overflows
+        ("schedule.mode = horizon\nschedule.gamma = 1\nschedule.epsilon = 1e308", 4),   # K_T overflows
     ])
     def test_validate_rejects_a_schedule_without_a_step(self, tmp_path, capsys, text, line):
+        # reported at the line of the key at fault, naming the round once
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text(f"problem.T = 5\n{text}\n")
         assert main(["validate", str(cfgfile)]) == 1
-        assert f"line {line}: schedule.rho: no step at round 5" in capsys.readouterr().err
+        key = cfgfile.read_text().splitlines()[line - 1].split(" = ")[0]
+        err = capsys.readouterr().err
+        if key == "schedule.rho":
+            assert f"line {line}: schedule.rho: no step at round 5: " in err
+        else:
+            assert f"line {line}: {key}: round 5: " in err
+        assert err.count("round 5") == 1
+
+    @pytest.mark.parametrize("schedule", ["", "schedule.mode = horizon\n",
+                                          "schedule.mode = fixed\nschedule.fixed_count = 2\n",
+                                          "schedule.mode = baseline\nschedule.baseline_alpha = 0.5\n"])
+    def test_validate_bounds_the_horizon(self, tmp_path, capsys, schedule):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(f"problem.T = {10 ** 400}\n{schedule}")
+        assert main(["validate", str(cfgfile)]) == 1
+        err = capsys.readouterr().err
+        assert f"line 1: problem.T: value {10 ** 400} out of range (must be in 1..1000000)" in err
+        assert "schedule." not in err
 
     def test_run_and_seed_override(self, tmp_path):
         cfgfile = tmp_path / "c.cfg"

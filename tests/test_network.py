@@ -1,7 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from domfw.network import (
     GraphSchedule,
@@ -45,6 +49,27 @@ class TestMetropolis:
     def test_single_node(self):
         wm = metropolis_weights([], 1)
         assert np.array_equal(wm.weights, [[1.0]])
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(data=st.data(), n=st.integers(1, 24))
+    def test_explicit_edges_match_connectivity_oracle(self, data, n):
+        # a path through the first `joined` agents of a permutation, then random pairs
+        # (self-loops and repeats included); scipy's component count is the oracle
+        perm = data.draw(st.permutations(range(n)))
+        joined = data.draw(st.integers(0, n))
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges = list(zip(perm[:joined - 1], perm[1:joined])) + data.draw(st.lists(pair, max_size=2 * n))
+        adj = np.zeros((n, n), dtype=bool)
+        for i, j in edges:
+            adj[i, j] = adj[j, i] = True
+        comps, _ = connected_components(csr_matrix(adj), directed=False)
+        if comps > 1:
+            with pytest.raises(ValueError, match="edge set does not form a connected graph"):
+                metropolis_weights(edges, n)
+        else:
+            wm = metropolis_weights(edges, n)
+            assert np.array_equal(wm.weights, wm.weights.T)
+            assert validate(wm).ok
 
 
 class TestValidate:
@@ -117,6 +142,19 @@ class TestRandomSchedule:
             sched.matrix(0)
         with pytest.raises(ValueError):
             sched.matrix(6)
+
+    def test_weights_bytes(self):
+        # sha256 over every drawn matrix's weight bytes and repr(zeta), in loop order
+        h = hashlib.sha256()
+        for n in (2, 3, 20, 200):
+            for edge_prob in (0.0, 0.05, 0.3, 1.0):
+                for seed in (0, 7, 2 ** 40 + 3):
+                    sched = random_connected_schedule(n, 1000, edge_prob, seed=seed)
+                    for t in (1, 2, 999):
+                        wm = sched.matrix(t)
+                        h.update(wm.weights.tobytes())
+                        h.update(repr(wm.zeta).encode())
+        assert h.hexdigest() == "d06bbae25d1bb038bcdeb8fd27d693b7802d04071ee569e0f2695d8a965a30ec"
 
 
 class TestMixingConstants:

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domfw.problem import (
     ConstraintKind,
@@ -357,3 +362,16 @@ class TestStreamCsv:
             assert np.array_equal(feats[t - 1], s.feature_matrix(t))
         header = path.read_text().splitlines()[0]
         assert header == "agent,t,a_1,a_2,a_3,b"
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(n=st.integers(1, 6), T=st.integers(1, 8), d=st.integers(1, 5), ball=st.booleans(),
+           redraw=st.booleans(), seed=st.integers(0, 2 ** 63 - 1))
+    def test_round_trip_is_bit_exact(self, n, T, d, ball, redraw, seed):
+        spec = ConstraintSpec.l1_ball(d) if ball else ConstraintSpec.simplex(d)
+        s = generate_stream(n, T, 1e-4, spec, seed=seed, redraw_features=redraw)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "stream.csv"
+            write_stream_csv(s, path)
+            feats, labels = read_stream_csv(path)
+        assert labels.tobytes() == s.labels.tobytes()
+        assert feats.tobytes() == np.broadcast_to(s.features, (T, n, d)).tobytes()
