@@ -56,8 +56,6 @@ from .regret import (
     RoundOptimizer,
     SolverError,
     envelopes,
-    project,
-    projected_gradient_optimum,
     regret_series,
     regret_upper_bound,
 )

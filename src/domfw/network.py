@@ -74,12 +74,15 @@ def metropolis_weights(edges, n: int) -> WeightMatrix:
 
     ``A[i, j] = 1 / (1 + max(deg_i, deg_j))`` on edges, with the diagonal
     filling each row to sum 1; symmetry makes the result doubly stochastic.
-    Raises if the graph is disconnected.
+    Raises if an endpoint is not an integer (Python or NumPy, bool excluded)
+    in ``0..n-1``, or if the graph is disconnected.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     adj = np.zeros((n, n), dtype=bool)
     for i, j in edges:
+        if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in (i, j)):
+            raise ValueError(f"edge ({i!r}, {j!r}) endpoints must be integers")
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i}, {j}) out of range")
         if i == j:

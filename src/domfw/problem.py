@@ -331,12 +331,16 @@ def estimate_function_variation(stream: LossStream, samples: int = 1000, seed: i
     pts = np.vstack([spec.vertices(), sample_feasible(spec, np.random.default_rng(seed), samples)])
     total = 0.0
     if stream.fixed_features:
+        # agent i's change at a point is |delta_i * (z - mid_i)| in z = a_i @ x;
+        # rounding is monotone, so over the points it peaks at the largest or
+        # the smallest z, and the two extremes give the exact maximum
         z = pts @ stream.features.T   # (m, n): a_i @ x per point and agent
-        for t in range(1, stream.T):
-            b0 = stream.labels[:, t - 1]
-            b1 = stream.labels[:, t]
-            diff = np.abs((b0 - b1) * (z - 0.5 * (b0 + b1)))
-            total += float(diff.max())
+        z_hi, z_lo = z.max(axis=0)[:, None], z.min(axis=0)[:, None]
+        b0, b1 = stream.labels[:, :-1], stream.labels[:, 1:]
+        delta, mid = b0 - b1, 0.5 * (b0 + b1)
+        per_round = np.maximum(np.abs(delta * (z_hi - mid)), np.abs(delta * (z_lo - mid))).max(axis=0)
+        for value in per_round.tolist():
+            total += value
     else:
         sq = np.einsum("md,md->m", pts, pts)
         z_next = pts @ stream.features[0].T

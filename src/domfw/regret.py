@@ -6,10 +6,11 @@ convex objective. The solver takes pairwise Frank-Wolfe steps (move weight
 from the worst active vertex to the linear-oracle vertex, exact line search
 on the quadratic): plain steps along ``v - x`` stall in a sublinear tail on
 boundary optima and would need orders of magnitude more iterations to reach
-tight gaps. The active vertex set is a weight array over vertex slots plus
-the active slots in insertion order, so each step is a few NumPy calls. An
-independent projected-gradient solver with exact Euclidean projections
-cross-checks the optima; projections appear nowhere else.
+tight gaps. The active vertex set is a weight per vertex slot plus the
+active slots in insertion order, and each vertex pair's direction and
+curvature are computed once, so each step is a few NumPy calls. The library
+never projects; the tests cross-check the optima with a projected-gradient
+solver of their own.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .algorithm import ScheduleMode, ScheduleParams, Trajectory
 from .network import MixingConstants
 from .problem import (
     ConstraintKind,
-    ConstraintSpec,
     LossStream,
     ProblemConstants,
     function_variation_bound,
@@ -59,6 +59,17 @@ def _quadratic(stream: LossStream, t: int):
     return h, c
 
 
+def _simplex_slot(g: np.ndarray) -> int:
+    """Slot of the first simplex vertex minimizing ``<v, g>``."""
+    return int(g.argmin())
+
+
+def _l1_slot(g: np.ndarray) -> int:
+    """Slot of the first l1-ball vertex minimizing ``<v, g>``."""
+    j = int(np.abs(g).argmax())
+    return 2 * j + 1 if g[j] < 0 else 2 * j
+
+
 class RoundOptimizer:
     """Warm-startable pairwise Frank-Wolfe solver for the round optima.
 
@@ -72,6 +83,12 @@ class RoundOptimizer:
     the active slots in the order they entered. That insertion order breaks
     ties for the away vertex (first maximum) and fixes the left-to-right
     order of the warm-start renormalization sum.
+
+    Each (oracle slot, away slot) pair's direction ``v_fw - v_away`` and
+    curvature ``d'Hd`` are computed the first time the pair is stepped along
+    and reused after, on the solver while ``H`` is fixed and within one round
+    when the features are redrawn. A reused entry is the same product of the
+    same inputs, so it has the same bits.
     """
 
     def __init__(self, stream: LossStream, tol: float = 1e-9, max_iter: int = 10 ** 6):
@@ -83,15 +100,11 @@ class RoundOptimizer:
         verts = stream.constraint.vertices()
         self._coord = np.abs(verts).argmax(axis=1)
         self._sign_r = verts[np.arange(len(verts)), self._coord]
-        self._active: tuple[np.ndarray, np.ndarray] | None = None
+        self._coord_list, self._sign_list = self._coord.tolist(), self._sign_r.tolist()
+        self._oracle = _l1_slot if stream.constraint.kind is ConstraintKind.L1_BALL else _simplex_slot
+        self._active: tuple[list[float], list[int]] | None = None
         self._h = _quadratic(stream, 1)[0] if stream.fixed_features else None
-
-    def _oracle_slot(self, g: np.ndarray) -> int:
-        """Slot of the first vertex minimizing ``<v, g>``."""
-        if self.stream.constraint.kind is ConstraintKind.L1_BALL:
-            j = int(np.abs(g).argmax())
-            return 2 * j + 1 if g[j] < 0 else 2 * j
-        return int(g.argmin())
+        self._pairs: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
 
     def solve(self, t: int) -> OptimumRecord:
         stream = self.stream
@@ -99,27 +112,33 @@ class RoundOptimizer:
         if self._h is not None:
             h = self._h
             c = -stream.features.T @ stream.labels[:, t - 1]
+            pairs = self._pairs
         else:
             h, c = _quadratic(stream, t)
-        coord, sign_r = self._coord, self._sign_r
+            pairs = {}
+        coord, sign_r, oracle = self._coord, self._sign_r, self._oracle
+        coord_list, sign_list = self._coord_list, self._sign_list
 
         if self._active is None:
-            active = np.array([self._oracle_slot(c)])
-            weights = np.zeros(sign_r.size)
-            weights[active] = 1.0
+            active = [oracle(c)]
+            weights = [0.0] * sign_r.size
+            weights[active[0]] = 1.0
         else:
             # renormalize carried-over weights so float drift cannot pile up;
             # the sum runs left to right in insertion order
             weights, active = self._active
-            weights = weights / sum(weights[active].tolist())
+            total = sum([weights[k] for k in active])
+            weights = [w / total for w in weights]
+            active = list(active)
+        act_coord, act_sign = coord[active], sign_r[active]
         x = np.zeros(stream.d)
-        np.add.at(x, coord[active], sign_r[active] * weights[active])
+        np.add.at(x, act_coord, act_sign * np.array([weights[k] for k in active]))
 
         gap = math.inf
         for it in range(self.max_iter):
             g = h @ x + c
-            fw = self._oracle_slot(g)
-            gap = float(x @ g) - sign_r[fw] * g[coord[fw]]
+            fw = oracle(g)
+            gap = float(x @ g) - sign_list[fw] * g[coord_list[fw]]
             if not math.isfinite(gap):
                 raise SolverError(f"round {t}: gap {gap} is not finite at iteration {it}", gap=gap)
             if gap <= self.tol:
@@ -127,75 +146,33 @@ class RoundOptimizer:
                 return OptimumRecord(t=t, x_star=x.copy(), f_star=global_loss(stream, t, x),
                                      gap=gap, iterations=it)
             # argmax takes the first maximum in insertion order: the tie-break
-            away = int(active[(sign_r[active] * g[coord[active]]).argmax()])
-            direction = np.zeros(stream.d)
-            direction[coord[fw]] += sign_r[fw]
-            direction[coord[away]] -= sign_r[away]
+            away = active[int((act_sign * g[act_coord]).argmax())]
+            pair = pairs.get((fw, away))
+            if pair is None:
+                direction = np.zeros(stream.d)
+                direction[coord[fw]] += sign_r[fw]
+                direction[coord[away]] -= sign_r[away]
+                pair = pairs[fw, away] = (direction, float(direction @ h @ direction))
+            direction, curvature = pair
             descent = -float(g @ direction)
-            curvature = float(direction @ h @ direction)
             weight_cap = weights[away]
             step = weight_cap if curvature <= 0 else min(weight_cap, descent / curvature)
             x = x + step * direction
-            if fw not in active.tolist():
-                active = np.append(active, fw)
+            changed = fw not in active
+            if changed:
+                active.append(fw)
             weights[fw] += step
             remaining = weight_cap - step
             if remaining <= 1e-15:
-                active = active[active != away]
+                active.remove(away)
                 weights[away] = 0.0
+                changed = True
             else:
                 weights[away] = remaining
+            if changed:
+                act_coord, act_sign = coord[active], sign_r[active]
         raise SolverError(f"round {t}: gap {gap:.3e} above tol {self.tol:.1e} "
                           f"after {self.max_iter} iterations", gap=gap)
-
-
-def _project_to_sum(v: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection onto ``{x >= 0, sum x = total}`` (sorted threshold)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - total
-    idx = np.arange(1, v.size + 1)
-    rho = int(np.nonzero(u * idx > css)[0][-1])
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def project(spec: ConstraintSpec, y: np.ndarray) -> np.ndarray:
-    """Exact Euclidean projection onto the feasible set.
-
-    Used only by the cross-check solver; the algorithm itself never projects.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (spec.dimension,):
-        raise ValueError(f"point shape {y.shape} != ({spec.dimension},)")
-    if spec.kind is ConstraintKind.UNIT_SIMPLEX:
-        return _project_to_sum(y, 1.0)
-    if np.abs(y).sum() <= spec.radius:
-        return y.copy()
-    w = _project_to_sum(np.abs(y), spec.radius)
-    return np.sign(y) * w
-
-
-def projected_gradient_optimum(stream: LossStream, t: int,
-                               tol: float = 1e-9, max_iter: int = 2 * 10 ** 6) -> OptimumRecord:
-    """Independent round-optimum solver: projected gradient with step ``1/L``.
-
-    The stopping certificate is the same Frank-Wolfe gap, but evaluated by
-    brute enumeration of the vertex set rather than through the oracle.
-    """
-    spec = stream.constraint
-    h, c = _quadratic(stream, t)
-    lips = float(np.linalg.eigvalsh(h)[-1])
-    verts = spec.vertices()
-    x = np.full(stream.d, 1.0 / stream.d) if spec.kind is ConstraintKind.UNIT_SIMPLEX else np.zeros(stream.d)
-    gap = math.inf
-    for it in range(max_iter):
-        g = h @ x + c
-        gap = float(x @ g - (verts @ g).min())
-        if gap <= tol:
-            return OptimumRecord(t=t, x_star=x, f_star=global_loss(stream, t, x),
-                                 gap=gap, iterations=it)
-        x = project(spec, x - g / lips)
-    raise SolverError(f"projected gradient: gap {gap:.3e} above tol after {max_iter} iterations", gap=gap)
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,18 @@ class TestMetropolis:
         wm = metropolis_weights([], 1)
         assert np.array_equal(wm.weights, [[1.0]])
 
+    def test_endpoints_must_be_integers(self):
+        # a bool endpoint would index a whole row of the adjacency, a float one
+        # would fail inside NumPy; both are rejected naming the edge
+        with pytest.raises(ValueError, match=r"^edge \(True, 0\) endpoints must be integers$"):
+            metropolis_weights([(True, 0)], 2)
+        with pytest.raises(ValueError, match=r"^edge \(0, 1\.5\) endpoints must be integers$"):
+            metropolis_weights([(0, 1.5)], 3)
+        with pytest.raises(ValueError, match="endpoints must be integers"):
+            metropolis_weights([(0, 1), (np.bool_(True), 2)], 3)
+        numpy_ints = metropolis_weights([(np.int64(0), np.int32(1)), (np.uint8(1), 2)], 3)
+        assert np.array_equal(numpy_ints.weights, metropolis_weights([(0, 1), (1, 2)], 3).weights)
+
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(data=st.data(), n=st.integers(1, 24))
     def test_explicit_edges_match_connectivity_oracle(self, data, n):

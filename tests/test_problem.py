@@ -24,6 +24,7 @@ from domfw.problem import (
     sample_feasible,
     write_stream_csv,
 )
+from oracles import reference_function_variation
 
 
 def ball_stream(features, ground_truth, noise, lambda1=0.0, radius=2.0):
@@ -292,6 +293,25 @@ class TestFunctionVariation:
         for kind, spec in (("simplex", ConstraintSpec.simplex(5)), ("ball", ConstraintSpec.l1_ball(5, 2.0))):
             s = generate_stream(6, 15, 1e-4, spec, seed=abs(hash(kind)) % 1000)
             assert estimate_function_variation(s, samples=200) <= function_variation_bound(s)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(d=st.integers(1, 12), n=st.integers(1, 12), T=st.integers(1, 30), ball=st.booleans(),
+           radius=st.floats(0.01, 50.0), ties=st.booleans(), samples=st.integers(1, 300),
+           seed=st.integers(0, 2 ** 16))
+    def test_fixed_feature_estimate_equals_reference_loop(self, d, n, T, ball, radius, ties,
+                                                          samples, seed):
+        # the estimate reads only each agent's extreme a_i @ x; the reference maximizes
+        # over every point, so the two must agree to the bit (ties: noise on {0, 1/2, 1}
+        # makes some consecutive labels equal, so some rounds change nothing)
+        spec = ConstraintSpec.l1_ball(d, radius) if ball else ConstraintSpec.simplex(d)
+        if ties:
+            rng = np.random.default_rng(seed)
+            s = LossStream.from_components(1e-3, rng.uniform(-5, 5, (n, d)), sample_feasible(spec, rng),
+                                           rng.integers(0, 3, (n, T)) / 2, spec)
+        else:
+            s = generate_stream(n, T, 1e-3, spec, seed=seed)
+        got = estimate_function_variation(s, samples=samples, seed=seed)
+        assert got.hex() == reference_function_variation(s, samples=samples, seed=seed).hex()
 
     def test_upper_bound_single_agent_closed_form(self):
         s = ball_stream([[1.5]], [0.25], [[0.8, 0.4, 0.1]], radius=2.0)

@@ -23,14 +23,13 @@ from domfw.regret import (
     RoundOptimizer,
     SolverError,
     envelopes,
-    project,
-    projected_gradient_optimum,
     regret_series,
     regret_upper_bound,
     write_envelopes_csv,
     write_regret_csv,
 )
 from domfw.regret import OptimumRecord, RegretSeries
+from oracles import ReferenceRoundOptimizer, project, projected_gradient_optimum
 
 
 def enumeration_projection(spec, y):
@@ -236,6 +235,39 @@ class TestSolverGolden:
     def test_optima_bytes(self, name):
         spec, make = self.CASES[name]
         assert solver_digest(make(spec)) == self.DIGESTS[name]
+
+
+def solve_all(solver, T):
+    """Records of rounds ``1..T`` in order, stopping at the first ``SolverError``."""
+    records = []
+    for t in range(1, T + 1):
+        try:
+            records.append(solver.solve(t))
+        except SolverError as err:
+            return records, (str(err), err.gap)
+    return records, None
+
+
+class TestAgainstReferenceSolver:
+    """The solver's cached pair products and list bookkeeping against the plain
+    loop in ``oracles.ReferenceRoundOptimizer``: every record, bit for bit."""
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(d=st.integers(1, 12), n=st.integers(1, 12), T=st.integers(1, 6), ball=st.booleans(),
+           radius=st.floats(0.1, 5.0), lambda1=st.floats(1e-3, 1.0), redraw=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    def test_warm_records_bit_identical(self, d, n, T, ball, radius, lambda1, redraw, seed):
+        spec = ConstraintSpec.l1_ball(d, radius) if ball else ConstraintSpec.simplex(d)
+        stream = generate_stream(n, T, lambda1, spec, seed=seed, redraw_features=redraw)
+        # a low cap keeps ill-conditioned draws short; a capped round must fail alike
+        got, got_error = solve_all(RoundOptimizer(stream, tol=1e-10, max_iter=3000), T)
+        want, want_error = solve_all(ReferenceRoundOptimizer(stream, tol=1e-10, max_iter=3000), T)
+        assert len(got) == len(want)
+        assert got_error == want_error
+        for a, b in zip(got, want):
+            assert a.t == b.t and a.iterations == b.iterations
+            assert a.x_star.tobytes() == b.x_star.tobytes()
+            assert struct.pack("<dd", a.f_star, a.gap) == struct.pack("<dd", b.f_star, b.gap)
 
 
 def constant_decision_trajectory(points, T):
