@@ -13,7 +13,6 @@ from .algorithm import (
     initial_decisions,
     inner_count,
     inner_steps,
-    lo_call_count,
     run,
     run_round,
     step_size,
@@ -28,7 +27,6 @@ from .network import (
     metropolis_weights,
     random_connected_schedule,
     transition_product,
-    validate,
 )
 from .problem import (
     ConstraintKind,

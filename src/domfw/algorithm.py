@@ -123,11 +123,6 @@ def step_size(params: ScheduleParams, k_t: int, horizon: int) -> float:
     return alpha
 
 
-def lo_call_count(params: ScheduleParams, horizon: int, n: int = 1) -> int:
-    """Total linear-oracle invocations of a full run: ``n * sum_t K_t``."""
-    return n * sum(inner_count(params, t, horizon) for t in range(1, horizon + 1))
-
-
 def consensus_step(xs: np.ndarray, wm: WeightMatrix) -> np.ndarray:
     """Mix all agents' iterates: row ``i`` becomes ``sum_j A[i, j] xs[j]``."""
     xs = np.asarray(xs, dtype=float)

@@ -13,10 +13,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
-STOCHASTIC_TOL = 1e-12
 PRODUCT_TOL = 1e-10
 
 
@@ -91,54 +88,12 @@ def metropolis_weights(edges, n: int) -> WeightMatrix:
     return _metropolis(adj)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Per-check results of :func:`validate` with worst violation magnitudes."""
-
-    doubly_stochastic: bool
-    stochastic_violation: float
-    entries_ok: bool
-    entry_violation: float
-    strongly_connected: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.doubly_stochastic and self.entries_ok and self.strongly_connected
-
-
-def validate(wm: WeightMatrix, tol: float = STOCHASTIC_TOL) -> ValidationReport:
-    """Check double stochasticity, the entry lower bound, and connectivity."""
-    a = wm.weights
-    n = wm.n
-    row = np.abs(a.sum(axis=1) - 1.0).max()
-    col = np.abs(a.sum(axis=0) - 1.0).max()
-    neg = max(0.0, -float(a.min()))
-    stoch_violation = float(max(row, col, neg))
-
-    nonzero = a[a != 0]
-    entry_violation = 0.0
-    if nonzero.size:
-        entry_violation = max(entry_violation, float(wm.zeta - nonzero.min()))
-    diag_min = float(np.diag(a).min())
-    entries_ok = entry_violation <= tol and diag_min > 0
-
-    support = csr_matrix(a != 0)
-    comps, _ = connected_components(support, directed=True, connection="strong")
-    return ValidationReport(
-        doubly_stochastic=stoch_violation <= tol,
-        stochastic_violation=stoch_violation,
-        entries_ok=entries_ok,
-        entry_violation=float(max(entry_violation, -diag_min)),
-        strongly_connected=(comps == 1) or (n == 1),
-    )
-
-
 class GraphSchedule:
     """Seeded per-round source of weight matrices.
 
     ``zeta`` is a lower bound on nonzero entries valid for every round (the
-    Metropolis construction guarantees ``1/n``); ``exact_zeta`` computes the
-    realized minimum instead.
+    Metropolis construction guarantees ``1/n``); each round's ``WeightMatrix``
+    carries its realized minimum.
     """
 
     def __init__(self, n: int, horizon: int, builder: Callable[[int], WeightMatrix], zeta: float):
@@ -160,10 +115,6 @@ class GraphSchedule:
                 raise ValueError("builder produced a matrix of the wrong size")
             self._cache[t] = got
         return got
-
-    def exact_zeta(self, rounds: Sequence[int] | None = None) -> float:
-        rounds = range(1, self.horizon + 1) if rounds is None else rounds
-        return min(self.matrix(t).zeta for t in rounds)
 
 
 def random_connected_schedule(n: int, horizon: int, edge_prob: float, seed: int) -> GraphSchedule:
@@ -219,6 +170,38 @@ class MixingConstants:
         return cls(rate=rate, coeff=1.0 / rate)
 
 
+def _products(schedule: GraphSchedule, counts: Sequence[int], t: int, s: int,
+              rest: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """``A_t^{K_t} ... A_s^{K_s}`` and, if ``rest``, the same product without
+    its ``A_s^{K_s}`` factor.
+
+    Each round's power is computed once and left-multiplied onto both
+    products, from ``s`` upward. Each nonempty product is checked to stay
+    doubly stochastic, the full one first.
+    """
+    full = np.eye(schedule.n)
+    tail = np.eye(schedule.n) if rest else None
+    for p in range(s, t + 1):
+        k = int(counts[p - 1])
+        if k < 1:
+            raise ValueError("inner counts must be >= 1")
+        power = np.linalg.matrix_power(schedule.matrix(p).weights, k)
+        full = power @ full
+        if tail is not None and p > s:
+            tail = power @ tail
+    if s <= t:
+        _check_drift(full)
+    if tail is not None and s < t:
+        _check_drift(tail)
+    return full, tail
+
+
+def _check_drift(product: np.ndarray) -> None:
+    drift = max(np.abs(product.sum(axis=0) - 1.0).max(), np.abs(product.sum(axis=1) - 1.0).max())
+    if drift > PRODUCT_TOL:
+        raise RuntimeError(f"transition product lost double stochasticity (drift {drift:.3e})")
+
+
 def transition_product(schedule: GraphSchedule, counts: Sequence[int], t: int, s: int) -> np.ndarray:
     """Ordered product of per-round matrices, each raised to its inner count.
 
@@ -228,17 +211,7 @@ def transition_product(schedule: GraphSchedule, counts: Sequence[int], t: int, s
     """
     if not 1 <= s <= t + 1 or t > schedule.horizon:
         raise ValueError(f"need 1 <= s <= t + 1 <= {schedule.horizon + 1}, got t={t} s={s}")
-    out = np.eye(schedule.n)
-    for p in range(s, t + 1):
-        k = int(counts[p - 1])
-        if k < 1:
-            raise ValueError("inner counts must be >= 1")
-        out = np.linalg.matrix_power(schedule.matrix(p).weights, k) @ out
-    if s <= t:
-        drift = max(np.abs(out.sum(axis=0) - 1.0).max(), np.abs(out.sum(axis=1) - 1.0).max())
-        if drift > PRODUCT_TOL:
-            raise RuntimeError(f"transition product lost double stochasticity (drift {drift:.3e})")
-    return out
+    return _products(schedule, counts, t, s, rest=False)[0]
 
 
 @dataclass(frozen=True)
@@ -272,16 +245,15 @@ def check_mixing(schedule: GraphSchedule, counts: Sequence[int], t: int, s: int,
     mc = MixingConstants.from_zeta(schedule.zeta if zeta is None else zeta, n)
     total = int(sum(int(counts[p - 1]) for p in range(s, t + 1)))
 
-    phi = transition_product(schedule, counts, t, s)
+    k_s = int(counts[s - 1])
+    phi, head = _products(schedule, counts, t, s, rest=k_s > 1)
     deviation = float(np.abs(phi - 1.0 / n).max())
     bound = mc.coeff * mc.rate ** (total - 1)
     margin = bound - deviation
 
-    k_s = int(counts[s - 1])
     shifted_margin = None
     shifted_holds = True
-    if k_s > 1:
-        head = transition_product(schedule, counts, t, s + 1)
+    if head is not None:
         a_s = schedule.matrix(s).weights
         worst = np.inf
         for l in range(1, k_s):

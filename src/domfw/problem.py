@@ -17,6 +17,9 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
+# NumPy 2 loads numpy.random on first use; every run draws from it, so load it
+# with the package and keep that cost out of the first run
+import numpy.random  # noqa: F401
 
 #: absolute tolerance for feasibility checks
 FEASIBILITY_TOL = 1e-12

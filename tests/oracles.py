@@ -5,15 +5,26 @@ None of these runs in the simulator. ``project`` and
 (the algorithm under study never projects). ``ReferenceRoundOptimizer`` and
 ``reference_function_variation`` are the straightforward forms of the
 library's pairwise Frank-Wolfe solver and fixed-feature variation estimate;
-the library's faster forms must agree with them bit for bit.
+the library's faster forms must agree with them bit for bit. ``validate``
+checks a weight matrix against the mixing assumptions, with SciPy's
+strong-connectivity search as an oracle independent of the library's own
+connectivity check. ``exact_zeta`` (the realized smallest weight over a
+schedule) and ``lo_call_count`` (a run's oracle calls from the schedule's
+definition) are totals the simulator never needs.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
+from domfw.algorithm import ScheduleParams, inner_count
+from domfw.network import GraphSchedule, WeightMatrix
 from domfw.problem import ConstraintKind, ConstraintSpec, LossStream, global_loss, sample_feasible
 from domfw.regret import OptimumRecord, SolverError, _quadratic
 
@@ -166,3 +177,59 @@ def reference_function_variation(stream: LossStream, samples: int = 1000, seed: 
         diff = np.abs((b0 - b1) * (z - 0.5 * (b0 + b1)))
         total += float(diff.max())
     return total
+
+
+STOCHASTIC_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    """Per-check results of :func:`validate` with worst violation magnitudes."""
+
+    doubly_stochastic: bool
+    stochastic_violation: float
+    entries_ok: bool
+    entry_violation: float
+    strongly_connected: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.doubly_stochastic and self.entries_ok and self.strongly_connected
+
+
+def validate(wm: WeightMatrix, tol: float = STOCHASTIC_TOL) -> ValidationReport:
+    """Check double stochasticity, the entry lower bound, and connectivity."""
+    a = wm.weights
+    n = wm.n
+    row = np.abs(a.sum(axis=1) - 1.0).max()
+    col = np.abs(a.sum(axis=0) - 1.0).max()
+    neg = max(0.0, -float(a.min()))
+    stoch_violation = float(max(row, col, neg))
+
+    nonzero = a[a != 0]
+    entry_violation = 0.0
+    if nonzero.size:
+        entry_violation = max(entry_violation, float(wm.zeta - nonzero.min()))
+    diag_min = float(np.diag(a).min())
+    entries_ok = entry_violation <= tol and diag_min > 0
+
+    support = csr_matrix(a != 0)
+    comps, _ = connected_components(support, directed=True, connection="strong")
+    return ValidationReport(
+        doubly_stochastic=stoch_violation <= tol,
+        stochastic_violation=stoch_violation,
+        entries_ok=entries_ok,
+        entry_violation=float(max(entry_violation, -diag_min)),
+        strongly_connected=(comps == 1) or (n == 1),
+    )
+
+
+def exact_zeta(schedule: GraphSchedule, rounds: Sequence[int] | None = None) -> float:
+    """The realized smallest nonzero weight over ``rounds`` (default: all of them)."""
+    rounds = range(1, schedule.horizon + 1) if rounds is None else rounds
+    return min(schedule.matrix(t).zeta for t in rounds)
+
+
+def lo_call_count(params: ScheduleParams, horizon: int, n: int = 1) -> int:
+    """Total linear-oracle invocations of a full run: ``n * sum_t K_t``."""
+    return n * sum(inner_count(params, t, horizon) for t in range(1, horizon + 1))

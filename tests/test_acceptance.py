@@ -10,13 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from domfw.algorithm import ScheduleMode, ScheduleParams, inner_count, lo_call_count, run
+from domfw.algorithm import ScheduleMode, ScheduleParams, inner_count, run
 from domfw.cli import main
 from domfw.harness import derive_seed, fit_loglog_slope
 from domfw.network import MixingConstants, check_mixing, random_connected_schedule
 from domfw.problem import ConstraintSpec, generate_stream, lmo, problem_constants
 from domfw.regret import RoundOptimizer, envelopes, regret_series, regret_upper_bound
-from oracles import projected_gradient_optimum
+from oracles import lo_call_count, projected_gradient_optimum
 
 SEEDS = (101, 202, 303, 404, 505)
 HORIZON = 1000

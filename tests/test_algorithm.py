@@ -17,7 +17,6 @@ from domfw.algorithm import (
     initial_decisions,
     inner_count,
     inner_steps,
-    lo_call_count,
     run,
     run_round,
     step_size,
@@ -37,6 +36,7 @@ from domfw.problem import (
     local_grads,
     sample_feasible,
 )
+from oracles import lo_call_count
 
 PER_ROUND = ScheduleMode.PER_ROUND
 HORIZON = ScheduleMode.HORIZON
@@ -498,6 +498,26 @@ class TestRun:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RuntimeError, match="^round 1 failed: gradient has non-finite entries$"):
                 run(stream, sched, params)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(data=st.data(), n=st.integers(2, 8), d=st.integers(1, 6), T=st.integers(1, 4),
+           ball=st.booleans(), edge_prob=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+    def test_relabeling_agents_permutes_the_decisions(self, data, n, d, T, ball, edge_prob, seed):
+        # new agent k is old agent perm[k]: its feature and noise rows move with it,
+        # and the weights are conjugated to match (P W P^T). Mixing sums then run in
+        # another order, so decisions agree to rounding, not bit for bit.
+        perm = np.array(data.draw(st.permutations(range(n))))
+        spec = ConstraintSpec.l1_ball(d, 1.5) if ball else ConstraintSpec.simplex(d)
+        stream = generate_stream(n, T, 1e-3, spec, seed=seed)
+        relabeled = LossStream.from_components(stream.lambda1, stream.features[perm], stream.ground_truth,
+                                               stream.noise[perm], spec)
+        wm = random_connected_schedule(n, 1, edge_prob, seed=seed + 1).matrix(1)
+        conjugated = WeightMatrix(wm.weights[np.ix_(perm, perm)], zeta=wm.zeta)
+        params = ScheduleParams(PER_ROUND, epsilon=2, gamma=0.5, rho=3)
+        original = run(stream, constant_schedule(wm, T), params)
+        permuted = run(relabeled, constant_schedule(conjugated, T), params)
+        assert np.abs(permuted.decisions - original.decisions[:, perm]).max() <= 1e-12
+        assert permuted.lo_calls == original.lo_calls and permuted.messages == original.messages
 
     def test_initial_decisions_modes(self):
         simplex = ConstraintSpec.simplex(4)

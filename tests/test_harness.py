@@ -21,6 +21,7 @@ from domfw.harness import (
     sweep,
 )
 from domfw.problem import ConstraintKind, generate_stream
+from oracles import lo_call_count
 
 FLOAT_KEYS = [key for key, (convert, *_) in harness._SCHEMA.items() if convert is float]
 
@@ -283,7 +284,6 @@ class TestSweep:
         assert [row.value for row in rows] == [0.3, 0.5, 0.7, 0.9]
         assert all(row.ok for row in rows)
         # oracle-count column equals n * sum K_t recomputed from the counts
-        from domfw.algorithm import lo_call_count
         for row in rows:
             params = ScheduleParams(ScheduleMode.PER_ROUND, epsilon=2, gamma=row.value, rho=3)
             assert row.lo_calls == lo_call_count(params, 4, n=3)

@@ -16,9 +16,9 @@ from domfw.network import (
     metropolis_weights,
     random_connected_schedule,
     transition_product,
-    validate,
     write_schedule_csv,
 )
+from oracles import exact_zeta, validate
 
 
 class TestMetropolis:
@@ -244,10 +244,28 @@ class TestCheckMixing:
         sched = random_connected_schedule(6, 12, 0.3, seed=10)
         counts = [2] * 12
         loose = check_mixing(sched, counts, 8, 1)
-        tight = check_mixing(sched, counts, 8, 1, zeta=sched.exact_zeta(range(1, 9)))
+        tight = check_mixing(sched, counts, 8, 1, zeta=exact_zeta(sched, range(1, 9)))
         assert loose.ok and tight.ok
         assert tight.bound < loose.bound
         assert tight.deviation == loose.deviation
+
+    def test_report_bits_match_separate_products(self):
+        # check_mixing computes each round's power once for both of its products;
+        # the report must equal one built from two transition_product calls
+        sched = random_connected_schedule(7, 9, 0.3, seed=21)
+        counts = [3, 2, 4, 1, 3, 2, 2, 5, 3]
+        assert check_mixing(sched, counts, 6, 4).shifted_margin is None   # K_4 = 1
+        for t, s in ((9, 1), (6, 3), (5, 5)):
+            report = check_mixing(sched, counts, t, s)
+            mc = MixingConstants.from_zeta(sched.zeta, 7)
+            total = sum(counts[s - 1:t])
+            assert report.deviation == float(np.abs(transition_product(sched, counts, t, s) - 1 / 7).max())
+            head = transition_product(sched, counts, t, s + 1)
+            a_s = sched.matrix(s).weights
+            worst = min(mc.coeff * mc.rate ** (total - l - 1)
+                        - float(np.abs(head @ np.linalg.matrix_power(a_s, counts[s - 1] - l) - 1 / 7).max())
+                        for l in range(1, counts[s - 1]))
+            assert report.shifted_margin == worst
 
 
 class TestScheduleCsv:
@@ -271,4 +289,4 @@ class TestGraphScheduleContract:
 
     def test_exact_zeta_at_least_bound(self):
         sched = random_connected_schedule(6, 8, 0.4, seed=3)
-        assert sched.exact_zeta() >= sched.zeta - 1e-15
+        assert exact_zeta(sched) >= sched.zeta - 1e-15
