@@ -21,6 +21,7 @@ from .algorithm import (
 from .network import (
     GraphSchedule,
     MixingConstants,
+    MixingFold,
     WeightMatrix,
     check_mixing,
     constant_schedule,
@@ -53,7 +54,9 @@ from .regret import (
     RegretSeries,
     RoundOptimizer,
     SolverError,
+    active_set_optimum,
     envelopes,
     regret_series,
     regret_upper_bound,
+    round_optima,
 )

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import GraphSchedule, WeightMatrix
+from .network import GraphSchedule, MixingFold, WeightMatrix
 from .problem import ConstraintKind, ConstraintSpec, LossStream, _global_grad, _lmo, _local_grads, lmo, sample_feasible
 
 CONSERVATION_TOL = 1e-9
@@ -238,18 +238,22 @@ class RoundDiagnostics:
     messages: int                  # messages this round: 2 * K_t * directed edges
 
 
-def run_round(xs: np.ndarray, stream: LossStream, schedule: GraphSchedule, params: ScheduleParams, t: int):
+def run_round(xs: np.ndarray, stream: LossStream, schedule: GraphSchedule, params: ScheduleParams, t: int,
+              fold: MixingFold | None = None):
     """Execute round ``t``'s inner loop for all agents.
 
     Returns ``(xs_next, RoundDiagnostics)``; the diagnostics summarize the
     ``inner_steps`` of the round, computed from its steps stacked into
     ``(K_t, n, d)`` arrays. Raises if any tracked gradient is not finite.
+    The round's weights are built once; a ``fold`` gets them with ``K_t``.
     """
     n, d, spec = stream.n, stream.d, stream.constraint
     wm = schedule.matrix(t)
     k_t = inner_count(params, t, schedule.horizon)
     alpha = step_size(params, k_t, schedule.horizon)
     steps = list(inner_steps(xs, stream, wm, alpha, k_t, t))
+    if fold is not None:
+        fold.add(wm, k_t)
 
     def stacked(field):
         return np.array([getattr(step, field) for step in steps])
@@ -290,11 +294,13 @@ class Trajectory:
 
     ``decisions[t - 1]`` holds all agents' committed points for round ``t``,
     for ``t = 1 .. T + 1`` (the last row is the decision the agents would
-    commit at round ``T + 1``).
+    commit at round ``T + 1``). ``mixing`` is the run's fold of its rounds'
+    weights, the products that ``check_mixing`` certifies.
     """
 
     decisions: np.ndarray          # (T + 1, n, d)
     rounds: tuple                  # RoundDiagnostics for t = 1 .. T
+    mixing: MixingFold | None = None
 
     def __post_init__(self):
         a = np.array(self.decisions, dtype=float)
@@ -353,7 +359,8 @@ def run(stream: LossStream, schedule: GraphSchedule, params: ScheduleParams,
     """Run the full horizon and return the committed trajectory.
 
     Deterministic for fixed inputs. Raises with the offending round index if
-    any round fails.
+    any round fails. Each round's weights are built once, folded into
+    ``Trajectory.mixing`` and then dropped.
     """
     if schedule.n != stream.n:
         raise ValueError("schedule and stream disagree on the number of agents")
@@ -364,14 +371,15 @@ def run(stream: LossStream, schedule: GraphSchedule, params: ScheduleParams,
     decisions = np.empty((stream.T + 1, stream.n, stream.d))
     decisions[0] = xs
     rounds = []
+    fold = MixingFold(stream.n)
     for t in range(1, stream.T + 1):
         try:
-            xs, diag = run_round(xs, stream, schedule, params, t)
+            xs, diag = run_round(xs, stream, schedule, params, t, fold)
         except Exception as exc:
             raise RuntimeError(f"round {t} failed: {exc}") from exc
         decisions[t] = xs
         rounds.append(diag)
-    return Trajectory(decisions=decisions, rounds=tuple(rounds))
+    return Trajectory(decisions=decisions, rounds=tuple(rounds), mixing=fold)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import platform
 import time
 import traceback
@@ -50,6 +51,7 @@ from .regret import (
     envelopes,
     regret_series,
     regret_upper_bound,
+    round_optima,
     write_envelopes_csv,
     write_regret_csv,
 )
@@ -144,9 +146,52 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected true/false, got {raw!r}")
 
 
-#: largest accepted ``problem.T``: a run keeps its whole stream, its trajectory
-#: and one cached n x n weight matrix per round in memory
+#: largest accepted ``problem.T``; a run keeps its whole stream and trajectory
+#: in memory but only a fixed number of n x n matrices, so the horizon's
+#: memory is bounded by ``MAX_RESIDENT_BYTES`` instead
 MAX_HORIZON = 1_000_000
+
+#: largest accepted :func:`resident_bytes` estimate of a run (2 GiB)
+MAX_RESIDENT_BYTES = 2 * 1024 ** 3
+
+
+def resident_bytes(n: int, d: int, T: int, k_max: int, redraw_features: bool) -> int:
+    """Estimated peak resident bytes of one run, from its sizes.
+
+    Counts the interpreter with NumPy loaded (40 MiB), about 1 KiB of
+    per-round records, and float64 arrays: the stream (features, noise and
+    labels, each built then copied), the ``(T + 1, n, d)`` trajectory and its
+    copy, four ``(n, T)`` regret arrays, twelve ``(K_max, n, d)`` arrays of a
+    round's stacked inner steps, and twelve ``n x n`` working matrices (one
+    round's weights while they are built, and the mixing products).
+    """
+    features = n * d * (T if redraw_features else 1)
+    floats = (2 * features + 4 * n * T + 2 * (T + 1) * n * d + 4 * n * T
+              + 12 * k_max * n * d + 12 * n * n)
+    return 40 * 2 ** 20 + 1024 * T + 8 * floats
+
+
+# the keys resident_bytes reads, in the order a footprint violation is attributed
+_FOOTPRINT_KEYS = ("problem.n", "problem.T", "problem.d", "problem.redraw_features",
+                   "schedule.mode", "schedule.epsilon", "schedule.gamma", "schedule.fixed_count")
+
+
+def _footprint(problem: dict, schedule: dict) -> int | None:
+    """:func:`resident_bytes` of a config's problem and schedule fields; None
+    if the schedule has no inner count at round T."""
+    try:
+        k_max = inner_count(ScheduleParams(**schedule), problem["T"], problem["T"])
+    except ValueError:
+        return None
+    return resident_bytes(problem["n"], problem["d"], problem["T"], k_max, problem["redraw_features"])
+
+
+def _gib(nbytes: int) -> str:
+    try:
+        return f"{nbytes / 2 ** 30:.3g} GiB"
+    except OverflowError:   # too large for a float
+        return "more than 1e308 GiB"
+
 
 # "block.field" -> (converter, range check, range description); the schedule
 # keys' ranges are algorithm.schedule_violations
@@ -230,6 +275,33 @@ def parse_config(text: str) -> ExperimentConfig:
     for attr, message in problems:
         key = f"schedule.{attr}"
         violations.append((seen.get(key, seen.get("schedule.mode")), f"{key}: {message}"))
+    # the footprint of sizes that parsed, at the line of the set key whose
+    # default would shrink it most (the first such key on a tie)
+    sizes = {"problem": vars(default.problem) | blocks["problem"], "schedule": schedule}
+    fits = True
+    if not problems and all(key in values or key not in seen for key in _FOOTPRINT_KEYS):
+        footprint = _footprint(**sizes)
+        if footprint is not None and footprint > MAX_RESIDENT_BYTES:
+            def reset(key):
+                block, attr = key.split(".")
+                # fixed_count has no default; its least value stands in
+                value = 2 if key == "schedule.fixed_count" else getattr(getattr(default, block), attr)
+                shrunk = _footprint(**sizes | {block: sizes[block] | {attr: value}})
+                return math.inf if shrunk is None else shrunk
+            key = min((k for k in _FOOTPRINT_KEYS if k in values), key=reset)
+            violations.append((seen[key], f"{key}: a run needs an estimated {_gib(footprint)} resident, "
+                                          f"above the {_gib(MAX_RESIDENT_BYTES)} budget"))
+            fits = False
+    # the radius against a d that fits in memory
+    if "problem.radius" in values and ("problem.d" in values or "problem.d" not in seen) and fits:
+        radius, d = values["problem.radius"], sizes["problem"]["d"]
+        try:
+            finite = math.isfinite(radius * radius * 25.0 * d)   # a float product overflows to inf
+        except OverflowError:   # a d too large for a float
+            finite = False
+        if not finite:
+            violations.append((seen["problem.radius"], f"problem.radius: value {radius!r} out of range "
+                                                       f"(radius**2 * 25 * d must be finite at d = {d})"))
     if violations:
         raise ConfigError(sorted(violations, key=lambda v: (v[0] or 0)))
     return replace(default, **{name: replace(getattr(default, name), **attrs) for name, attrs in blocks.items()})
@@ -344,8 +416,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, dump_network: bool = 
         trajectory = run(stream, schedule, config.schedule,
                          init=config.init.mode, init_seed=config.seeds.init_seed())
 
-        solver = RoundOptimizer(stream, tol=config.solver.tolerance)
-        optima = [solver.solve(t) for t in range(1, prob.T + 1)]
+        optima = round_optima(RoundOptimizer(stream, tol=config.solver.tolerance), prob.T)
         series = regret_series(trajectory, optima, stream, tol=config.solver.tolerance)
         env = envelopes(series)
 
@@ -367,7 +438,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, dump_network: bool = 
             mixing_constants = MixingConstants.from_zeta(schedule.zeta, stream.n)
             bound = regret_upper_bound(problem_constants(stream), mixing_constants, config.schedule,
                                        stream, counts, trajectory.x_init)
-        mixing = check_mixing(schedule, counts, stream.T, 1)
+        mixing = check_mixing(schedule, counts, stream.T, 1, products=trajectory.mixing)
         result = RunResult(directory=out, config=config, trajectory=trajectory, regret=series,
                            envelopes=env, ht_estimate=ht_estimate, ht_upper_bound=ht_upper_bound,
                            bound=bound, mixing=mixing, wall_seconds=time.perf_counter() - started)

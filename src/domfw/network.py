@@ -1,9 +1,9 @@
 """Time-varying communication graphs with doubly stochastic weights.
 
 Every round of a schedule is an independent seeded draw, so rounds can be
-materialized in any order (or concurrently) and always yield the same
-matrices. Matrix products are evaluated with a fixed association order for
-bit determinism.
+materialized in any order (or concurrently), and again, and always yield the
+same matrices; a schedule stores none of them. Matrix products are evaluated
+with a fixed association order for bit determinism.
 """
 
 from __future__ import annotations
@@ -19,13 +19,19 @@ PRODUCT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """One round's mixing weights plus the smallest nonzero entry."""
+    """One round's mixing weights plus the smallest nonzero entry.
+
+    The weights are held read-only. They are copied unless they already are
+    a read-only float array that owns its memory, which is adopted as it is.
+    """
 
     weights: np.ndarray
     zeta: float
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
+        w = self.weights
+        if not (isinstance(w, np.ndarray) and w.dtype == float and not w.flags.writeable and w.base is None):
+            w = np.array(w, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("weights must be a square matrix")
         w.flags.writeable = False
@@ -63,6 +69,7 @@ def _metropolis(adj: np.ndarray) -> WeightMatrix:
     a[ii, jj] = 1.0 / (1.0 + np.maximum(deg[ii], deg[jj]))
     np.fill_diagonal(a, 1.0 - a.sum(axis=1))
     zeta = float(a[a > 0].min())
+    a.flags.writeable = False   # adopted without a copy
     return WeightMatrix(weights=a, zeta=zeta)
 
 
@@ -91,6 +98,10 @@ def metropolis_weights(edges, n: int) -> WeightMatrix:
 class GraphSchedule:
     """Seeded per-round source of weight matrices.
 
+    ``matrix(t)`` rebuilds round ``t`` on every call and keeps nothing, so a
+    schedule's memory does not grow with its horizon; a caller that needs a
+    round twice holds on to it, or pays the build again.
+
     ``zeta`` is a lower bound on nonzero entries valid for every round (the
     Metropolis construction guarantees ``1/n``); each round's ``WeightMatrix``
     carries its realized minimum.
@@ -103,17 +114,13 @@ class GraphSchedule:
         self.horizon = horizon
         self.zeta = float(zeta)
         self._builder = builder
-        self._cache: dict[int, WeightMatrix] = {}
 
     def matrix(self, t: int) -> WeightMatrix:
         if not 1 <= t <= self.horizon:
             raise ValueError(f"round {t} out of range 1..{self.horizon}")
-        got = self._cache.get(t)
-        if got is None:
-            got = self._builder(t)
-            if got.n != self.n:
-                raise ValueError("builder produced a matrix of the wrong size")
-            self._cache[t] = got
+        got = self._builder(t)
+        if got.n != self.n:
+            raise ValueError("builder produced a matrix of the wrong size")
         return got
 
 
@@ -170,30 +177,63 @@ class MixingConstants:
         return cls(rate=rate, coeff=1.0 / rate)
 
 
-def _products(schedule: GraphSchedule, counts: Sequence[int], t: int, s: int,
-              rest: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """``A_t^{K_t} ... A_s^{K_s}`` and, if ``rest``, the same product without
-    its ``A_s^{K_s}`` factor.
+class MixingFold:
+    """The ordered products ``A_t^{K_t} ... A_s^{K_s}``, folded one round at a time.
 
-    Each round's power is computed once and left-multiplied onto both
-    products, from ``s`` upward. Each nonempty product is checked to stay
-    doubly stochastic, the full one first.
+    ``add`` takes the rounds in order from ``start``. It raises each round's
+    weights to its count once and left-multiplies the power onto ``full`` and,
+    when the first count ``K_s`` exceeds 1 and ``shifted`` is set, onto
+    ``tail``, the product without the first round's factor. ``first`` keeps
+    ``A_s`` for the shifted checks of :func:`check_mixing`; nothing else of a
+    round is kept. :func:`run <domfw.algorithm.run>` folds its rounds as it
+    steps them, and :func:`check_mixing` and :func:`transition_product` fold
+    a window of a schedule.
     """
-    full = np.eye(schedule.n)
-    tail = np.eye(schedule.n) if rest else None
-    for p in range(s, t + 1):
-        k = int(counts[p - 1])
+
+    def __init__(self, n: int, start: int = 1, shifted: bool = True):
+        self.n = n
+        self.start = start
+        self.stop = start - 1             # last round folded
+        self.total = 0                    # sum of the folded counts
+        self.first_count = 0              # K_s
+        self.first: np.ndarray | None = None
+        self.full = np.eye(n)
+        self.tail: np.ndarray | None = None
+        self._shifted = shifted
+
+    def add(self, wm: WeightMatrix, k: int) -> None:
+        """Fold in round ``stop + 1`` with weights ``wm`` and count ``k``."""
+        k = int(k)
         if k < 1:
             raise ValueError("inner counts must be >= 1")
-        power = np.linalg.matrix_power(schedule.matrix(p).weights, k)
-        full = power @ full
-        if tail is not None and p > s:
-            tail = power @ tail
-    if s <= t:
-        _check_drift(full)
-    if tail is not None and s < t:
-        _check_drift(tail)
-    return full, tail
+        if wm.n != self.n:
+            raise ValueError("weight matrix size does not match the fold")
+        power = np.linalg.matrix_power(wm.weights, k)
+        self.full = power @ self.full
+        if self.stop < self.start:
+            self.first_count = k
+            if self._shifted and k > 1:
+                self.first = wm.weights
+                self.tail = np.eye(self.n)
+        elif self.tail is not None:
+            self.tail = power @ self.tail
+        self.stop += 1
+        self.total += k
+
+    def check_drift(self) -> None:
+        """Raise if a nonempty product lost double stochasticity, the full one first."""
+        if self.stop >= self.start:
+            _check_drift(self.full)
+        if self.tail is not None and self.stop > self.start:
+            _check_drift(self.tail)
+
+
+def _fold(schedule: GraphSchedule, counts: Sequence[int], t: int, s: int, shifted: bool) -> MixingFold:
+    """Fold rounds ``s..t`` of ``schedule`` with their ``counts``, building each round once."""
+    fold = MixingFold(schedule.n, start=s, shifted=shifted)
+    for p in range(s, t + 1):
+        fold.add(schedule.matrix(p), counts[p - 1])
+    return fold
 
 
 def _check_drift(product: np.ndarray) -> None:
@@ -211,7 +251,9 @@ def transition_product(schedule: GraphSchedule, counts: Sequence[int], t: int, s
     """
     if not 1 <= s <= t + 1 or t > schedule.horizon:
         raise ValueError(f"need 1 <= s <= t + 1 <= {schedule.horizon + 1}, got t={t} s={s}")
-    return _products(schedule, counts, t, s, rest=False)[0]
+    fold = _fold(schedule, counts, t, s, shifted=False)
+    fold.check_drift()
+    return fold.full
 
 
 @dataclass(frozen=True)
@@ -231,30 +273,40 @@ class MixingReport:
 
 
 def check_mixing(schedule: GraphSchedule, counts: Sequence[int], t: int, s: int,
-                 zeta: float | None = None) -> MixingReport:
+                 zeta: float | None = None, products: MixingFold | None = None) -> MixingReport:
     """Evaluate the geometric mixing certificate for ``transition_product``.
 
     Checks ``max_ij |[product]_ij - 1/n| <= coeff * rate**(sum K - 1)`` and,
     for every partial power ``1 <= l <= K_s - 1``, the shifted product
     ``A_t^{K_t} ... A_{s+1}^{K_{s+1}} A_s^{K_s - l}`` against the bound with
     exponent reduced by ``l``. ``zeta`` defaults to the schedule-wide bound.
+
+    ``products`` is a fold of exactly rounds ``s..t`` with these counts, such
+    as a run's ``Trajectory.mixing``; without it, the rounds are built from
+    the schedule and folded here.
     """
     if not 1 <= s <= t <= schedule.horizon:
         raise ValueError(f"need 1 <= s <= t <= {schedule.horizon}")
     n = schedule.n
     mc = MixingConstants.from_zeta(schedule.zeta if zeta is None else zeta, n)
-    total = int(sum(int(counts[p - 1]) for p in range(s, t + 1)))
+    if products is None:
+        products = _fold(schedule, counts, t, s, shifted=True)
+    else:
+        window = [int(counts[p - 1]) for p in range(s, t + 1)]
+        folded = (products.n, products.start, products.stop, products.first_count, products.total)
+        if folded != (n, s, t, window[0], sum(window)) or (window[0] > 1 and products.tail is None):
+            raise ValueError(f"products do not fold rounds {s}..{t} of this schedule with these counts")
+    products.check_drift()
 
-    k_s = int(counts[s - 1])
-    phi, head = _products(schedule, counts, t, s, rest=k_s > 1)
-    deviation = float(np.abs(phi - 1.0 / n).max())
+    total, head, k_s = products.total, products.tail, products.first_count
+    deviation = float(np.abs(products.full - 1.0 / n).max())
     bound = mc.coeff * mc.rate ** (total - 1)
     margin = bound - deviation
 
     shifted_margin = None
     shifted_holds = True
     if head is not None:
-        a_s = schedule.matrix(s).weights
+        a_s = products.first
         worst = np.inf
         for l in range(1, k_s):
             part = head @ np.linalg.matrix_power(a_s, k_s - l)

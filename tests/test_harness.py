@@ -1,5 +1,8 @@
 import csv
+import functools
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from domfw.harness import (
     run_experiment,
     sweep,
 )
+from domfw.network import GraphSchedule, WeightMatrix, constant_schedule, random_connected_schedule
 from domfw.problem import ConstraintKind, generate_stream
 from oracles import lo_call_count
 
@@ -29,6 +33,9 @@ FLOAT_KEYS = [key for key, (convert, *_) in harness._SCHEMA.items() if convert i
 # non-finite and unparseable values, and every enum and boolean name
 RAW_POOL = (["-1", "0", "1", "2", "3", "0.5", "1.0", "1.5", "1e300", "inf", "nan", "x", "true", "false",
              "vertex", "random"] + [m.value for m in ScheduleMode] + [k.value for k in ConstraintKind])
+
+# keys the end-to-end test sets itself: the sizes, drawn small, and the output directory
+RUN_KEYS_SET_BY_TEST = ("problem.n", "problem.d", "problem.T", "output.directory")
 
 SMALL = """
 problem.n = 3
@@ -93,6 +100,48 @@ class TestParseConfig:
         cfg = parse_config("schedule.mode = fixed\nschedule.fixed_count = 5")
         assert cfg.schedule.fixed_count == 5
 
+    @pytest.mark.parametrize("text, key", [
+        ("problem.d = 3\nproblem.n = 1000000000", "problem.n"),
+        ("problem.n = 3\nproblem.d = 1000000000", "problem.d"),
+        ("problem.T = 1000\nproblem.n = 5000", "problem.n"),
+        ("problem.n = 20\nproblem.T = 1000000", "problem.T"),
+        ("problem.T = 50\nschedule.mode = fixed\nschedule.fixed_count = 10000000000", "schedule.fixed_count"),
+        ("schedule.epsilon = 1e300", "schedule.epsilon"),
+    ])
+    def test_footprint_over_budget_fails_at_the_dominant_key(self, text, key):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        (lineno, message), = info.value.violations
+        assert message.startswith(f"{key}: a run needs an estimated ")
+        assert message.endswith(" resident, above the 2 GiB budget")
+        assert text.splitlines()[lineno - 1].startswith(key)
+
+    def test_footprint_estimate(self):
+        assert harness.MAX_RESIDENT_BYTES == 2 * 1024 ** 3   # the budget README states
+        small = harness.resident_bytes(20, 8, 100, 41, False)
+        assert 40 * 2 ** 20 < small < 48 * 2 ** 20
+        # each size adds its arrays: n x n matrices, the (T + 1, n, d)
+        # trajectory, the stacked inner steps and the redrawn features
+        assert harness.resident_bytes(40, 8, 100, 41, False) - small > 8 * 12 * (40 ** 2 - 20 ** 2)
+        assert harness.resident_bytes(20, 8, 200, 41, False) - small > 8 * 2 * 100 * 20 * 8
+        assert harness.resident_bytes(20, 8, 100, 82, False) - small == 8 * 12 * 41 * 20 * 8
+        assert harness.resident_bytes(20, 8, 100, 41, True) - small == 8 * 2 * 99 * 20 * 8
+        # sizes that fit run: the reference and wide-network shapes at T = 1000
+        parse_config("problem.n = 200\nproblem.T = 1000\nschedule.mode = fixed\nschedule.fixed_count = 4")
+        parse_config("problem.T = 1000")
+
+    def test_radius_must_keep_squared_feature_products_finite(self):
+        text = "problem.constraint = l1ball\nproblem.radius = 1e300"
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.violations == [
+            (2, "problem.radius: value 1e+300 out of range (radius**2 * 25 * d must be finite at d = 8)")]
+        assert parse_config("problem.constraint = l1ball\nproblem.radius = 2").problem.radius == 2.0
+        # the bound grows with d: 1e153 fits at d = 1 but not at d = 8
+        assert parse_config("problem.radius = 1e153\nproblem.d = 1").problem.radius == 1e153
+        with pytest.raises(ConfigError, match=r"^invalid config: line 1: problem\.radius: .* at d = 8\)$"):
+            parse_config("problem.radius = 1e153\nproblem.d = 8")
+
     def test_echo_pins_every_key(self):
         text = "\n".join([
             "problem.n = 6",
@@ -146,6 +195,22 @@ class TestParseConfig:
         for seed in (cfg.seeds.stream_seed(), cfg.seeds.network_seed(), cfg.seeds.init_seed()):
             np.random.default_rng(seed)
         assert parse_config(config_to_text(cfg)) == cfg
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(raw=st.dictionaries(st.sampled_from([key for key in harness._SCHEMA if key not in RUN_KEYS_SET_BY_TEST]),
+                               st.sampled_from(RAW_POOL)),
+           n=st.integers(2, 8), d=st.integers(1, 6), horizon=st.integers(1, 8))
+    def test_validated_config_runs_end_to_end(self, raw, n, d, horizon):
+        # a companion of the test above: accepted configs, small enough to run, run
+        raw |= {"problem.n": n, "problem.d": d, "problem.T": horizon}
+        try:
+            cfg = parse_config("\n".join(f"{key} = {value}" for key, value in raw.items()))
+        except ConfigError:
+            return
+        with tempfile.TemporaryDirectory() as out:
+            result = run_experiment(cfg, out_dir=out)
+            assert result.trajectory.horizon == horizon
+            assert not (Path(out) / "FAILED").exists()
 
     def test_baseline_alpha_defaults_from_horizon(self):
         cfg = parse_config("schedule.mode = baseline\nproblem.T = 1000")
@@ -202,6 +267,43 @@ class TestRunExperiment:
         marker = tmp_path / "run" / "FAILED"
         assert marker.exists()
         assert "synthetic failure" in marker.read_text()
+
+    def test_each_round_is_built_once(self, tmp_path, monkeypatch):
+        # the run folds the mixing products as it goes; check_mixing builds nothing
+        built = []
+
+        def counted(n, horizon, edge_prob, seed):
+            sched = random_connected_schedule(n, horizon, edge_prob, seed)
+            return GraphSchedule(n, horizon, lambda t: built.append(t) or sched.matrix(t), sched.zeta)
+
+        monkeypatch.setattr(harness, "random_connected_schedule", counted)
+        result = run_experiment(parse_config(SMALL), out_dir=tmp_path / "run")
+        assert built == list(range(1, 7))
+        assert result.mixing.ok
+
+    def test_mixing_drift_fails_after_the_writers(self, tmp_path, monkeypatch):
+        # rows still sum to 1, so the run steps; column 0 sums to 1 + 3e-6
+        def drifting(n, horizon, edge_prob, seed):
+            w = np.full((n, n), 1.0 / n)
+            w[:, 0] += 1e-6
+            w[:, 1] -= 1e-6
+            return constant_schedule(WeightMatrix(w, zeta=w.min()), horizon)
+
+        monkeypatch.setattr(harness, "random_connected_schedule", drifting)
+        with pytest.raises(RuntimeError, match="transition product lost double stochasticity"):
+            run_experiment(parse_config(SMALL), out_dir=tmp_path / "run")
+        written = {path.name for path in (tmp_path / "run").iterdir()}
+        assert written == {"stream.csv", "trajectory.csv", "diagnostics.csv", "regret.csv", "envelopes.csv",
+                           "envelopes.gp", "FAILED"}
+
+    def test_capped_pairwise_solve_falls_back(self, tmp_path, monkeypatch):
+        # n < d leaves H singular up to the ridge: the pairwise solve stops at
+        # its cap (10**6 by default; 2000 here), and the active-set solve goes on
+        text = "problem.n = 2\nproblem.d = 6\nproblem.T = 4\n"
+        monkeypatch.setattr(harness, "RoundOptimizer", functools.partial(harness.RoundOptimizer, max_iter=2000))
+        result = run_experiment(parse_config(text), out_dir=tmp_path / "run")
+        assert result.regret.cumulative.min() >= 0
+        assert not (tmp_path / "run" / "FAILED").exists()
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = parse_config(SMALL)

@@ -1,15 +1,21 @@
+import gc
 import hashlib
+import types
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+import domfw.algorithm as algorithm
+from domfw.algorithm import ScheduleParams, run
 from domfw.network import (
     GraphSchedule,
     MixingConstants,
+    MixingFold,
     WeightMatrix,
     check_mixing,
     constant_schedule,
@@ -18,6 +24,7 @@ from domfw.network import (
     transition_product,
     write_schedule_csv,
 )
+from domfw.problem import ConstraintSpec, generate_stream
 from oracles import exact_zeta, validate
 
 
@@ -268,6 +275,80 @@ class TestCheckMixing:
             assert report.shifted_margin == worst
 
 
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(n=st.integers(2, 10), counts=st.lists(st.integers(1, 5), min_size=1, max_size=12),
+           seed=st.integers(0, 2 ** 16))
+    @example(n=2, counts=[1], seed=0)          # T = 1
+    @example(n=3, counts=[4], seed=1)          # T = 1 with a shifted check
+    @example(n=6, counts=[1, 3, 2, 5], seed=2)  # K_1 = 1: no shifted product
+    def test_run_fold_matches_schedule_fold(self, n, counts, seed):
+        # the report on the products a run folded equals the report on the
+        # schedule's rounds folded afresh, bit for bit
+        horizon = len(counts)
+        sched = random_connected_schedule(n, horizon, 0.3, seed=seed)
+        stream = generate_stream(n, horizon, 5e-6, ConstraintSpec.simplex(2), seed=seed)
+        with pytest.MonkeyPatch.context() as mp:   # the run steps these counts
+            mp.setattr(algorithm, "inner_count", lambda params, t, horizon: counts[t - 1])
+            trajectory = run(stream, sched, ScheduleParams())
+        assert [r.inner_count for r in trajectory.rounds] == counts
+        folded = check_mixing(sched, counts, horizon, 1, products=trajectory.mixing)
+        fresh = check_mixing(sched, counts, horizon, 1)
+
+        def bits(report):
+            return [v.hex() if isinstance(v, float) else v for v in vars(report).values()]
+        assert bits(folded) == bits(fresh)
+        assert (fresh.shifted_margin is None) == (counts[0] == 1)
+
+    def test_products_must_cover_the_window(self):
+        sched = random_connected_schedule(5, 6, 0.3, seed=4)
+        counts = [2, 3, 1, 2, 2, 4]
+        fold = MixingFold(5)
+        for t in range(1, 5):
+            fold.add(sched.matrix(t), counts[t - 1])
+        assert check_mixing(sched, counts, 4, 1, products=fold) == check_mixing(sched, counts, 4, 1)
+        for t, s, bad_counts in ((5, 1, counts), (4, 2, counts), (4, 1, [3] + counts[1:])):
+            with pytest.raises(ValueError, match="products do not fold rounds"):
+                check_mixing(sched, bad_counts, t, s, products=fold)
+        unshifted = MixingFold(5, shifted=False)
+        for t in range(1, 5):
+            unshifted.add(sched.matrix(t), counts[t - 1])
+        with pytest.raises(ValueError, match="products do not fold rounds"):
+            check_mixing(sched, counts, 4, 1, products=unshifted)   # K_1 = 2 needs the shifted product
+        with pytest.raises(ValueError, match="inner counts must be >= 1"):
+            fold.add(sched.matrix(5), 0)
+
+
+def reachable(root):
+    """Objects reachable from ``root``, not entering modules, classes or function globals."""
+    seen, todo = set(), [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (types.ModuleType, type)):
+            continue
+        seen.add(id(obj))
+        yield obj
+        refs = gc.get_referents(obj)
+        if isinstance(obj, types.FunctionType):
+            refs = [r for r in refs if r is not obj.__globals__]
+        todo.extend(refs)
+
+
+class TestNoRetention:
+    def test_dropped_round_is_freed(self):
+        sched = random_connected_schedule(6, 4, 0.3, seed=5)
+        dropped = weakref.ref(sched.matrix(2))
+        gc.collect()
+        assert dropped() is None
+        assert np.array_equal(sched.matrix(2).weights, sched.matrix(2).weights)   # rebuilt the same
+
+    def test_schedule_holds_no_round_after_a_run(self):
+        sched = random_connected_schedule(6, 8, 0.3, seed=5)
+        stream = generate_stream(6, 8, 5e-6, ConstraintSpec.simplex(3), seed=5)
+        trajectory = run(stream, sched, ScheduleParams())
+        assert trajectory.mixing.stop == 8
+        assert not any(isinstance(obj, WeightMatrix) for obj in reachable(sched))
+
+
 class TestScheduleCsv:
     def test_dump_shape(self, tmp_path):
         sched = random_connected_schedule(4, 3, 0.5, seed=14)
@@ -279,6 +360,20 @@ class TestScheduleCsv:
         for line in lines[1:]:
             t, i, j, w = line.split(",")
             assert float(w) == sched.matrix(int(t)).weights[int(i), int(j)]
+
+
+class TestWeightMatrix:
+    def test_weights_are_copied_unless_frozen_and_owned(self):
+        a = np.full((2, 2), 0.5)
+        wm = WeightMatrix(a, zeta=0.5)
+        a[0, 0] = 1.0
+        assert wm.weights[0, 0] == 0.5 and not wm.weights.flags.writeable
+        view = np.full((2, 2), 0.5)[:, :]
+        view.flags.writeable = False
+        assert WeightMatrix(view, zeta=0.5).weights is not view
+        frozen = np.full((2, 2), 0.5)
+        frozen.flags.writeable = False
+        assert WeightMatrix(frozen, zeta=0.5).weights is frozen
 
 
 class TestGraphScheduleContract:

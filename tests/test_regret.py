@@ -22,9 +22,11 @@ from domfw.problem import (
 from domfw.regret import (
     RoundOptimizer,
     SolverError,
+    active_set_optimum,
     envelopes,
     regret_series,
     regret_upper_bound,
+    round_optima,
     write_envelopes_csv,
     write_regret_csv,
 )
@@ -187,6 +189,50 @@ class TestSolveRoundOptimum:
             cold = RoundOptimizer(stream, tol=1e-10).solve(t)
             assert warm[t - 1].f_star == pytest.approx(cold.f_star, abs=1e-9)
             assert warm[t - 1].gap <= 1e-10
+
+
+class TestActiveSetFallback:
+    """Rounds the pairwise solver cannot certify within its cap: the active-set
+    solve takes over from that round on, and earlier records keep their bits."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(d=st.integers(1, 6), extra=st.integers(2, 6), T=st.integers(1, 4), ball=st.booleans(),
+           radius=st.floats(0.5, 3.0), lambda1=st.floats(1e-2, 1.0), redraw=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    def test_agrees_with_pairwise_within_the_gaps(self, d, extra, T, ball, radius, lambda1, redraw, seed):
+        spec = ConstraintSpec.l1_ball(d, radius) if ball else ConstraintSpec.simplex(d)
+        stream = generate_stream(d + extra, T, lambda1, spec, seed=seed, redraw_features=redraw)
+        for rec in all_optima(stream, tol=1e-10):
+            active = active_set_optimum(stream, rec.t, tol=1e-10)
+            assert spec.contains(active.x_star, tol=FEASIBILITY_TOL)
+            assert active.gap <= 1e-10
+            # each gap bounds its point's suboptimality
+            assert abs(active.f_star - rec.f_star) <= max(active.gap, rec.gap) + 1e-12 * max(1.0, abs(rec.f_star))
+
+    @pytest.mark.parametrize("n, d, ball, redraw, seed", [
+        (2, 6, False, False, 3),    # under-determined: H is singular up to the ridge
+        (3, 6, True, False, 4),
+        (11, 11, True, True, 18),   # a nearly singular redrawn round
+    ])
+    def test_capped_rounds_are_certified(self, n, d, ball, redraw, seed):
+        spec = ConstraintSpec.l1_ball(d, 2.0) if ball else ConstraintSpec.simplex(d)
+        stream = generate_stream(n, 13, 5e-6, spec, seed=seed, redraw_features=redraw)
+        records = round_optima(RoundOptimizer(stream, tol=1e-9, max_iter=2000), 13)
+        pairwise, error = solve_all(RoundOptimizer(stream, tol=1e-9, max_iter=2000), 13)
+        assert error is not None   # the pairwise solver alone stops at the cap
+        assert [r.t for r in records] == list(range(1, 14))
+        for rec in records:
+            assert spec.contains(rec.x_star, tol=FEASIBILITY_TOL)
+            assert rec.gap <= 1e-9
+        for rec, want in zip(records, pairwise):
+            assert rec.x_star.tobytes() == want.x_star.tobytes()
+            assert (rec.f_star, rec.gap, rec.iterations) == (want.f_star, want.gap, want.iterations)
+
+    def test_non_finite_gap_still_raises_at_once(self):
+        stream = generate_stream(3, 3, 1e-3, ConstraintSpec.l1_ball(3, 1e300), seed=0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(SolverError, match=r"^round 1: gap .* not finite at iteration 0$"):
+            round_optima(RoundOptimizer(stream), 3)
 
 
 def solver_digest(stream):
