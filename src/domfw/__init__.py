@@ -8,15 +8,12 @@ from .algorithm import (
     ScheduleMode,
     ScheduleParams,
     Trajectory,
-    consensus_step,
-    fw_step,
     initial_decisions,
     inner_count,
     inner_steps,
     run,
     run_round,
     step_size,
-    tracking_step,
 )
 from .network import (
     GraphSchedule,
@@ -24,10 +21,8 @@ from .network import (
     MixingFold,
     WeightMatrix,
     check_mixing,
-    constant_schedule,
     metropolis_weights,
     random_connected_schedule,
-    transition_product,
 )
 from .problem import (
     ConstraintKind,
@@ -38,12 +33,8 @@ from .problem import (
     estimate_function_variation,
     function_variation_bound,
     generate_stream,
-    global_grad,
     global_loss,
-    grad_eval,
     lmo,
-    local_grads,
-    loss_eval,
     problem_constants,
     sample_feasible,
 )

@@ -13,8 +13,9 @@ The committed decision for round ``t + 1`` is the iterate left after the
 ``K_t``-th inner step. All agents' variables are stored as stacked ``(n, d)``
 arrays; reductions use a fixed agent order so runs are bit-deterministic.
 
-Each step operation is a checked public function over an unchecked private
-body; the inner loop runs the bodies and checks its inputs once per round.
+Each step operation has one unchecked private body. The inner loop runs the
+bodies and checks its inputs once per round: ``inner_steps`` on its first
+step and ``run_round`` on the round's tracked gradients.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .network import GraphSchedule, MixingFold, WeightMatrix
-from .problem import ConstraintKind, ConstraintSpec, LossStream, _global_grad, _lmo, _local_grads, lmo, sample_feasible
+from .problem import (ConstraintKind, ConstraintSpec, LossStream, _frozen, _global_grad, _lmo, _local_grads,
+                      sample_feasible)
 
 CONSERVATION_TOL = 1e-9
 FEASIBILITY_RUN_TOL = 1e-10
@@ -123,56 +125,22 @@ def step_size(params: ScheduleParams, k_t: int, horizon: int) -> float:
     return alpha
 
 
-def consensus_step(xs: np.ndarray, wm: WeightMatrix) -> np.ndarray:
-    """Mix all agents' iterates: row ``i`` becomes ``sum_j A[i, j] xs[j]``."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[0] != wm.n:
-        raise ValueError(f"expected ({wm.n}, d) stacked iterates, got {xs.shape}")
-    return _mix(wm.weights, xs)
-
-
 def _mix(weights: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Consensus: row ``i`` becomes ``sum_j A[i, j] xs[j]``."""
     return weights @ xs
 
 
-def tracking_step(grad_tracked_prev: np.ndarray | None, grad_prev: np.ndarray | None,
-                  grad_fresh: np.ndarray, wm: WeightMatrix, k: int):
-    """One gradient-tracking update for all agents.
-
-    At ``k == 1`` the pre-mix estimate is the fresh local gradient; afterwards
-    it is the previous mixed estimate plus the local gradient increment. The
-    column stochasticity of the weights conserves the network-wide sum: the
-    pre-mix estimates always sum to the sum of fresh gradients.
-
-    Returns ``(grad_tracked_pre, grad_tracked)``; raises if the ``k > 1``
-    update is requested without the previous state.
-    """
-    grad_fresh = np.asarray(grad_fresh, dtype=float)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > 1 and (grad_tracked_prev is None or grad_prev is None):
-        raise RuntimeError("tracking update at k > 1 requires the previous tracked and local gradients")
-    return _track(grad_tracked_prev if k > 1 else None, grad_prev, grad_fresh, wm.weights)
-
-
-def _track(grad_tracked_prev, grad_prev, grad_fresh: np.ndarray, weights: np.ndarray):   # prev None at k = 1
+def _track(grad_tracked_prev, grad_prev, grad_fresh: np.ndarray, weights: np.ndarray):
+    """Gradient tracking: ``(grad_tracked_pre, grad_tracked)``. The pre-mix
+    estimate is the fresh gradient at the first step (no previous state), then
+    the last mixed estimate plus the gradient increment; its sum over agents
+    stays the sum of the fresh gradients, as the weights are column stochastic."""
     bar = grad_fresh.copy() if grad_tracked_prev is None else grad_tracked_prev + grad_fresh - grad_prev
     return bar, _mix(weights, bar)
 
 
-def fw_step(x_mixed: np.ndarray, grad_tracked: np.ndarray, alpha: float, spec: ConstraintSpec):
-    """Frank-Wolfe update from the mixed iterates, row by row.
-
-    ``x_mixed`` and ``grad_tracked`` are one agent's ``(d,)`` vectors or all
-    agents' stacked ``(n, d)`` rows. Returns ``(x_next, vertex)`` with
-    ``x_next = x_mixed + alpha * (v - x_mixed)``.
-    """
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
-    return _fw_step(x_mixed, lmo(spec, grad_tracked), alpha)
-
-
 def _fw_step(x_mixed, v: np.ndarray, alpha: float):
+    """Frank-Wolfe step toward the oracle vertices ``v``: ``(x_next, v)``."""
     return x_mixed + alpha * (v - x_mixed), v
 
 
@@ -295,7 +263,8 @@ class Trajectory:
     ``decisions[t - 1]`` holds all agents' committed points for round ``t``,
     for ``t = 1 .. T + 1`` (the last row is the decision the agents would
     commit at round ``T + 1``). ``mixing`` is the run's fold of its rounds'
-    weights, the products that ``check_mixing`` certifies.
+    weights, the products that ``check_mixing`` certifies. The decisions are
+    held read-only, adopted or copied as ``_frozen`` rules.
     """
 
     decisions: np.ndarray          # (T + 1, n, d)
@@ -303,9 +272,7 @@ class Trajectory:
     mixing: MixingFold | None = None
 
     def __post_init__(self):
-        a = np.array(self.decisions, dtype=float)
-        a.flags.writeable = False
-        object.__setattr__(self, "decisions", a)
+        object.__setattr__(self, "decisions", _frozen(self.decisions))
 
     @property
     def horizon(self) -> int:
@@ -379,6 +346,7 @@ def run(stream: LossStream, schedule: GraphSchedule, params: ScheduleParams,
             raise RuntimeError(f"round {t} failed: {exc}") from exc
         decisions[t] = xs
         rounds.append(diag)
+    decisions.flags.writeable = False   # handed over without a copy
     return Trajectory(decisions=decisions, rounds=tuple(rounds), mixing=fold)
 
 

@@ -160,13 +160,14 @@ def resident_bytes(n: int, d: int, T: int, k_max: int, redraw_features: bool) ->
 
     Counts the interpreter with NumPy loaded (40 MiB), about 1 KiB of
     per-round records, and float64 arrays: the stream (features, noise and
-    labels, each built then copied), the ``(T + 1, n, d)`` trajectory and its
-    copy, four ``(n, T)`` regret arrays, twelve ``(K_max, n, d)`` arrays of a
-    round's stacked inner steps, and twelve ``n x n`` working matrices (one
-    round's weights while they are built, and the mixing products).
+    labels, each built then copied), the ``(T + 1, n, d)`` trajectory (the
+    run's array, held without a copy), four ``(n, T)`` regret arrays, twelve
+    ``(K_max, n, d)`` arrays of a round's stacked inner steps, and twelve
+    ``n x n`` working matrices (one round's weights while they are built,
+    and the mixing products).
     """
     features = n * d * (T if redraw_features else 1)
-    floats = (2 * features + 4 * n * T + 2 * (T + 1) * n * d + 4 * n * T
+    floats = (2 * features + 4 * n * T + (T + 1) * n * d + 4 * n * T
               + 12 * k_max * n * d + 12 * n * n)
     return 40 * 2 ** 20 + 1024 * T + 8 * floats
 
@@ -429,7 +430,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None, dump_network: bool = 
         write_envelopes_csv(env, out / "envelopes.csv")
         (out / "envelopes.gp").write_text(_GNUPLOT)
 
-        counts = [r.inner_count for r in trajectory.rounds]
         ht_estimate = estimate_function_variation(stream)
         ht_upper_bound = function_variation_bound(stream) if stream.fixed_features else None
         bound = None
@@ -437,8 +437,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None, dump_network: bool = 
         if stream.fixed_features and config.schedule.mode is not ScheduleMode.BASELINE:
             mixing_constants = MixingConstants.from_zeta(schedule.zeta, stream.n)
             bound = regret_upper_bound(problem_constants(stream), mixing_constants, config.schedule,
-                                       stream, counts, trajectory.x_init)
-        mixing = check_mixing(schedule, counts, stream.T, 1, products=trajectory.mixing)
+                                       stream, [r.inner_count for r in trajectory.rounds], trajectory.x_init)
+        mixing = check_mixing(trajectory.mixing, schedule.zeta)
         result = RunResult(directory=out, config=config, trajectory=trajectory, regret=series,
                            envelopes=env, ht_estimate=ht_estimate, ht_upper_bound=ht_upper_bound,
                            bound=bound, mixing=mixing, wall_seconds=time.perf_counter() - started)
@@ -488,18 +488,25 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir=None, dump_networ
     """One run per axis value under a shared master seed; failures recorded.
 
     Returns the rows (input order) and writes ``sweep.csv`` plus one artifact
-    directory per value under ``out_dir``.
+    directory per value under ``out_dir``. A value that does not convert
+    raises ``ValueError`` before anything is run or written; one out of range
+    is a failed row.
     """
     if axis not in _SWEEP_AXES:
         raise ValueError(f"axis must be one of {sorted(_SWEEP_AXES)}, got {axis!r}")
     key = _SWEEP_AXES[axis]
     block, attr = key.split(".")
     convert = _SCHEMA[key][0]
+    pairs = []
+    for value in values:
+        try:
+            pairs.append((value, convert(value)))
+        except (TypeError, ValueError):
+            raise ValueError(f"sweep axis {axis}: cannot interpret {value!r}") from None
     out = Path(out_dir if out_dir is not None else config.output.directory)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for value in values:
-        converted = convert(value)
+    for value, converted in pairs:
         try:
             cfg = replace(config, **{block: replace(getattr(config, block), **{attr: converted})})
             result = run_experiment(cfg, out_dir=out / f"run_{axis}={value}", dump_network=dump_network)

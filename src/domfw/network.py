@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
+
+from .problem import _frozen
 
 PRODUCT_TOL = 1e-10
 
@@ -21,20 +23,16 @@ PRODUCT_TOL = 1e-10
 class WeightMatrix:
     """One round's mixing weights plus the smallest nonzero entry.
 
-    The weights are held read-only. They are copied unless they already are
-    a read-only float array that owns its memory, which is adopted as it is.
+    The weights are held read-only, adopted or copied as ``_frozen`` rules.
     """
 
     weights: np.ndarray
     zeta: float
 
     def __post_init__(self):
-        w = self.weights
-        if not (isinstance(w, np.ndarray) and w.dtype == float and not w.flags.writeable and w.base is None):
-            w = np.array(w, dtype=float)
+        w = _frozen(self.weights)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("weights must be a square matrix")
-        w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
     @property
@@ -149,11 +147,6 @@ def random_connected_schedule(n: int, horizon: int, edge_prob: float, seed: int)
     return GraphSchedule(n=n, horizon=horizon, builder=build, zeta=1.0 / n)
 
 
-def constant_schedule(wm: WeightMatrix, horizon: int) -> GraphSchedule:
-    """The same weight matrix every round (handy for tests and baselines)."""
-    return GraphSchedule(n=wm.n, horizon=horizon, builder=lambda t: wm, zeta=wm.zeta)
-
-
 @dataclass(frozen=True)
 class MixingConstants:
     """Geometric mixing certificate ``coeff * rate**(factors - 1)``.
@@ -178,31 +171,29 @@ class MixingConstants:
 
 
 class MixingFold:
-    """The ordered products ``A_t^{K_t} ... A_s^{K_s}``, folded one round at a time.
+    """The ordered products ``A_t^{K_t} ... A_s^{K_s}`` of rounds ``s..t``,
+    folded one round at a time.
 
-    ``add`` takes the rounds in order from ``start``. It raises each round's
-    weights to its count once and left-multiplies the power onto ``full`` and,
-    when the first count ``K_s`` exceeds 1 and ``shifted`` is set, onto
-    ``tail``, the product without the first round's factor. ``first`` keeps
-    ``A_s`` for the shifted checks of :func:`check_mixing`; nothing else of a
-    round is kept. :func:`run <domfw.algorithm.run>` folds its rounds as it
-    steps them, and :func:`check_mixing` and :func:`transition_product` fold
-    a window of a schedule.
+    ``add`` takes the rounds in order. It raises each round's weights to its
+    count once and left-multiplies the power onto ``full`` and, when the
+    first count ``K_s`` exceeds 1, onto ``tail``, the product without the
+    first round's factor. ``first`` keeps ``A_s`` for the shifted checks of
+    :func:`check_mixing`; nothing else of a round is kept.
+    :func:`run <domfw.algorithm.run>` folds its rounds ``1..T`` as it steps
+    them and returns the fold as ``Trajectory.mixing``.
     """
 
-    def __init__(self, n: int, start: int = 1, shifted: bool = True):
+    def __init__(self, n: int):
         self.n = n
-        self.start = start
-        self.stop = start - 1             # last round folded
+        self.rounds = 0                   # rounds folded
         self.total = 0                    # sum of the folded counts
         self.first_count = 0              # K_s
         self.first: np.ndarray | None = None
         self.full = np.eye(n)
         self.tail: np.ndarray | None = None
-        self._shifted = shifted
 
     def add(self, wm: WeightMatrix, k: int) -> None:
-        """Fold in round ``stop + 1`` with weights ``wm`` and count ``k``."""
+        """Fold in the next round, with weights ``wm`` and count ``k``."""
         k = int(k)
         if k < 1:
             raise ValueError("inner counts must be >= 1")
@@ -210,50 +201,28 @@ class MixingFold:
             raise ValueError("weight matrix size does not match the fold")
         power = np.linalg.matrix_power(wm.weights, k)
         self.full = power @ self.full
-        if self.stop < self.start:
+        if not self.rounds:
             self.first_count = k
-            if self._shifted and k > 1:
+            if k > 1:
                 self.first = wm.weights
                 self.tail = np.eye(self.n)
         elif self.tail is not None:
             self.tail = power @ self.tail
-        self.stop += 1
+        self.rounds += 1
         self.total += k
 
     def check_drift(self) -> None:
         """Raise if a nonempty product lost double stochasticity, the full one first."""
-        if self.stop >= self.start:
+        if self.rounds:
             _check_drift(self.full)
-        if self.tail is not None and self.stop > self.start:
+        if self.tail is not None and self.rounds > 1:
             _check_drift(self.tail)
-
-
-def _fold(schedule: GraphSchedule, counts: Sequence[int], t: int, s: int, shifted: bool) -> MixingFold:
-    """Fold rounds ``s..t`` of ``schedule`` with their ``counts``, building each round once."""
-    fold = MixingFold(schedule.n, start=s, shifted=shifted)
-    for p in range(s, t + 1):
-        fold.add(schedule.matrix(p), counts[p - 1])
-    return fold
 
 
 def _check_drift(product: np.ndarray) -> None:
     drift = max(np.abs(product.sum(axis=0) - 1.0).max(), np.abs(product.sum(axis=1) - 1.0).max())
     if drift > PRODUCT_TOL:
         raise RuntimeError(f"transition product lost double stochasticity (drift {drift:.3e})")
-
-
-def transition_product(schedule: GraphSchedule, counts: Sequence[int], t: int, s: int) -> np.ndarray:
-    """Ordered product of per-round matrices, each raised to its inner count.
-
-    Returns ``A_t^{K_t} A_{t-1}^{K_{t-1}} ... A_s^{K_s}``; by convention the
-    product over the empty range ``s == t + 1`` is the identity. The result
-    of a nonempty product is checked to stay doubly stochastic.
-    """
-    if not 1 <= s <= t + 1 or t > schedule.horizon:
-        raise ValueError(f"need 1 <= s <= t + 1 <= {schedule.horizon + 1}, got t={t} s={s}")
-    fold = _fold(schedule, counts, t, s, shifted=False)
-    fold.check_drift()
-    return fold.full
 
 
 @dataclass(frozen=True)
@@ -272,41 +241,33 @@ class MixingReport:
         return self.holds and self.shifted_holds
 
 
-def check_mixing(schedule: GraphSchedule, counts: Sequence[int], t: int, s: int,
-                 zeta: float | None = None, products: MixingFold | None = None) -> MixingReport:
-    """Evaluate the geometric mixing certificate for ``transition_product``.
+def check_mixing(fold: MixingFold, zeta: float) -> MixingReport:
+    """Evaluate the geometric mixing certificate on the products of a fold.
 
-    Checks ``max_ij |[product]_ij - 1/n| <= coeff * rate**(sum K - 1)`` and,
-    for every partial power ``1 <= l <= K_s - 1``, the shifted product
-    ``A_t^{K_t} ... A_{s+1}^{K_{s+1}} A_s^{K_s - l}`` against the bound with
-    exponent reduced by ``l``. ``zeta`` defaults to the schedule-wide bound.
-
-    ``products`` is a fold of exactly rounds ``s..t`` with these counts, such
-    as a run's ``Trajectory.mixing``; without it, the rounds are built from
-    the schedule and folded here.
+    For a fold of rounds ``s..t``, such as a run's ``Trajectory.mixing``,
+    checks ``max_ij |[A_t^{K_t} ... A_s^{K_s}]_ij - 1/n| <= coeff *
+    rate**(sum K - 1)`` and, for every partial power ``1 <= l <= K_s - 1``,
+    the shifted product ``A_t^{K_t} ... A_{s+1}^{K_{s+1}} A_s^{K_s - l}``
+    against the bound with exponent reduced by ``l``. ``zeta`` is a lower
+    bound on the folded rounds' nonzero weights, such as the schedule's
+    ``zeta``. Raises if the fold is empty or a product lost double
+    stochasticity.
     """
-    if not 1 <= s <= t <= schedule.horizon:
-        raise ValueError(f"need 1 <= s <= t <= {schedule.horizon}")
-    n = schedule.n
-    mc = MixingConstants.from_zeta(schedule.zeta if zeta is None else zeta, n)
-    if products is None:
-        products = _fold(schedule, counts, t, s, shifted=True)
-    else:
-        window = [int(counts[p - 1]) for p in range(s, t + 1)]
-        folded = (products.n, products.start, products.stop, products.first_count, products.total)
-        if folded != (n, s, t, window[0], sum(window)) or (window[0] > 1 and products.tail is None):
-            raise ValueError(f"products do not fold rounds {s}..{t} of this schedule with these counts")
-    products.check_drift()
+    if not fold.rounds:
+        raise ValueError("the fold holds no round")
+    n = fold.n
+    mc = MixingConstants.from_zeta(zeta, n)
+    fold.check_drift()
 
-    total, head, k_s = products.total, products.tail, products.first_count
-    deviation = float(np.abs(products.full - 1.0 / n).max())
+    total, head, k_s = fold.total, fold.tail, fold.first_count
+    deviation = float(np.abs(fold.full - 1.0 / n).max())
     bound = mc.coeff * mc.rate ** (total - 1)
     margin = bound - deviation
 
     shifted_margin = None
     shifted_holds = True
     if head is not None:
-        a_s = products.first
+        a_s = fold.first
         worst = np.inf
         for l in range(1, k_s):
             part = head @ np.linalg.matrix_power(a_s, k_s - l)
@@ -318,12 +279,11 @@ def check_mixing(schedule: GraphSchedule, counts: Sequence[int], t: int, s: int,
                         holds=margin >= 0, shifted_margin=shifted_margin, shifted_holds=shifted_holds)
 
 
-def write_schedule_csv(schedule: GraphSchedule, path, rounds: Sequence[int] | None = None) -> None:
-    """Dump nonzero weights as rows ``round, i, j, weight``."""
-    rounds = range(1, schedule.horizon + 1) if rounds is None else rounds
+def write_schedule_csv(schedule: GraphSchedule, path) -> None:
+    """Dump every round's nonzero weights as rows ``round, i, j, weight``."""
     with Path(path).open("w", newline="") as fh:
         fh.write("round,i,j,weight\n")
-        for t in rounds:
+        for t in range(1, schedule.horizon + 1):
             a = schedule.matrix(t).weights
             ii, jj = np.nonzero(a)   # row-major order
             for i, j, w in zip(ii.tolist(), jj.tolist(), a[ii, jj].tolist()):

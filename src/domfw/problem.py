@@ -2,15 +2,16 @@
 
 Conventions used across the package: rounds are numbered ``1..T`` (the label
 noise decays with the round number, so round numbers start at one), agents
-are numbered ``0..n-1`` and double as array indices. ``lmo``, ``local_grads``
-and ``global_grad`` check their arguments, then call unchecked private bodies
-(taking stacked ``(m, d)`` gradients, or a round's features and labels) that
-the inner loop of :mod:`domfw.algorithm` runs directly.
+are numbered ``0..n-1`` and double as array indices. The loss gradients and
+the linear oracle's body are unchecked private functions (taking a round's
+features and labels, or stacked ``(m, d)`` gradients) that the inner loop of
+:mod:`domfw.algorithm` runs, checking its inputs once per round; ``lmo`` is
+the oracle's checked public form, and ``LossStream`` checks its arrays once,
+when it is built.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -148,9 +149,13 @@ def sample_feasible(spec: ConstraintSpec, rng: np.random.Generator, size: int | 
     return pts[0] if size is None else pts
 
 
-def _lock(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
+def _frozen(a) -> np.ndarray:
+    """``a`` as a read-only float array: adopted as it is when it already is
+    one that owns its memory, copied otherwise. A producer hands over a fresh
+    array without a copy by clearing its ``writeable`` flag first."""
+    if not (isinstance(a, np.ndarray) and a.dtype == float and not a.flags.writeable and a.base is None):
+        a = np.array(a, dtype=float)
+        a.flags.writeable = False
     return a
 
 
@@ -205,7 +210,7 @@ class LossStream:
         if not self.constraint.contains(self.ground_truth):
             raise ValueError("ground_truth is infeasible")
         for name in ("features", "ground_truth", "noise", "labels"):
-            object.__setattr__(self, name, _lock(getattr(self, name)))
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @property
     def fixed_features(self) -> bool:
@@ -219,10 +224,6 @@ class LossStream:
     def _check_round(self, t: int):
         if not 1 <= t <= self.T:
             raise ValueError(f"round {t} out of range 1..{self.T}")
-
-    def _check_agent(self, i: int):
-        if not 0 <= i < self.n:
-            raise ValueError(f"agent {i} out of range 0..{self.n - 1}")
 
     @classmethod
     def from_components(cls, lambda1, features, ground_truth, noise, constraint) -> "LossStream":
@@ -260,42 +261,10 @@ def generate_stream(n: int, T: int, lambda1: float, spec: ConstraintSpec,
     return LossStream.from_components(lambda1, features, ground_truth, noise, spec)
 
 
-def loss_eval(stream: LossStream, t: int, i: int, x: np.ndarray) -> float:
-    """Agent ``i``'s loss at round ``t``."""
-    stream._check_round(t)
-    stream._check_agent(i)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (stream.d,):
-        raise ValueError(f"point shape {x.shape} != ({stream.d},)")
-    a = stream.feature_matrix(t)[i]
-    r = float(a @ x) - stream.labels[i, t - 1]
-    return 0.5 * r * r + stream.lambda1 * float(x @ x)
-
-
-def local_grads(stream: LossStream, t: int, xs: np.ndarray) -> np.ndarray:
-    """Every agent's gradient of its own loss at round ``t``, at its own row
-    of the stacked points ``xs`` of shape ``(n, d)``."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.shape != (stream.n, stream.d):
-        raise ValueError(f"expected ({stream.n}, {stream.d}) stacked points, got {xs.shape}")
-    return _local_grads(stream.feature_matrix(t), stream.labels[:, t - 1], stream.lambda1, xs)
-
-
 def _local_grads(feats: np.ndarray, labels: np.ndarray, lambda1: float, xs: np.ndarray) -> np.ndarray:
+    """Every agent's gradient of its own loss, at its own row of the stacked ``(n, d)`` points."""
     resid = np.einsum("nd,nd->n", feats, xs) - labels
     return feats * resid[:, None] + 2.0 * lambda1 * xs
-
-
-def grad_eval(stream: LossStream, t: int, i: int, x: np.ndarray) -> np.ndarray:
-    """Gradient of :func:`loss_eval` in ``x``: row ``i`` of :func:`local_grads`."""
-    stream._check_round(t)
-    stream._check_agent(i)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (stream.d,):
-        raise ValueError(f"point shape {x.shape} != ({stream.d},)")
-    xs = np.zeros((stream.n, stream.d))
-    xs[i] = x
-    return local_grads(stream, t, xs)[i]
 
 
 def global_loss(stream: LossStream, t: int, x: np.ndarray) -> float:
@@ -307,13 +276,8 @@ def global_loss(stream: LossStream, t: int, x: np.ndarray) -> float:
     return 0.5 * float(resid @ resid) + stream.n * stream.lambda1 * float(x @ x)
 
 
-def global_grad(stream: LossStream, t: int, x: np.ndarray) -> np.ndarray:
-    """Gradient of :func:`global_loss` in ``x``."""
-    x = np.asarray(x, dtype=float)
-    return _global_grad(stream.feature_matrix(t), stream.labels[:, t - 1], stream.lambda1, x)
-
-
 def _global_grad(feats: np.ndarray, labels: np.ndarray, lambda1: float, x: np.ndarray) -> np.ndarray:
+    """Gradient of :func:`global_loss` in ``x``, from the round's features and labels."""
     resid = feats @ x - labels
     return feats.T @ resid + 2.0 * feats.shape[0] * lambda1 * x
 
@@ -422,24 +386,3 @@ def write_stream_csv(stream: LossStream, path) -> None:
             for t, (row, b) in enumerate(zip(rows, stream.labels[i].tolist()), start=1):
                 fh.write(f"{i},{t},{row},{b!r}\n")
 
-
-def read_stream_csv(path):
-    """Read a stream dump back as ``(features, labels)`` arrays.
-
-    ``features`` has shape ``(T, n, d)`` (one row per round even when the
-    dump came from a fixed-feature stream); ``labels`` has shape ``(n, T)``.
-    """
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        d = len(header) - 3
-        rows = [(int(r[0]), int(r[1]), [float(v) for v in r[2:2 + d]], float(r[-1])) for r in reader]
-    n = max(r[0] for r in rows) + 1
-    T = max(r[1] for r in rows)
-    features = np.zeros((T, n, d))
-    labels = np.zeros((n, T))
-    for i, t, a, b in rows:
-        features[t - 1, i] = a
-        labels[i, t - 1] = b
-    return features, labels

@@ -28,6 +28,7 @@ from .problem import (
     ConstraintKind,
     LossStream,
     ProblemConstants,
+    _frozen,
     function_variation_bound,
     global_loss,
 )
@@ -253,14 +254,13 @@ def round_optima(solver: RoundOptimizer, T: int) -> list[OptimumRecord]:
 
 @dataclass(frozen=True)
 class RegretSeries:
-    """Cumulative dynamic regret of every agent, rounds ``1..T``."""
+    """Cumulative dynamic regret of every agent, rounds ``1..T``, held
+    read-only and adopted or copied as ``_frozen`` rules."""
 
     cumulative: np.ndarray   # (n, T)
 
     def __post_init__(self):
-        a = np.array(self.cumulative, dtype=float)
-        a.flags.writeable = False
-        object.__setattr__(self, "cumulative", a)
+        object.__setattr__(self, "cumulative", _frozen(self.cumulative))
 
     @property
     def average(self) -> np.ndarray:
@@ -295,7 +295,9 @@ def regret_series(trajectory: Trajectory, optima, stream: LossStream,
         increments[:, t - 1] = f_vals - rec.f_star
     if increments.min() < -tol:
         raise ValueError(f"negative regret increment {increments.min():.3e} below -tol")
-    return RegretSeries(cumulative=np.cumsum(increments, axis=1))
+    cumulative = np.cumsum(increments, axis=1)
+    cumulative.flags.writeable = False   # handed over without a copy
+    return RegretSeries(cumulative=cumulative)
 
 
 @dataclass(frozen=True)

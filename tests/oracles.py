@@ -1,6 +1,14 @@
 """Test oracles: slow, plain implementations the library is checked against.
 
-None of these runs in the simulator. ``project`` and
+None of these runs in the simulator. The checked forms of the library's step
+and gradient bodies (``consensus_step``, ``tracking_step``, ``fw_step``,
+``local_grads``, ``global_grad``, ``loss_eval``, ``grad_eval``) check their
+arguments on every call and then run the library's own private body, so a
+test can drive one operation at a time with the run's arithmetic.
+``constant_schedule`` repeats one weight matrix every round, ``fold_window``
+folds rounds ``s..t`` of a schedule into a ``MixingFold`` for
+``check_mixing``, and ``transition_product`` is that window's checked
+product. ``read_stream_csv`` reads a ``stream.csv`` dump back. ``project`` and
 ``projected_gradient_optimum`` are an independent route to the round optima
 (the algorithm under study never projects). ``ReferenceRoundOptimizer`` and
 ``reference_function_variation`` are the straightforward forms of the
@@ -15,18 +23,156 @@ definition) are totals the simulator never needs.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from domfw.algorithm import ScheduleParams, inner_count
-from domfw.network import GraphSchedule, WeightMatrix
-from domfw.problem import ConstraintKind, ConstraintSpec, LossStream, global_loss, sample_feasible
+from domfw.algorithm import ScheduleParams, _fw_step, _mix, _track, inner_count
+from domfw.network import GraphSchedule, MixingFold, WeightMatrix
+from domfw.problem import (
+    ConstraintKind,
+    ConstraintSpec,
+    LossStream,
+    _global_grad,
+    _local_grads,
+    global_loss,
+    lmo,
+    sample_feasible,
+)
 from domfw.regret import OptimumRecord, SolverError, _quadratic
+
+
+def consensus_step(xs: np.ndarray, wm: WeightMatrix) -> np.ndarray:
+    """Mix all agents' iterates: row ``i`` becomes ``sum_j A[i, j] xs[j]``."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[0] != wm.n:
+        raise ValueError(f"expected ({wm.n}, d) stacked iterates, got {xs.shape}")
+    return _mix(wm.weights, xs)
+
+
+def tracking_step(grad_tracked_prev: np.ndarray | None, grad_prev: np.ndarray | None,
+                  grad_fresh: np.ndarray, wm: WeightMatrix, k: int):
+    """One gradient-tracking update for all agents at inner step ``k``.
+
+    Returns ``(grad_tracked_pre, grad_tracked)``; raises if the ``k > 1``
+    update is requested without the previous state.
+    """
+    grad_fresh = np.asarray(grad_fresh, dtype=float)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > 1 and (grad_tracked_prev is None or grad_prev is None):
+        raise RuntimeError("tracking update at k > 1 requires the previous tracked and local gradients")
+    return _track(grad_tracked_prev if k > 1 else None, grad_prev, grad_fresh, wm.weights)
+
+
+def fw_step(x_mixed: np.ndarray, grad_tracked: np.ndarray, alpha: float, spec: ConstraintSpec):
+    """Frank-Wolfe update from the mixed iterates, row by row.
+
+    ``x_mixed`` and ``grad_tracked`` are one agent's ``(d,)`` vectors or all
+    agents' stacked ``(n, d)`` rows. Returns ``(x_next, vertex)`` with
+    ``x_next = x_mixed + alpha * (v - x_mixed)``.
+    """
+    if not 0 < alpha <= 1:
+        raise ValueError("alpha must lie in (0, 1]")
+    return _fw_step(x_mixed, lmo(spec, grad_tracked), alpha)
+
+
+def _check_agent(stream: LossStream, i: int):
+    if not 0 <= i < stream.n:
+        raise ValueError(f"agent {i} out of range 0..{stream.n - 1}")
+
+
+def _check_point(stream: LossStream, x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (stream.d,):
+        raise ValueError(f"point shape {x.shape} != ({stream.d},)")
+    return x
+
+
+def loss_eval(stream: LossStream, t: int, i: int, x: np.ndarray) -> float:
+    """Agent ``i``'s loss at round ``t``."""
+    stream._check_round(t)
+    _check_agent(stream, i)
+    x = _check_point(stream, x)
+    a = stream.feature_matrix(t)[i]
+    r = float(a @ x) - stream.labels[i, t - 1]
+    return 0.5 * r * r + stream.lambda1 * float(x @ x)
+
+
+def local_grads(stream: LossStream, t: int, xs: np.ndarray) -> np.ndarray:
+    """Every agent's gradient of its own loss at round ``t``, at its own row
+    of the stacked points ``xs`` of shape ``(n, d)``."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.shape != (stream.n, stream.d):
+        raise ValueError(f"expected ({stream.n}, {stream.d}) stacked points, got {xs.shape}")
+    return _local_grads(stream.feature_matrix(t), stream.labels[:, t - 1], stream.lambda1, xs)
+
+
+def grad_eval(stream: LossStream, t: int, i: int, x: np.ndarray) -> np.ndarray:
+    """Gradient of :func:`loss_eval` in ``x``: row ``i`` of :func:`local_grads`."""
+    stream._check_round(t)
+    _check_agent(stream, i)
+    xs = np.zeros((stream.n, stream.d))
+    xs[i] = _check_point(stream, x)
+    return local_grads(stream, t, xs)[i]
+
+
+def global_grad(stream: LossStream, t: int, x: np.ndarray) -> np.ndarray:
+    """Gradient of ``global_loss`` in ``x``."""
+    x = np.asarray(x, dtype=float)
+    return _global_grad(stream.feature_matrix(t), stream.labels[:, t - 1], stream.lambda1, x)
+
+
+def read_stream_csv(path):
+    """Read a stream dump back as ``(features, labels)`` arrays.
+
+    ``features`` has shape ``(T, n, d)`` (one row per round even when the
+    dump came from a fixed-feature stream); ``labels`` has shape ``(n, T)``.
+    """
+    with Path(path).open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        d = len(header) - 3
+        rows = [(int(r[0]), int(r[1]), [float(v) for v in r[2:2 + d]], float(r[-1])) for r in reader]
+    n = max(r[0] for r in rows) + 1
+    T = max(r[1] for r in rows)
+    features = np.zeros((T, n, d))
+    labels = np.zeros((n, T))
+    for i, t, a, b in rows:
+        features[t - 1, i] = a
+        labels[i, t - 1] = b
+    return features, labels
+
+
+def constant_schedule(wm: WeightMatrix, horizon: int) -> GraphSchedule:
+    """The same weight matrix every round."""
+    return GraphSchedule(n=wm.n, horizon=horizon, builder=lambda t: wm, zeta=wm.zeta)
+
+
+def fold_window(schedule: GraphSchedule, counts: Sequence[int], t: int, s: int) -> MixingFold:
+    """Rounds ``s..t`` of ``schedule`` with their ``counts``, folded in order;
+    the empty range ``s == t + 1`` gives an empty fold."""
+    if not 1 <= s <= t + 1 or t > schedule.horizon:
+        raise ValueError(f"need 1 <= s <= t + 1 <= {schedule.horizon + 1}, got t={t} s={s}")
+    fold = MixingFold(schedule.n)
+    for p in range(s, t + 1):
+        fold.add(schedule.matrix(p), counts[p - 1])
+    return fold
+
+
+def transition_product(schedule: GraphSchedule, counts: Sequence[int], t: int, s: int) -> np.ndarray:
+    """Ordered product ``A_t^{K_t} ... A_s^{K_s}``, the identity over the
+    empty range ``s == t + 1``; a nonempty product is checked to stay doubly
+    stochastic."""
+    fold = fold_window(schedule, counts, t, s)
+    fold.check_drift()
+    return fold.full
 
 
 def _project_to_sum(v: np.ndarray, total: float) -> np.ndarray:

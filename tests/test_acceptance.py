@@ -16,7 +16,7 @@ from domfw.harness import derive_seed, fit_loglog_slope
 from domfw.network import MixingConstants, check_mixing, random_connected_schedule
 from domfw.problem import ConstraintSpec, generate_stream, lmo, problem_constants
 from domfw.regret import RoundOptimizer, envelopes, regret_series, regret_upper_bound
-from oracles import lo_call_count, projected_gradient_optimum
+from oracles import fold_window, lo_call_count, projected_gradient_optimum
 
 SEEDS = (101, 202, 303, 404, 505)
 HORIZON = 1000
@@ -82,7 +82,7 @@ def test_criterion_2_mixing_bound():
     margins = {}
     deviations = {}
     for t in (5, 10, 20):
-        rep = check_mixing(schedule, counts, t, 1)
+        rep = check_mixing(fold_window(schedule, counts, t, 1), schedule.zeta)
         margins[t] = rep.margin
         deviations[t] = rep.deviation
         assert rep.shifted_holds

@@ -6,37 +6,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import domfw.algorithm as algorithm
 from domfw.algorithm import (
     CONSERVATION_TOL,
     FEASIBILITY_RUN_TOL,
     RoundDiagnostics,
     ScheduleMode,
     ScheduleParams,
-    consensus_step,
-    fw_step,
+    Trajectory,
     initial_decisions,
     inner_count,
     inner_steps,
     run,
     run_round,
     step_size,
-    tracking_step,
     write_diagnostics_csv,
     write_trajectory_csv,
 )
-from domfw.network import WeightMatrix, constant_schedule, metropolis_weights, random_connected_schedule
-from domfw.problem import (
-    ConstraintSpec,
-    LossStream,
-    generate_stream,
+from domfw.network import WeightMatrix, metropolis_weights, random_connected_schedule
+from domfw.problem import ConstraintSpec, LossStream, generate_stream, global_loss, lmo, sample_feasible
+from oracles import (
+    consensus_step,
+    constant_schedule,
+    fw_step,
     global_grad,
-    global_loss,
     grad_eval,
-    lmo,
+    lo_call_count,
     local_grads,
-    sample_feasible,
+    tracking_step,
 )
-from oracles import lo_call_count
 
 PER_ROUND = ScheduleMode.PER_ROUND
 HORIZON = ScheduleMode.HORIZON
@@ -68,7 +66,7 @@ def recursion_gap(steps, alpha):
 
 def per_step_round(xs, stream, sched, params, t):
     """Round ``t`` stepped and monitored one inner step at a time with the
-    public checked operations: the oracle for ``run_round``'s diagnostics."""
+    checked operations: the oracle for ``run_round``'s diagnostics."""
     n, spec = stream.n, stream.constraint
     wm = sched.matrix(t)
     k_t = inner_count(params, t, sched.horizon)
@@ -434,6 +432,18 @@ class TestRunRound:
 
 
 class TestRun:
+    def test_trajectory_holds_the_run_decisions_without_a_copy(self, monkeypatch):
+        handed = []
+        monkeypatch.setattr(algorithm, "Trajectory", lambda **kw: handed.append(kw["decisions"]) or Trajectory(**kw))
+        stream = generate_stream(3, 4, 1e-3, ConstraintSpec.simplex(2), seed=31)
+        traj = run(stream, random_connected_schedule(3, 4, 0.5, seed=32), ScheduleParams())
+        assert traj.decisions is handed[0]
+        assert not traj.decisions.flags.writeable
+        # an array the caller can still write to is copied, and left writeable
+        mine = np.zeros((2, 1, 1))
+        kept = Trajectory(decisions=mine, rounds=()).decisions
+        assert kept is not mine and mine.flags.writeable and not kept.flags.writeable
+
     def test_minimal_run_counters(self):
         stream = single_agent_stream([1.0], [0.5], [[0.3]])
         sched = constant_schedule(WeightMatrix(np.array([[1.0]]), zeta=1.0), 1)

@@ -1,9 +1,22 @@
 """The public API holds each fact once: a function that takes a stream reads
-the feasible set from ``stream.constraint`` instead of taking it again."""
+the feasible set from ``stream.constraint`` instead of taking it again. Each
+operation has one implementation in the library, and README's library
+example runs against it."""
 
 import inspect
+import re
+from pathlib import Path
 
 import domfw
+import domfw.algorithm
+import domfw.network
+import domfw.problem
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# test-only functions, kept in tests/oracles.py and out of the library
+TEST_ONLY = ("consensus_step", "tracking_step", "fw_step", "local_grads", "global_grad", "loss_eval",
+             "grad_eval", "read_stream_csv", "constant_schedule", "transition_product", "fold_window", "_fold")
 
 
 def public_signatures():
@@ -31,3 +44,22 @@ def test_no_signature_takes_both_a_stream_and_a_set():
 
 def test_generate_stream_takes_the_dimension_from_the_set():
     assert "d" not in inspect.signature(domfw.generate_stream).parameters
+
+
+def test_checked_twins_stay_in_the_tests():
+    for module in (domfw, domfw.algorithm, domfw.problem, domfw.network):
+        assert [name for name in TEST_ONLY if hasattr(module, name)] == [], module.__name__
+    assert not hasattr(domfw.LossStream, "_check_agent")
+
+
+def test_check_mixing_takes_a_fold_and_zeta_only():
+    assert list(inspect.signature(domfw.check_mixing).parameters) == ["fold", "zeta"]
+    assert list(inspect.signature(domfw.MixingFold).parameters) == ["n"]
+
+
+def test_readme_library_example_runs(capsys):
+    block, = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.DOTALL)
+    exec(compile(block, str(README), "exec"), {})
+    regret, lo_calls, messages, mixed = capsys.readouterr().out.split()
+    assert float(regret) >= 0 and int(lo_calls) > 0 and int(messages) > 0
+    assert mixed == "True"

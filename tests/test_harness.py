@@ -23,9 +23,9 @@ from domfw.harness import (
     run_experiment,
     sweep,
 )
-from domfw.network import GraphSchedule, WeightMatrix, constant_schedule, random_connected_schedule
+from domfw.network import GraphSchedule, WeightMatrix, random_connected_schedule
 from domfw.problem import ConstraintKind, generate_stream
-from oracles import lo_call_count
+from oracles import constant_schedule, lo_call_count
 
 FLOAT_KEYS = [key for key, (convert, *_) in harness._SCHEMA.items() if convert is float]
 
@@ -398,6 +398,17 @@ class TestSweep:
             table = list(csv.reader(fh))
         assert table[1][0] == "0.5" and table[1][-1] == "ok"
         assert table[2][:4] == ["1.5", "", "", ""] and table[2][4] == rows[1].error
+
+    @pytest.mark.parametrize("axis, values, bad", [("gamma", ["0.5", "abc"], "abc"),
+                                                   ("n", ["3", "2.5"], "2.5"),
+                                                   ("mode", ["horizon", "weekly"], "weekly")])
+    def test_unconvertible_value_fails_before_any_run(self, tmp_path, monkeypatch, axis, values, bad):
+        ran = []
+        monkeypatch.setattr(harness, "run_experiment", lambda *args, **kwargs: ran.append(args))
+        with pytest.raises(ValueError, match=f"^sweep axis {axis}: cannot interpret '{bad}'$"):
+            sweep(parse_config(SMALL), axis, values, out_dir=tmp_path / "sweep")
+        assert ran == []
+        assert not (tmp_path / "sweep").exists()
 
     def test_mode_sweep_includes_baseline(self, tmp_path):
         cfg = parse_config("problem.n = 3\nproblem.T = 4\nproblem.d = 3")

@@ -18,14 +18,12 @@ from domfw.network import (
     MixingFold,
     WeightMatrix,
     check_mixing,
-    constant_schedule,
     metropolis_weights,
     random_connected_schedule,
-    transition_product,
     write_schedule_csv,
 )
 from domfw.problem import ConstraintSpec, generate_stream
-from oracles import exact_zeta, validate
+from oracles import constant_schedule, exact_zeta, fold_window, transition_product, validate
 
 
 class TestMetropolis:
@@ -221,11 +219,16 @@ class TestTransitionProduct:
             transition_product(sched, [0] * 6, 3, 1)
 
 
+def window_report(sched, counts, t, s, zeta=None):
+    """``check_mixing`` on rounds ``s..t`` of ``sched``, by default against its ``zeta``."""
+    return check_mixing(fold_window(sched, counts, t, s), sched.zeta if zeta is None else zeta)
+
+
 class TestCheckMixing:
     def test_complete_graph_exact_averaging(self):
         wm = metropolis_weights([(i, j) for i in range(5) for j in range(i + 1, 5)], 5)
         sched = constant_schedule(wm, 10)
-        report = check_mixing(sched, [3] * 10, 4, 1)
+        report = window_report(sched, [3] * 10, 4, 1)
         assert report.deviation <= 1e-15
         assert report.holds and report.shifted_holds
         assert report.margin > 0
@@ -233,7 +236,7 @@ class TestCheckMixing:
     def test_ring_positive_margin(self):
         ring = metropolis_weights([(i, (i + 1) % 5) for i in range(5)], 5)
         sched = constant_schedule(ring, 20)
-        report = check_mixing(sched, [2] * 20, 11, 1)   # t - s = 10
+        report = window_report(sched, [2] * 20, 11, 1)   # t - s = 10
         assert report.ok
         assert report.margin > 0
         assert report.shifted_margin > 0
@@ -241,7 +244,7 @@ class TestCheckMixing:
     def test_detector_fires_on_non_mixing_matrix(self):
         # doubly stochastic but disconnected: the product never approaches uniform
         sched = constant_schedule(WeightMatrix(np.eye(2), zeta=1.0), 50)
-        report = check_mixing(sched, [2] * 50, 50, 1)
+        report = window_report(sched, [2] * 50, 50, 1)
         assert report.deviation == pytest.approx(0.5)
         assert not report.holds
 
@@ -250,20 +253,20 @@ class TestCheckMixing:
         # entry give valid certificates; the latter is strictly tighter
         sched = random_connected_schedule(6, 12, 0.3, seed=10)
         counts = [2] * 12
-        loose = check_mixing(sched, counts, 8, 1)
-        tight = check_mixing(sched, counts, 8, 1, zeta=exact_zeta(sched, range(1, 9)))
+        loose = window_report(sched, counts, 8, 1)
+        tight = window_report(sched, counts, 8, 1, zeta=exact_zeta(sched, range(1, 9)))
         assert loose.ok and tight.ok
         assert tight.bound < loose.bound
         assert tight.deviation == loose.deviation
 
     def test_report_bits_match_separate_products(self):
-        # check_mixing computes each round's power once for both of its products;
+        # a fold computes each round's power once for both of its products;
         # the report must equal one built from two transition_product calls
         sched = random_connected_schedule(7, 9, 0.3, seed=21)
         counts = [3, 2, 4, 1, 3, 2, 2, 5, 3]
-        assert check_mixing(sched, counts, 6, 4).shifted_margin is None   # K_4 = 1
+        assert window_report(sched, counts, 6, 4).shifted_margin is None   # K_4 = 1
         for t, s in ((9, 1), (6, 3), (5, 5)):
-            report = check_mixing(sched, counts, t, s)
+            report = window_report(sched, counts, t, s)
             mc = MixingConstants.from_zeta(sched.zeta, 7)
             total = sum(counts[s - 1:t])
             assert report.deviation == float(np.abs(transition_product(sched, counts, t, s) - 1 / 7).max())
@@ -291,31 +294,20 @@ class TestCheckMixing:
             mp.setattr(algorithm, "inner_count", lambda params, t, horizon: counts[t - 1])
             trajectory = run(stream, sched, ScheduleParams())
         assert [r.inner_count for r in trajectory.rounds] == counts
-        folded = check_mixing(sched, counts, horizon, 1, products=trajectory.mixing)
-        fresh = check_mixing(sched, counts, horizon, 1)
+        folded = check_mixing(trajectory.mixing, sched.zeta)
+        fresh = window_report(sched, counts, horizon, 1)
 
         def bits(report):
             return [v.hex() if isinstance(v, float) else v for v in vars(report).values()]
         assert bits(folded) == bits(fresh)
         assert (fresh.shifted_margin is None) == (counts[0] == 1)
 
-    def test_products_must_cover_the_window(self):
+    def test_empty_fold_and_zero_count_are_rejected(self):
         sched = random_connected_schedule(5, 6, 0.3, seed=4)
-        counts = [2, 3, 1, 2, 2, 4]
-        fold = MixingFold(5)
-        for t in range(1, 5):
-            fold.add(sched.matrix(t), counts[t - 1])
-        assert check_mixing(sched, counts, 4, 1, products=fold) == check_mixing(sched, counts, 4, 1)
-        for t, s, bad_counts in ((5, 1, counts), (4, 2, counts), (4, 1, [3] + counts[1:])):
-            with pytest.raises(ValueError, match="products do not fold rounds"):
-                check_mixing(sched, bad_counts, t, s, products=fold)
-        unshifted = MixingFold(5, shifted=False)
-        for t in range(1, 5):
-            unshifted.add(sched.matrix(t), counts[t - 1])
-        with pytest.raises(ValueError, match="products do not fold rounds"):
-            check_mixing(sched, counts, 4, 1, products=unshifted)   # K_1 = 2 needs the shifted product
+        with pytest.raises(ValueError, match="the fold holds no round"):
+            check_mixing(fold_window(sched, [2] * 6, 3, 4), sched.zeta)
         with pytest.raises(ValueError, match="inner counts must be >= 1"):
-            fold.add(sched.matrix(5), 0)
+            MixingFold(5).add(sched.matrix(5), 0)
 
 
 def reachable(root):
@@ -345,7 +337,7 @@ class TestNoRetention:
         sched = random_connected_schedule(6, 8, 0.3, seed=5)
         stream = generate_stream(6, 8, 5e-6, ConstraintSpec.simplex(3), seed=5)
         trajectory = run(stream, sched, ScheduleParams())
-        assert trajectory.mixing.stop == 8
+        assert trajectory.mixing.rounds == 8
         assert not any(isinstance(obj, WeightMatrix) for obj in reachable(sched))
 
 

@@ -14,17 +14,13 @@ from domfw.problem import (
     estimate_function_variation,
     function_variation_bound,
     generate_stream,
-    global_grad,
     global_loss,
-    grad_eval,
     lmo,
-    loss_eval,
     problem_constants,
-    read_stream_csv,
     sample_feasible,
     write_stream_csv,
 )
-from oracles import reference_function_variation
+from oracles import global_grad, grad_eval, loss_eval, read_stream_csv, reference_function_variation
 
 
 def ball_stream(features, ground_truth, noise, lambda1=0.0, radius=2.0):

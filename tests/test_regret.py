@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import domfw.regret as regret
 from domfw.algorithm import ScheduleMode, ScheduleParams, Trajectory, inner_count, run
 from domfw.network import MixingConstants, random_connected_schedule
 from domfw.problem import (
@@ -375,6 +376,16 @@ class TestDynamicRegret:
         series = regret_series(traj, optima, stream, tol=1e-9)
         diffs = np.diff(series.cumulative, axis=1)
         assert diffs.min() >= -1e-9
+
+    def test_series_holds_the_cumulative_sums_without_a_copy(self, monkeypatch):
+        handed = []
+        monkeypatch.setattr(regret, "RegretSeries",
+                            lambda cumulative: handed.append(cumulative) or RegretSeries(cumulative))
+        stream = generate_stream(2, 3, 1e-4, ConstraintSpec.simplex(2), seed=14)
+        traj = constant_decision_trajectory(np.array([[1.0, 0.0], [0.5, 0.5]]), 3)
+        series = regret_series(traj, all_optima(stream), stream)
+        assert series.cumulative is handed[0]
+        assert not series.cumulative.flags.writeable
 
     def test_corrupted_optimum_rejected(self):
         spec = ConstraintSpec.simplex(2)
