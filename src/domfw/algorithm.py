@@ -13,9 +13,11 @@ The committed decision for round ``t + 1`` is the iterate left after the
 ``K_t``-th inner step. All agents' variables are stored as stacked ``(n, d)``
 arrays; reductions use a fixed agent order so runs are bit-deterministic.
 
-Each step operation has one unchecked private body. The inner loop runs the
-bodies and checks its inputs once per round: ``inner_steps`` on its first
-step and ``run_round`` on the round's tracked gradients.
+Each step operation has one unchecked private body. A private round kernel
+checks a round's inputs once, allocates the round's ``(K_t, n, d)`` buffers
+once and runs the bodies into them step by step. ``run_round`` reads its
+diagnostics straight from those buffers and checks the tracked gradients;
+``inner_steps`` yields read-only views of the same buffers.
 """
 
 from __future__ import annotations
@@ -125,23 +127,68 @@ def step_size(params: ScheduleParams, k_t: int, horizon: int) -> float:
     return alpha
 
 
-def _mix(weights: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _mix(weights: np.ndarray, xs: np.ndarray, out=None) -> np.ndarray:
     """Consensus: row ``i`` becomes ``sum_j A[i, j] xs[j]``."""
-    return weights @ xs
+    return np.matmul(weights, xs, out=out)
 
 
-def _track(grad_tracked_prev, grad_prev, grad_fresh: np.ndarray, weights: np.ndarray):
-    """Gradient tracking: ``(grad_tracked_pre, grad_tracked)``. The pre-mix
-    estimate is the fresh gradient at the first step (no previous state), then
-    the last mixed estimate plus the gradient increment; its sum over agents
-    stays the sum of the fresh gradients, as the weights are column stochastic."""
-    bar = grad_fresh.copy() if grad_tracked_prev is None else grad_tracked_prev + grad_fresh - grad_prev
-    return bar, _mix(weights, bar)
+def _track(grad_tracked_prev, grad_prev, grad_fresh: np.ndarray, weights: np.ndarray, out=None):
+    """Gradient tracking: ``(grad_tracked_pre, grad_tracked)``, written into
+    the pair of arrays ``out`` when given. The pre-mix estimate is the fresh
+    gradient at the first step (no previous state), then the last mixed
+    estimate plus the gradient increment; its sum over agents stays the sum
+    of the fresh gradients, as the weights are column stochastic."""
+    bar, hat = (np.empty_like(grad_fresh), None) if out is None else out
+    if grad_tracked_prev is None:
+        bar[...] = grad_fresh
+    else:
+        np.add(grad_tracked_prev, grad_fresh, out=bar)
+        bar -= grad_prev
+    return bar, _mix(weights, bar, out=hat)
 
 
-def _fw_step(x_mixed, v: np.ndarray, alpha: float):
-    """Frank-Wolfe step toward the oracle vertices ``v``: ``(x_next, v)``."""
-    return x_mixed + alpha * (v - x_mixed), v
+def _fw_step(x_mixed, v: np.ndarray, alpha: float, out=None) -> np.ndarray:
+    """Frank-Wolfe step toward the oracle vertices ``v``:
+    ``x_mixed + alpha * (v - x_mixed)``."""
+    step = np.subtract(v, x_mixed, out=out)
+    step *= alpha
+    return np.add(x_mixed, step, out=step)
+
+
+def _round_kernel(xs: np.ndarray, stream: LossStream, wm: WeightMatrix, alpha: float, k_t: int, t: int):
+    """Step round ``t``'s ``k_t`` inner iterations from ``xs`` into buffers.
+
+    Checks the inputs, then allocates the round's ``(K_t, n, d)`` buffers
+    once and fills step ``k`` of each in place through the step bodies.
+    Returns ``(x, x_mixed, grad_local, grad_tracked_pre, grad_tracked,
+    vertex)``: the fields of ``InnerStep`` in order, where ``x`` has
+    ``K_t + 1`` rows, ``x[k + 1]`` being step ``k``'s ``x_next`` and
+    ``x[K_t]`` the round's committed decision.
+    """
+    n, d = stream.n, stream.d
+    xs = np.asarray(xs, dtype=float)
+    if xs.shape != (n, d):
+        raise ValueError(f"expected ({n}, {d}) stacked decisions, got {xs.shape}")
+    if wm.n != n:
+        raise ValueError("schedule size does not match the stream")
+    if not 0 < alpha <= 1:
+        raise ValueError("alpha must lie in (0, 1]")
+    if k_t < 1:
+        raise ValueError("K_t must be >= 1")
+    feats, labels, lambda1 = stream.feature_matrix(t), stream.labels[:, t - 1], stream.lambda1
+    weights, spec = wm.weights, stream.constraint
+    x = np.empty((k_t + 1, n, d))
+    x[0] = xs
+    x_mixed, grad_local, grad_tracked_pre, grad_tracked, vertex = (np.empty((k_t, n, d)) for _ in range(5))
+    grad_hat = fresh_prev = None
+    for x_k, x_next, x_hat, fresh, grad_bar, hat, v in zip(x, x[1:], x_mixed, grad_local, grad_tracked_pre,
+                                                           grad_tracked, vertex):
+        _mix(weights, x_k, out=x_hat)
+        _local_grads(feats, labels, lambda1, x_hat, out=fresh)
+        _track(grad_hat, fresh_prev, fresh, weights, out=(grad_bar, hat))
+        _fw_step(x_hat, _lmo(spec, hat, out=v), alpha, out=x_next)
+        grad_hat, fresh_prev = hat, fresh
+    return x, x_mixed, grad_local, grad_tracked_pre, grad_tracked, vertex
 
 
 @dataclass(frozen=True)
@@ -164,31 +211,18 @@ def inner_steps(xs: np.ndarray, stream: LossStream, wm: WeightMatrix, alpha: flo
     mixed points, updates the tracked gradients, and takes the Frank-Wolfe
     step; the last step's ``x_next`` is the round's committed decision.
 
-    The inputs are checked once, on the first ``next()``; the steps run
-    unchecked, and ``run_round`` checks the tracked gradients once per round.
+    On the first ``next()`` the inputs are checked and the whole round is
+    stepped into the same ``(K_t, n, d)`` buffers that ``run_round`` reads;
+    each yielded ``InnerStep`` holds read-only views of step ``k`` in them,
+    and its ``x_next`` is the next step's ``x``. The steps run unchecked;
+    ``run_round``, not this view, checks the tracked gradients.
     """
-    xs = np.asarray(xs, dtype=float)
-    if xs.shape != (stream.n, stream.d):
-        raise ValueError(f"expected ({stream.n}, {stream.d}) stacked decisions, got {xs.shape}")
-    if wm.n != stream.n:
-        raise ValueError("schedule size does not match the stream")
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
-    if k_t < 1:
-        raise ValueError("K_t must be >= 1")
-    feats, labels, lambda1 = stream.feature_matrix(t), stream.labels[:, t - 1], stream.lambda1
-    weights, spec = wm.weights, stream.constraint
-    x = xs
-    grad_hat = None
-    fresh_prev = None
-    for _ in range(k_t):
-        x_hat = _mix(weights, x)
-        fresh = _local_grads(feats, labels, lambda1, x_hat)
-        grad_bar, grad_hat = _track(grad_hat, fresh_prev, fresh, weights)
-        x_next, v = _fw_step(x_hat, _lmo(spec, grad_hat), alpha)
-        yield InnerStep(x, x_hat, fresh, grad_bar, grad_hat, v, x_next)
-        fresh_prev = fresh
-        x = x_next
+    buffers = _round_kernel(xs, stream, wm, alpha, k_t, t)
+    for buffer in buffers:
+        buffer.flags.writeable = False
+    x = buffers[0]
+    for k in range(k_t):
+        yield InnerStep(*(buffer[k] for buffer in buffers), x_next=x[k + 1])
 
 
 @dataclass(frozen=True)
@@ -210,34 +244,30 @@ def run_round(xs: np.ndarray, stream: LossStream, schedule: GraphSchedule, param
               fold: MixingFold | None = None):
     """Execute round ``t``'s inner loop for all agents.
 
-    Returns ``(xs_next, RoundDiagnostics)``; the diagnostics summarize the
-    ``inner_steps`` of the round, computed from its steps stacked into
-    ``(K_t, n, d)`` arrays. Raises if any tracked gradient is not finite.
-    The round's weights are built once; a ``fold`` gets them with ``K_t``.
+    Returns ``(xs_next, RoundDiagnostics)``. The round is stepped into
+    ``(K_t, n, d)`` buffers, one per variable of ``InnerStep``, and the
+    diagnostics are read straight from them. Raises if any tracked gradient
+    is not finite. The round's weights are built once; a ``fold`` gets them
+    with ``K_t``.
     """
     n, d, spec = stream.n, stream.d, stream.constraint
     wm = schedule.matrix(t)
     k_t = inner_count(params, t, schedule.horizon)
     alpha = step_size(params, k_t, schedule.horizon)
-    steps = list(inner_steps(xs, stream, wm, alpha, k_t, t))
+    x, x_mixed, grad_local, grad_tracked_pre, grad_tracked, _ = _round_kernel(xs, stream, wm, alpha, k_t, t)
     if fold is not None:
         fold.add(wm, k_t)
 
-    def stacked(field):
-        return np.array([getattr(step, field) for step in steps])
-
-    grad_tracked = stacked("grad_tracked")
     if not np.isfinite(grad_tracked).all():
         raise ValueError("gradient has non-finite entries")
-    x = stacked("x")
     consistency = float(np.linalg.norm(x[0] - x[0].mean(axis=0), axis=1).sum())
-    conservation_gap = float(np.abs(stacked("grad_tracked_pre").sum(axis=1) - stacked("grad_local").sum(axis=1)).max())
-    feasibility_gap = max(spec.feasibility_violation(stacked("x_mixed").reshape(-1, d)),
-                          spec.feasibility_violation(stacked("x_next").reshape(-1, d)))
+    conservation_gap = float(np.abs(grad_tracked_pre.sum(axis=1) - grad_local.sum(axis=1)).max())
+    feasibility_gap = max(spec.feasibility_violation(x_mixed.reshape(-1, d)),
+                          spec.feasibility_violation(x[1:].reshape(-1, d)))
     # one gradient product per step: a batched product could round differently
     feats, labels = stream.feature_matrix(t), stream.labels[:, t - 1]
     mean_grads = np.array([_global_grad(feats, labels, stream.lambda1, x_bar)
-                           for x_bar in x.mean(axis=1)]) / n
+                           for x_bar in x[:-1].mean(axis=1)]) / n
     tracking_residual = 0.0
     for residual in np.linalg.norm(grad_tracked - mean_grads[:, None], axis=2).sum(axis=1).tolist():
         tracking_residual += alpha * residual
@@ -253,7 +283,7 @@ def run_round(xs: np.ndarray, stream: LossStream, schedule: GraphSchedule, param
         lo_calls=n * k_t,
         messages=2 * k_t * wm.directed_edges,
     )
-    return steps[-1].x_next, diag
+    return x[-1], diag
 
 
 @dataclass(frozen=True)

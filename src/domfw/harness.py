@@ -160,15 +160,18 @@ def resident_bytes(n: int, d: int, T: int, k_max: int, redraw_features: bool) ->
 
     Counts the interpreter with NumPy loaded (40 MiB), about 1 KiB of
     per-round records, and float64 arrays: the stream (features, noise and
-    labels, each built then copied), the ``(T + 1, n, d)`` trajectory (the
-    run's array, held without a copy), four ``(n, T)`` regret arrays, twelve
-    ``(K_max, n, d)`` arrays of a round's stacked inner steps, and twelve
-    ``n x n`` working matrices (one round's weights while they are built,
-    and the mixing products).
+    labels, each handed over without a copy), the ``(T + 1, n, d)``
+    trajectory (the run's array, held without a copy), four ``(n, T)``
+    regret arrays, twelve ``(K_max, n, d)`` arrays (a round's six step
+    buffers, the last round's iterates and the diagnostics' temporaries,
+    an upper bound), twelve ``n x n`` working matrices (one round's
+    weights while they are built, and the mixing products), and six
+    ``(1000 + 2 d) x n`` temporaries of the sampled variation estimate (its
+    points against every agent).
     """
     features = n * d * (T if redraw_features else 1)
-    floats = (2 * features + 4 * n * T + (T + 1) * n * d + 4 * n * T
-              + 12 * k_max * n * d + 12 * n * n)
+    floats = (features + 2 * n * T + (T + 1) * n * d + 4 * n * T
+              + 12 * k_max * n * d + 12 * n * n + 6 * (1000 + 2 * d) * n)
     return 40 * 2 ** 20 + 1024 * T + 8 * floats
 
 
@@ -488,25 +491,28 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir=None, dump_networ
     """One run per axis value under a shared master seed; failures recorded.
 
     Returns the rows (input order) and writes ``sweep.csv`` plus one artifact
-    directory per value under ``out_dir``. A value that does not convert
-    raises ``ValueError`` before anything is run or written; one out of range
-    is a failed row.
+    directory per value under ``out_dir``. A value that does not convert, or
+    converts equal to an earlier one, raises ``ValueError`` before anything
+    is run or written; one out of range is a failed row.
     """
     if axis not in _SWEEP_AXES:
         raise ValueError(f"axis must be one of {sorted(_SWEEP_AXES)}, got {axis!r}")
     key = _SWEEP_AXES[axis]
     block, attr = key.split(".")
     convert = _SCHEMA[key][0]
-    pairs = []
+    first = {}   # converted value -> the value it was first given as
     for value in values:
         try:
-            pairs.append((value, convert(value)))
+            converted = convert(value)
         except (TypeError, ValueError):
             raise ValueError(f"sweep axis {axis}: cannot interpret {value!r}") from None
+        if converted in first:
+            raise ValueError(f"sweep axis {axis}: value {value!r} repeats {first[converted]!r}")
+        first[converted] = value
     out = Path(out_dir if out_dir is not None else config.output.directory)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for value, converted in pairs:
+    for converted, value in first.items():
         try:
             cfg = replace(config, **{block: replace(getattr(config, block), **{attr: converted})})
             result = run_experiment(cfg, out_dir=out / f"run_{axis}={value}", dump_network=dump_network)

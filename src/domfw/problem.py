@@ -116,9 +116,14 @@ def lmo(spec: ConstraintSpec, g: np.ndarray) -> np.ndarray:
     return _lmo(spec, np.atleast_2d(g)).reshape(g.shape)
 
 
-def _lmo(spec: ConstraintSpec, grads: np.ndarray) -> np.ndarray:
+def _lmo(spec: ConstraintSpec, grads: np.ndarray, out=None) -> np.ndarray:
+    """:func:`lmo`'s body on stacked ``(m, d)`` gradients, written into ``out`` when given."""
     rows = np.arange(grads.shape[0])
-    v = np.zeros(grads.shape)
+    if out is None:
+        v = np.zeros(grads.shape)
+    else:
+        v = out
+        v.fill(0.0)
     if spec.kind is ConstraintKind.UNIT_SIMPLEX:
         v[rows, grads.argmin(axis=1)] = 1.0
     else:
@@ -205,7 +210,7 @@ class LossStream:
             raise ValueError(f"noise of agent {bad[0][0]} at round {bad[0][1] + 1} is not finite")
         if np.any(self.noise < 0) or np.any(self.noise > 1):
             raise ValueError("noise entries must lie in [0, 1]")
-        if np.any(np.abs(self.features) > 5 + FEASIBILITY_TOL):
+        if self.features.max() > 5 + FEASIBILITY_TOL or self.features.min() < -(5 + FEASIBILITY_TOL):
             raise ValueError("feature entries must lie in [-5, 5]")
         if not self.constraint.contains(self.ground_truth):
             raise ValueError("ground_truth is infeasible")
@@ -227,18 +232,24 @@ class LossStream:
 
     @classmethod
     def from_components(cls, lambda1, features, ground_truth, noise, constraint) -> "LossStream":
-        """Build a stream from raw arrays, deriving the labels."""
+        """Build a stream from raw arrays, deriving the labels.
+
+        The derived labels are handed over without a copy; the other arrays
+        are adopted or copied as ``_frozen`` rules.
+        """
         features = np.asarray(features, dtype=float)
         noise = np.asarray(noise, dtype=float)
         ground_truth = np.asarray(ground_truth, dtype=float)
         n, T = noise.shape
         d = ground_truth.shape[0]
-        t_grid = np.arange(1, T + 1)
-        clean = features @ ground_truth if features.ndim == 2 else np.einsum("tnd,d->tn", features, ground_truth).T
+        # the clean labels are added onto the noise term in place, which holds no
+        # second (n, T) temporary; the sum is bit for bit the same either way round
+        labels = noise / (4.0 * np.arange(1, T + 1))
         if features.ndim == 2:
-            labels = clean[:, None] + noise / (4.0 * t_grid)
+            labels += (features @ ground_truth)[:, None]
         else:
-            labels = clean + noise / (4.0 * t_grid)
+            labels += np.einsum("tnd,d->tn", features, ground_truth).T
+        labels.flags.writeable = False
         return cls(n=n, T=T, d=d, lambda1=float(lambda1), features=features,
                    ground_truth=ground_truth, noise=noise, labels=labels, constraint=constraint)
 
@@ -251,20 +262,23 @@ def generate_stream(n: int, T: int, lambda1: float, spec: ConstraintSpec,
     draw per agent, or one per agent and round when ``redraw_features``), the
     ground truth is a seeded feasible point, and the noise is uniform on
     ``[0, 1]``. The draw order is fixed (features, ground truth, noise) so
-    results are bit-reproducible from the seed.
+    results are bit-reproducible from the seed. The fresh features and noise
+    are handed over to the stream without a copy.
     """
     rng = np.random.default_rng(seed)
     shape = (T, n, spec.dimension) if redraw_features else (n, spec.dimension)
     features = rng.uniform(-5.0, 5.0, shape)
     ground_truth = sample_feasible(spec, rng)
     noise = rng.uniform(0.0, 1.0, (n, T))
+    features.flags.writeable = noise.flags.writeable = False
     return LossStream.from_components(lambda1, features, ground_truth, noise, spec)
 
 
-def _local_grads(feats: np.ndarray, labels: np.ndarray, lambda1: float, xs: np.ndarray) -> np.ndarray:
-    """Every agent's gradient of its own loss, at its own row of the stacked ``(n, d)`` points."""
+def _local_grads(feats: np.ndarray, labels: np.ndarray, lambda1: float, xs: np.ndarray, out=None) -> np.ndarray:
+    """Every agent's gradient of its own loss, at its own row of the stacked
+    ``(n, d)`` points; written into ``out`` when given."""
     resid = np.einsum("nd,nd->n", feats, xs) - labels
-    return feats * resid[:, None] + 2.0 * lambda1 * xs
+    return np.add(feats * resid[:, None], (2.0 * lambda1) * xs, out=out)
 
 
 def global_loss(stream: LossStream, t: int, x: np.ndarray) -> float:

@@ -80,7 +80,8 @@ def fw_step(x_mixed: np.ndarray, grad_tracked: np.ndarray, alpha: float, spec: C
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
-    return _fw_step(x_mixed, lmo(spec, grad_tracked), alpha)
+    v = lmo(spec, grad_tracked)
+    return _fw_step(x_mixed, v, alpha), v
 
 
 def _check_agent(stream: LossStream, i: int):

@@ -415,6 +415,20 @@ class TestRunRound:
             assert np.array_equal(xs, expected_xs)
             assert diag == expected
 
+    def test_inner_steps_are_read_only_views_of_one_round(self):
+        spec = ConstraintSpec.simplex(3)
+        stream = generate_stream(4, 2, 1e-3, spec, seed=27)
+        sched = random_connected_schedule(4, 2, 0.5, seed=28)
+        params = ScheduleParams(FIXED, fixed_count=3, rho=2)
+        steps = round_steps(initial_decisions(spec, 4), stream, sched, params, 1)
+        for step in steps:
+            for name, value in vars(step).items():
+                assert not value.flags.writeable, name
+                with pytest.raises(ValueError):
+                    value[0, 0] = 0.0
+        # one iterate buffer: a step's x_next is the next step's x
+        assert all(np.shares_memory(a.x_next, b.x) for a, b in zip(steps, steps[1:]))
+
     @pytest.mark.parametrize("change, message", [
         ({"xs": np.zeros((3, 2))}, r"got \(3, 2\)"),
         ({"wm": WeightMatrix(np.eye(3), zeta=1.0)}, None),
@@ -443,6 +457,17 @@ class TestRun:
         mine = np.zeros((2, 1, 1))
         kept = Trajectory(decisions=mine, rounds=()).decisions
         assert kept is not mine and mine.flags.writeable and not kept.flags.writeable
+
+    def test_run_builds_no_inner_step(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_round built an InnerStep")
+
+        stream = generate_stream(3, 4, 1e-3, ConstraintSpec.simplex(2), seed=31)
+        sched = random_connected_schedule(3, 4, 0.5, seed=32)
+        expected = run(stream, sched, ScheduleParams())
+        monkeypatch.setattr(algorithm, "InnerStep", refuse)
+        traj = run(stream, sched, ScheduleParams())
+        assert np.array_equal(traj.decisions, expected.decisions) and traj.rounds == expected.rounds
 
     def test_minimal_run_counters(self):
         stream = single_agent_stream([1.0], [0.5], [[0.3]])
@@ -576,6 +601,15 @@ class TestRunGolden:
             lambda: generate_stream(1, 5, 0.0, ConstraintSpec.simplex(4), seed=40, redraw_features=True),
             lambda: single_agent_schedule(5),
             ScheduleParams(BASELINE), "random"),
+        # long rounds: the reference shape (K_t reaches 50) and an l1-ball shape (K_t reaches 23)
+        "reference-per_round-fixed": (
+            lambda: generate_stream(20, 150, 5e-6, ConstraintSpec.simplex(8), seed=42),
+            lambda: random_connected_schedule(20, 150, 0.3, seed=43),
+            ScheduleParams(PER_ROUND, epsilon=4, gamma=0.5, rho=4), "vertex"),
+        "ball-per_round-redraw": (
+            lambda: generate_stream(32, 30, 1e-3, ConstraintSpec.l1_ball(16, 2.0), seed=44, redraw_features=True),
+            lambda: random_connected_schedule(32, 30, 0.3, seed=45),
+            ScheduleParams(PER_ROUND, epsilon=4, gamma=0.5, rho=4), "random"),
     }
     # sha256 of trajectory.csv, diagnostics.csv and repr(trajectory.rounds);
     # the bits depend on the BLAS build, like perfbench/digests.json; these are
@@ -610,6 +644,16 @@ class TestRunGolden:
             "70fb6e3e9a02ce6158630e7342e23f870f7ef732be605b08ae3ab949c7bf9448",
             "a2133fd612931e037349d953dd3c1638a049bd506f1501efbbd444f179819e00",
             "80d98447736a703f98b7d65ac1cf27eab07a85ef17c1c4043ad131f63f8619d0",
+        ),
+        "reference-per_round-fixed": (
+            "ecb26fc3ed2ad20f70a53ff1859c4eb8965f9eec4cab07b2a9a70d5edf4fa9f2",
+            "1cec932003926b281e51b77d82d3f2035ec89549da24d7df935d27479a5faf41",
+            "452ffdbb779f45ee987ad2d4b68da56668e5a08793ba8671f7d39fd29e4b5813",
+        ),
+        "ball-per_round-redraw": (
+            "1f7990b346ee0b30b64dbc214ed6070df4b00b9afa6e860c8406b1af7da2d41a",
+            "1ad2a39249895c2006b48923c6017c1ffa753eaf9cbbe5828db2a9659d62659d",
+            "489c7b2074ddf4439e1bf769ac51878bd54878dc886a5cca58051faa0dc183c5",
         ),
     }
 

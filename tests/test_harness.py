@@ -121,11 +121,11 @@ class TestParseConfig:
         small = harness.resident_bytes(20, 8, 100, 41, False)
         assert 40 * 2 ** 20 < small < 48 * 2 ** 20
         # each size adds its arrays: n x n matrices, the (T + 1, n, d)
-        # trajectory, the stacked inner steps and the redrawn features
+        # trajectory, the round's step buffers and the redrawn features
         assert harness.resident_bytes(40, 8, 100, 41, False) - small > 8 * 12 * (40 ** 2 - 20 ** 2)
         assert harness.resident_bytes(20, 8, 200, 41, False) - small > 8 * 2 * 100 * 20 * 8
         assert harness.resident_bytes(20, 8, 100, 82, False) - small == 8 * 12 * 41 * 20 * 8
-        assert harness.resident_bytes(20, 8, 100, 41, True) - small == 8 * 2 * 99 * 20 * 8
+        assert harness.resident_bytes(20, 8, 100, 41, True) - small == 8 * 99 * 20 * 8
         # sizes that fit run: the reference and wide-network shapes at T = 1000
         parse_config("problem.n = 200\nproblem.T = 1000\nschedule.mode = fixed\nschedule.fixed_count = 4")
         parse_config("problem.T = 1000")
@@ -406,6 +406,18 @@ class TestSweep:
         ran = []
         monkeypatch.setattr(harness, "run_experiment", lambda *args, **kwargs: ran.append(args))
         with pytest.raises(ValueError, match=f"^sweep axis {axis}: cannot interpret '{bad}'$"):
+            sweep(parse_config(SMALL), axis, values, out_dir=tmp_path / "sweep")
+        assert ran == []
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("axis, values, repeated, earlier", [("gamma", ["0.5", "0.50", ".5"], "0.50", "0.5"),
+                                                                 ("n", ["3", "4", "03"], "03", "3"),
+                                                                 ("mode", ["horizon", "fixed", "horizon"],
+                                                                  "horizon", "horizon")])
+    def test_repeated_value_fails_before_any_run(self, tmp_path, monkeypatch, axis, values, repeated, earlier):
+        ran = []
+        monkeypatch.setattr(harness, "run_experiment", lambda *args, **kwargs: ran.append(args))
+        with pytest.raises(ValueError, match=f"^sweep axis {axis}: value '{repeated}' repeats '{earlier}'$"):
             sweep(parse_config(SMALL), axis, values, out_dir=tmp_path / "sweep")
         assert ran == []
         assert not (tmp_path / "sweep").exists()

@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,25 @@ class TestGenerateStream:
             LossStream.from_components(0.0, [[1.0]], [0.0], [[1.5]], spec)   # noise out of range
         with pytest.raises(ValueError):
             LossStream.from_components(0.0, [[1.0]], [2.0], [[0.5]], spec)   # infeasible truth
+
+    @pytest.mark.parametrize("value", [6.0, -6.0, 5 + 1e-11])
+    def test_feature_range_is_checked_on_both_sides(self, value):
+        spec = ConstraintSpec.l1_ball(2, 1.0)
+        with pytest.raises(ValueError, match=r"^feature entries must lie in \[-5, 5\]$"):
+            LossStream.from_components(0.0, [[1.0, value]], [0.0, 0.0], [[0.5]], spec)
+        assert LossStream.from_components(0.0, [[-5.0, 5.0]], [0.0, 0.0], [[0.5]], spec).features.min() == -5.0
+
+    def test_building_a_stream_peaks_near_what_it_holds(self):
+        # the fresh features, noise and labels are handed over without a copy,
+        # and the range check makes no full-size temporary
+        tracemalloc.start()
+        try:
+            s = generate_stream(200, 1000, 5e-6, ConstraintSpec.simplex(8), seed=0, redraw_features=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(getattr(s, name).nbytes for name in ("features", "ground_truth", "noise", "labels"))
+        assert peak < 1.3 * held
 
     def test_constraint_dimension_must_match_d(self):
         with pytest.raises(ValueError, match="constraint dimension 5 does not match d = 3"):
