@@ -340,13 +340,15 @@ def initial_decisions(spec: ConstraintSpec, n: int, init: str = "vertex",
 
     ``"vertex"`` puts every agent on the same deterministic vertex (first
     basis vector, scaled to the ball radius); ``"random"`` draws seeded
-    feasible points, one per agent.
+    feasible points, one per agent, and raises without a ``seed``.
     """
     if init == "vertex":
         x0 = np.zeros(spec.dimension)
         x0[0] = 1.0 if spec.kind is ConstraintKind.UNIT_SIMPLEX else spec.radius
         return np.tile(x0, (n, 1))
     if init == "random":
+        if seed is None:
+            raise ValueError("init 'random' needs a seed (init_seed)")
         return sample_feasible(spec, np.random.default_rng(seed), n)
     raise ValueError(f"unknown init mode {init!r}")
 

@@ -44,8 +44,10 @@ def main(argv=None) -> int:
             with open(args.csv, newline="") as fh:
                 reader = csv.reader(fh)
                 rows = [row for row in reader if row]
-            if rows and not rows[0][0].lstrip("-").replace(".", "").isdigit():
-                rows = rows[1:]   # header
+            try:
+                float(rows[0][0])
+            except (IndexError, ValueError):
+                rows = rows[1:]   # no rows, or a header: its first cell is not a number
             slope = fit_loglog_slope([(float(r[0]), float(r[1])) for r in rows])
         except (OSError, ValueError, IndexError) as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -405,11 +405,13 @@ def run_experiment(config: ExperimentConfig, out_dir=None, dump_network: bool = 
 
     Writes the stream dump, trajectory and diagnostics, regret and envelope
     series, a bound report, and a manifest into the artifact directory
-    (``result.directory``). On failure the partial outputs are retained next
-    to a ``FAILED`` marker and the error is re-raised.
+    (``result.directory``), first removing an earlier run's ``FAILED`` marker.
+    On failure the partial outputs are retained next to a new ``FAILED``
+    marker and the error is re-raised.
     """
     out = Path(out_dir if out_dir is not None else config.output.directory)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "FAILED").unlink(missing_ok=True)
     started = time.perf_counter()
     try:
         prob = config.problem

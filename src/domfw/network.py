@@ -21,19 +21,20 @@ PRODUCT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """One round's mixing weights plus the smallest nonzero entry.
-
-    The weights are held read-only, adopted or copied as ``_frozen`` rules.
-    """
+    """One round's mixing weights, held read-only as ``_frozen`` rules."""
 
     weights: np.ndarray
-    zeta: float
 
     def __post_init__(self):
         w = _frozen(self.weights)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("weights must be a square matrix")
         object.__setattr__(self, "weights", w)
+
+    @property
+    def zeta(self) -> float:
+        """The smallest positive weight, computed when read."""
+        return float(self.weights[self.weights > 0].min())
 
     @property
     def n(self) -> int:
@@ -66,9 +67,8 @@ def _metropolis(adj: np.ndarray) -> WeightMatrix:
     ii, jj = np.nonzero(adj)
     a[ii, jj] = 1.0 / (1.0 + np.maximum(deg[ii], deg[jj]))
     np.fill_diagonal(a, 1.0 - a.sum(axis=1))
-    zeta = float(a[a > 0].min())
     a.flags.writeable = False   # adopted without a copy
-    return WeightMatrix(weights=a, zeta=zeta)
+    return WeightMatrix(weights=a)
 
 
 def metropolis_weights(edges, n: int) -> WeightMatrix:
@@ -101,8 +101,8 @@ class GraphSchedule:
     round twice holds on to it, or pays the build again.
 
     ``zeta`` is a lower bound on nonzero entries valid for every round (the
-    Metropolis construction guarantees ``1/n``); each round's ``WeightMatrix``
-    carries its realized minimum.
+    Metropolis construction guarantees ``1/n``); each round's
+    ``WeightMatrix.zeta`` reads its realized minimum.
     """
 
     def __init__(self, n: int, horizon: int, builder: Callable[[int], WeightMatrix], zeta: float):
@@ -149,36 +149,33 @@ def random_connected_schedule(n: int, horizon: int, edge_prob: float, seed: int)
 
 @dataclass(frozen=True)
 class MixingConstants:
-    """Geometric mixing certificate ``coeff * rate**(factors - 1)``.
-
-    ``rate = 1 - zeta / (4 n^2)`` and ``coeff = 1 / rate``, so
-    ``coeff * rate == 1``.
-    """
+    """Geometric mixing certificate ``coeff * rate**(factors - 1)`` with
+    ``rate = 1 - zeta / (4 n^2)`` and ``coeff = 1 / rate``."""
 
     rate: float
-    coeff: float
 
     def __post_init__(self):
         if not 0.0 < self.rate < 1.0:
             raise ValueError("rate must lie in (0, 1)")
-        if self.coeff <= 1.0:
-            raise ValueError("coeff must exceed 1")
+
+    @property
+    def coeff(self) -> float:
+        return 1.0 / self.rate
 
     @classmethod
     def from_zeta(cls, zeta: float, n: int) -> "MixingConstants":
-        rate = 1.0 - zeta / (4.0 * n * n)
-        return cls(rate=rate, coeff=1.0 / rate)
+        return cls(rate=1.0 - zeta / (4.0 * n * n))
 
 
 class MixingFold:
     """The ordered products ``A_t^{K_t} ... A_s^{K_s}`` of rounds ``s..t``,
     folded one round at a time.
 
-    ``add`` takes the rounds in order. It raises each round's weights to its
-    count once and left-multiplies the power onto ``full`` and, when the
-    first count ``K_s`` exceeds 1, onto ``tail``, the product without the
-    first round's factor. ``first`` keeps ``A_s`` for the shifted checks of
-    :func:`check_mixing`; nothing else of a round is kept.
+    ``add`` takes the rounds in order. It keeps the first round's weights
+    ``A_s`` and count ``K_s``, and left-multiplies each later round's power
+    onto ``rest``, the product of rounds ``s+1..t`` (the identity until the
+    second round); nothing else of a round is kept. :meth:`closed` finishes
+    a product on the first round's power.
     :func:`run <domfw.algorithm.run>` folds its rounds ``1..T`` as it steps
     them and returns the fold as ``Trajectory.mixing``.
     """
@@ -189,8 +186,7 @@ class MixingFold:
         self.total = 0                    # sum of the folded counts
         self.first_count = 0              # K_s
         self.first: np.ndarray | None = None
-        self.full = np.eye(n)
-        self.tail: np.ndarray | None = None
+        self.rest = np.eye(n)
 
     def add(self, wm: WeightMatrix, k: int) -> None:
         """Fold in the next round, with weights ``wm`` and count ``k``."""
@@ -199,24 +195,17 @@ class MixingFold:
             raise ValueError("inner counts must be >= 1")
         if wm.n != self.n:
             raise ValueError("weight matrix size does not match the fold")
-        power = np.linalg.matrix_power(wm.weights, k)
-        self.full = power @ self.full
-        if not self.rounds:
-            self.first_count = k
-            if k > 1:
-                self.first = wm.weights
-                self.tail = np.eye(self.n)
-        elif self.tail is not None:
-            self.tail = power @ self.tail
+        if self.rounds:
+            self.rest = np.linalg.matrix_power(wm.weights, k) @ self.rest
+        else:
+            self.first, self.first_count = wm.weights, k
         self.rounds += 1
         self.total += k
 
-    def check_drift(self) -> None:
-        """Raise if a nonempty product lost double stochasticity, the full one first."""
-        if self.rounds:
-            _check_drift(self.full)
-        if self.tail is not None and self.rounds > 1:
-            _check_drift(self.tail)
+    def closed(self, l: int = 0) -> np.ndarray:
+        """``rest @ A_s^{K_s - l}``: the full product at ``l = 0``, and the
+        product starting ``l`` steps into round ``s`` for ``1 <= l < K_s``."""
+        return self.rest @ np.linalg.matrix_power(self.first, self.first_count - l)
 
 
 def _check_drift(product: np.ndarray) -> None:
@@ -231,10 +220,19 @@ class MixingReport:
 
     deviation: float
     bound: float
-    margin: float
-    holds: bool
-    shifted_margin: float | None
-    shifted_holds: bool
+    shifted_margin: float | None   # None when the first round has one step
+
+    @property
+    def margin(self) -> float:
+        return self.bound - self.deviation
+
+    @property
+    def holds(self) -> bool:
+        return self.margin >= 0
+
+    @property
+    def shifted_holds(self) -> bool:
+        return self.shifted_margin is None or self.shifted_margin >= 0
 
     @property
     def ok(self) -> bool:
@@ -251,32 +249,23 @@ def check_mixing(fold: MixingFold, zeta: float) -> MixingReport:
     against the bound with exponent reduced by ``l``. ``zeta`` is a lower
     bound on the folded rounds' nonzero weights, such as the schedule's
     ``zeta``. Raises if the fold is empty or a product lost double
-    stochasticity.
+    stochasticity, the full one first.
     """
     if not fold.rounds:
         raise ValueError("the fold holds no round")
     n = fold.n
     mc = MixingConstants.from_zeta(zeta, n)
-    fold.check_drift()
-
-    total, head, k_s = fold.total, fold.tail, fold.first_count
-    deviation = float(np.abs(fold.full - 1.0 / n).max())
-    bound = mc.coeff * mc.rate ** (total - 1)
-    margin = bound - deviation
-
-    shifted_margin = None
-    shifted_holds = True
-    if head is not None:
-        a_s = fold.first
-        worst = np.inf
-        for l in range(1, k_s):
-            part = head @ np.linalg.matrix_power(a_s, k_s - l)
-            dev_l = float(np.abs(part - 1.0 / n).max())
-            worst = min(worst, mc.coeff * mc.rate ** (total - l - 1) - dev_l)
-        shifted_margin = float(worst)
-        shifted_holds = worst >= 0
-    return MixingReport(deviation=deviation, bound=float(bound), margin=float(margin),
-                        holds=margin >= 0, shifted_margin=shifted_margin, shifted_holds=shifted_holds)
+    deviations, bounds = [], []   # at l = 0, 1, ..., K_s - 1
+    for l in range(fold.first_count):
+        part = fold.closed(l)
+        if not l:   # the full product, then the rounds after the first
+            _check_drift(part)
+            _check_drift(fold.rest)
+        deviations.append(float(np.abs(part - 1.0 / n).max()))
+        bounds.append(mc.coeff * mc.rate ** (fold.total - l - 1))
+    shifted = [b - d for b, d in zip(bounds[1:], deviations[1:])]
+    return MixingReport(deviation=deviations[0], bound=float(bounds[0]),
+                        shifted_margin=min(shifted) if shifted else None)
 
 
 def write_schedule_csv(schedule: GraphSchedule, path) -> None:

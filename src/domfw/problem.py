@@ -323,13 +323,17 @@ def estimate_function_variation(stream: LossStream, samples: int = 1000, seed: i
         for value in per_round.tolist():
             total += value
     else:
-        sq = np.einsum("md,md->m", pts, pts)
-        z_next = pts @ stream.features[0].T
-        for t in range(1, stream.T):
-            z0, z_next = z_next, pts @ stream.features[t].T
-            f0 = 0.5 * (z0 - stream.labels[:, t - 1]) ** 2 + stream.lambda1 * sq[:, None]
-            f1 = 0.5 * (z_next - stream.labels[:, t]) ** 2 + stream.lambda1 * sq[:, None]
-            total += float(np.abs(f1 - f0).max())
+        ridge = stream.lambda1 * np.einsum("md,md->m", pts, pts)[:, None]
+        prev = None
+        for t in range(stream.T):
+            cur = pts @ stream.features[t].T   # round t's (m, n) loss table, built once and in place
+            cur -= stream.labels[:, t]
+            np.square(cur, out=cur)
+            cur *= 0.5
+            cur += ridge
+            if prev is not None:   # the spent previous table takes the |difference|
+                total += float(np.abs(np.subtract(cur, prev, out=prev), out=prev).max())
+            prev = cur
     return total
 
 

@@ -11,9 +11,10 @@ folds rounds ``s..t`` of a schedule into a ``MixingFold`` for
 product. ``read_stream_csv`` reads a ``stream.csv`` dump back. ``project`` and
 ``projected_gradient_optimum`` are an independent route to the round optima
 (the algorithm under study never projects). ``ReferenceRoundOptimizer`` and
-``reference_function_variation`` are the straightforward forms of the
-library's pairwise Frank-Wolfe solver and fixed-feature variation estimate;
-the library's faster forms must agree with them bit for bit. ``validate``
+``reference_function_variation`` and ``reference_redrawn_variation`` are the
+straightforward forms of the library's pairwise Frank-Wolfe solver and its
+fixed- and redrawn-feature variation estimates; the library's faster forms
+must agree with them bit for bit. ``validate``
 checks a weight matrix against the mixing assumptions, with SciPy's
 strong-connectivity search as an oracle independent of the library's own
 connectivity check. ``exact_zeta`` (the realized smallest weight over a
@@ -34,7 +35,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from domfw.algorithm import ScheduleParams, _fw_step, _mix, _track, inner_count
-from domfw.network import GraphSchedule, MixingFold, WeightMatrix
+from domfw.network import GraphSchedule, MixingFold, WeightMatrix, _check_drift
 from domfw.problem import (
     ConstraintKind,
     ConstraintSpec,
@@ -168,12 +169,15 @@ def fold_window(schedule: GraphSchedule, counts: Sequence[int], t: int, s: int) 
 
 
 def transition_product(schedule: GraphSchedule, counts: Sequence[int], t: int, s: int) -> np.ndarray:
-    """Ordered product ``A_t^{K_t} ... A_s^{K_s}``, the identity over the
-    empty range ``s == t + 1``; a nonempty product is checked to stay doubly
-    stochastic."""
+    """Ordered product ``A_t^{K_t} ... A_s^{K_s}`` as the fold closes it, the
+    identity over the empty range ``s == t + 1``; a nonempty product is
+    checked to stay doubly stochastic."""
     fold = fold_window(schedule, counts, t, s)
-    fold.check_drift()
-    return fold.full
+    if not fold.rounds:
+        return np.eye(schedule.n)
+    product = fold.closed()
+    _check_drift(product)
+    return product
 
 
 def _project_to_sum(v: np.ndarray, total: float) -> np.ndarray:
@@ -323,6 +327,29 @@ def reference_function_variation(stream: LossStream, samples: int = 1000, seed: 
         b1 = stream.labels[:, t]
         diff = np.abs((b0 - b1) * (z - 0.5 * (b0 + b1)))
         total += float(diff.max())
+    return total
+
+
+def reference_redrawn_variation(stream: LossStream, samples: int = 1000, seed: int = 0) -> float:
+    """The redrawn-feature variation estimate with both loss tables of every
+    round pair computed afresh.
+
+    Same points and the same per-entry arithmetic as
+    ``domfw.problem.estimate_function_variation``, which builds each round's
+    table once and reuses it for the next pair.
+    """
+    if stream.fixed_features:
+        raise ValueError("the reference loop covers redrawn features only")
+    spec = stream.constraint
+    pts = np.vstack([spec.vertices(), sample_feasible(spec, np.random.default_rng(seed), samples)])
+    total = 0.0
+    sq = np.einsum("md,md->m", pts, pts)
+    z_next = pts @ stream.features[0].T
+    for t in range(1, stream.T):
+        z0, z_next = z_next, pts @ stream.features[t].T
+        f0 = 0.5 * (z0 - stream.labels[:, t - 1]) ** 2 + stream.lambda1 * sq[:, None]
+        f1 = 0.5 * (z_next - stream.labels[:, t]) ** 2 + stream.lambda1 * sq[:, None]
+        total += float(np.abs(f1 - f0).max())
     return total
 
 

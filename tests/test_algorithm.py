@@ -185,7 +185,7 @@ class TestScheduleParamsValidation:
 class TestConsensus:
     def test_identity_keeps_points(self):
         xs = np.random.default_rng(0).random((3, 4))
-        out = consensus_step(xs, WeightMatrix(np.eye(3), zeta=1.0))
+        out = consensus_step(xs, WeightMatrix(np.eye(3)))
         assert np.array_equal(out, xs)
 
     def test_complete_graph_averages(self):
@@ -205,7 +205,7 @@ class TestConsensus:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            consensus_step(np.zeros((2, 3)), WeightMatrix(np.eye(3), zeta=1.0))
+            consensus_step(np.zeros((2, 3)), WeightMatrix(np.eye(3)))
 
 
 class TestTracking:
@@ -217,7 +217,7 @@ class TestTracking:
         assert np.allclose(hat, wm.weights @ fresh)
 
     def test_single_agent_tracks_exactly(self):
-        wm = WeightMatrix(np.array([[1.0]]), zeta=1.0)
+        wm = WeightMatrix(np.array([[1.0]]))
         rng = np.random.default_rng(2)
         hat_prev = None
         fresh_prev = None
@@ -239,7 +239,7 @@ class TestTracking:
         assert np.allclose(bar1.sum(axis=0), fresh1.sum(axis=0), atol=1e-14)
 
     def test_missing_state_raises(self):
-        wm = WeightMatrix(np.array([[1.0]]), zeta=1.0)
+        wm = WeightMatrix(np.array([[1.0]]))
         with pytest.raises(RuntimeError):
             tracking_step(None, None, np.zeros((1, 2)), wm, k=2)
 
@@ -308,7 +308,7 @@ class TestRowViews:
 class TestRunRound:
     def test_single_agent_single_step_is_centralized_fw(self):
         stream = single_agent_stream([1.0, -2.0], [0.25, 0.25], [[0.5]])
-        sched = constant_schedule(WeightMatrix(np.array([[1.0]]), zeta=1.0), 1)
+        sched = constant_schedule(WeightMatrix(np.array([[1.0]])), 1)
         params = ScheduleParams(BASELINE, baseline_alpha=0.3)
         x0 = np.array([[2.0, 0.0]])
         xs, diag = run_round(x0, stream, sched, params, 1)
@@ -325,7 +325,7 @@ class TestRunRound:
         b = stream.labels[0, 0]
         k_count, rho = 40, 2.0
         params = ScheduleParams(FIXED, fixed_count=k_count, rho=rho)
-        sched = constant_schedule(WeightMatrix(np.array([[1.0]]), zeta=1.0), 1)
+        sched = constant_schedule(WeightMatrix(np.array([[1.0]])), 1)
         alpha = 1 / (rho * k_count)
         x = -2.0
         scalar_path = []
@@ -344,7 +344,7 @@ class TestRunRound:
     def test_inner_objective_decreases_after_transient(self):
         stream = single_agent_stream([1.5], [0.4], [[0.2]])
         params = ScheduleParams(FIXED, fixed_count=80, rho=1.5)
-        sched = constant_schedule(WeightMatrix(np.array([[1.0]]), zeta=1.0), 1)
+        sched = constant_schedule(WeightMatrix(np.array([[1.0]])), 1)
         steps = round_steps(np.array([[-2.0]]), stream, sched, params, 1)
         iterates = [s.x for s in steps] + [steps[-1].x_next]
         objectives = np.array([global_loss(stream, 1, x.mean(axis=0)) for x in iterates])
@@ -431,7 +431,7 @@ class TestRunRound:
 
     @pytest.mark.parametrize("change, message", [
         ({"xs": np.zeros((3, 2))}, r"got \(3, 2\)"),
-        ({"wm": WeightMatrix(np.eye(3), zeta=1.0)}, None),
+        ({"wm": WeightMatrix(np.eye(3))}, None),
         ({"alpha": 0.0}, r"alpha must lie in \(0, 1\]"),
         ({"alpha": 1.5}, r"alpha must lie in \(0, 1\]"),
     ])
@@ -471,7 +471,7 @@ class TestRun:
 
     def test_minimal_run_counters(self):
         stream = single_agent_stream([1.0], [0.5], [[0.3]])
-        sched = constant_schedule(WeightMatrix(np.array([[1.0]]), zeta=1.0), 1)
+        sched = constant_schedule(WeightMatrix(np.array([[1.0]])), 1)
         params = ScheduleParams(BASELINE, baseline_alpha=0.5)
         traj = run(stream, sched, params)
         assert traj.lo_calls == 1
@@ -483,7 +483,7 @@ class TestRun:
         params = ScheduleParams(PER_ROUND, epsilon=1, gamma=0.5, rho=4)
         assert lo_call_count(params, 100, n=1) == 815
         stream = single_agent_stream([1.0], [0.5], [np.full(100, 0.5)])
-        sched = constant_schedule(WeightMatrix(np.array([[1.0]]), zeta=1.0), 100)
+        sched = constant_schedule(WeightMatrix(np.array([[1.0]])), 100)
         traj = run(stream, sched, params)
         assert traj.lo_calls == 815
 
@@ -517,6 +517,15 @@ class TestRun:
         assert np.array_equal(t1.decisions, t2.decisions)
         assert t1.lo_calls == t2.lo_calls and t1.messages == t2.messages
 
+    def test_random_init_needs_a_seed(self):
+        # an unseeded draw would give a different trajectory on every call
+        stream = generate_stream(4, 3, 1e-5, ConstraintSpec.l1_ball(3, 2.0), seed=14)
+        sched = random_connected_schedule(4, 3, 0.4, seed=15)
+        with pytest.raises(ValueError, match="init_seed"):
+            run(stream, sched, ScheduleParams(), init="random")
+        with pytest.raises(ValueError, match="needs a seed"):
+            initial_decisions(stream.constraint, 4, init="random")
+
     def test_dimension_mismatches_rejected(self):
         spec = ConstraintSpec.simplex(3)
         stream = generate_stream(4, 5, 0.0, spec, seed=16)
@@ -547,7 +556,7 @@ class TestRun:
         relabeled = LossStream.from_components(stream.lambda1, stream.features[perm], stream.ground_truth,
                                                stream.noise[perm], spec)
         wm = random_connected_schedule(n, 1, edge_prob, seed=seed + 1).matrix(1)
-        conjugated = WeightMatrix(wm.weights[np.ix_(perm, perm)], zeta=wm.zeta)
+        conjugated = WeightMatrix(wm.weights[np.ix_(perm, perm)])
         params = ScheduleParams(PER_ROUND, epsilon=2, gamma=0.5, rho=3)
         original = run(stream, constant_schedule(wm, T), params)
         permuted = run(relabeled, constant_schedule(conjugated, T), params)
@@ -570,7 +579,7 @@ class TestRun:
 
 
 def single_agent_schedule(T):
-    return constant_schedule(WeightMatrix(np.array([[1.0]]), zeta=1.0), T)
+    return constant_schedule(WeightMatrix(np.array([[1.0]])), T)
 
 
 class TestRunGolden:

@@ -268,6 +268,16 @@ class TestRunExperiment:
         assert marker.exists()
         assert "synthetic failure" in marker.read_text()
 
+    def test_success_removes_an_earlier_failure_marker(self, tmp_path, monkeypatch):
+        cfg = parse_config(SMALL)
+        with monkeypatch.context() as mp:
+            mp.setattr(harness.RoundOptimizer, "solve", lambda self, t: 1 / 0)
+            with pytest.raises(ZeroDivisionError):
+                run_experiment(cfg, out_dir=tmp_path / "run")
+        assert (tmp_path / "run" / "FAILED").exists()
+        run_experiment(cfg, out_dir=tmp_path / "run")
+        assert not (tmp_path / "run" / "FAILED").exists()
+
     def test_each_round_is_built_once(self, tmp_path, monkeypatch):
         # the run folds the mixing products as it goes; check_mixing builds nothing
         built = []
@@ -287,7 +297,7 @@ class TestRunExperiment:
             w = np.full((n, n), 1.0 / n)
             w[:, 0] += 1e-6
             w[:, 1] -= 1e-6
-            return constant_schedule(WeightMatrix(w, zeta=w.min()), horizon)
+            return constant_schedule(WeightMatrix(w), horizon)
 
         monkeypatch.setattr(harness, "random_connected_schedule", drifting)
         with pytest.raises(RuntimeError, match="transition product lost double stochasticity"):
@@ -555,6 +565,16 @@ class TestCli:
         csvfile.write_text("T,count\n10,100\n100,10000\n1000,1000000\n")
         assert main(["slope", str(csvfile)]) == 0
         assert float(capsys.readouterr().out.strip()) == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("rows", [["1e2,10", "1e3,100", "1e4,1000"],
+                                      ["1e2,10", "1e3,100", "1e4,1000", "1e5,1e6"]])
+    def test_slope_keeps_a_first_row_in_exponent_notation(self, tmp_path, capsys, rows):
+        # a headerless file: every row is a data point
+        csvfile = tmp_path / "counts.csv"
+        csvfile.write_text("\n".join(rows) + "\n")
+        assert main(["slope", str(csvfile)]) == 0
+        expected = fit_loglog_slope([tuple(map(float, row.split(","))) for row in rows])
+        assert float(capsys.readouterr().out.strip()) == expected
 
     def test_config_error_exit_code(self, tmp_path):
         cfgfile = tmp_path / "c.cfg"

@@ -91,18 +91,18 @@ class TestMetropolis:
 
 class TestValidate:
     def test_identity_fails_connectivity_only(self):
-        report = validate(WeightMatrix(np.eye(3), zeta=1.0))
+        report = validate(WeightMatrix(np.eye(3)))
         assert report.doubly_stochastic
         assert not report.strongly_connected
         assert not report.ok
 
     def test_uniform_two_agent_passes(self):
-        report = validate(WeightMatrix(np.full((2, 2), 0.5), zeta=0.5))
+        report = validate(WeightMatrix(np.full((2, 2), 0.5)))
         assert report.ok
         assert report.stochastic_violation <= 1e-15
 
     def test_row_stochastic_only_fails_column_sums(self):
-        report = validate(WeightMatrix(np.array([[0.6, 0.4], [0.5, 0.5]]), zeta=0.4))
+        report = validate(WeightMatrix(np.array([[0.6, 0.4], [0.5, 0.5]])))
         assert not report.doubly_stochastic
         assert report.stochastic_violation == pytest.approx(0.1, abs=1e-15)
         assert report.strongly_connected
@@ -243,7 +243,7 @@ class TestCheckMixing:
 
     def test_detector_fires_on_non_mixing_matrix(self):
         # doubly stochastic but disconnected: the product never approaches uniform
-        sched = constant_schedule(WeightMatrix(np.eye(2), zeta=1.0), 50)
+        sched = constant_schedule(WeightMatrix(np.eye(2)), 50)
         report = window_report(sched, [2] * 50, 50, 1)
         assert report.deviation == pytest.approx(0.5)
         assert not report.holds
@@ -260,22 +260,28 @@ class TestCheckMixing:
         assert tight.deviation == loose.deviation
 
     def test_report_bits_match_separate_products(self):
-        # a fold computes each round's power once for both of its products;
-        # the report must equal one built from two transition_product calls
+        # the products rebuilt by hand in the fold's association: rounds
+        # s+1..t left-folded onto the identity, then A_s^{K_s - l} on the
+        # right; l = 0 is the full product, l >= 1 the shifted ones
         sched = random_connected_schedule(7, 9, 0.3, seed=21)
         counts = [3, 2, 4, 1, 3, 2, 2, 5, 3]
         assert window_report(sched, counts, 6, 4).shifted_margin is None   # K_4 = 1
+        mc = MixingConstants.from_zeta(sched.zeta, 7)
         for t, s in ((9, 1), (6, 3), (5, 5)):
             report = window_report(sched, counts, t, s)
-            mc = MixingConstants.from_zeta(sched.zeta, 7)
-            total = sum(counts[s - 1:t])
-            assert report.deviation == float(np.abs(transition_product(sched, counts, t, s) - 1 / 7).max())
-            head = transition_product(sched, counts, t, s + 1)
-            a_s = sched.matrix(s).weights
-            worst = min(mc.coeff * mc.rate ** (total - l - 1)
-                        - float(np.abs(head @ np.linalg.matrix_power(a_s, counts[s - 1] - l) - 1 / 7).max())
-                        for l in range(1, counts[s - 1]))
-            assert report.shifted_margin == worst
+            total, k_s, a_s = sum(counts[s - 1:t]), counts[s - 1], sched.matrix(s).weights
+            rest = np.eye(7)
+            for p in range(s + 1, t + 1):
+                rest = np.linalg.matrix_power(sched.matrix(p).weights, counts[p - 1]) @ rest
+
+            def deviation(l):
+                return float(np.abs(rest @ np.linalg.matrix_power(a_s, k_s - l) - 1 / 7).max())
+            assert report.deviation == deviation(0)
+            assert report.bound == mc.coeff * mc.rate ** (total - 1)
+            assert report.margin == report.bound - deviation(0)
+            assert report.shifted_margin == min(mc.coeff * mc.rate ** (total - l - 1) - deviation(l)
+                                                for l in range(1, k_s))
+            assert np.array_equal(transition_product(sched, counts, t, s), rest @ np.linalg.matrix_power(a_s, k_s))
 
 
     @settings(derandomize=True, deadline=None, max_examples=60)
@@ -357,15 +363,15 @@ class TestScheduleCsv:
 class TestWeightMatrix:
     def test_weights_are_copied_unless_frozen_and_owned(self):
         a = np.full((2, 2), 0.5)
-        wm = WeightMatrix(a, zeta=0.5)
+        wm = WeightMatrix(a)
         a[0, 0] = 1.0
         assert wm.weights[0, 0] == 0.5 and not wm.weights.flags.writeable
         view = np.full((2, 2), 0.5)[:, :]
         view.flags.writeable = False
-        assert WeightMatrix(view, zeta=0.5).weights is not view
+        assert WeightMatrix(view).weights is not view
         frozen = np.full((2, 2), 0.5)
         frozen.flags.writeable = False
-        assert WeightMatrix(frozen, zeta=0.5).weights is frozen
+        assert WeightMatrix(frozen).weights is frozen
 
 
 class TestGraphScheduleContract:

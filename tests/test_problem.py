@@ -21,7 +21,8 @@ from domfw.problem import (
     sample_feasible,
     write_stream_csv,
 )
-from oracles import global_grad, grad_eval, loss_eval, read_stream_csv, reference_function_variation
+from oracles import (global_grad, grad_eval, loss_eval, read_stream_csv, reference_function_variation,
+                     reference_redrawn_variation)
 
 
 def ball_stream(features, ground_truth, noise, lambda1=0.0, radius=2.0):
@@ -328,6 +329,18 @@ class TestFunctionVariation:
             s = generate_stream(n, T, 1e-3, spec, seed=seed)
         got = estimate_function_variation(s, samples=samples, seed=seed)
         assert got.hex() == reference_function_variation(s, samples=samples, seed=seed).hex()
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(d=st.integers(1, 12), n=st.integers(1, 12), T=st.integers(1, 30), ball=st.booleans(),
+           radius=st.floats(0.01, 50.0), lambda1=st.sampled_from([0.0, 1e-5, 1e-3, 0.5]),
+           samples=st.integers(1, 300), seed=st.integers(0, 2 ** 16))
+    def test_redrawn_estimate_equals_reference_loop(self, d, n, T, ball, radius, lambda1, samples, seed):
+        # the estimate builds each round's loss table once, in place; the
+        # reference builds both tables of every round pair
+        spec = ConstraintSpec.l1_ball(d, radius) if ball else ConstraintSpec.simplex(d)
+        s = generate_stream(n, T, lambda1, spec, seed=seed, redraw_features=True)
+        got = estimate_function_variation(s, samples=samples, seed=seed)
+        assert got.hex() == reference_redrawn_variation(s, samples=samples, seed=seed).hex()
 
     def test_upper_bound_single_agent_closed_form(self):
         s = ball_stream([[1.5]], [0.25], [[0.8, 0.4, 0.1]], radius=2.0)

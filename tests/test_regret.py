@@ -32,7 +32,7 @@ from domfw.regret import (
     write_regret_csv,
 )
 from domfw.regret import OptimumRecord, RegretSeries
-from oracles import ReferenceRoundOptimizer, project, projected_gradient_optimum
+from oracles import ReferenceRoundOptimizer, project
 
 
 def enumeration_projection(spec, y):
@@ -140,17 +140,6 @@ class TestSolveRoundOptimum:
         assert rec.f_star <= fine_best + 1e-10
         assert rec.gap <= 1e-10
         assert grid_best >= rec.f_star - 1e-12
-
-    def test_agreement_with_projected_gradient(self):
-        rng = np.random.default_rng(4)
-        mismatches = []
-        for spec in (ConstraintSpec.simplex(8), ConstraintSpec.l1_ball(16, 2.0)):
-            stream = generate_stream(20, 25, 5e-6, spec, seed=int(rng.integers(1 << 30)))
-            for t in rng.integers(1, 26, size=25):
-                a = RoundOptimizer(stream, tol=1e-9).solve(int(t))
-                b = projected_gradient_optimum(stream, int(t), tol=1e-9)
-                mismatches.append(abs(a.f_star - b.f_star))
-        assert max(mismatches) <= 1e-6
 
     def test_iteration_cap_raises_with_gap(self):
         spec = ConstraintSpec.simplex(4)
