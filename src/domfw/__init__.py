@@ -3,14 +3,12 @@
 __version__ = "0.1.0"
 
 from .algorithm import (
-    InnerStep,
     RoundDiagnostics,
     ScheduleMode,
     ScheduleParams,
     Trajectory,
     initial_decisions,
     inner_count,
-    inner_steps,
     run,
     run_round,
     step_size,

@@ -13,11 +13,11 @@ The committed decision for round ``t + 1`` is the iterate left after the
 ``K_t``-th inner step. All agents' variables are stored as stacked ``(n, d)``
 arrays; reductions use a fixed agent order so runs are bit-deterministic.
 
-Each step operation has one unchecked private body. A private round kernel
-checks a round's inputs once, allocates the round's ``(K_t, n, d)`` buffers
-once and runs the bodies into them step by step. ``run_round`` reads its
-diagnostics straight from those buffers and checks the tracked gradients;
-``inner_steps`` yields read-only views of the same buffers.
+Each step operation has one unchecked private body. ``run_round`` is the
+one function that steps a round: it checks the round's inputs once,
+allocates the round's ``(K_t, n, d)`` buffers once, runs the bodies into them
+step by step, then reads its diagnostics straight from those buffers and
+checks the tracked gradients.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import GraphSchedule, MixingFold, WeightMatrix
-from .problem import (ConstraintKind, ConstraintSpec, LossStream, _frozen, _global_grad, _lmo, _local_grads,
-                      sample_feasible)
+from .network import GraphSchedule, MixingFold
+from .problem import ConstraintSpec, LossStream, _frozen, _global_grad, _lmo, _local_grads, sample_feasible
 
 CONSERVATION_TOL = 1e-9
 FEASIBILITY_RUN_TOL = 1e-10
@@ -155,76 +154,6 @@ def _fw_step(x_mixed, v: np.ndarray, alpha: float, out=None) -> np.ndarray:
     return np.add(x_mixed, step, out=step)
 
 
-def _round_kernel(xs: np.ndarray, stream: LossStream, wm: WeightMatrix, alpha: float, k_t: int, t: int):
-    """Step round ``t``'s ``k_t`` inner iterations from ``xs`` into buffers.
-
-    Checks the inputs, then allocates the round's ``(K_t, n, d)`` buffers
-    once and fills step ``k`` of each in place through the step bodies.
-    Returns ``(x, x_mixed, grad_local, grad_tracked_pre, grad_tracked,
-    vertex)``: the fields of ``InnerStep`` in order, where ``x`` has
-    ``K_t + 1`` rows, ``x[k + 1]`` being step ``k``'s ``x_next`` and
-    ``x[K_t]`` the round's committed decision.
-    """
-    n, d = stream.n, stream.d
-    xs = np.asarray(xs, dtype=float)
-    if xs.shape != (n, d):
-        raise ValueError(f"expected ({n}, {d}) stacked decisions, got {xs.shape}")
-    if wm.n != n:
-        raise ValueError("schedule size does not match the stream")
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
-    if k_t < 1:
-        raise ValueError("K_t must be >= 1")
-    feats, labels, lambda1 = stream.feature_matrix(t), stream.labels[:, t - 1], stream.lambda1
-    weights, spec = wm.weights, stream.constraint
-    x = np.empty((k_t + 1, n, d))
-    x[0] = xs
-    x_mixed, grad_local, grad_tracked_pre, grad_tracked, vertex = (np.empty((k_t, n, d)) for _ in range(5))
-    grad_hat = fresh_prev = None
-    for x_k, x_next, x_hat, fresh, grad_bar, hat, v in zip(x, x[1:], x_mixed, grad_local, grad_tracked_pre,
-                                                           grad_tracked, vertex):
-        _mix(weights, x_k, out=x_hat)
-        _local_grads(feats, labels, lambda1, x_hat, out=fresh)
-        _track(grad_hat, fresh_prev, fresh, weights, out=(grad_bar, hat))
-        _fw_step(x_hat, _lmo(spec, hat, out=v), alpha, out=x_next)
-        grad_hat, fresh_prev = hat, fresh
-    return x, x_mixed, grad_local, grad_tracked_pre, grad_tracked, vertex
-
-
-@dataclass(frozen=True)
-class InnerStep:
-    """All agents' variables at one inner iteration (stacked ``(n, d)`` rows)."""
-
-    x: np.ndarray                  # iterates before consensus
-    x_mixed: np.ndarray            # after consensus
-    grad_local: np.ndarray         # fresh local gradients at x_mixed
-    grad_tracked_pre: np.ndarray   # tracked gradients before the tracking mix
-    grad_tracked: np.ndarray       # after the tracking mix
-    vertex: np.ndarray             # linear-oracle outputs
-    x_next: np.ndarray             # iterates after the Frank-Wolfe step
-
-
-def inner_steps(xs: np.ndarray, stream: LossStream, wm: WeightMatrix, alpha: float, k_t: int, t: int):
-    """Yield round ``t``'s ``k_t`` inner iterations from ``xs``, one ``InnerStep`` each.
-
-    Each iteration mixes the iterates, refreshes the local gradients at the
-    mixed points, updates the tracked gradients, and takes the Frank-Wolfe
-    step; the last step's ``x_next`` is the round's committed decision.
-
-    On the first ``next()`` the inputs are checked and the whole round is
-    stepped into the same ``(K_t, n, d)`` buffers that ``run_round`` reads;
-    each yielded ``InnerStep`` holds read-only views of step ``k`` in them,
-    and its ``x_next`` is the next step's ``x``. The steps run unchecked;
-    ``run_round``, not this view, checks the tracked gradients.
-    """
-    buffers = _round_kernel(xs, stream, wm, alpha, k_t, t)
-    for buffer in buffers:
-        buffer.flags.writeable = False
-    x = buffers[0]
-    for k in range(k_t):
-        yield InnerStep(*(buffer[k] for buffer in buffers), x_next=x[k + 1])
-
-
 @dataclass(frozen=True)
 class RoundDiagnostics:
     """Per-round monitoring quantities and counters recorded during a run."""
@@ -244,17 +173,39 @@ def run_round(xs: np.ndarray, stream: LossStream, schedule: GraphSchedule, param
               fold: MixingFold | None = None):
     """Execute round ``t``'s inner loop for all agents.
 
-    Returns ``(xs_next, RoundDiagnostics)``. The round is stepped into
-    ``(K_t, n, d)`` buffers, one per variable of ``InnerStep``, and the
-    diagnostics are read straight from them. Raises if any tracked gradient
-    is not finite. The round's weights are built once; a ``fold`` gets them
-    with ``K_t``.
+    Returns ``(xs_next, RoundDiagnostics)``. Checks the shape of ``xs`` and
+    the size of the round's weights, then allocates the round's buffers once
+    and fills step ``k`` of each in place through the step bodies: ``x`` has
+    ``K_t + 1`` rows, ``x[k + 1]`` being step ``k``'s iterate after the
+    Frank-Wolfe step and ``x[K_t]`` the committed decision; ``x_mixed``,
+    ``grad_local``, ``grad_tracked_pre`` and ``grad_tracked`` have ``K_t``.
+    The oracle vertices go into one ``(n, d)`` scratch array. The
+    diagnostics are read straight from the buffers. Raises if any tracked
+    gradient is not finite. The round's weights are built once; a ``fold``
+    gets them with ``K_t``.
     """
     n, d, spec = stream.n, stream.d, stream.constraint
     wm = schedule.matrix(t)
     k_t = inner_count(params, t, schedule.horizon)
     alpha = step_size(params, k_t, schedule.horizon)
-    x, x_mixed, grad_local, grad_tracked_pre, grad_tracked, _ = _round_kernel(xs, stream, wm, alpha, k_t, t)
+    xs = np.asarray(xs, dtype=float)
+    if xs.shape != (n, d):
+        raise ValueError(f"expected ({n}, {d}) stacked decisions, got {xs.shape}")
+    if wm.n != n:
+        raise ValueError("schedule size does not match the stream")
+    feats, labels, lambda1, weights = stream.feature_matrix(t), stream.labels[:, t - 1], stream.lambda1, wm.weights
+    x = np.empty((k_t + 1, n, d))
+    x[0] = xs
+    x_mixed, grad_local, grad_tracked_pre, grad_tracked = (np.empty((k_t, n, d)) for _ in range(4))
+    vertex = np.empty((n, d))
+    grad_hat = fresh_prev = None
+    for x_k, x_next, x_hat, fresh, grad_bar, hat in zip(x, x[1:], x_mixed, grad_local, grad_tracked_pre,
+                                                        grad_tracked):
+        _mix(weights, x_k, out=x_hat)
+        _local_grads(feats, labels, lambda1, x_hat, out=fresh)
+        _track(grad_hat, fresh_prev, fresh, weights, out=(grad_bar, hat))
+        _fw_step(x_hat, _lmo(spec, hat, out=vertex), alpha, out=x_next)
+        grad_hat, fresh_prev = hat, fresh
     if fold is not None:
         fold.add(wm, k_t)
 
@@ -265,8 +216,7 @@ def run_round(xs: np.ndarray, stream: LossStream, schedule: GraphSchedule, param
     feasibility_gap = max(spec.feasibility_violation(x_mixed.reshape(-1, d)),
                           spec.feasibility_violation(x[1:].reshape(-1, d)))
     # one gradient product per step: a batched product could round differently
-    feats, labels = stream.feature_matrix(t), stream.labels[:, t - 1]
-    mean_grads = np.array([_global_grad(feats, labels, stream.lambda1, x_bar)
+    mean_grads = np.array([_global_grad(feats, labels, lambda1, x_bar)
                            for x_bar in x[:-1].mean(axis=1)]) / n
     tracking_residual = 0.0
     for residual in np.linalg.norm(grad_tracked - mean_grads[:, None], axis=2).sum(axis=1).tolist():
@@ -339,12 +289,12 @@ def initial_decisions(spec: ConstraintSpec, n: int, init: str = "vertex",
     """Starting points for all agents.
 
     ``"vertex"`` puts every agent on the same deterministic vertex (first
-    basis vector, scaled to the ball radius); ``"random"`` draws seeded
+    basis vector, scaled to the set's radius); ``"random"`` draws seeded
     feasible points, one per agent, and raises without a ``seed``.
     """
     if init == "vertex":
         x0 = np.zeros(spec.dimension)
-        x0[0] = 1.0 if spec.kind is ConstraintKind.UNIT_SIMPLEX else spec.radius
+        x0[0] = spec.radius
         return np.tile(x0, (n, 1))
     if init == "random":
         if seed is None:

@@ -162,12 +162,12 @@ def resident_bytes(n: int, d: int, T: int, k_max: int, redraw_features: bool) ->
     per-round records, and float64 arrays: the stream (features, noise and
     labels, each handed over without a copy), the ``(T + 1, n, d)``
     trajectory (the run's array, held without a copy), four ``(n, T)``
-    regret arrays, twelve ``(K_max, n, d)`` arrays (a round's six step
-    buffers, the last round's iterates and the diagnostics' temporaries,
-    an upper bound), twelve ``n x n`` working matrices (one round's
-    weights while they are built, and the mixing products), and six
-    ``(1000 + 2 d) x n`` temporaries of the sampled variation estimate (its
-    points against every agent).
+    regret arrays, twelve ``(K_max, n, d)`` arrays (a round's five step
+    buffers plus an ``(n, d)`` scratch, the last round's iterates and the
+    diagnostics' temporaries, an upper bound), twelve ``n x n`` working
+    matrices (one round's weights while they are built, and the mixing
+    products), and six ``(1000 + 2 d) x n`` temporaries of the sampled
+    variation estimate (its points against every agent).
     """
     features = n * d * (T if redraw_features else 1)
     floats = (features + 2 * n * T + (T + 1) * n * d + 4 * n * T
@@ -296,16 +296,22 @@ def parse_config(text: str) -> ExperimentConfig:
             violations.append((seen[key], f"{key}: a run needs an estimated {_gib(footprint)} resident, "
                                           f"above the {_gib(MAX_RESIDENT_BYTES)} budget"))
             fits = False
-    # the radius against a d that fits in memory
-    if "problem.radius" in values and ("problem.d" in values or "problem.d" not in seen) and fits:
-        radius, d = values["problem.radius"], sizes["problem"]["d"]
-        try:
-            finite = math.isfinite(radius * radius * 25.0 * d)   # a float product overflows to inf
-        except OverflowError:   # a d too large for a float
-            finite = False
+    # the solver's largest product, the curvature u'Hu of H = A'A + 2 n lambda1 I along a pairwise step
+    # u = v_fw - v_away with ||u|| <= 2 r, is at most 4 r**2 * n * (25 d + 2 lambda1); it stays finite at
+    # sizes that fit in memory, or fails at the set key among radius and lambda1 with the larger factor
+    scale = ("problem.radius", "problem.lambda1")
+    if (fits and any(key in values for key in scale)
+            and all(key in values or key not in seen for key in ("problem.n", "problem.d", *scale))):
+        p = sizes["problem"]
+        try:   # a float product overflows to inf
+            factors = dict(zip(scale, (p["radius"] * p["radius"], 25.0 * p["d"] + 2 * p["lambda1"])))
+            finite = math.isfinite(4.0 * p["n"] * math.prod(factors.values()))
+        except OverflowError:   # an n or d too large for a float
+            factors, finite = {}, False
         if not finite:
-            violations.append((seen["problem.radius"], f"problem.radius: value {radius!r} out of range "
-                                                       f"(radius**2 * 25 * d must be finite at d = {d})"))
+            key = max((key for key in scale if key in values), key=lambda key: factors.get(key, 0.0))
+            violations.append((seen[key], f"{key}: value {values[key]!r} out of range (4 * radius**2 * n * "
+                                          f"(25 * d + 2 * lambda1) must be finite at n = {p['n']}, d = {p['d']})"))
     if violations:
         raise ConfigError(sorted(violations, key=lambda v: (v[0] or 0)))
     return replace(default, **{name: replace(getattr(default, name), **attrs) for name, attrs in blocks.items()})
@@ -405,13 +411,16 @@ def run_experiment(config: ExperimentConfig, out_dir=None, dump_network: bool = 
 
     Writes the stream dump, trajectory and diagnostics, regret and envelope
     series, a bound report, and a manifest into the artifact directory
-    (``result.directory``), first removing an earlier run's ``FAILED`` marker.
+    (``result.directory``), first removing an earlier run's ``FAILED`` marker
+    and, unless ``dump_network`` dumps a new one, its ``network.csv``.
     On failure the partial outputs are retained next to a new ``FAILED``
     marker and the error is re-raised.
     """
     out = Path(out_dir if out_dir is not None else config.output.directory)
     out.mkdir(parents=True, exist_ok=True)
     (out / "FAILED").unlink(missing_ok=True)
+    if not dump_network:
+        (out / "network.csv").unlink(missing_ok=True)
     started = time.perf_counter()
     try:
         prob = config.problem
@@ -538,16 +547,16 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir=None, dump_networ
 def fit_loglog_slope(pairs) -> float:
     """Least-squares slope of ``log(count)`` against ``log(T)``.
 
-    Needs at least three points with strictly increasing ``T`` and positive
-    values on both axes.
+    Needs at least three points with strictly increasing ``T`` and finite
+    positive values on both axes.
     """
     pairs = [(float(t), float(c)) for t, c in pairs]
     if len(pairs) < 3:
         raise ValueError("need at least three points")
     ts = np.array([p[0] for p in pairs])
     cs = np.array([p[1] for p in pairs])
-    if np.any(ts <= 0) or np.any(cs <= 0):
-        raise ValueError("log-log fit requires positive values")
+    if not (np.all((0 < ts) & (ts < np.inf)) and np.all((0 < cs) & (cs < np.inf))):
+        raise ValueError("log-log fit requires finite positive values")
     if np.any(np.diff(ts) <= 0):
         raise ValueError("horizons must be strictly increasing")
     slope, _ = np.polyfit(np.log(ts), np.log(cs), 1)

@@ -92,12 +92,6 @@ class ConstraintSpec:
     def contains(self, x: np.ndarray, tol: float = FEASIBILITY_TOL) -> bool:
         return self.feasibility_violation(x) <= tol
 
-    def max_norm(self) -> float:
-        """Largest Euclidean norm over the set (attained at a vertex)."""
-        if self.kind is ConstraintKind.UNIT_SIMPLEX:
-            return 1.0
-        return self.radius
-
 
 def lmo(spec: ConstraintSpec, g: np.ndarray) -> np.ndarray:
     """Linear minimization oracle: the vertex minimizing ``<v, g>``.
@@ -343,13 +337,13 @@ def function_variation_bound(stream: LossStream) -> float:
     Requires fixed per-agent features: the loss difference between rounds is
     then affine in the residual and is bounded by
     ``|b_t - b_{t+1}| * (||a|| R + max(|b_t|, |b_{t+1}|))`` with ``R`` the
-    largest norm over the set. Always at least the sampled estimate.
+    set's radius, its largest norm. Always at least the sampled estimate.
     """
     if not stream.fixed_features:
         raise ValueError("upper bound requires features fixed per agent")
     if stream.T == 1:
         return 0.0
-    r_x = stream.constraint.max_norm()
+    r_x = stream.constraint.radius
     b0 = stream.labels[:, :-1]
     b1 = stream.labels[:, 1:]
     anorm = np.linalg.norm(stream.features, axis=1)
@@ -380,7 +374,7 @@ def problem_constants(stream: LossStream) -> ProblemConstants:
     gradient norm is bounded by
     ``max_i [ ||a_i|| (||a_i|| R + max_t |b_{i,t}|) + 2 lambda1 R ]``.
     """
-    r_x = stream.constraint.max_norm()
+    r_x = stream.constraint.radius
     feats = stream.features if stream.fixed_features else stream.features.reshape(-1, stream.d)
     anorm = np.linalg.norm(feats, axis=1)
     if stream.fixed_features:

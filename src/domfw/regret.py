@@ -268,9 +268,6 @@ class RegretSeries:
         t_grid = np.arange(1, self.cumulative.shape[1] + 1)
         return self.cumulative / t_grid
 
-    def final(self, j: int) -> float:
-        return float(self.cumulative[j, -1])
-
 
 def regret_series(trajectory: Trajectory, optima, stream: LossStream,
                   tol: float = 1e-9) -> RegretSeries:

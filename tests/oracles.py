@@ -5,6 +5,9 @@ and gradient bodies (``consensus_step``, ``tracking_step``, ``fw_step``,
 ``local_grads``, ``global_grad``, ``loss_eval``, ``grad_eval``) check their
 arguments on every call and then run the library's own private body, so a
 test can drive one operation at a time with the run's arithmetic.
+``inner_steps`` steps a round with them and yields one ``InnerStep`` per
+inner iteration: the per-step view of the round that ``run_round`` steps in
+its buffers.
 ``constant_schedule`` repeats one weight matrix every round, ``fold_window``
 folds rounds ``s..t`` of a schedule into a ``MixingFold`` for
 ``check_mixing``, and ``transition_product`` is that window's checked
@@ -129,6 +132,37 @@ def global_grad(stream: LossStream, t: int, x: np.ndarray) -> np.ndarray:
     """Gradient of ``global_loss`` in ``x``."""
     x = np.asarray(x, dtype=float)
     return _global_grad(stream.feature_matrix(t), stream.labels[:, t - 1], stream.lambda1, x)
+
+
+@dataclass(frozen=True)
+class InnerStep:
+    """All agents' variables at one inner iteration (stacked ``(n, d)`` rows)."""
+
+    x: np.ndarray                  # iterates before consensus
+    x_mixed: np.ndarray            # after consensus
+    grad_local: np.ndarray         # fresh local gradients at x_mixed
+    grad_tracked_pre: np.ndarray   # tracked gradients before the tracking mix
+    grad_tracked: np.ndarray       # after the tracking mix
+    vertex: np.ndarray             # linear-oracle outputs
+    x_next: np.ndarray             # iterates after the Frank-Wolfe step
+
+
+def inner_steps(xs: np.ndarray, stream: LossStream, wm: WeightMatrix, alpha: float, k_t: int, t: int):
+    """Yield round ``t``'s ``k_t`` inner iterations from ``xs``, one ``InnerStep`` each.
+
+    Each iteration mixes the iterates, refreshes the local gradients at the
+    mixed points, updates the tracked gradients and takes the Frank-Wolfe
+    step, each with its checked operation; the last step's ``x_next`` is the
+    round's committed decision, the one ``run_round`` returns.
+    """
+    x, grad_tracked, grad_prev = np.asarray(xs, dtype=float), None, None
+    for k in range(1, k_t + 1):
+        x_mixed = consensus_step(x, wm)
+        grad_local = local_grads(stream, t, x_mixed)
+        grad_tracked_pre, grad_tracked = tracking_step(grad_tracked, grad_prev, grad_local, wm, k)
+        x_next, vertex = fw_step(x_mixed, grad_tracked, alpha, stream.constraint)
+        yield InnerStep(x, x_mixed, grad_local, grad_tracked_pre, grad_tracked, vertex, x_next)
+        x, grad_prev = x_next, grad_local
 
 
 def read_stream_csv(path):

@@ -16,7 +16,6 @@ from domfw.algorithm import (
     Trajectory,
     initial_decisions,
     inner_count,
-    inner_steps,
     run,
     run_round,
     step_size,
@@ -31,6 +30,7 @@ from oracles import (
     fw_step,
     global_grad,
     grad_eval,
+    inner_steps,
     lo_call_count,
     local_grads,
     tracking_step,
@@ -50,9 +50,13 @@ def single_agent_stream(a, truth, noise, lambda1=0.0, radius=2.0):
 
 
 def round_steps(xs, stream, sched, params, t):
-    """Round ``t``'s inner steps, with the weights, count and step the run uses."""
+    """Round ``t``'s oracle inner steps, with the weights, count and step the
+    run uses; the last step's ``x_next`` is checked to be ``run_round``'s
+    decision bit for bit, which ties a per-step property to the library."""
     k_t = inner_count(params, t, sched.horizon)
-    return list(inner_steps(xs, stream, sched.matrix(t), step_size(params, k_t, sched.horizon), k_t, t))
+    steps = list(inner_steps(xs, stream, sched.matrix(t), step_size(params, k_t, sched.horizon), k_t, t))
+    assert np.array_equal(steps[-1].x_next, run_round(xs, stream, sched, params, t)[0])
+    return steps
 
 
 def recursion_gap(steps, alpha):
@@ -65,30 +69,25 @@ def recursion_gap(steps, alpha):
 
 
 def per_step_round(xs, stream, sched, params, t):
-    """Round ``t`` stepped and monitored one inner step at a time with the
-    checked operations: the oracle for ``run_round``'s diagnostics."""
+    """Round ``t`` stepped and monitored one oracle inner step at a time: the
+    oracle for ``run_round``'s diagnostics."""
     n, spec = stream.n, stream.constraint
     wm = sched.matrix(t)
     k_t = inner_count(params, t, sched.horizon)
     alpha = step_size(params, k_t, sched.horizon)
     consistency = float(np.linalg.norm(xs - xs.mean(axis=0), axis=1).sum())
-    x, grad_hat, fresh_prev = xs, None, None
     tracking_residual = conservation_gap = feasibility_gap = 0.0
-    for k in range(1, k_t + 1):
-        x_hat = consensus_step(x, wm)
-        fresh = local_grads(stream, t, x_hat)
-        grad_bar, grad_hat = tracking_step(grad_hat, fresh_prev, fresh, wm, k)
-        x_next, _ = fw_step(x_hat, grad_hat, alpha, spec)
-        conservation_gap = max(conservation_gap, float(np.abs(grad_bar.sum(axis=0) - fresh.sum(axis=0)).max()))
-        mean_grad = global_grad(stream, t, x.mean(axis=0)) / n
-        tracking_residual += alpha * float(np.linalg.norm(grad_hat - mean_grad, axis=1).sum())
-        feasibility_gap = max(feasibility_gap, spec.feasibility_violation(x_hat),
-                              spec.feasibility_violation(x_next))
-        fresh_prev, x = fresh, x_next
-    return x, RoundDiagnostics(t=t, inner_count=k_t, alpha=alpha, consistency_error=consistency,
-                               tracking_residual=tracking_residual, conservation_gap=conservation_gap,
-                               feasibility_gap=feasibility_gap, lo_calls=n * k_t,
-                               messages=2 * k_t * wm.directed_edges)
+    for s in inner_steps(xs, stream, wm, alpha, k_t, t):
+        conservation_gap = max(conservation_gap,
+                               float(np.abs(s.grad_tracked_pre.sum(axis=0) - s.grad_local.sum(axis=0)).max()))
+        mean_grad = global_grad(stream, t, s.x.mean(axis=0)) / n
+        tracking_residual += alpha * float(np.linalg.norm(s.grad_tracked - mean_grad, axis=1).sum())
+        feasibility_gap = max(feasibility_gap, spec.feasibility_violation(s.x_mixed),
+                              spec.feasibility_violation(s.x_next))
+    return s.x_next, RoundDiagnostics(t=t, inner_count=k_t, alpha=alpha, consistency_error=consistency,
+                                      tracking_residual=tracking_residual, conservation_gap=conservation_gap,
+                                      feasibility_gap=feasibility_gap, lo_calls=n * k_t,
+                                      messages=2 * k_t * wm.directed_edges)
 
 
 class TestInnerCount:
@@ -396,8 +395,7 @@ class TestRunRound:
                 assert spec.feasibility_violation(s.x_next) <= FEASIBILITY_RUN_TOL
                 assert np.abs(s.grad_tracked_pre.sum(axis=0) - s.grad_local.sum(axis=0)).max() <= CONSERVATION_TOL
             assert recursion_gap(steps, step_size(params, len(steps), sched.horizon)) <= 1e-10
-            xs, _ = run_round(xs, stream, sched, params, t)
-            assert np.array_equal(xs, steps[-1].x_next)
+            xs = steps[-1].x_next
 
     @settings(derandomize=True, deadline=None, max_examples=50)
     @given(n=st.integers(2, 6), d=st.integers(1, 6), ball=st.booleans(),
@@ -415,34 +413,16 @@ class TestRunRound:
             assert np.array_equal(xs, expected_xs)
             assert diag == expected
 
-    def test_inner_steps_are_read_only_views_of_one_round(self):
-        spec = ConstraintSpec.simplex(3)
-        stream = generate_stream(4, 2, 1e-3, spec, seed=27)
-        sched = random_connected_schedule(4, 2, 0.5, seed=28)
-        params = ScheduleParams(FIXED, fixed_count=3, rho=2)
-        steps = round_steps(initial_decisions(spec, 4), stream, sched, params, 1)
-        for step in steps:
-            for name, value in vars(step).items():
-                assert not value.flags.writeable, name
-                with pytest.raises(ValueError):
-                    value[0, 0] = 0.0
-        # one iterate buffer: a step's x_next is the next step's x
-        assert all(np.shares_memory(a.x_next, b.x) for a, b in zip(steps, steps[1:]))
-
     @pytest.mark.parametrize("change, message", [
-        ({"xs": np.zeros((3, 2))}, r"got \(3, 2\)"),
-        ({"wm": WeightMatrix(np.eye(3))}, None),
-        ({"alpha": 0.0}, r"alpha must lie in \(0, 1\]"),
-        ({"alpha": 1.5}, r"alpha must lie in \(0, 1\]"),
+        ({"xs": np.zeros((3, 2))}, r"^expected \(4, 3\) stacked decisions, got \(3, 2\)$"),
+        ({"sched": constant_schedule(WeightMatrix(np.eye(3)), 2)}, r"^schedule size does not match the stream$"),
     ])
-    def test_inner_steps_checks_inputs_on_first_step(self, change, message):
+    def test_run_round_checks_inputs(self, change, message):
         spec = ConstraintSpec.simplex(3)
         stream = generate_stream(4, 2, 1e-3, spec, seed=27)
-        args = {"xs": initial_decisions(spec, 4), "wm": random_connected_schedule(4, 2, 0.5, seed=28).matrix(1),
-                "alpha": 0.25} | change
-        steps = inner_steps(args["xs"], stream, args["wm"], args["alpha"], 3, 1)
+        args = {"xs": initial_decisions(spec, 4), "sched": random_connected_schedule(4, 2, 0.5, seed=28)} | change
         with pytest.raises(ValueError, match=message):
-            next(steps)
+            run_round(args["xs"], stream, args["sched"], ScheduleParams(FIXED, fixed_count=3, rho=2), 1)
 
 
 class TestRun:
@@ -457,17 +437,6 @@ class TestRun:
         mine = np.zeros((2, 1, 1))
         kept = Trajectory(decisions=mine, rounds=()).decisions
         assert kept is not mine and mine.flags.writeable and not kept.flags.writeable
-
-    def test_run_builds_no_inner_step(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("run_round built an InnerStep")
-
-        stream = generate_stream(3, 4, 1e-3, ConstraintSpec.simplex(2), seed=31)
-        sched = random_connected_schedule(3, 4, 0.5, seed=32)
-        expected = run(stream, sched, ScheduleParams())
-        monkeypatch.setattr(algorithm, "InnerStep", refuse)
-        traj = run(stream, sched, ScheduleParams())
-        assert np.array_equal(traj.decisions, expected.decisions) and traj.rounds == expected.rounds
 
     def test_minimal_run_counters(self):
         stream = single_agent_stream([1.0], [0.5], [[0.3]])

@@ -135,12 +135,34 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as info:
             parse_config(text)
         assert info.value.violations == [
-            (2, "problem.radius: value 1e+300 out of range (radius**2 * 25 * d must be finite at d = 8)")]
+            (2, "problem.radius: value 1e+300 out of range "
+                "(4 * radius**2 * n * (25 * d + 2 * lambda1) must be finite at n = 20, d = 8)")]
         assert parse_config("problem.constraint = l1ball\nproblem.radius = 2").problem.radius == 2.0
-        # the bound grows with d: 1e153 fits at d = 1 but not at d = 8
-        assert parse_config("problem.radius = 1e153\nproblem.d = 1").problem.radius == 1e153
-        with pytest.raises(ConfigError, match=r"^invalid config: line 1: problem\.radius: .* at d = 8\)$"):
-            parse_config("problem.radius = 1e153\nproblem.d = 8")
+        # the bound grows with d: 1e152 fits at d = 8 but not at d = 9
+        assert parse_config("problem.radius = 1e152\nproblem.d = 8").problem.radius == 1e152
+        with pytest.raises(ConfigError, match=r"^invalid config: line 1: problem\.radius: .* at n = 20, d = 9\)$"):
+            parse_config("problem.radius = 1e152\nproblem.d = 9")
+
+    @pytest.mark.parametrize("text, line, key", [
+        ("problem.constraint = l1ball\nproblem.d = 1\nproblem.radius = 1e153\nproblem.n = 20", 3, "problem.radius"),
+        ("problem.lambda1 = 1e308\nproblem.n = 4\nproblem.d = 3", 1, "problem.lambda1"),
+        ("problem.constraint = l1ball\nproblem.radius = 2\nproblem.lambda1 = 1e307\nproblem.n = 4", 3,
+         "problem.lambda1"),
+    ])
+    def test_loss_scale_covers_n_and_lambda1(self, text, line, key):
+        # each of these fails in round 1 (a gap or gradient of inf) when it runs
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        (at, message), = info.value.violations
+        assert at == line and message.startswith(f"{key}: ") and "must be finite at n = " in message
+
+    @pytest.mark.parametrize("text", [
+        "problem.constraint = l1ball\nproblem.radius = 1e152\nproblem.d = 2\nproblem.n = 20",
+        "problem.lambda1 = 1e300",
+    ])
+    def test_largest_loss_scales_validate_and_run(self, tmp_path, text):
+        result = run_experiment(parse_config(f"{text}\nproblem.T = 3"), out_dir=tmp_path / "run")
+        assert np.isfinite(result.regret.cumulative).all()
 
     def test_echo_pins_every_key(self):
         text = "\n".join([
@@ -254,6 +276,13 @@ class TestRunExperiment:
         cfg = parse_config("problem.n = 2\nproblem.T = 2\nproblem.d = 2")
         out = run_experiment(cfg, out_dir=tmp_path / "run", dump_network=True).directory
         assert (out / "network.csv").exists()
+
+    def test_rerun_without_a_network_dump_removes_the_earlier_dump(self, tmp_path):
+        cfg = parse_config("problem.n = 2\nproblem.T = 2\nproblem.d = 2")
+        out = run_experiment(cfg, out_dir=tmp_path / "run", dump_network=True).directory
+        assert (out / "network.csv").exists()
+        run_experiment(cfg.with_master_seed(7), out_dir=out)
+        assert not (out / "network.csv").exists()
 
     def test_failure_leaves_marker(self, tmp_path, monkeypatch):
         cfg = parse_config(SMALL)
@@ -484,6 +513,14 @@ class TestSlope:
         with pytest.raises(ValueError):
             fit_loglog_slope([(10, 1), (10, 2), (30, 3)])
 
+    @pytest.mark.parametrize("pairs", [[(10, 5), (100, math.nan), (1000, 50)],
+                                       [(10, 5), (100, math.inf), (1000, 50)],
+                                       [(10, 5), (math.nan, 20), (1000, 50)],
+                                       [(10, 5), (100, 20), (math.inf, 50)]])
+    def test_non_finite_points_rejected(self, pairs):
+        with pytest.raises(ValueError, match=r"^log-log fit requires finite positive values$"):
+            fit_loglog_slope(pairs)
+
 
 class TestCli:
     def test_validate_paths(self, tmp_path, capsys):
@@ -575,6 +612,15 @@ class TestCli:
         assert main(["slope", str(csvfile)]) == 0
         expected = fit_loglog_slope([tuple(map(float, row.split(","))) for row in rows])
         assert float(capsys.readouterr().out.strip()) == expected
+
+    @pytest.mark.parametrize("rows", [["10,5", "100,nan", "1000,50"], ["10,5", "100,inf", "1000,50"],
+                                      ["10,5", "nan,20", "1000,50"]])
+    def test_slope_rejects_non_finite_points(self, tmp_path, capsys, rows):
+        csvfile = tmp_path / "counts.csv"
+        csvfile.write_text("T,count\n" + "\n".join(rows) + "\n")
+        assert main(["slope", str(csvfile)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: log-log fit requires finite positive values\n"
 
     def test_config_error_exit_code(self, tmp_path):
         cfgfile = tmp_path / "c.cfg"

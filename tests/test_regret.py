@@ -395,7 +395,6 @@ class TestDynamicRegret:
         series = regret_series(traj, optima, stream)
         explicit = np.cumsum([global_loss(stream, t, x[2]) - optima[t - 1].f_star for t in range(1, 5)])
         assert series.cumulative[2] == pytest.approx(explicit, rel=1e-12, abs=1e-15)
-        assert series.final(2) == series.cumulative[2, -1]
 
 
 class TestEnvelopes:
