@@ -43,9 +43,7 @@ from .regret import (
     RegretSeries,
     RoundOptimizer,
     SolverError,
-    active_set_optimum,
     envelopes,
     regret_series,
     regret_upper_bound,
-    round_optima,
 )

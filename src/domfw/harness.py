@@ -51,7 +51,6 @@ from .regret import (
     envelopes,
     regret_series,
     regret_upper_bound,
-    round_optima,
     write_envelopes_csv,
     write_regret_csv,
 )
@@ -296,22 +295,30 @@ def parse_config(text: str) -> ExperimentConfig:
             violations.append((seen[key], f"{key}: a run needs an estimated {_gib(footprint)} resident, "
                                           f"above the {_gib(MAX_RESIDENT_BYTES)} budget"))
             fits = False
-    # the solver's largest product, the curvature u'Hu of H = A'A + 2 n lambda1 I along a pairwise step
-    # u = v_fw - v_away with ||u|| <= 2 r, is at most 4 r**2 * n * (25 d + 2 lambda1); it stays finite at
-    # sizes that fit in memory, or fails at the set key among radius and lambda1 with the larger factor
-    scale = ("problem.radius", "problem.lambda1")
-    if (fits and any(key in values for key in scale)
-            and all(key in values or key not in seen for key in ("problem.n", "problem.d", *scale))):
+    # the loss scale of the set's radius r (1 on the simplex) and lambda1, with features in [-5, 5]^d: the
+    # solver's curvature u'Hu of H = A'A + 2 n lambda1 I along a pairwise step (||u|| <= 2 r) is at most
+    # 4 r**2 n (25 d + 2 lambda1), and a squared gradient norm at most d (r (50 + 2 lambda1))**2. The first
+    # product to overflow (to inf) fails at the set key among radius and lambda1 with the larger factor
+    on_ball = values.get("problem.constraint", default.problem.constraint) is ConstraintKind.L1_BALL
+    scale = ("problem.radius", "problem.lambda1") if on_ball else ("problem.lambda1",)
+    if (fits and any(key in values for key in scale) and all(
+            key in values or key not in seen for key in ("problem.n", "problem.d", "problem.constraint", *scale))):
         p = sizes["problem"]
-        try:   # a float product overflows to inf
-            factors = dict(zip(scale, (p["radius"] * p["radius"], 25.0 * p["d"] + 2 * p["lambda1"])))
-            finite = math.isfinite(4.0 * p["n"] * math.prod(factors.values()))
-        except OverflowError:   # an n or d too large for a float
-            factors, finite = {}, False
-        if not finite:
-            key = max((key for key in scale if key in values), key=lambda key: factors.get(key, 0.0))
-            violations.append((seen[key], f"{key}: value {values[key]!r} out of range (4 * radius**2 * n * "
-                                          f"(25 * d + 2 * lambda1) must be finite at n = {p['n']}, d = {p['d']})"))
+        try:
+            n, d = float(p["n"]), float(p["d"])
+        except OverflowError:   # an n or d too large for a float counts as inf
+            n = d = math.inf
+        r2, lam = (p["radius"] * p["radius"] if on_ball else 1.0), p["lambda1"]
+        for expression, at, size, lam_factor in (
+                ("4 * radius**2 * n * (25 * d + 2 * lambda1)", f"n = {p['n']}, d = {p['d']}", 4.0 * n,
+                 25.0 * d + 2 * lam),
+                ("d * (radius * (50 + 2 * lambda1))**2", f"d = {p['d']}", d, (50 + 2 * lam) * (50 + 2 * lam))):
+            if not math.isfinite(size * (r2 * lam_factor)):
+                factors = {"problem.radius": r2, "problem.lambda1": lam_factor}
+                key = max((key for key in scale if key in values), key=factors.get)
+                violations.append((seen[key], f"{key}: value {values[key]!r} out of range "
+                                              f"({expression} must be finite at {at})"))
+                break
     if violations:
         raise ConfigError(sorted(violations, key=lambda v: (v[0] or 0)))
     return replace(default, **{name: replace(getattr(default, name), **attrs) for name, attrs in blocks.items()})
@@ -431,7 +438,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None, dump_network: bool = 
         trajectory = run(stream, schedule, config.schedule,
                          init=config.init.mode, init_seed=config.seeds.init_seed())
 
-        optima = round_optima(RoundOptimizer(stream, tol=config.solver.tolerance), prob.T)
+        solver = RoundOptimizer(stream, tol=config.solver.tolerance)
+        optima = [solver.solve(t) for t in range(1, prob.T + 1)]
         series = regret_series(trajectory, optima, stream, tol=config.solver.tolerance)
         env = envelopes(series)
 

@@ -8,10 +8,10 @@ on the quadratic): plain steps along ``v - x`` stall in a sublinear tail on
 boundary optima and would need orders of magnitude more iterations to reach
 tight gaps. The active vertex set is a weight per vertex slot plus the
 active slots in insertion order, and each vertex pair's direction and
-curvature are computed once, so each step is a few NumPy calls. A run whose
-pairwise solve exhausts its iteration cap continues with an active-set solve
-(``round_optima``). The library never projects; the tests cross-check the
-optima with a projected-gradient solver of their own.
+curvature are computed once, so each step is a few NumPy calls. From the
+first round whose pairwise solve exhausts its iteration cap, the same solver
+takes an active-set method instead. The library never projects; the tests
+cross-check the optima with a projected-gradient solver of their own.
 """
 
 from __future__ import annotations
@@ -77,7 +77,9 @@ class RoundOptimizer:
 
     Keeps the active vertex decomposition between calls, so sweeping
     ``t = 1..T`` (where consecutive objectives differ only through the
-    decaying label noise) costs a handful of iterations per round.
+    decaying label noise) costs a handful of iterations per round. The round
+    whose pairwise steps exhaust ``max_iter`` with a finite gap, and every
+    later one, goes to an active-set method.
 
     The decomposition is a weight per vertex slot, in the stream's
     ``constraint.vertices()`` order (slot ``j`` is ``e_j`` on the simplex;
@@ -99,7 +101,7 @@ class RoundOptimizer:
         self.stream = stream
         self.tol = tol
         self.max_iter = max_iter
-        verts = stream.constraint.vertices()
+        verts = self._verts = stream.constraint.vertices()
         self._coord = np.abs(verts).argmax(axis=1)
         self._sign_r = verts[np.arange(len(verts)), self._coord]
         self._coord_list, self._sign_list = self._coord.tolist(), self._sign_r.tolist()
@@ -107,17 +109,32 @@ class RoundOptimizer:
         self._active: tuple[list[float], list[int]] | None = None
         self._h = _quadratic(stream, 1)[0] if stream.fixed_features else None
         self._pairs: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
+        self._capped = False
 
     def solve(self, t: int) -> OptimumRecord:
+        """Round ``t``'s certified optimum; raises ``SolverError`` carrying the
+        last gap if a gap is not finite (at once) or if neither method certifies it."""
+        self.stream._check_round(t)
+        if not self._capped:
+            try:
+                return self._pairwise_solve(t)
+            except SolverError as exc:
+                if not math.isfinite(exc.gap):
+                    raise
+                self._capped = True
+        return self._active_set_solve(t)
+
+    def _objective(self, t: int):
+        """``H`` and ``c`` of round ``t``'s quadratic."""
+        if self._h is None:
+            return _quadratic(self.stream, t)
+        return self._h, -self.stream.features.T @ self.stream.labels[:, t - 1]
+
+    def _pairwise_solve(self, t: int) -> OptimumRecord:
+        """Warm-started pairwise steps; raises ``SolverError`` at ``max_iter``."""
         stream = self.stream
-        stream._check_round(t)
-        if self._h is not None:
-            h = self._h
-            c = -stream.features.T @ stream.labels[:, t - 1]
-            pairs = self._pairs
-        else:
-            h, c = _quadratic(stream, t)
-            pairs = {}
+        h, c = self._objective(t)
+        pairs = self._pairs if self._h is not None else {}
         coord, sign_r, oracle = self._coord, self._sign_r, self._oracle
         coord_list, sign_list = self._coord_list, self._sign_list
 
@@ -176,80 +193,54 @@ class RoundOptimizer:
         raise SolverError(f"round {t}: gap {gap:.3e} above tol {self.tol:.1e} "
                           f"after {self.max_iter} iterations", gap=gap)
 
+    def _active_set_solve(self, t: int) -> OptimumRecord:
+        """A cold-started primal active-set method over vertex weights.
 
-def active_set_optimum(stream: LossStream, t: int, tol: float) -> OptimumRecord:
-    """Round ``t``'s optimum by a primal active-set method over vertex weights.
-
-    Each major step adds the oracle vertex while the Frank-Wolfe gap,
-    recomputed from the full gradient, is above ``tol``. Each minor step
-    minimizes over the affine hull of the active vertices by a KKT solve;
-    when a weight would turn negative it stops at the boundary and drops that
-    vertex (Wolfe's method, Math. Programming 1976). Flat directions, which
-    stall pairwise steps, cost one solve. Raises ``SolverError`` if the gap is
-    not finite, if the oracle vertex is already active, or after 1000 major
-    steps (the method ends in finitely many; the cap guards a numerical cycle).
-    """
-    h, c = _quadratic(stream, t)
-    verts = stream.constraint.vertices()
-    oracle = _l1_slot if stream.constraint.kind is ConstraintKind.L1_BALL else _simplex_slot
-    active, weights = [oracle(c)], np.ones(1)
-    gap = math.inf
-    for it in range(1000):
-        x = weights @ verts[active]
-        g = h @ x + c
-        fw = oracle(g)
-        gap = float(x @ g - verts[fw] @ g)
-        if not math.isfinite(gap):
-            raise SolverError(f"round {t}: active-set gap {gap} is not finite at step {it}", gap=gap)
-        if gap <= tol:
-            return OptimumRecord(t=t, x_star=x, f_star=global_loss(stream, t, x), gap=gap, iterations=it)
-        if fw in active:
-            break
-        active.append(fw)
-        weights = np.append(weights, 0.0)
-        while True:
-            v = verts[active]
-            k = len(active)
-            kkt = np.ones((k + 1, k + 1))
-            kkt[:k, :k] = v @ h @ v.T
-            kkt[k, k] = 0.0
-            u = np.linalg.lstsq(kkt, np.append(-(v @ c), 1.0), rcond=None)[0][:k]
-            if (u > 0).all():
-                weights = u
+        Each major step adds the oracle vertex while the Frank-Wolfe gap,
+        recomputed from the full gradient, is above ``tol``. Each minor step
+        minimizes over the affine hull of the active vertices by a KKT solve;
+        when a weight would turn negative it stops at the boundary and drops
+        that vertex (Wolfe's method, Math. Programming 1976). Flat directions,
+        which stall pairwise steps, cost one solve. Raises ``SolverError`` if
+        the gap is not finite, if the oracle vertex is already active, or
+        after 1000 major steps (a guard against a numerical cycle)."""
+        h, c = self._objective(t)
+        verts, oracle, tol = self._verts, self._oracle, self.tol
+        active, weights = [oracle(c)], np.ones(1)
+        gap = math.inf
+        for it in range(1000):
+            x = weights @ verts[active]
+            g = h @ x + c
+            fw = oracle(g)
+            gap = float(x @ g - verts[fw] @ g)
+            if not math.isfinite(gap):
+                raise SolverError(f"round {t}: active-set gap {gap} is not finite at step {it}", gap=gap)
+            if gap <= tol:
+                return OptimumRecord(t=t, x_star=x, f_star=global_loss(self.stream, t, x), gap=gap,
+                                     iterations=it)
+            if fw in active:
                 break
-            # move toward u until the first weight reaches 0, and drop it
-            down = u <= 0
-            ratios = np.where(down, weights / np.where(down & (weights > u), weights - u, 1.0), np.inf)
-            i = int(ratios.argmin())
-            weights = weights + ratios[i] * (u - weights)
-            weights[i] = 0.0
-            active = [slot for slot, w in zip(active, weights) if w > 0]
-            weights = weights[weights > 0]
-    raise SolverError(f"round {t}: active-set gap {gap:.3e} above tol {tol:.1e}", gap=gap)
-
-
-def round_optima(solver: RoundOptimizer, T: int) -> list[OptimumRecord]:
-    """Certified optima of rounds ``1..T``, in order.
-
-    ``solver`` solves the rounds until one exhausts its iteration cap; that
-    round and every later one are solved by :func:`active_set_optimum`. A
-    pairwise solve that reaches its cap used to end the run, so every record
-    the pairwise solver certifies keeps its bits. A gap that is not finite
-    still raises at once.
-    """
-    optima = []
-    capped = False
-    for t in range(1, T + 1):
-        if not capped:
-            try:
-                optima.append(solver.solve(t))
-                continue
-            except SolverError as exc:
-                if not math.isfinite(exc.gap):
-                    raise
-                capped = True
-        optima.append(active_set_optimum(solver.stream, t, solver.tol))
-    return optima
+            active.append(fw)
+            weights = np.append(weights, 0.0)
+            while True:
+                v = verts[active]
+                k = len(active)
+                kkt = np.ones((k + 1, k + 1))
+                kkt[:k, :k] = v @ h @ v.T
+                kkt[k, k] = 0.0
+                u = np.linalg.lstsq(kkt, np.append(-(v @ c), 1.0), rcond=None)[0][:k]
+                if (u > 0).all():
+                    weights = u
+                    break
+                # move toward u until the first weight reaches 0, and drop it
+                down = u <= 0
+                ratios = np.where(down, weights / np.where(down & (weights > u), weights - u, 1.0), np.inf)
+                i = int(ratios.argmin())
+                weights = weights + ratios[i] * (u - weights)
+                weights[i] = 0.0
+                active = [slot for slot, w in zip(active, weights) if w > 0]
+                weights = weights[weights > 0]
+        raise SolverError(f"round {t}: active-set gap {gap:.3e} above tol {tol:.1e}", gap=gap)
 
 
 @dataclass(frozen=True)

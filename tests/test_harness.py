@@ -138,10 +138,34 @@ class TestParseConfig:
             (2, "problem.radius: value 1e+300 out of range "
                 "(4 * radius**2 * n * (25 * d + 2 * lambda1) must be finite at n = 20, d = 8)")]
         assert parse_config("problem.constraint = l1ball\nproblem.radius = 2").problem.radius == 2.0
-        # the bound grows with d: 1e152 fits at d = 8 but not at d = 9
+        # the bound grows with d: 1e152 fails on the ball at d = 9; the simplex reads no radius
         assert parse_config("problem.radius = 1e152\nproblem.d = 8").problem.radius == 1e152
-        with pytest.raises(ConfigError, match=r"^invalid config: line 1: problem\.radius: .* at n = 20, d = 9\)$"):
-            parse_config("problem.radius = 1e152\nproblem.d = 9")
+        with pytest.raises(ConfigError, match=r"^invalid config: line 2: problem\.radius: .* at n = 20, d = 9\)$"):
+            parse_config("problem.constraint = l1ball\nproblem.radius = 1e152\nproblem.d = 9")
+
+    def test_squared_gradient_norms_must_stay_finite(self):
+        # a gradient entry reaches radius * (50 + 2 * lambda1), and the tracking
+        # residual's norms square d of them
+        with pytest.raises(ConfigError) as info:
+            parse_config("problem.lambda1 = 1e300")
+        assert info.value.violations == [
+            (1, "problem.lambda1: value 1e+300 out of range "
+                "(d * (radius * (50 + 2 * lambda1))**2 must be finite at d = 8)")]
+        assert parse_config("problem.lambda1 = 2e153").problem.lambda1 == 2e153
+        with pytest.raises(ConfigError, match=r"^invalid config: line 2: problem\.lambda1: .* at d = 12\)$"):
+            parse_config("problem.d = 12\nproblem.lambda1 = 2e153")
+        # on the ball the larger factor is blamed: radius against 50 + 2 * lambda1
+        with pytest.raises(ConfigError, match=r"^invalid config: line 2: problem\.radius: .* at d = 8\)$"):
+            parse_config("problem.constraint = l1ball\nproblem.radius = 1e152\nproblem.lambda1 = 1")
+
+    def test_simplex_loss_scale_ignores_radius(self, tmp_path):
+        # the simplex's radius is 1 whatever problem.radius says, so the radius is never blamed there
+        with pytest.raises(ConfigError) as info:
+            parse_config("problem.radius = 1e300\nproblem.lambda1 = 1e300")
+        (line, message), = info.value.violations
+        assert line == 2 and message.startswith("problem.lambda1: value 1e+300 out of range")
+        result = run_experiment(parse_config("problem.radius = 1e300\nproblem.T = 3"), out_dir=tmp_path / "run")
+        assert np.isfinite(result.regret.cumulative).all()
 
     @pytest.mark.parametrize("text, line, key", [
         ("problem.constraint = l1ball\nproblem.d = 1\nproblem.radius = 1e153\nproblem.n = 20", 3, "problem.radius"),
@@ -158,11 +182,12 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("text", [
         "problem.constraint = l1ball\nproblem.radius = 1e152\nproblem.d = 2\nproblem.n = 20",
-        "problem.lambda1 = 1e300",
+        "problem.lambda1 = 1e150",
     ])
     def test_largest_loss_scales_validate_and_run(self, tmp_path, text):
         result = run_experiment(parse_config(f"{text}\nproblem.T = 3"), out_dir=tmp_path / "run")
         assert np.isfinite(result.regret.cumulative).all()
+        assert np.isfinite([r.tracking_residual for r in result.trajectory.rounds]).all()
 
     def test_echo_pins_every_key(self):
         text = "\n".join([

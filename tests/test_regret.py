@@ -23,11 +23,9 @@ from domfw.problem import (
 from domfw.regret import (
     RoundOptimizer,
     SolverError,
-    active_set_optimum,
     envelopes,
     regret_series,
     regret_upper_bound,
-    round_optima,
     write_envelopes_csv,
     write_regret_csv,
 )
@@ -142,11 +140,13 @@ class TestSolveRoundOptimum:
         assert grid_best >= rec.f_star - 1e-12
 
     def test_iteration_cap_raises_with_gap(self):
+        # the pairwise steps stop at their cap of 3, and the active-set method
+        # ends on a rounding-level gap above the 1e-16 tolerance: neither certifies
         spec = ConstraintSpec.simplex(4)
         stream = generate_stream(6, 2, 1e-4, spec, seed=5)
-        with pytest.raises(SolverError) as info:
+        with pytest.raises(SolverError, match=r"^round 1: active-set gap .* above tol 1\.0e-16$") as info:
             RoundOptimizer(stream, tol=1e-16, max_iter=3).solve(1)
-        assert info.value.gap > 0
+        assert 1e-16 < info.value.gap < math.inf
 
     def test_non_finite_gap_raises_at_once(self):
         # the products with a radius of 1e300 overflow, so the first gap is inf
@@ -182,8 +182,8 @@ class TestSolveRoundOptimum:
 
 
 class TestActiveSetFallback:
-    """Rounds the pairwise solver cannot certify within its cap: the active-set
-    solve takes over from that round on, and earlier records keep their bits."""
+    """Rounds the pairwise steps cannot certify within their cap: the active-set
+    method takes over from that round on, and earlier records keep their bits."""
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(d=st.integers(1, 6), extra=st.integers(2, 6), T=st.integers(1, 4), ball=st.booleans(),
@@ -192,8 +192,9 @@ class TestActiveSetFallback:
     def test_agrees_with_pairwise_within_the_gaps(self, d, extra, T, ball, radius, lambda1, redraw, seed):
         spec = ConstraintSpec.l1_ball(d, radius) if ball else ConstraintSpec.simplex(d)
         stream = generate_stream(d + extra, T, lambda1, spec, seed=seed, redraw_features=redraw)
+        solver = RoundOptimizer(stream, tol=1e-10)
         for rec in all_optima(stream, tol=1e-10):
-            active = active_set_optimum(stream, rec.t, tol=1e-10)
+            active = solver._active_set_solve(rec.t)
             assert spec.contains(active.x_star, tol=FEASIBILITY_TOL)
             assert active.gap <= 1e-10
             # each gap bounds its point's suboptimality
@@ -203,26 +204,26 @@ class TestActiveSetFallback:
         (2, 6, False, False, 3),    # under-determined: H is singular up to the ridge
         (3, 6, True, False, 4),
         (11, 11, True, True, 18),   # a nearly singular redrawn round
+        (6, 6, False, True, 3),     # capped at round 7: six pairwise records come first
     ])
     def test_capped_rounds_are_certified(self, n, d, ball, redraw, seed):
         spec = ConstraintSpec.l1_ball(d, 2.0) if ball else ConstraintSpec.simplex(d)
         stream = generate_stream(n, 13, 5e-6, spec, seed=seed, redraw_features=redraw)
-        records = round_optima(RoundOptimizer(stream, tol=1e-9, max_iter=2000), 13)
-        pairwise, error = solve_all(RoundOptimizer(stream, tol=1e-9, max_iter=2000), 13)
-        assert error is not None   # the pairwise solver alone stops at the cap
+        solver = RoundOptimizer(stream, tol=1e-9, max_iter=2000)
+        records = [solver.solve(t) for t in range(1, 14)]
+        pairwise, error = solve_all(ReferenceRoundOptimizer(stream, tol=1e-9, max_iter=2000).solve, 13)
+        assert error is not None   # pairwise steps alone stop at the cap
         assert [r.t for r in records] == list(range(1, 14))
         for rec in records:
             assert spec.contains(rec.x_star, tol=FEASIBILITY_TOL)
             assert rec.gap <= 1e-9
-        for rec, want in zip(records, pairwise):
+        # the records before the cap are the pairwise ones, and from the capped
+        # round on every record is the (stateless) active-set method's
+        cold = RoundOptimizer(stream, tol=1e-9)
+        wants = pairwise + [cold._active_set_solve(t) for t in range(len(pairwise) + 1, 14)]
+        for rec, want in zip(records, wants, strict=True):
             assert rec.x_star.tobytes() == want.x_star.tobytes()
             assert (rec.f_star, rec.gap, rec.iterations) == (want.f_star, want.gap, want.iterations)
-
-    def test_non_finite_gap_still_raises_at_once(self):
-        stream = generate_stream(3, 3, 1e-3, ConstraintSpec.l1_ball(3, 1e300), seed=0)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(SolverError, match=r"^round 1: gap .* not finite at iteration 0$"):
-            round_optima(RoundOptimizer(stream), 3)
 
 
 def solver_digest(stream):
@@ -273,12 +274,12 @@ class TestSolverGolden:
         assert solver_digest(make(spec)) == self.DIGESTS[name]
 
 
-def solve_all(solver, T):
-    """Records of rounds ``1..T`` in order, stopping at the first ``SolverError``."""
+def solve_all(solve, T):
+    """``solve(t)`` for rounds ``1..T`` in order, stopping at the first ``SolverError``."""
     records = []
     for t in range(1, T + 1):
         try:
-            records.append(solver.solve(t))
+            records.append(solve(t))
         except SolverError as err:
             return records, (str(err), err.gap)
     return records, None
@@ -295,9 +296,10 @@ class TestAgainstReferenceSolver:
     def test_warm_records_bit_identical(self, d, n, T, ball, radius, lambda1, redraw, seed):
         spec = ConstraintSpec.l1_ball(d, radius) if ball else ConstraintSpec.simplex(d)
         stream = generate_stream(n, T, lambda1, spec, seed=seed, redraw_features=redraw)
-        # a low cap keeps ill-conditioned draws short; a capped round must fail alike
-        got, got_error = solve_all(RoundOptimizer(stream, tol=1e-10, max_iter=3000), T)
-        want, want_error = solve_all(ReferenceRoundOptimizer(stream, tol=1e-10, max_iter=3000), T)
+        # a low cap keeps ill-conditioned draws short; the pairwise half must
+        # stop at a capped round alike, before the active-set method takes over
+        got, got_error = solve_all(RoundOptimizer(stream, tol=1e-10, max_iter=3000)._pairwise_solve, T)
+        want, want_error = solve_all(ReferenceRoundOptimizer(stream, tol=1e-10, max_iter=3000).solve, T)
         assert len(got) == len(want)
         assert got_error == want_error
         for a, b in zip(got, want):
