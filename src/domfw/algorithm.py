@@ -16,8 +16,8 @@ arrays; reductions use a fixed agent order so runs are bit-deterministic.
 Each step operation has one unchecked private body. ``run_round`` is the
 one function that steps a round: it checks the round's inputs once,
 allocates the round's ``(K_t, n, d)`` buffers once, runs the bodies into them
-step by step, then reads its diagnostics straight from those buffers and
-checks the tracked gradients.
+step by step, then checks the tracked gradients and reads its diagnostics
+from those buffers in whole-round array operations, with no loop over steps.
 """
 
 from __future__ import annotations
@@ -180,9 +180,11 @@ def run_round(xs: np.ndarray, stream: LossStream, schedule: GraphSchedule, param
     Frank-Wolfe step and ``x[K_t]`` the committed decision; ``x_mixed``,
     ``grad_local``, ``grad_tracked_pre`` and ``grad_tracked`` have ``K_t``.
     The oracle vertices go into one ``(n, d)`` scratch array. The
-    diagnostics are read straight from the buffers. Raises if any tracked
-    gradient is not finite. The round's weights are built once; a ``fold``
-    gets them with ``K_t``.
+    diagnostics are read straight from the buffers; the tracking residual
+    takes its reference gradients from one stacked ``_global_grad`` call and
+    sums its steps left to right. Raises if any tracked gradient is not
+    finite. The round's weights are built once; a ``fold`` gets them with
+    ``K_t``.
     """
     n, d, spec = stream.n, stream.d, stream.constraint
     wm = schedule.matrix(t)
@@ -215,25 +217,14 @@ def run_round(xs: np.ndarray, stream: LossStream, schedule: GraphSchedule, param
     conservation_gap = float(np.abs(grad_tracked_pre.sum(axis=1) - grad_local.sum(axis=1)).max())
     feasibility_gap = max(spec.feasibility_violation(x_mixed.reshape(-1, d)),
                           spec.feasibility_violation(x[1:].reshape(-1, d)))
-    # one gradient product per step: a batched product could round differently
-    mean_grads = np.array([_global_grad(feats, labels, lambda1, x_bar)
-                           for x_bar in x[:-1].mean(axis=1)]) / n
-    tracking_residual = 0.0
-    for residual in np.linalg.norm(grad_tracked - mean_grads[:, None], axis=2).sum(axis=1).tolist():
-        tracking_residual += alpha * residual
+    mean_grads = _global_grad(feats, labels, lambda1, x[:-1].mean(axis=1)) / n
+    residuals = np.linalg.norm(grad_tracked - mean_grads[:, None], axis=2).sum(axis=1)
+    tracking_residual = float(np.cumsum(alpha * residuals)[-1])   # strictly left to right over the steps
 
-    diag = RoundDiagnostics(
-        t=t,
-        inner_count=k_t,
-        alpha=alpha,
-        consistency_error=consistency,
-        tracking_residual=tracking_residual,
-        conservation_gap=conservation_gap,
-        feasibility_gap=feasibility_gap,
-        lo_calls=n * k_t,
-        messages=2 * k_t * wm.directed_edges,
-    )
-    return x[-1], diag
+    return x[-1], RoundDiagnostics(t=t, inner_count=k_t, alpha=alpha, consistency_error=consistency,
+                                   tracking_residual=tracking_residual, conservation_gap=conservation_gap,
+                                   feasibility_gap=feasibility_gap, lo_calls=n * k_t,
+                                   messages=2 * k_t * wm.directed_edges)
 
 
 @dataclass(frozen=True)

@@ -377,25 +377,17 @@ class RunResult:
     def bound_text(self) -> str:
         """The ``bound.txt`` report: bounds, certificate margins, counters."""
         worst = float(self.regret.cumulative[:, -1].max())
-        lines = [f"ht_estimate = {self.ht_estimate!r}"]
-        if self.ht_upper_bound is not None:
-            lines.append(f"ht_upper_bound = {self.ht_upper_bound!r}")
-        lines.append(f"max_final_regret = {worst!r}")
-        if self.bound is not None:
-            lines.append(f"e1 = {self.bound.e1!r}")
-            lines.append(f"e2 = {self.bound.e2!r}")
-            lines.append(f"e3 = {self.bound.e3!r}")
-            lines.append(f"bound_total = {self.bound.total!r}")
-            lines.append(f"bound_margin = {self.bound.total - worst!r}")
-        lines.append(f"mixing_deviation = {self.mixing.deviation!r}")
-        lines.append(f"mixing_bound = {self.mixing.bound!r}")
-        lines.append(f"mixing_margin = {self.mixing.margin!r}")
-        lines.append(f"mixing_holds = {self.mixing.ok}")
-        lines.append(f"lo_calls = {self.trajectory.lo_calls}")
-        lines.append(f"messages = {self.trajectory.messages}")
-        lines.append(f"max_conservation_gap = {self.trajectory.max_conservation_gap()!r}")
-        lines.append(f"max_feasibility_gap = {self.trajectory.max_feasibility_gap()!r}")
-        return "\n".join(lines) + "\n"
+        bound, mixing, traj = self.bound, self.mixing, self.trajectory
+        items = [("ht_estimate", self.ht_estimate), ("ht_upper_bound", self.ht_upper_bound),
+                 ("max_final_regret", worst)]
+        if bound is not None:
+            items += [("e1", bound.e1), ("e2", bound.e2), ("e3", bound.e3), ("bound_total", bound.total),
+                      ("bound_margin", bound.total - worst)]
+        items += [("mixing_deviation", mixing.deviation), ("mixing_bound", mixing.bound),
+                  ("mixing_margin", mixing.margin), ("mixing_holds", mixing.ok), ("lo_calls", traj.lo_calls),
+                  ("messages", traj.messages), ("max_conservation_gap", traj.max_conservation_gap()),
+                  ("max_feasibility_gap", traj.max_feasibility_gap())]
+        return "".join(f"{key} = {value!r}\n" for key, value in items if value is not None)
 
     def manifest_text(self) -> str:
         """The ``manifest.txt`` record: versions, wall time, and the config echo."""
@@ -512,7 +504,8 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir=None, dump_networ
     Returns the rows (input order) and writes ``sweep.csv`` plus one artifact
     directory per value under ``out_dir``. A value that does not convert, or
     converts equal to an earlier one, raises ``ValueError`` before anything
-    is run or written; one out of range is a failed row.
+    is run or written; one out of range, or whose config ``validate``
+    refuses, is a failed row naming the key.
     """
     if axis not in _SWEEP_AXES:
         raise ValueError(f"axis must be one of {sorted(_SWEEP_AXES)}, got {axis!r}")
@@ -534,6 +527,10 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir=None, dump_networ
     for converted, value in first.items():
         try:
             cfg = replace(config, **{block: replace(getattr(config, block), **{attr: converted})})
+            try:   # the checks validate runs; the echo's line numbers mean nothing to the caller
+                cfg = parse_config(config_to_text(cfg))
+            except ConfigError as exc:
+                raise ValueError("; ".join(message for _, message in exc.violations)) from None
             result = run_experiment(cfg, out_dir=out / f"run_{axis}={value}", dump_network=dump_network)
             rows.append(SweepRow(value=converted, final_avg_regret=float(result.envelopes.avg[-1]),
                                  lo_calls=result.trajectory.lo_calls, messages=result.trajectory.messages))

@@ -284,10 +284,13 @@ def global_loss(stream: LossStream, t: int, x: np.ndarray) -> float:
     return 0.5 * float(resid @ resid) + stream.n * stream.lambda1 * float(x @ x)
 
 
-def _global_grad(feats: np.ndarray, labels: np.ndarray, lambda1: float, x: np.ndarray) -> np.ndarray:
-    """Gradient of :func:`global_loss` in ``x``, from the round's features and labels."""
-    resid = feats @ x - labels
-    return feats.T @ resid + 2.0 * feats.shape[0] * lambda1 * x
+def _global_grad(feats: np.ndarray, labels: np.ndarray, lambda1: float, xs: np.ndarray) -> np.ndarray:
+    """Gradient of :func:`global_loss` at each row of the stacked ``(K, d)``
+    points ``xs``, from the round's features and labels. Both products are
+    stacked matrix-vector products, which round row for row as ``feats @ x``
+    does; a ``(K, d) @ (d, n)`` product or ``einsum`` need not."""
+    resid = np.matmul(feats, xs[:, :, None])[..., 0] - labels
+    return np.matmul(feats.T, resid[:, :, None])[..., 0] + 2.0 * feats.shape[0] * lambda1 * xs
 
 
 def estimate_function_variation(stream: LossStream, samples: int = 1000, seed: int = 0) -> float:
@@ -341,11 +344,8 @@ def function_variation_bound(stream: LossStream) -> float:
     """
     if not stream.fixed_features:
         raise ValueError("upper bound requires features fixed per agent")
-    if stream.T == 1:
-        return 0.0
     r_x = stream.constraint.radius
-    b0 = stream.labels[:, :-1]
-    b1 = stream.labels[:, 1:]
+    b0, b1 = stream.labels[:, :-1], stream.labels[:, 1:]   # none at T = 1: the sum is 0
     anorm = np.linalg.norm(stream.features, axis=1)
     per_agent = np.abs(b0 - b1) * (anorm[:, None] * r_x + np.maximum(np.abs(b0), np.abs(b1)))
     return float(per_agent.max(axis=0).sum())
@@ -377,10 +377,7 @@ def problem_constants(stream: LossStream) -> ProblemConstants:
     r_x = stream.constraint.radius
     feats = stream.features if stream.fixed_features else stream.features.reshape(-1, stream.d)
     anorm = np.linalg.norm(feats, axis=1)
-    if stream.fixed_features:
-        bmax = np.abs(stream.labels).max(axis=1)
-    else:
-        bmax = np.abs(stream.labels).max()
+    bmax = np.abs(stream.labels).max(axis=1) if stream.fixed_features else np.abs(stream.labels).max()
     lip = float((anorm * (anorm * r_x + bmax) + 2.0 * stream.lambda1 * r_x).max())
     smooth = float((anorm ** 2).max() + 2.0 * stream.lambda1)
     return ProblemConstants(diameter=diameter(stream.constraint), grad_norm_bound=lip, grad_lipschitz=smooth)

@@ -17,7 +17,7 @@ cross-check the optima with a projected-gradient solver of their own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -113,16 +113,20 @@ class RoundOptimizer:
 
     def solve(self, t: int) -> OptimumRecord:
         """Round ``t``'s certified optimum; raises ``SolverError`` carrying the
-        last gap if a gap is not finite (at once) or if neither method certifies it."""
+        last gap if a gap is not finite (at once) or if neither method certifies it.
+        The round the active-set method takes over counts ``max_iter`` pairwise
+        iterations plus its own steps."""
         self.stream._check_round(t)
+        spent = 0
         if not self._capped:
             try:
                 return self._pairwise_solve(t)
             except SolverError as exc:
                 if not math.isfinite(exc.gap):
                     raise
-                self._capped = True
-        return self._active_set_solve(t)
+                self._capped, spent = True, self.max_iter
+        record = self._active_set_solve(t)
+        return replace(record, iterations=spent + record.iterations)
 
     def _objective(self, t: int):
         """``H`` and ``c`` of round ``t``'s quadratic."""
@@ -264,11 +268,16 @@ def regret_series(trajectory: Trajectory, optima, stream: LossStream,
                   tol: float = 1e-9) -> RegretSeries:
     """Cumulative ``F_t(x_{j,t}) - F_t(x_t^*)`` for all agents.
 
-    Decisions are the committed round-start iterates. Raises if any per-round
-    increment falls below ``-tol`` (which would contradict the optimality
-    certificates) or if the optima do not cover the horizon.
+    Decisions are the committed round-start iterates. Raises if the optima
+    do not cover the horizon, or if an increment falls below ``-tol`` less a
+    rounding floor (which would contradict the optimality certificates): a
+    loss, a sum of ``n + d`` nonnegative terms, rounds by up to ``(n + d) *
+    eps`` times its value; and a decision is never projected, so rounding
+    leaves it ``v`` off the set (``feasibility_violation``), within ``(2d + 1)
+    v`` of it in l1, where by convexity its loss is at most that distance
+    times its largest gradient entry below the set's minimum.
     """
-    T, n = stream.T, stream.n
+    T, n, d = stream.T, stream.n, stream.d
     if len(optima) < T:
         raise ValueError(f"need optima for all {T} rounds, got {len(optima)}")
     increments = np.empty((n, T))
@@ -280,9 +289,14 @@ def regret_series(trajectory: Trajectory, optima, stream: LossStream,
         rec = optima[t - 1]
         if rec.t != t:
             raise ValueError(f"optimum record at position {t - 1} is for round {rec.t}")
-        increments[:, t - 1] = f_vals - rec.f_star
-    if increments.min() < -tol:
-        raise ValueError(f"negative regret increment {increments.min():.3e} below -tol")
+        inc = increments[:, t - 1] = f_vals - rec.f_star
+        grads = feats.T @ resid + (2.0 * n * stream.lambda1) * xs.T   # (d, n decisions), from the residuals
+        slack = (tol + (n + d) * np.finfo(float).eps * (f_vals + rec.f_star)
+                 + (2 * d + 1) * stream.constraint.feasibility_violation(xs) * np.abs(grads).max(axis=0))
+        j = int((inc + slack).argmin())
+        if inc[j] < -slack[j]:
+            raise ValueError(f"round {t}: agent {j}'s regret increment {inc[j]:.3e} is below "
+                             f"-(tol + rounding floor) = {-slack[j]:.3e}")
     cumulative = np.cumsum(increments, axis=1)
     cumulative.flags.writeable = False   # handed over without a copy
     return RegretSeries(cumulative=cumulative)

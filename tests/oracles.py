@@ -129,9 +129,9 @@ def grad_eval(stream: LossStream, t: int, i: int, x: np.ndarray) -> np.ndarray:
 
 
 def global_grad(stream: LossStream, t: int, x: np.ndarray) -> np.ndarray:
-    """Gradient of ``global_loss`` in ``x``."""
+    """Gradient of ``global_loss`` in ``x``: the stacked body run on one point."""
     x = np.asarray(x, dtype=float)
-    return _global_grad(stream.feature_matrix(t), stream.labels[:, t - 1], stream.lambda1, x)
+    return _global_grad(stream.feature_matrix(t), stream.labels[:, t - 1], stream.lambda1, x[None])[0]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from domfw.algorithm import (
     write_trajectory_csv,
 )
 from domfw.network import WeightMatrix, metropolis_weights, random_connected_schedule
-from domfw.problem import ConstraintSpec, LossStream, generate_stream, global_loss, lmo, sample_feasible
+from domfw.problem import ConstraintSpec, LossStream, _global_grad, generate_stream, global_loss, lmo, sample_feasible
 from oracles import (
     consensus_step,
     constant_schedule,
@@ -413,6 +413,24 @@ class TestRunRound:
             assert np.array_equal(xs, expected_xs)
             assert diag == expected
 
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(k=st.integers(1, 150), n=st.integers(1, 200), d=st.integers(1, 16), lambda1=st.floats(0.0, 1e3),
+           alpha=st.floats(1e-6, 1.0), seed=st.integers(0, 2 ** 16))
+    def test_stacked_summary_rounds_as_per_step_loops(self, k, n, d, lambda1, alpha, seed):
+        # run_round's one stacked gradient call and its cumsum stand for a
+        # per-step loop of gradient products and a left-to-right sum: every bit
+        rng = np.random.default_rng(seed)
+        feats, labels, xs = rng.uniform(-5, 5, (n, d)), rng.uniform(-5, 5, n), rng.uniform(-1, 1, (k, d))
+        stacked = _global_grad(feats, labels, lambda1, xs)
+        for x, row in zip(xs, stacked, strict=True):
+            want = feats.T @ (feats @ x - labels) + 2.0 * n * lambda1 * x
+            assert list(map(float.hex, row.tolist())) == list(map(float.hex, want.tolist()))
+        residuals = rng.uniform(0, 1, k) * 10.0 ** rng.integers(-8, 9, k)
+        total = 0.0
+        for residual in residuals.tolist():
+            total += alpha * residual
+        assert float(np.cumsum(alpha * residuals)[-1]).hex() == total.hex()
+
     @pytest.mark.parametrize("change, message", [
         ({"xs": np.zeros((3, 2))}, r"^expected \(4, 3\) stacked decisions, got \(3, 2\)$"),
         ({"sched": constant_schedule(WeightMatrix(np.eye(3)), 2)}, r"^schedule size does not match the stream$"),
@@ -437,6 +455,11 @@ class TestRun:
         mine = np.zeros((2, 1, 1))
         kept = Trajectory(decisions=mine, rounds=()).decisions
         assert kept is not mine and mine.flags.writeable and not kept.flags.writeable
+
+    def test_schedule_shorter_than_the_stream_is_rejected(self):
+        stream = generate_stream(3, 4, 1e-3, ConstraintSpec.simplex(2), seed=31)
+        with pytest.raises(ValueError, match="^schedule horizon is shorter than the stream$"):
+            run(stream, random_connected_schedule(3, 3, 0.5, seed=32), ScheduleParams())
 
     def test_minimal_run_counters(self):
         stream = single_agent_stream([1.0], [0.5], [[0.3]])

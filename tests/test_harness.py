@@ -90,6 +90,11 @@ class TestParseConfig:
         lines = [v[0] for v in info.value.violations]
         assert lines == [1, 2, 3, 4]
 
+    def test_line_without_equals_sign(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config("problem.n = 3\nproblem.T 4  # no sign\n")
+        assert info.value.violations == [(2, "expected 'section.key = value', got 'problem.T 4  # no sign'")]
+
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config("# a comment\n\nproblem.n = 7   # trailing\n")
         assert cfg.problem.n == 7
@@ -385,6 +390,12 @@ class TestRunExperiment:
         for name in ("regret.csv", "trajectory.csv", "envelopes.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    def test_manifest_without_config_section(self, tmp_path):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("# manifest\npackage_version = 0.1.0\nproblem.n = 3\n")
+        with pytest.raises(ConfigError, match="^invalid config: manifest has no config section$"):
+            read_manifest_config(manifest)
+
     def test_bound_report_holds(self, tmp_path):
         cfg = parse_config(SMALL)
         out = run_experiment(cfg, out_dir=tmp_path / "run").directory
@@ -485,6 +496,27 @@ class TestSweep:
             sweep(parse_config(SMALL), axis, values, out_dir=tmp_path / "sweep")
         assert ran == []
         assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("axis, values, refused", [
+        ("T", ["3", "0", "1000001", str(10 ** 10)], ["problem.T: value 0 out of range",
+                                                     "problem.T: value 1000001 out of range",
+                                                     f"problem.T: value {10 ** 10} out of range"]),
+        ("n", ["3", "1", str(10 ** 9)], ["problem.n: value 1 out of range",
+                                         "problem.n: a run needs an estimated 8.94e+10 GiB"]),
+    ])
+    def test_value_validate_refuses_is_a_failed_row(self, tmp_path, monkeypatch, axis, values, refused):
+        ran = []
+
+        def stub(cfg, **kwargs):
+            ran.append(getattr(cfg.problem, axis))
+            raise RuntimeError("stub")
+
+        monkeypatch.setattr(harness, "run_experiment", stub)
+        rows = sweep(parse_config(SMALL), axis, values, out_dir=tmp_path / "sweep")
+        assert ran == [3]
+        assert rows[0].error == "RuntimeError: stub"
+        for row, message in zip(rows[1:], refused, strict=True):
+            assert row.error.startswith(f"ValueError: {message}")
 
     def test_mode_sweep_includes_baseline(self, tmp_path):
         cfg = parse_config("problem.n = 3\nproblem.T = 4\nproblem.d = 3")
@@ -614,6 +646,22 @@ class TestCli:
                    "--out-dir", str(tmp_path / "s")])
         assert rc == 0
         assert (tmp_path / "s" / "sweep.csv").exists()
+
+    def test_sweep_value_validate_refuses_exits_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("problem.n = 2\nproblem.d = 2\n")
+        rc = main(["sweep", str(cfgfile), "--axis", "T", "--values", "3,1000001", "--out-dir", str(tmp_path / "s")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "value 1000001: ValueError: problem.T: value 1000001 out of range (must be in 1..1000000)\n"
+        assert (tmp_path / "s" / "run_T=3" / "regret.csv").exists()
+
+    def test_runtime_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("domfw.cli.run_experiment", lambda *args, **kwargs: 1 / 0)
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("problem.n = 2\n")
+        assert main(["run", str(cfgfile)]) == 2
+        assert capsys.readouterr().err == "error: ZeroDivisionError: division by zero\n"
 
     def test_validate_rejects_single_agent(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.cfg"

@@ -314,6 +314,8 @@ class TestCheckMixing:
             check_mixing(fold_window(sched, [2] * 6, 3, 4), sched.zeta)
         with pytest.raises(ValueError, match="inner counts must be >= 1"):
             MixingFold(5).add(sched.matrix(5), 0)
+        with pytest.raises(ValueError, match="^weight matrix size does not match the fold$"):
+            MixingFold(4).add(sched.matrix(5), 2)
 
 
 def reachable(root):

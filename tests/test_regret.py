@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import domfw.regret as regret
 from domfw.algorithm import ScheduleMode, ScheduleParams, Trajectory, inner_count, run
+from domfw.harness import derive_seed, parse_config, run_experiment
 from domfw.network import MixingConstants, random_connected_schedule
 from domfw.problem import (
     FEASIBILITY_TOL,
@@ -218,12 +219,24 @@ class TestActiveSetFallback:
             assert spec.contains(rec.x_star, tol=FEASIBILITY_TOL)
             assert rec.gap <= 1e-9
         # the records before the cap are the pairwise ones, and from the capped
-        # round on every record is the (stateless) active-set method's
+        # round on every record is the (stateless) active-set method's; the
+        # capped round also counts the 2000 pairwise iterations it spent
         cold = RoundOptimizer(stream, tol=1e-9)
-        wants = pairwise + [cold._active_set_solve(t) for t in range(len(pairwise) + 1, 14)]
-        for rec, want in zip(records, wants, strict=True):
+        capped = len(pairwise) + 1
+        wants = pairwise + [cold._active_set_solve(t) for t in range(capped, 14)]
+        spent = [2000 if rec.t == capped else 0 for rec in records]
+        for rec, want, extra in zip(records, wants, spent, strict=True):
             assert rec.x_star.tobytes() == want.x_star.tobytes()
-            assert (rec.f_star, rec.gap, rec.iterations) == (want.f_star, want.gap, want.iterations)
+            assert (rec.f_star, rec.gap, rec.iterations) == (want.f_star, want.gap, want.iterations + extra)
+
+    def test_capped_round_counts_its_pairwise_iterations(self):
+        stream = generate_stream(2, 4, 5e-6, ConstraintSpec.simplex(6), seed=derive_seed(0, "stream"))
+        solver = RoundOptimizer(stream, max_iter=200)
+        records = [solver.solve(t) for t in range(1, 5)]
+        cold = RoundOptimizer(stream)
+        steps = [cold._active_set_solve(t).iterations for t in range(1, 5)]
+        # round 1 caps: its 200 pairwise iterations ran before the active-set steps
+        assert [rec.iterations for rec in records] == [200 + steps[0]] + steps[1:]
 
 
 def solver_digest(stream):
@@ -388,6 +401,46 @@ class TestDynamicRegret:
         with pytest.raises(ValueError):
             regret_series(traj, bad, stream)
 
+    @pytest.mark.parametrize("n", [20, 200])
+    def test_rounding_level_increments_pass(self, tmp_path, n):
+        # on the one-point simplex every decision is optimal; the increments
+        # are rounding of losses near n * lambda1 = 2e7 and 2e8
+        text = f"problem.d = 1\nproblem.lambda1 = 1e6\nproblem.T = 3\nproblem.n = {n}\n"
+        result = run_experiment(parse_config(text), out_dir=tmp_path)
+        assert result.regret.cumulative.shape == (n, 3)
+        assert np.abs(result.regret.cumulative).max() < 1e-13 * n * 1e6
+
+    def test_decisions_off_the_set_by_rounding_pass(self):
+        # a long run leaves the decisions some hundred ulps off the set: their loss
+        # falls below the optimum by more than the losses' own rounding
+        stream = generate_stream(20, 2, 1e6, ConstraintSpec.simplex(1), seed=3)
+        optima = all_optima(stream)
+        traj = constant_decision_trajectory(np.full((20, 1), 1.0 - 512 * np.finfo(float).eps), 2)
+        series = regret_series(traj, optima, stream)
+        assert series.cumulative.min() < -40 * np.finfo(float).eps * 2 * optima[0].f_star
+
+    def test_raised_optimum_above_the_floor_still_raises(self):
+        stream = generate_stream(20, 3, 1e6, ConstraintSpec.simplex(1), seed=3)
+        sched = random_connected_schedule(20, 3, 0.3, seed=4)
+        traj = run(stream, sched, ScheduleParams())
+        optima = all_optima(stream)
+        regret_series(traj, optima, stream)
+        rec = optima[1]
+        optima[1] = OptimumRecord(t=2, x_star=rec.x_star, f_star=rec.f_star + 1e-5, gap=rec.gap,
+                                  iterations=rec.iterations)
+        with pytest.raises(ValueError, match=r"^round 2: agent \d+'s regret increment -1\.\d+e-05 is below "
+                                             r"-\(tol \+ rounding floor\) = -\d\.\d+e-07$"):
+            regret_series(traj, optima, stream)
+
+    def test_optima_short_or_out_of_order_are_rejected(self):
+        stream = generate_stream(2, 3, 1e-4, ConstraintSpec.simplex(2), seed=14)
+        traj = constant_decision_trajectory(np.array([[1.0, 0.0], [0.5, 0.5]]), 3)
+        optima = all_optima(stream)
+        with pytest.raises(ValueError, match="^need optima for all 3 rounds, got 2$"):
+            regret_series(traj, optima[:2], stream)
+        with pytest.raises(ValueError, match="^optimum record at position 1 is for round 3$"):
+            regret_series(traj, [optima[0], optima[2], optima[1]], stream)
+
     def test_dynamic_regret_single_agent_view(self):
         spec = ConstraintSpec.simplex(2)
         stream = generate_stream(3, 4, 1e-4, spec, seed=13)
@@ -482,6 +535,11 @@ class TestRegretBound:
         with pytest.raises(ValueError):
             regret_upper_bound(constants, mixing, baseline, stream, [1] * 6,
                                np.tile([1.0, 0.0, 0.0], (4, 1)))
+
+    def test_every_round_needs_an_inner_count(self):
+        spec, stream, sched, params, counts, constants, mixing = self.make_setup()
+        with pytest.raises(ValueError, match="^need an inner count for every round$"):
+            regret_upper_bound(constants, mixing, params, stream, counts[:-1], np.tile([1.0, 0.0, 0.0], (4, 1)))
 
     def test_first_round_count_must_be_at_least_two(self):
         spec, stream, sched, params, counts, constants, mixing = self.make_setup()
