@@ -372,6 +372,9 @@ class RunResult:
     ht_upper_bound: float | None    # analytic variation bound; needs fixed features
     bound: BoundReport | None       # regret bound; needs fixed features and a tracked schedule
     mixing: MixingReport
+    solver_iterations: int          # the round optima's solver iterations, summed over the rounds
+    max_solver_gap: float           # the largest certified gap of a round optimum
+    solver_margin: float            # least over the rounds of the bound a gap is certified below, less the gap
     wall_seconds: float
 
     def bound_text(self) -> str:
@@ -384,7 +387,9 @@ class RunResult:
             items += [("e1", bound.e1), ("e2", bound.e2), ("e3", bound.e3), ("bound_total", bound.total),
                       ("bound_margin", bound.total - worst)]
         items += [("mixing_deviation", mixing.deviation), ("mixing_bound", mixing.bound),
-                  ("mixing_margin", mixing.margin), ("mixing_holds", mixing.ok), ("lo_calls", traj.lo_calls),
+                  ("mixing_margin", mixing.margin), ("mixing_holds", mixing.ok),
+                  ("solver_iterations", self.solver_iterations), ("max_solver_gap", self.max_solver_gap),
+                  ("solver_margin", self.solver_margin), ("lo_calls", traj.lo_calls),
                   ("messages", traj.messages), ("max_conservation_gap", traj.max_conservation_gap()),
                   ("max_feasibility_gap", traj.max_feasibility_gap())]
         return "".join(f"{key} = {value!r}\n" for key, value in items if value is not None)
@@ -455,7 +460,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None, dump_network: bool = 
         mixing = check_mixing(trajectory.mixing, schedule.zeta)
         result = RunResult(directory=out, config=config, trajectory=trajectory, regret=series,
                            envelopes=env, ht_estimate=ht_estimate, ht_upper_bound=ht_upper_bound,
-                           bound=bound, mixing=mixing, wall_seconds=time.perf_counter() - started)
+                           bound=bound, mixing=mixing, solver_iterations=sum(rec.iterations for rec in optima),
+                           max_solver_gap=max(rec.gap for rec in optima),
+                           solver_margin=min(rec.tol - rec.gap for rec in optima),
+                           wall_seconds=time.perf_counter() - started)
         (out / "bound.txt").write_text(result.bound_text())
         (out / "manifest.txt").write_text(result.manifest_text())
         return result
@@ -510,7 +518,6 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir=None, dump_networ
     if axis not in _SWEEP_AXES:
         raise ValueError(f"axis must be one of {sorted(_SWEEP_AXES)}, got {axis!r}")
     key = _SWEEP_AXES[axis]
-    block, attr = key.split(".")
     convert = _SCHEMA[key][0]
     first = {}   # converted value -> the value it was first given as
     for value in values:
@@ -524,11 +531,13 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir=None, dump_networ
     out = Path(out_dir if out_dir is not None else config.output.directory)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
+    # the config's echo without the axis key's line: each value is set in the
+    # text and parsed, so validate's checks name every refusal by its key
+    echo = [line for line in config_to_text(config).splitlines() if not line.startswith(f"{key} = ")]
     for converted, value in first.items():
         try:
-            cfg = replace(config, **{block: replace(getattr(config, block), **{attr: converted})})
-            try:   # the checks validate runs; the echo's line numbers mean nothing to the caller
-                cfg = parse_config(config_to_text(cfg))
+            try:   # the echo's line numbers mean nothing to the caller
+                cfg = parse_config("\n".join([*echo, f"{key} = {_echo_value(converted)}"]))
             except ConfigError as exc:
                 raise ValueError("; ".join(message for _, message in exc.violations)) from None
             result = run_experiment(cfg, out_dir=out / f"run_{axis}={value}", dump_network=dump_network)

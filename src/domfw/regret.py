@@ -8,10 +8,14 @@ on the quadratic): plain steps along ``v - x`` stall in a sublinear tail on
 boundary optima and would need orders of magnitude more iterations to reach
 tight gaps. The active vertex set is a weight per vertex slot plus the
 active slots in insertion order, and each vertex pair's direction and
-curvature are computed once, so each step is a few NumPy calls. From the
-first round whose pairwise solve exhausts its iteration cap, the same solver
-takes an active-set method instead. The library never projects; the tests
-cross-check the optima with a projected-gradient solver of their own.
+curvature are computed once. A step makes only the NumPy calls whose
+rounding fixes its bits (the gradient, two dot products, the oracle and the
+away vertex's argmax) and does the rest in Python floats. From the first
+round whose pairwise solve exhausts its iteration cap, the same solver takes
+an active-set method instead. Both certify a gap below the tolerance, or
+below the round's rounding floor where that is larger. The library never
+projects; the tests cross-check the optima with a projected-gradient solver
+of their own.
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ from .problem import (
 )
 
 
+_EPS = float(np.finfo(float).eps)
+
+
 class SolverError(RuntimeError):
     """Raised when an optimum solver exhausts its iteration cap."""
 
@@ -51,6 +58,7 @@ class OptimumRecord:
     f_star: float
     gap: float
     iterations: int
+    tol: float   # the bound the gap is certified below: the solver's tolerance or the round's rounding floor
 
 
 def _quadratic(stream: LossStream, t: int):
@@ -59,6 +67,19 @@ def _quadratic(stream: LossStream, t: int):
     h = feats.T @ feats + 2.0 * stream.n * stream.lambda1 * np.eye(stream.d)
     c = -feats.T @ stream.labels[:, t - 1]
     return h, c
+
+
+def _gap_floor(h: np.ndarray, c: np.ndarray, radius: float) -> float:
+    """The rounding floor of a Frank-Wolfe gap computed on ``0.5 x'Hx + c'x``
+    over a set of l1 radius ``radius``: ``(3d + 2) eps r (r max|H| + max|c|)``.
+
+    ``r (r max|H| + max|c|)`` bounds ``|<v, g>|`` for every point ``v`` of the
+    set and gradient ``g`` at a point of it, and each of the gap's three
+    ``d``-term products (``g``, ``<x, g>``, ``<v, g>``) rounds by about ``d``
+    eps of that, so no solver can certify a gap below it. It is taken in
+    Python floats, left to right, so it overflows only past the gap itself.
+    """
+    return (3 * c.size + 2) * _EPS * radius * (radius * float(np.abs(h).max()) + float(np.abs(c).max()))
 
 
 def _simplex_slot(g: np.ndarray) -> int:
@@ -93,6 +114,21 @@ class RoundOptimizer:
     and reused after, on the solver while ``H`` is fixed and within one round
     when the features are redrawn. A reused entry is the same product of the
     same inputs, so it has the same bits.
+
+    A step keeps as NumPy calls the products whose rounding fixes the bits:
+    ``g = Hx + c`` into one buffer, ``<x, g>`` and ``<g, direction>`` (BLAS
+    dots, which fuse their multiply-adds, so a Python sum over the pair's
+    coordinates rounds differently), the oracle, and the away vertex's
+    argmax. The gap's vertex term reads ``g`` as a Python list, and ``x``
+    moves in place at the direction's nonzero coordinates (the two vertices'
+    axes, with the direction's entries ``+-r`` or, on one axis, their
+    difference), which is exact: elsewhere the step adds ``+-0``, and ``x``
+    never holds ``-0.0``.
+
+    A round is certified when its gap is at most ``tol``, or at most its
+    rounding floor (``_gap_floor``) where that is larger: on a wide l1 ball
+    no solver reaches a fixed absolute gap. The record keeps the bound as
+    ``tol``.
     """
 
     def __init__(self, stream: LossStream, tol: float = 1e-9, max_iter: int = 10 ** 6):
@@ -129,15 +165,18 @@ class RoundOptimizer:
         return replace(record, iterations=spent + record.iterations)
 
     def _objective(self, t: int):
-        """``H`` and ``c`` of round ``t``'s quadratic."""
+        """``H`` and ``c`` of round ``t``'s quadratic, and the bound its gap
+        must fall below: ``tol``, or the gap's rounding floor if that is larger."""
         if self._h is None:
-            return _quadratic(self.stream, t)
-        return self._h, -self.stream.features.T @ self.stream.labels[:, t - 1]
+            h, c = _quadratic(self.stream, t)
+        else:
+            h, c = self._h, -self.stream.features.T @ self.stream.labels[:, t - 1]
+        return h, c, max(self.tol, _gap_floor(h, c, self.stream.constraint.radius))
 
     def _pairwise_solve(self, t: int) -> OptimumRecord:
         """Warm-started pairwise steps; raises ``SolverError`` at ``max_iter``."""
         stream = self.stream
-        h, c = self._objective(t)
+        h, c, tol = self._objective(t)
         pairs = self._pairs if self._h is not None else {}
         coord, sign_r, oracle = self._coord, self._sign_r, self._oracle
         coord_list, sign_list = self._coord_list, self._sign_list
@@ -157,17 +196,20 @@ class RoundOptimizer:
         x = np.zeros(stream.d)
         np.add.at(x, act_coord, act_sign * np.array([weights[k] for k in active]))
 
+        g = np.empty(stream.d)
         gap = math.inf
         for it in range(self.max_iter):
-            g = h @ x + c
+            h.dot(x, out=g)
+            np.add(g, c, out=g)
+            gl = g.tolist()
             fw = oracle(g)
-            gap = float(x @ g) - sign_list[fw] * g[coord_list[fw]]
+            gap = float(x.dot(g)) - sign_list[fw] * gl[coord_list[fw]]
             if not math.isfinite(gap):
                 raise SolverError(f"round {t}: gap {gap} is not finite at iteration {it}", gap=gap)
-            if gap <= self.tol:
+            if gap <= tol:
                 self._active = (weights, active)
                 return OptimumRecord(t=t, x_star=x.copy(), f_star=global_loss(stream, t, x),
-                                     gap=gap, iterations=it)
+                                     gap=gap, iterations=it, tol=tol)
             # argmax takes the first maximum in insertion order: the tie-break
             away = active[int((act_sign * g[act_coord]).argmax())]
             pair = pairs.get((fw, away))
@@ -177,10 +219,17 @@ class RoundOptimizer:
                 direction[coord[away]] -= sign_r[away]
                 pair = pairs[fw, away] = (direction, float(direction @ h @ direction))
             direction, curvature = pair
-            descent = -float(g @ direction)
+            # a dot, not a sum over the pair's coordinates (see the class docstring)
+            descent = -float(g.dot(direction))
             weight_cap = weights[away]
             step = weight_cap if curvature <= 0 else min(weight_cap, descent / curvature)
-            x = x + step * direction
+            # x + step * direction, written where the direction is nonzero
+            i, j = coord_list[fw], coord_list[away]
+            if i == j:
+                x[i] = x[i] + step * (sign_list[fw] - sign_list[away])
+            else:
+                x[i] = x[i] + step * sign_list[fw]
+                x[j] = x[j] - step * sign_list[away]
             changed = fw not in active
             if changed:
                 active.append(fw)
@@ -194,7 +243,7 @@ class RoundOptimizer:
                 weights[away] = remaining
             if changed:
                 act_coord, act_sign = coord[active], sign_r[active]
-        raise SolverError(f"round {t}: gap {gap:.3e} above tol {self.tol:.1e} "
+        raise SolverError(f"round {t}: gap {gap:.3e} above tol {tol:.1e} "
                           f"after {self.max_iter} iterations", gap=gap)
 
     def _active_set_solve(self, t: int) -> OptimumRecord:
@@ -208,8 +257,8 @@ class RoundOptimizer:
         which stall pairwise steps, cost one solve. Raises ``SolverError`` if
         the gap is not finite, if the oracle vertex is already active, or
         after 1000 major steps (a guard against a numerical cycle)."""
-        h, c = self._objective(t)
-        verts, oracle, tol = self._verts, self._oracle, self.tol
+        h, c, tol = self._objective(t)
+        verts, oracle = self._verts, self._oracle
         active, weights = [oracle(c)], np.ones(1)
         gap = math.inf
         for it in range(1000):
@@ -221,7 +270,7 @@ class RoundOptimizer:
                 raise SolverError(f"round {t}: active-set gap {gap} is not finite at step {it}", gap=gap)
             if gap <= tol:
                 return OptimumRecord(t=t, x_star=x, f_star=global_loss(self.stream, t, x), gap=gap,
-                                     iterations=it)
+                                     iterations=it, tol=tol)
             if fw in active:
                 break
             active.append(fw)
@@ -269,13 +318,14 @@ def regret_series(trajectory: Trajectory, optima, stream: LossStream,
     """Cumulative ``F_t(x_{j,t}) - F_t(x_t^*)`` for all agents.
 
     Decisions are the committed round-start iterates. Raises if the optima
-    do not cover the horizon, or if an increment falls below ``-tol`` less a
-    rounding floor (which would contradict the optimality certificates): a
-    loss, a sum of ``n + d`` nonnegative terms, rounds by up to ``(n + d) *
-    eps`` times its value; and a decision is never projected, so rounding
-    leaves it ``v`` off the set (``feasibility_violation``), within ``(2d + 1)
-    v`` of it in l1, where by convexity its loss is at most that distance
-    times its largest gradient entry below the set's minimum.
+    do not cover the horizon, or if an increment falls below ``-tol`` (or
+    minus the record's gap, when a round certified at its gap floor has a
+    larger one) less a rounding floor, which would contradict the optimality
+    certificates: a loss, a sum of ``n + d`` nonnegative terms, rounds by up
+    to ``(n + d) * eps`` times its value; and a decision is never projected,
+    so rounding leaves it ``v`` off the set (``feasibility_violation``),
+    within ``(2d + 1) v`` of it in l1, where by convexity its loss is at most
+    that distance times its largest gradient entry below the set's minimum.
     """
     T, n, d = stream.T, stream.n, stream.d
     if len(optima) < T:
@@ -291,7 +341,7 @@ def regret_series(trajectory: Trajectory, optima, stream: LossStream,
             raise ValueError(f"optimum record at position {t - 1} is for round {rec.t}")
         inc = increments[:, t - 1] = f_vals - rec.f_star
         grads = feats.T @ resid + (2.0 * n * stream.lambda1) * xs.T   # (d, n decisions), from the residuals
-        slack = (tol + (n + d) * np.finfo(float).eps * (f_vals + rec.f_star)
+        slack = (max(tol, rec.gap) + (n + d) * _EPS * (f_vals + rec.f_star)
                  + (2 * d + 1) * stream.constraint.feasibility_violation(xs) * np.abs(grads).max(axis=0))
         j = int((inc + slack).argmin())
         if inc[j] < -slack[j]:

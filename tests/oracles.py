@@ -49,7 +49,7 @@ from domfw.problem import (
     lmo,
     sample_feasible,
 )
-from domfw.regret import OptimumRecord, SolverError, _quadratic
+from domfw.regret import OptimumRecord, SolverError, _gap_floor, _quadratic
 
 
 def consensus_step(xs: np.ndarray, wm: WeightMatrix) -> np.ndarray:
@@ -255,7 +255,7 @@ def projected_gradient_optimum(stream: LossStream, t: int,
         gap = float(x @ g - (verts @ g).min())
         if gap <= tol:
             return OptimumRecord(t=t, x_star=x, f_star=global_loss(stream, t, x),
-                                 gap=gap, iterations=it)
+                                 gap=gap, iterations=it, tol=tol)
         x = project(spec, x - g / lips)
     raise SolverError(f"projected gradient: gap {gap:.3e} above tol after {max_iter} iterations", gap=gap)
 
@@ -265,7 +265,9 @@ class ReferenceRoundOptimizer:
 
     The same warm-started method as ``domfw.regret.RoundOptimizer``, written
     as plainly as possible: the active set is an array rebuilt on each
-    change, and each step builds its direction and curvature afresh.
+    change, each step builds its direction and curvature afresh, and the
+    iterate moves by a whole-vector update. It certifies below the same
+    bound, the tolerance or the round's gap floor.
     """
 
     def __init__(self, stream: LossStream, tol: float = 1e-9, max_iter: int = 10 ** 6):
@@ -295,6 +297,7 @@ class ReferenceRoundOptimizer:
             c = -stream.features.T @ stream.labels[:, t - 1]
         else:
             h, c = _quadratic(stream, t)
+        tol = max(self.tol, _gap_floor(h, c, stream.constraint.radius))
         coord, sign_r = self._coord, self._sign_r
 
         if self._active is None:
@@ -316,10 +319,10 @@ class ReferenceRoundOptimizer:
             gap = float(x @ g) - sign_r[fw] * g[coord[fw]]
             if not math.isfinite(gap):
                 raise SolverError(f"round {t}: gap {gap} is not finite at iteration {it}", gap=gap)
-            if gap <= self.tol:
+            if gap <= tol:
                 self._active = (weights, active)
                 return OptimumRecord(t=t, x_star=x.copy(), f_star=global_loss(stream, t, x),
-                                     gap=gap, iterations=it)
+                                     gap=gap, iterations=it, tol=tol)
             # argmax takes the first maximum in insertion order: the tie-break
             away = int(active[(sign_r[active] * g[coord[active]]).argmax()])
             direction = np.zeros(stream.d)
@@ -339,7 +342,7 @@ class ReferenceRoundOptimizer:
                 weights[away] = 0.0
             else:
                 weights[away] = remaining
-        raise SolverError(f"round {t}: gap {gap:.3e} above tol {self.tol:.1e} "
+        raise SolverError(f"round {t}: gap {gap:.3e} above tol {tol:.1e} "
                           f"after {self.max_iter} iterations", gap=gap)
 
 

@@ -25,6 +25,7 @@ from domfw.harness import (
 )
 from domfw.network import GraphSchedule, WeightMatrix, random_connected_schedule
 from domfw.problem import ConstraintKind, generate_stream
+from domfw.regret import RoundOptimizer
 from oracles import constant_schedule, lo_call_count
 
 FLOAT_KEYS = [key for key, (convert, *_) in harness._SCHEMA.items() if convert is float]
@@ -374,6 +375,30 @@ class TestRunExperiment:
         assert result.regret.cumulative.min() >= 0
         assert not (tmp_path / "run" / "FAILED").exists()
 
+    def test_solver_certificate_is_reported(self, tmp_path):
+        cfg = parse_config(SMALL)
+        result = run_experiment(cfg, out_dir=tmp_path / "run")
+        prob = cfg.problem
+        stream = generate_stream(prob.n, prob.T, prob.lambda1, prob.spec(), seed=cfg.seeds.stream_seed())
+        solver = RoundOptimizer(stream, tol=cfg.solver.tolerance)
+        records = [solver.solve(t) for t in range(1, prob.T + 1)]
+        assert result.solver_iterations == sum(rec.iterations for rec in records) > 0
+        assert result.max_solver_gap == max(rec.gap for rec in records)
+        assert result.solver_margin == min(rec.tol - rec.gap for rec in records) > 0
+        entries = dict(line.split(" = ") for line in (tmp_path / "run" / "bound.txt").read_text().splitlines())
+        assert entries["solver_iterations"] == str(result.solver_iterations)
+        assert float(entries["max_solver_gap"]) == result.max_solver_gap
+        assert float(entries["solver_margin"]) == result.solver_margin
+
+    def test_large_radius_certifies_at_its_gap_floor(self, tmp_path):
+        # gaps of this scale round at about 1e-8, above the 1e-9 tolerance: each
+        # round certifies below its rounding floor instead of failing
+        text = "problem.constraint = l1ball\nproblem.radius = 1e3\nproblem.d = 8\nproblem.n = 20\nproblem.T = 3\n"
+        result = run_experiment(parse_config(text), out_dir=tmp_path / "run")
+        assert result.max_solver_gap > 1e-9
+        assert result.solver_margin >= 0
+        assert not (tmp_path / "run" / "FAILED").exists()
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = parse_config(SMALL)
         a = run_experiment(cfg, out_dir=tmp_path / "a").directory
@@ -468,7 +493,7 @@ class TestSweep:
     def test_rejected_value_is_a_failed_row(self, tmp_path):
         rows = sweep(parse_config(SMALL), "gamma", ["0.5", "1.5"], out_dir=tmp_path / "sweep")
         assert [row.ok for row in rows] == [True, False]
-        assert rows[1].error.startswith("ValueError: gamma: ")
+        assert rows[1].error.startswith("ValueError: schedule.gamma: ")
         with (tmp_path / "sweep" / "sweep.csv").open(newline="") as fh:
             table = list(csv.reader(fh))
         assert table[1][0] == "0.5" and table[1][-1] == "ok"
@@ -517,6 +542,17 @@ class TestSweep:
         assert rows[0].error == "RuntimeError: stub"
         for row, message in zip(rows[1:], refused, strict=True):
             assert row.error.startswith(f"ValueError: {message}")
+
+    @pytest.mark.parametrize("axis, value, message", [
+        ("gamma", "1.5", "schedule.gamma: per-round schedule requires 0 < gamma < 1, got 1.5"),
+        ("rho", "0.5", "schedule.rho: must be finite and >= 1, got 0.5"),
+    ])
+    def test_refused_schedule_value_names_its_config_key(self, tmp_path, monkeypatch, axis, value, message):
+        ran = []
+        monkeypatch.setattr(harness, "run_experiment", lambda cfg, **kwargs: ran.append(cfg))
+        rows = sweep(parse_config(SMALL), axis, [value], out_dir=tmp_path / "sweep")
+        assert ran == []
+        assert rows[0].error == f"ValueError: {message}"
 
     def test_mode_sweep_includes_baseline(self, tmp_path):
         cfg = parse_config("problem.n = 3\nproblem.T = 4\nproblem.d = 3")
@@ -655,6 +691,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "value 1000001: ValueError: problem.T: value 1000001 out of range (must be in 1..1000000)\n"
         assert (tmp_path / "s" / "run_T=3" / "regret.csv").exists()
+
+    def test_sweep_refused_schedule_value_names_its_config_key(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("problem.n = 2\nproblem.d = 2\nproblem.T = 3\n")
+        rc = main(["sweep", str(cfgfile), "--axis", "gamma", "--values", "0.5,1.5",
+                   "--out-dir", str(tmp_path / "s")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "value 1.5: ValueError: schedule.gamma: per-round schedule requires 0 < gamma < 1, got 1.5\n"
 
     def test_runtime_error_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("domfw.cli.run_experiment", lambda *args, **kwargs: 1 / 0)

@@ -1,7 +1,11 @@
 import hashlib
+import importlib.util
 import itertools
 import math
 import struct
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,8 +34,20 @@ from domfw.regret import (
     write_envelopes_csv,
     write_regret_csv,
 )
-from domfw.regret import OptimumRecord, RegretSeries
+from domfw.regret import RegretSeries
 from oracles import ReferenceRoundOptimizer, project
+
+
+def load_workloads():
+    """The benchmark's workloads, read from ``perfbench/workloads.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+WORKLOADS = load_workloads()
 
 
 def enumeration_projection(spec, y):
@@ -140,11 +156,18 @@ class TestSolveRoundOptimum:
         assert rec.gap <= 1e-10
         assert grid_best >= rec.f_star - 1e-12
 
-    def test_iteration_cap_raises_with_gap(self):
+    def test_iteration_cap_raises_with_gap(self, monkeypatch):
         # the pairwise steps stop at their cap of 3, and the active-set method
-        # ends on a rounding-level gap above the 1e-16 tolerance: neither certifies
+        # ends on a rounding-level gap: above the 1e-16 tolerance, but not
+        # above the round's gap floor, so it certifies at the floor
         spec = ConstraintSpec.simplex(4)
         stream = generate_stream(6, 2, 1e-4, spec, seed=5)
+        rec = RoundOptimizer(stream, tol=1e-16, max_iter=3).solve(1)
+        h, c = regret._quadratic(stream, 1)
+        assert rec.tol == regret._gap_floor(h, c, 1.0) > 1e-16
+        assert 1e-16 < rec.gap <= rec.tol
+        # without the floor neither half certifies
+        monkeypatch.setattr(regret, "_gap_floor", lambda h, c, radius: 0.0)
         with pytest.raises(SolverError, match=r"^round 1: active-set gap .* above tol 1\.0e-16$") as info:
             RoundOptimizer(stream, tol=1e-16, max_iter=3).solve(1)
         assert 1e-16 < info.value.gap < math.inf
@@ -270,6 +293,9 @@ class TestSolverGolden:
                              lambda spec: generate_stream(16, 20, 1e-4, spec, seed=23, redraw_features=True)),
         "ties-simplex": (ConstraintSpec.simplex(8), lambda spec: tie_stream(spec, 24)),
         "ties-ball": (ConstraintSpec.l1_ball(8, 1.5), lambda spec: tie_stream(spec, 26)),
+        # the l1-redraw benchmark shape
+        "ball-r2-redraw-d16": (ConstraintSpec.l1_ball(16, 2.0),
+                               lambda spec: generate_stream(32, 20, 5e-6, spec, seed=27, redraw_features=True)),
     }
     # the bits depend on the BLAS build, like perfbench/digests.json; these are
     # scipy-openblas 0.3.31 with NumPy 2.4.6
@@ -279,6 +305,7 @@ class TestSolverGolden:
         "ball-r1.5-redraw": "b524945c018b7b3ab04926bf0e4d0cfbc834d3768ed068e08b1eff866d5490ad",
         "ties-simplex": "1d7781ccf30696b34a96a94e25499eafeca878da3465aafa09b1b0ae0fbdeb99",
         "ties-ball": "817a064a3c78050d63345b60c9acaa51ae45f5fa51d14cd230ae7a0f51542406",
+        "ball-r2-redraw-d16": "b0dba844265920faf4517e6df784632bd4dd65a86436dbd43e2098dd90499990",
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -298,13 +325,18 @@ def solve_all(solve, T):
     return records, None
 
 
+def log_uniform(low, high):
+    """Floats spread evenly in ``log`` over ``[low, high]``."""
+    return st.floats(math.log(low), math.log(high)).map(lambda v: min(max(math.exp(v), low), high))
+
+
 class TestAgainstReferenceSolver:
     """The solver's cached pair products and list bookkeeping against the plain
     loop in ``oracles.ReferenceRoundOptimizer``: every record, bit for bit."""
 
     @settings(derandomize=True, deadline=None, max_examples=80)
-    @given(d=st.integers(1, 12), n=st.integers(1, 12), T=st.integers(1, 6), ball=st.booleans(),
-           radius=st.floats(0.1, 5.0), lambda1=st.floats(1e-3, 1.0), redraw=st.booleans(),
+    @given(d=st.integers(1, 32), n=st.integers(1, 32), T=st.integers(1, 6), ball=st.booleans(),
+           radius=log_uniform(0.01, 50.0), lambda1=log_uniform(1e-8, 10.0), redraw=st.booleans(),
            seed=st.integers(0, 2 ** 16))
     def test_warm_records_bit_identical(self, d, n, T, ball, radius, lambda1, redraw, seed):
         spec = ConstraintSpec.l1_ball(d, radius) if ball else ConstraintSpec.simplex(d)
@@ -313,12 +345,29 @@ class TestAgainstReferenceSolver:
         # stop at a capped round alike, before the active-set method takes over
         got, got_error = solve_all(RoundOptimizer(stream, tol=1e-10, max_iter=3000)._pairwise_solve, T)
         want, want_error = solve_all(ReferenceRoundOptimizer(stream, tol=1e-10, max_iter=3000).solve, T)
-        assert len(got) == len(want)
         assert got_error == want_error
-        for a, b in zip(got, want):
-            assert a.t == b.t and a.iterations == b.iterations
-            assert a.x_star.tobytes() == b.x_star.tobytes()
-            assert struct.pack("<dd", a.f_star, a.gap) == struct.pack("<dd", b.f_star, b.gap)
+        assert_same_records(got, want)
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_workload_streams_bit_identical(self, name):
+        # the seed-0 stream of each benchmark workload, the traffic the solver serves
+        cfg = parse_config(WORKLOADS[name].config_text(0))
+        prob = cfg.problem
+        stream = generate_stream(prob.n, prob.T, prob.lambda1, prob.spec(), seed=cfg.seeds.stream_seed(),
+                                 redraw_features=prob.redraw_features)
+        got, got_error = solve_all(RoundOptimizer(stream, tol=cfg.solver.tolerance).solve, prob.T)
+        want, want_error = solve_all(ReferenceRoundOptimizer(stream, tol=cfg.solver.tolerance).solve, prob.T)
+        assert got_error is None and want_error is None
+        assert_same_records(got, want)
+
+
+def assert_same_records(got, want):
+    """Equal record lists: rounds, iterations and the bits of every float."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.t == b.t and a.iterations == b.iterations
+        assert a.x_star.tobytes() == b.x_star.tobytes()
+        assert struct.pack("<ddd", a.f_star, a.gap, a.tol) == struct.pack("<ddd", b.f_star, b.gap, b.tol)
 
 
 def constant_decision_trajectory(points, T):
@@ -395,8 +444,7 @@ class TestDynamicRegret:
         spec = ConstraintSpec.simplex(2)
         stream = generate_stream(2, 2, 0.0, spec, seed=12)
         optima = all_optima(stream)
-        bad = [OptimumRecord(t=rec.t, x_star=rec.x_star, f_star=rec.f_star + 100.0,
-                             gap=rec.gap, iterations=rec.iterations) for rec in optima]
+        bad = [replace(rec, f_star=rec.f_star + 100.0) for rec in optima]
         traj = constant_decision_trajectory(np.array([[1.0, 0.0], [0.5, 0.5]]), 2)
         with pytest.raises(ValueError):
             regret_series(traj, bad, stream)
@@ -426,11 +474,21 @@ class TestDynamicRegret:
         optima = all_optima(stream)
         regret_series(traj, optima, stream)
         rec = optima[1]
-        optima[1] = OptimumRecord(t=2, x_star=rec.x_star, f_star=rec.f_star + 1e-5, gap=rec.gap,
-                                  iterations=rec.iterations)
+        optima[1] = replace(rec, f_star=rec.f_star + 1e-5)
         with pytest.raises(ValueError, match=r"^round 2: agent \d+'s regret increment -1\.\d+e-05 is below "
                                              r"-\(tol \+ rounding floor\) = -\d\.\d+e-07$"):
             regret_series(traj, optima, stream)
+
+    def test_record_gap_above_tol_is_allowed(self):
+        # a round certified at its gap floor may sit that far above the optimum
+        stream = generate_stream(2, 1, 1e-4, ConstraintSpec.simplex(2), seed=14)
+        rec, = all_optima(stream)
+        traj = constant_decision_trajectory(np.tile(rec.x_star, (2, 1)), 1)
+        raised = replace(rec, f_star=rec.f_star + 1e-6)
+        with pytest.raises(ValueError, match="^round 1: agent 0's regret increment"):
+            regret_series(traj, [raised], stream)
+        series = regret_series(traj, [replace(raised, gap=2e-6, tol=2e-6)], stream)
+        assert series.cumulative.max() < -0.9e-6
 
     def test_optima_short_or_out_of_order_are_rejected(self):
         stream = generate_stream(2, 3, 1e-4, ConstraintSpec.simplex(2), seed=14)
