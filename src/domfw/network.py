@@ -128,7 +128,9 @@ def random_connected_schedule(n: int, horizon: int, edge_prob: float, seed: int)
 
     The forced cycle makes every round connected without rejection sampling.
     Each round's adjacency is built with array operations and goes through
-    the same connectivity check as an explicit edge list.
+    the same connectivity check as an explicit edge list. The strict upper
+    triangle's mask and each cycle position's successor are built once per
+    schedule, not per round.
     Each round is drawn from ``default_rng((seed, t))``, mask first and cycle
     permutation second, so rounds are independent pure functions of the seed.
     """
@@ -136,12 +138,14 @@ def random_connected_schedule(n: int, horizon: int, edge_prob: float, seed: int)
         raise ValueError("need at least two agents for a communication graph")
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError("edge_prob must lie in [0, 1]")
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    successor = np.roll(np.arange(n), -1)
 
     def build(t: int) -> WeightMatrix:
         rng = np.random.default_rng((seed, t))
-        adj = np.triu(rng.random((n, n)) < edge_prob, 1)
+        adj = (rng.random((n, n)) < edge_prob) & upper
         perm = rng.permutation(n)
-        adj[perm, np.roll(perm, -1)] = True
+        adj[perm, perm[successor]] = True
         return _metropolis(adj | adj.T)
 
     return GraphSchedule(n=n, horizon=horizon, builder=build, zeta=1.0 / n)

@@ -9,13 +9,13 @@ boundary optima and would need orders of magnitude more iterations to reach
 tight gaps. The active vertex set is a weight per vertex slot plus the
 active slots in insertion order, and each vertex pair's direction and
 curvature are computed once. A step makes only the NumPy calls whose
-rounding fixes its bits (the gradient, two dot products, the oracle and the
-away vertex's argmax) and does the rest in Python floats. From the first
-round whose pairwise solve exhausts its iteration cap, the same solver takes
-an active-set method instead. Both certify a gap below the tolerance, or
-below the round's rounding floor where that is larger. The library never
-projects; the tests cross-check the optima with a projected-gradient solver
-of their own.
+rounding fixes its bits (the gradient, ``<x, g>`` and the oracle; on the l1
+ball also the descent's dot and the away vertex's argmax) and does the rest
+in Python floats. From the first round whose pairwise solve exhausts its
+iteration cap, the same solver takes an active-set method instead. Both
+certify a gap below the tolerance, or below the round's rounding floor where
+that is larger. The library never projects; the tests cross-check the optima
+with a projected-gradient solver of their own.
 """
 
 from __future__ import annotations
@@ -116,14 +116,18 @@ class RoundOptimizer:
     same inputs, so it has the same bits.
 
     A step keeps as NumPy calls the products whose rounding fixes the bits:
-    ``g = Hx + c`` into one buffer, ``<x, g>`` and ``<g, direction>`` (BLAS
-    dots, which fuse their multiply-adds, so a Python sum over the pair's
-    coordinates rounds differently), the oracle, and the away vertex's
-    argmax. The gap's vertex term reads ``g`` as a Python list, and ``x``
-    moves in place at the direction's nonzero coordinates (the two vertices'
-    axes, with the direction's entries ``+-r`` or, on one axis, their
-    difference), which is exact: elsewhere the step adds ``+-0``, and ``x``
-    never holds ``-0.0``.
+    ``g = Hx + c`` into one buffer, the BLAS dot ``<x, g>``, and the oracle.
+    The rest reads ``g`` as a Python list. On the simplex the away vertex is
+    a loop over that list, and the descent ``<g, e_away - e_fw>`` is
+    ``g_away - g_fw``: the dot's products are exact, so it rounds once to
+    that difference, an exact zero as ``+0.0`` like the dot. On the l1 ball
+    the direction's entries are ``+-r``, whose products round, and a BLAS
+    dot fuses its multiply-adds, so a Python sum over the pair's coordinates
+    would round differently: there ``<g, direction>`` stays a dot and the
+    away vertex an argmax. ``x`` moves in place at the direction's nonzero
+    coordinates (the two vertices' axes, with the direction's entries
+    ``+-r`` or, on one axis, their difference), which is exact: elsewhere
+    the step adds ``+-0``, and ``x`` never holds ``-0.0``.
 
     A round is certified when its gap is at most ``tol``, or at most its
     rounding floor (``_gap_floor``) where that is larger: on a wide l1 ball
@@ -132,8 +136,10 @@ class RoundOptimizer:
     """
 
     def __init__(self, stream: LossStream, tol: float = 1e-9, max_iter: int = 10 ** 6):
-        if tol <= 0:
-            raise ValueError("tol must be > 0")
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+        if max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
         self.stream = stream
         self.tol = tol
         self.max_iter = max_iter
@@ -141,7 +147,8 @@ class RoundOptimizer:
         self._coord = np.abs(verts).argmax(axis=1)
         self._sign_r = verts[np.arange(len(verts)), self._coord]
         self._coord_list, self._sign_list = self._coord.tolist(), self._sign_r.tolist()
-        self._oracle = _l1_slot if stream.constraint.kind is ConstraintKind.L1_BALL else _simplex_slot
+        self._ball = stream.constraint.kind is ConstraintKind.L1_BALL
+        self._oracle = _l1_slot if self._ball else _simplex_slot
         self._active: tuple[list[float], list[int]] | None = None
         self._h = _quadratic(stream, 1)[0] if stream.fixed_features else None
         self._pairs: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
@@ -179,7 +186,7 @@ class RoundOptimizer:
         h, c, tol = self._objective(t)
         pairs = self._pairs if self._h is not None else {}
         coord, sign_r, oracle = self._coord, self._sign_r, self._oracle
-        coord_list, sign_list = self._coord_list, self._sign_list
+        coord_list, sign_list, ball = self._coord_list, self._sign_list, self._ball
 
         if self._active is None:
             active = [oracle(c)]
@@ -192,15 +199,18 @@ class RoundOptimizer:
             total = sum([weights[k] for k in active])
             weights = [w / total for w in weights]
             active = list(active)
-        act_coord, act_sign = coord[active], sign_r[active]
-        x = np.zeros(stream.d)
-        np.add.at(x, act_coord, act_sign * np.array([weights[k] for k in active]))
+        if ball:
+            act_coord, act_sign = coord[active], sign_r[active]
+            x = np.zeros(stream.d)
+            np.add.at(x, act_coord, act_sign * np.array([weights[k] for k in active]))
+        else:
+            x = np.array(weights)   # slot k is e_k, and an inactive slot's weight is 0.0
 
         g = np.empty(stream.d)
         gap = math.inf
         for it in range(self.max_iter):
             h.dot(x, out=g)
-            np.add(g, c, out=g)
+            g += c
             gl = g.tolist()
             fw = oracle(g)
             gap = float(x.dot(g)) - sign_list[fw] * gl[coord_list[fw]]
@@ -210,8 +220,16 @@ class RoundOptimizer:
                 self._active = (weights, active)
                 return OptimumRecord(t=t, x_star=x.copy(), f_star=global_loss(stream, t, x),
                                      gap=gap, iterations=it, tol=tol)
-            # argmax takes the first maximum in insertion order: the tie-break
-            away = active[int((act_sign * g[act_coord]).argmax())]
+            if ball:
+                # argmax takes the first maximum in insertion order: the tie-break
+                away = active[int((act_sign * g[act_coord]).argmax())]
+            else:
+                # the same tie-break: the first active slot whose g is largest
+                away = active[0]
+                top = gl[away]
+                for k in active:
+                    if gl[k] > top:
+                        away, top = k, gl[k]
             pair = pairs.get((fw, away))
             if pair is None:
                 direction = np.zeros(stream.d)
@@ -219,8 +237,16 @@ class RoundOptimizer:
                 direction[coord[away]] -= sign_r[away]
                 pair = pairs[fw, away] = (direction, float(direction @ h @ direction))
             direction, curvature = pair
-            # a dot, not a sum over the pair's coordinates (see the class docstring)
-            descent = -float(g.dot(direction))
+            if ball:
+                # a dot, not a sum over the pair's coordinates: the products with
+                # +-r round, and a BLAS dot fuses its multiply-adds
+                descent = -float(g.dot(direction))
+            else:
+                # -<g, e_fw - e_away>: the dot's products g_fw, -g_away and +-0 are
+                # exact, so any order of its sum rounds once, to g_fw - g_away. A
+                # BLAS dot sums from +0.0, so an exact zero comes back as +0.0;
+                # `+ 0.0` does the same to Python's -0.0 - 0.0 = -0.0
+                descent = -(gl[fw] - top + 0.0)
             weight_cap = weights[away]
             step = weight_cap if curvature <= 0 else min(weight_cap, descent / curvature)
             # x + step * direction, written where the direction is nonzero
@@ -241,7 +267,7 @@ class RoundOptimizer:
                 changed = True
             else:
                 weights[away] = remaining
-            if changed:
+            if changed and ball:
                 act_coord, act_sign = coord[active], sign_r[active]
         raise SolverError(f"round {t}: gap {gap:.3e} above tol {tol:.1e} "
                           f"after {self.max_iter} iterations", gap=gap)

@@ -8,6 +8,8 @@ test can drive one operation at a time with the run's arithmetic.
 ``inner_steps`` steps a round with them and yields one ``InnerStep`` per
 inner iteration: the per-step view of the round that ``run_round`` steps in
 its buffers.
+``plain_connected_round`` draws a round of ``random_connected_schedule`` as
+an explicit edge list, with ``np.triu`` and ``np.roll`` on every call.
 ``constant_schedule`` repeats one weight matrix every round, ``fold_window``
 folds rounds ``s..t`` of a schedule into a ``MixingFold`` for
 ``check_mixing``, and ``transition_product`` is that window's checked
@@ -38,7 +40,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from domfw.algorithm import ScheduleParams, _fw_step, _mix, _track, inner_count
-from domfw.network import GraphSchedule, MixingFold, WeightMatrix, _check_drift
+from domfw.network import GraphSchedule, MixingFold, WeightMatrix, _check_drift, metropolis_weights
 from domfw.problem import (
     ConstraintKind,
     ConstraintSpec,
@@ -189,6 +191,18 @@ def read_stream_csv(path):
 def constant_schedule(wm: WeightMatrix, horizon: int) -> GraphSchedule:
     """The same weight matrix every round."""
     return GraphSchedule(n=wm.n, horizon=horizon, builder=lambda t: wm, zeta=wm.zeta)
+
+
+def plain_connected_round(n: int, edge_prob: float, seed: int, t: int) -> WeightMatrix:
+    """Round ``t`` of ``random_connected_schedule(n, horizon, edge_prob, seed)``
+    built plainly from the same draws: the mask's strict upper triangle by
+    ``np.triu``, the cycle's successors by ``np.roll``, and the union as an
+    explicit edge list for ``metropolis_weights``."""
+    rng = np.random.default_rng((seed, t))
+    mask = np.triu(rng.random((n, n)) < edge_prob, 1)
+    perm = rng.permutation(n)
+    edges = list(zip(*np.nonzero(mask))) + list(zip(perm, np.roll(perm, -1)))
+    return metropolis_weights(edges, n)
 
 
 def fold_window(schedule: GraphSchedule, counts: Sequence[int], t: int, s: int) -> MixingFold:

@@ -23,7 +23,14 @@ from domfw.network import (
     write_schedule_csv,
 )
 from domfw.problem import ConstraintSpec, generate_stream
-from oracles import constant_schedule, exact_zeta, fold_window, transition_product, validate
+from oracles import (
+    constant_schedule,
+    exact_zeta,
+    fold_window,
+    plain_connected_round,
+    transition_product,
+    validate,
+)
 
 
 class TestMetropolis:
@@ -132,6 +139,14 @@ class TestRandomSchedule:
             report = validate(wm)
             assert report.ok, f"round {t}: {report}"
             assert wm.weights[wm.weights > 0].min() >= sched.zeta - 1e-15
+
+    @pytest.mark.parametrize("n, edge_prob, seed", [(20, 0.3, 101), (200, 0.05, 7)])
+    def test_rounds_match_the_plain_construction(self, n, edge_prob, seed):
+        # the per-schedule mask and successor index keep every draw and its order
+        sched = random_connected_schedule(n, 60, edge_prob, seed=seed)
+        for t in range(1, 61):
+            want = plain_connected_round(n, edge_prob, seed, t)
+            assert sched.matrix(t).weights.tobytes() == want.weights.tobytes(), f"round {t}"
 
     def test_seeded_reproducibility_per_round(self):
         a = random_connected_schedule(8, 10, 0.4, seed=5)

@@ -172,6 +172,18 @@ class TestSolveRoundOptimum:
             RoundOptimizer(stream, tol=1e-16, max_iter=3).solve(1)
         assert 1e-16 < info.value.gap < math.inf
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        stream = generate_stream(3, 2, 1e-3, ConstraintSpec.simplex(2), seed=0)
+        with pytest.raises(ValueError, match=r"^tol must be finite and > 0, got "):
+            RoundOptimizer(stream, tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_must_be_at_least_one(self, max_iter):
+        stream = generate_stream(3, 2, 1e-3, ConstraintSpec.simplex(2), seed=0)
+        with pytest.raises(ValueError, match=rf"^max_iter must be >= 1, got {max_iter}$"):
+            RoundOptimizer(stream, max_iter=max_iter)
+
     def test_non_finite_gap_raises_at_once(self):
         # the products with a radius of 1e300 overflow, so the first gap is inf
         spec = ConstraintSpec.l1_ball(3, 1e300)
@@ -260,6 +272,80 @@ class TestActiveSetFallback:
         steps = [cold._active_set_solve(t).iterations for t in range(1, 5)]
         # round 1 caps: its 200 pairwise iterations ran before the active-set steps
         assert [rec.iterations for rec in records] == [200 + steps[0]] + steps[1:]
+
+
+# finite floats with exact ties, signed zeros, subnormals and the largest magnitudes
+GRADIENT_ENTRY = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+def ndarray_calls(solve, t):
+    """``solve(t)``'s record and the names of the ndarray methods that
+    ``_pairwise_solve`` and its oracle call, in call order. Operators and
+    indexing (``g += c``, ``x[i] = ...``) make no profiler call, and neither
+    do ufuncs such as ``np.abs``."""
+    codes = {RoundOptimizer._pairwise_solve.__code__, regret._simplex_slot.__code__,
+             regret._l1_slot.__code__}
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and frame.f_code in codes and isinstance(getattr(arg, "__self__", None), np.ndarray):
+            names.append(arg.__name__)
+
+    sys.setprofile(profile)
+    try:
+        record = solve(t)
+    finally:
+        sys.setprofile(None)
+    return record, names
+
+
+class TestSimplexStep:
+    """The simplex step reads the away vertex and the descent from ``g``'s
+    Python list; these pin that to the NumPy forms it replaced, bit for bit."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(g=st.lists(GRADIENT_ENTRY, min_size=1, max_size=16), data=st.data())
+    def test_descent_and_away_match_their_numpy_forms(self, g, data):
+        gl = np.array(g).tolist()
+        g = np.array(g)
+        d = g.size
+        for i, j in itertools.permutations(range(d), 2):
+            direction = np.zeros(d)
+            direction[i] += 1.0
+            direction[j] -= 1.0
+            with np.errstate(over="ignore"):
+                want = -float(g.dot(direction))
+            # the step's form, with top = gl[j] as the away loop leaves it
+            assert (-(gl[i] - gl[j] + 0.0)).hex() == want.hex(), (i, j)
+        # an active set in insertion order, then the first slot with the largest g
+        active = data.draw(st.permutations(range(d)).flatmap(lambda p: st.integers(1, d).map(lambda k: p[:k])))
+        away = active[0]
+        top = gl[away]
+        for k in active:
+            if gl[k] > top:
+                away, top = k, gl[k]
+        assert away == active[int(g[active].argmax())]
+
+    @pytest.mark.parametrize("spec, oracle, step", [
+        # h.dot, tolist, the oracle's argmin and x.dot; the fifth NumPy call
+        # is the in-place g += c
+        (ConstraintSpec.simplex(8), "argmin", ["dot", "tolist", "argmin", "dot"]),
+        # the ball adds the away argmax and the descent's dot
+        (ConstraintSpec.l1_ball(8, 2.0), "argmax", ["dot", "tolist", "argmax", "dot", "argmax", "dot"]),
+    ], ids=["simplex", "ball"])
+    def test_ndarray_method_calls_per_pass(self, spec, oracle, step):
+        # round 1 starts cold at the oracle's vertex for c; the last pass
+        # stops after x.dot, and copies x out
+        solver = RoundOptimizer(generate_stream(16, 6, 1e-4, spec, seed=22))
+        for t in range(1, 7):
+            record, names = ndarray_calls(solver._pairwise_solve, t)
+            assert record.iterations > 0
+            cold = [oracle] if t == 1 else []
+            assert names == cold + step * record.iterations + step[:4] + ["copy"]
 
 
 def solver_digest(stream):
