@@ -63,6 +63,8 @@ def schedule_violations(mode: ScheduleMode, epsilon: float, gamma: float, rho: f
         problems.append(("gamma", f"must lie in (0, 1], got {gamma}"))
     if not 1 <= rho < math.inf:
         problems.append(("rho", f"must be finite and >= 1, got {rho}"))
+    elif not rho * rho < math.inf:   # the regret bound divides by rho**2
+        problems.append(("rho", f"rho**2 must be finite, got {rho}"))
     if fixed_count is None:
         if mode is ScheduleMode.FIXED:
             problems.append(("fixed_count", "required for mode fixed"))

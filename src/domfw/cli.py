@@ -10,7 +10,7 @@ import csv
 import sys
 from pathlib import Path
 
-from .harness import _SWEEP_AXES, ConfigError, fit_loglog_slope, parse_config, run_experiment, sweep
+from .harness import _SWEEP_AXES, ConfigError, _echo_value, fit_loglog_slope, parse_config, run_experiment, sweep
 
 
 def main(argv=None) -> int:
@@ -80,7 +80,7 @@ def main(argv=None) -> int:
         rows = sweep(config, args.axis, values, out_dir=args.out_dir, dump_network=args.dump_network)
         failures = [row for row in rows if not row.ok]
         for row in failures:
-            print(f"value {row.value}: {row.error}", file=sys.stderr)
+            print(f"value {_echo_value(row.value)}: {row.error}", file=sys.stderr)
         return 2 if failures else 0
     except Exception as exc:   # runtime failure, partial outputs retained
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

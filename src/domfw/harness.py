@@ -319,6 +319,12 @@ def parse_config(text: str) -> ExperimentConfig:
                 violations.append((seen[key], f"{key}: value {values[key]!r} out of range "
                                               f"({expression} must be finite at {at})"))
                 break
+        else:   # labels reach about 5 r, and the last round's noise step 1/(4T) must outlast their rounding
+            T, radius = values.get("problem.T", default.problem.T), values.get("problem.radius")
+            if (on_ball and radius is not None and ("problem.T" in values or "problem.T" not in seen)
+                    and 20 * T * radius * np.finfo(float).eps >= 1):
+                violations.append((seen["problem.radius"], f"problem.radius: value {radius!r} out of range "
+                                                           f"(20 * T * radius * eps must be < 1 at T = {T})"))
     if violations:
         raise ConfigError(sorted(violations, key=lambda v: (v[0] or 0)))
     return replace(default, **{name: replace(getattr(default, name), **attrs) for name, attrs in blocks.items()})
@@ -510,10 +516,10 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir=None, dump_networ
     """One run per axis value under a shared master seed; failures recorded.
 
     Returns the rows (input order) and writes ``sweep.csv`` plus one artifact
-    directory per value under ``out_dir``. A value that does not convert, or
-    converts equal to an earlier one, raises ``ValueError`` before anything
-    is run or written; one out of range, or whose config ``validate``
-    refuses, is a failed row naming the key.
+    directory per value under ``out_dir``. An empty value list, or a value
+    that does not convert or converts equal to an earlier one, raises
+    ``ValueError`` before anything is run or written; one out of range, or
+    whose config ``validate`` refuses, is a failed row naming the key.
     """
     if axis not in _SWEEP_AXES:
         raise ValueError(f"axis must be one of {sorted(_SWEEP_AXES)}, got {axis!r}")
@@ -528,6 +534,8 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir=None, dump_networ
         if converted in first:
             raise ValueError(f"sweep axis {axis}: value {value!r} repeats {first[converted]!r}")
         first[converted] = value
+    if not first:
+        raise ValueError(f"sweep axis {axis}: no values given")
     out = Path(out_dir if out_dir is not None else config.output.directory)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -549,12 +557,9 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir=None, dump_networ
     with (out / "sweep.csv").open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([axis, "final_avg_regret", "lo_calls", "messages", "status"])
-        for row in rows:
-            value = row.value.value if isinstance(row.value, ScheduleMode) else row.value
-            if row.ok:
-                writer.writerow([value, repr(row.final_avg_regret), row.lo_calls, row.messages, "ok"])
-            else:
-                writer.writerow([value, "", "", "", row.error])
+        for row in rows:   # each value as the config echo writes it
+            cells = [repr(row.final_avg_regret), row.lo_calls, row.messages, "ok"] if row.ok else ["", "", "", row.error]
+            writer.writerow([_echo_value(row.value), *cells])
     return rows
 
 

@@ -13,7 +13,7 @@ when it is built.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -167,34 +167,31 @@ class LossStream:
     label is ``b[i, t-1] = a_i @ ground_truth + noise[i, t-1] / (4 t)``.
 
     ``features`` has shape ``(n, d)`` when features are fixed per agent (the
-    default regime) or ``(T, n, d)`` when they are redrawn every round.
+    default regime) or ``(T, n, d)`` when they are redrawn every round. The
+    constructor checks the components and freezes them (``_frozen``); the
+    labels and the sizes ``n``, ``T`` and ``d`` are derived from them.
     """
 
-    n: int
-    T: int
-    d: int
     lambda1: float
     features: np.ndarray
     ground_truth: np.ndarray
     noise: np.ndarray       # (n, T), entries in [0, 1]
-    labels: np.ndarray      # (n, T)
     constraint: ConstraintSpec
+    labels: np.ndarray = field(init=False)   # (n, T), derived
 
     def __post_init__(self):
-        if self.n < 1 or self.T < 1 or self.d < 1:
-            raise ValueError("n, T, d must all be >= 1")
-        if self.constraint.dimension != self.d:
-            raise ValueError(f"constraint dimension {self.constraint.dimension} does not match d = {self.d}")
+        for name in ("features", "ground_truth", "noise"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        object.__setattr__(self, "lambda1", float(self.lambda1))
+        if self.noise.ndim != 2 or 0 in self.noise.shape:
+            raise ValueError(f"noise shape {self.noise.shape} is not (n, T) with n, T >= 1")
+        n, T, d = self.n, self.T, self.d
         if not 0 <= self.lambda1 < np.inf:
             raise ValueError(f"lambda1 must be finite and >= 0, got {self.lambda1}")
-        fixed_shape = (self.n, self.d)
-        redrawn_shape = (self.T, self.n, self.d)
-        if self.features.shape not in (fixed_shape, redrawn_shape):
-            raise ValueError(f"features shape {self.features.shape} is neither {fixed_shape} nor {redrawn_shape}")
-        if self.ground_truth.shape != (self.d,):
-            raise ValueError("ground_truth has wrong shape")
-        if self.noise.shape != (self.n, self.T) or self.labels.shape != (self.n, self.T):
-            raise ValueError("noise and labels must have shape (n, T)")
+        if self.ground_truth.shape != (d,):
+            raise ValueError(f"ground_truth shape {self.ground_truth.shape} does not match constraint dimension {d}")
+        if self.features.shape not in ((n, d), (T, n, d)):
+            raise ValueError(f"features shape {self.features.shape} is neither {(n, d)} nor {(T, n, d)}")
         bad = np.argwhere(~np.isfinite(self.features))
         if bad.size:
             where = f"agent {bad[0][0]}" if self.fixed_features else f"agent {bad[0][1]} at round {bad[0][0] + 1}"
@@ -208,8 +205,27 @@ class LossStream:
             raise ValueError("feature entries must lie in [-5, 5]")
         if not self.constraint.contains(self.ground_truth):
             raise ValueError("ground_truth is infeasible")
-        for name in ("features", "ground_truth", "noise", "labels"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        # the clean labels are added onto the noise term in place, which holds no
+        # second (n, T) temporary; the sum is bit for bit the same either way round
+        labels = self.noise / (4.0 * np.arange(1, T + 1))
+        if self.fixed_features:
+            labels += (self.features @ self.ground_truth)[:, None]
+        else:
+            labels += np.einsum("tnd,d->tn", self.features, self.ground_truth).T
+        labels.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
+
+    @property
+    def n(self) -> int:
+        return self.noise.shape[0]
+
+    @property
+    def T(self) -> int:
+        return self.noise.shape[1]
+
+    @property
+    def d(self) -> int:
+        return self.constraint.dimension
 
     @property
     def fixed_features(self) -> bool:
@@ -223,29 +239,6 @@ class LossStream:
     def _check_round(self, t: int):
         if not 1 <= t <= self.T:
             raise ValueError(f"round {t} out of range 1..{self.T}")
-
-    @classmethod
-    def from_components(cls, lambda1, features, ground_truth, noise, constraint) -> "LossStream":
-        """Build a stream from raw arrays, deriving the labels.
-
-        The derived labels are handed over without a copy; the other arrays
-        are adopted or copied as ``_frozen`` rules.
-        """
-        features = np.asarray(features, dtype=float)
-        noise = np.asarray(noise, dtype=float)
-        ground_truth = np.asarray(ground_truth, dtype=float)
-        n, T = noise.shape
-        d = ground_truth.shape[0]
-        # the clean labels are added onto the noise term in place, which holds no
-        # second (n, T) temporary; the sum is bit for bit the same either way round
-        labels = noise / (4.0 * np.arange(1, T + 1))
-        if features.ndim == 2:
-            labels += (features @ ground_truth)[:, None]
-        else:
-            labels += np.einsum("tnd,d->tn", features, ground_truth).T
-        labels.flags.writeable = False
-        return cls(n=n, T=T, d=d, lambda1=float(lambda1), features=features,
-                   ground_truth=ground_truth, noise=noise, labels=labels, constraint=constraint)
 
 
 def generate_stream(n: int, T: int, lambda1: float, spec: ConstraintSpec,
@@ -265,7 +258,7 @@ def generate_stream(n: int, T: int, lambda1: float, spec: ConstraintSpec,
     ground_truth = sample_feasible(spec, rng)
     noise = rng.uniform(0.0, 1.0, (n, T))
     features.flags.writeable = noise.flags.writeable = False
-    return LossStream.from_components(lambda1, features, ground_truth, noise, spec)
+    return LossStream(lambda1, features, ground_truth, noise, spec)
 
 
 def _local_grads(feats: np.ndarray, labels: np.ndarray, lambda1: float, xs: np.ndarray, out=None) -> np.ndarray:
@@ -277,9 +270,8 @@ def _local_grads(feats: np.ndarray, labels: np.ndarray, lambda1: float, xs: np.n
 
 def global_loss(stream: LossStream, t: int, x: np.ndarray) -> float:
     """Sum of all agents' losses at round ``t`` (fixed agent-index order)."""
-    stream._check_round(t)
     x = np.asarray(x, dtype=float)
-    feats = stream.feature_matrix(t)
+    feats = stream.feature_matrix(t)   # checks the round
     resid = feats @ x - stream.labels[:, t - 1]
     return 0.5 * float(resid @ resid) + stream.n * stream.lambda1 * float(x @ x)
 

@@ -438,7 +438,7 @@ def regret_upper_bound(constants: ProblemConstants, mixing: MixingConstants,
 
     one_minus_sig = 1.0 - sig
     one_minus_sig_k1 = 1.0 - sig ** counts[0]
-    inv_rho_factor = 1.0 / (1.0 - math.exp(-1.0 / rho))
+    inv_rho_factor = -1.0 / math.expm1(-1.0 / rho)   # 1 / (1 - exp(-1/rho)), without cancellation at large rho
 
     d1 = ((2.0 * n * gam * g_x / one_minus_sig + g_x)
           * (n * m + (n * gam / one_minus_sig) * (sum_norm + n * m))

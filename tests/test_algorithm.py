@@ -45,8 +45,8 @@ BASELINE = ScheduleMode.BASELINE
 def single_agent_stream(a, truth, noise, lambda1=0.0, radius=2.0):
     a = np.atleast_2d(np.asarray(a, dtype=float))
     spec = ConstraintSpec.l1_ball(a.shape[1], radius)
-    return LossStream.from_components(lambda1, a, np.asarray(truth, float),
-                                      np.atleast_2d(np.asarray(noise, float)), spec)
+    return LossStream(lambda1, a, np.asarray(truth, float),
+                      np.atleast_2d(np.asarray(noise, float)), spec)
 
 
 def round_steps(xs, stream, sched, params, t):
@@ -137,7 +137,7 @@ class TestStepSize:
         assert step_size(params, 1, 10) == 1.0
 
     def test_underflowing_step_rejected(self):
-        params = ScheduleParams(PER_ROUND, epsilon=1e300, rho=1e300)
+        params = ScheduleParams(PER_ROUND, epsilon=1e300, rho=1e150)
         with pytest.raises(ValueError, match="not a positive finite number at K_t = 3.16228e"):
             step_size(params, inner_count(params, 10, 10), 10)
 
@@ -545,8 +545,8 @@ class TestRun:
         perm = np.array(data.draw(st.permutations(range(n))))
         spec = ConstraintSpec.l1_ball(d, 1.5) if ball else ConstraintSpec.simplex(d)
         stream = generate_stream(n, T, 1e-3, spec, seed=seed)
-        relabeled = LossStream.from_components(stream.lambda1, stream.features[perm], stream.ground_truth,
-                                               stream.noise[perm], spec)
+        relabeled = LossStream(stream.lambda1, stream.features[perm], stream.ground_truth,
+                               stream.noise[perm], spec)
         wm = random_connected_schedule(n, 1, edge_prob, seed=seed + 1).matrix(1)
         conjugated = WeightMatrix(wm.weights[np.ix_(perm, perm)])
         params = ScheduleParams(PER_ROUND, epsilon=2, gamma=0.5, rho=3)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import domfw
 import domfw.algorithm
+import domfw.harness
 import domfw.network
 import domfw.problem
 
@@ -64,3 +65,10 @@ def test_readme_library_example_runs(capsys):
     regret, lo_calls, messages, mixed = capsys.readouterr().out.split()
     assert float(regret) >= 0 and int(lo_calls) > 0 and int(messages) > 0
     assert mixed == "True"
+
+
+def test_readme_config_block_parses_and_names_every_key():
+    block, = re.findall(r"```ini\n(.*?)```", README.read_text(), flags=re.DOTALL)
+    domfw.harness.parse_config(block)
+    named = re.findall(r"^#? *([a-z]+\.\w+) *=", block, flags=re.MULTILINE)
+    assert sorted(named) == sorted(domfw.harness._SCHEMA)

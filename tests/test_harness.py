@@ -187,13 +187,40 @@ class TestParseConfig:
         assert at == line and message.startswith(f"{key}: ") and "must be finite at n = " in message
 
     @pytest.mark.parametrize("text", [
-        "problem.constraint = l1ball\nproblem.radius = 1e152\nproblem.d = 2\nproblem.n = 20",
         "problem.lambda1 = 1e150",
     ])
     def test_largest_loss_scales_validate_and_run(self, tmp_path, text):
         result = run_experiment(parse_config(f"{text}\nproblem.T = 3"), out_dir=tmp_path / "run")
         assert np.isfinite(result.regret.cumulative).all()
         assert np.isfinite([r.tracking_residual for r in result.trajectory.rounds]).all()
+
+    @pytest.mark.parametrize("text, line, T", [
+        ("problem.constraint = l1ball\nproblem.radius = 1e50\nproblem.d = 8\nproblem.n = 20\nproblem.T = 3", 2, 3),
+        ("problem.constraint = l1ball\nproblem.radius = 1e152\nproblem.d = 2\nproblem.n = 20\nproblem.T = 3", 2, 3),
+        ("problem.T = 3\nproblem.constraint = l1ball\nproblem.radius = 8e13", 3, 3),
+        ("problem.constraint = l1ball\nproblem.radius = 3e12", 2, 100),   # T defaults to 100
+    ])
+    def test_radius_must_keep_the_label_noise(self, text, line, T):
+        # labels reach about 5 * radius, so at 20 * T * radius * eps >= 1 the last
+        # round's noise step 1/(4T) rounds away and the stream stops varying
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        (at, message), = info.value.violations
+        assert at == line and message.startswith("problem.radius: value ")
+        assert message.endswith(f"out of range (20 * T * radius * eps must be < 1 at T = {T})")
+
+    def test_largest_radius_that_keeps_the_label_noise_runs(self, tmp_path):
+        assert parse_config("problem.T = 3\nproblem.constraint = l1ball\nproblem.radius = 7e13").problem.radius == 7e13
+        text = "problem.constraint = l1ball\nproblem.radius = 1e3\nproblem.d = 8\nproblem.n = 20\nproblem.T = 3"
+        result = run_experiment(parse_config(text), out_dir=tmp_path / "run")
+        assert result.ht_estimate > 0 and result.ht_upper_bound > 0
+
+    def test_rho_must_keep_its_square_finite(self):
+        # the regret bound divides by rho**2
+        with pytest.raises(ConfigError) as info:
+            parse_config("problem.T = 3\nschedule.rho = 1e300")
+        assert info.value.violations == [(2, "schedule.rho: rho**2 must be finite, got 1e+300")]
+        assert parse_config("problem.T = 3\nschedule.rho = 1.3e154").schedule.rho == 1.3e154
 
     def test_echo_pins_every_key(self):
         text = "\n".join([
@@ -399,6 +426,12 @@ class TestRunExperiment:
         assert result.solver_margin >= 0
         assert not (tmp_path / "run" / "FAILED").exists()
 
+    def test_large_rho_bound_runs_to_the_end(self, tmp_path):
+        # 1 - exp(-1/rho) loses about log10(rho) of its digits and is 0 past 1.8e16
+        result = run_experiment(parse_config("problem.T = 3\nschedule.rho = 1e16"), out_dir=tmp_path / "run")
+        assert result.bound.e2 == 2 * 20 * 1.0e16
+        assert "e2 = 4e+17\n" in (tmp_path / "run" / "bound.txt").read_text()
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = parse_config(SMALL)
         a = run_experiment(cfg, out_dir=tmp_path / "a").directory
@@ -583,6 +616,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(parse_config(""), "lambda1", [1])
 
+    def test_empty_value_list_fails_before_anything_is_written(self, tmp_path):
+        with pytest.raises(ValueError, match="^sweep axis gamma: no values given$"):
+            sweep(parse_config(SMALL), "gamma", [], out_dir=tmp_path / "sweep")
+        assert not (tmp_path / "sweep").exists()
+
 
 class TestSlope:
     def test_exact_powers(self):
@@ -636,8 +674,8 @@ class TestCli:
         assert f"line 2: {text.split(' = ')[0]}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, line", [
-        ("schedule.epsilon = 1e300\nschedule.rho = 1e300", 3),   # the step underflows to 0
-        ("schedule.rho = 1e300\nschedule.epsilon = 1e300", 2),
+        ("schedule.epsilon = 1e300\nschedule.rho = 1e150", 3),   # the step underflows to 0
+        ("schedule.rho = 1e150\nschedule.epsilon = 1e300", 2),
         ("schedule.mode = horizon\nschedule.gamma = 1\nschedule.epsilon = 1e308", 4),   # K_T overflows
     ])
     def test_validate_rejects_a_schedule_without_a_step(self, tmp_path, capsys, text, line):
@@ -691,6 +729,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "value 1000001: ValueError: problem.T: value 1000001 out of range (must be in 1..1000000)\n"
         assert (tmp_path / "s" / "run_T=3" / "regret.csv").exists()
+
+    def test_sweep_failure_prints_the_value_as_sweep_csv_does(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("problem.n = 2\nproblem.d = 2\nproblem.T = 3\n")
+        assert main(["sweep", str(cfgfile), "--axis", "mode", "--values", "fixed",
+                     "--out-dir", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err == "value fixed: ValueError: schedule.fixed_count: required for mode fixed\n"
+        assert (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1].startswith("fixed,")
+
+    def test_sweep_without_values_exits_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("problem.n = 2\nproblem.d = 2\nproblem.T = 3\n")
+        assert main(["sweep", str(cfgfile), "--axis", "gamma", "--values", ",", "--out-dir", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err == "error: ValueError: sweep axis gamma: no values given\n"
+        assert not (tmp_path / "s").exists()
 
     def test_sweep_refused_schedule_value_names_its_config_key(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.cfg"

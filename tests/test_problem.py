@@ -1,3 +1,4 @@
+import dataclasses
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -29,8 +30,8 @@ def ball_stream(features, ground_truth, noise, lambda1=0.0, radius=2.0):
     """Hand-built stream on an l1 ball (labels derived from the pieces)."""
     features = np.atleast_2d(np.asarray(features, dtype=float))
     spec = ConstraintSpec.l1_ball(features.shape[1], radius)
-    return LossStream.from_components(lambda1, features, np.asarray(ground_truth, float),
-                                      np.atleast_2d(np.asarray(noise, float)), spec)
+    return LossStream(lambda1, features, np.asarray(ground_truth, float),
+                      np.atleast_2d(np.asarray(noise, float)), spec)
 
 
 class TestLMO:
@@ -123,18 +124,18 @@ class TestGenerateStream:
     def test_invariant_validation(self):
         spec = ConstraintSpec.l1_ball(1, 1.0)
         with pytest.raises(ValueError):
-            LossStream.from_components(0.0, [[6.0]], [0.0], [[0.5]], spec)   # feature out of range
+            LossStream(0.0, [[6.0]], [0.0], [[0.5]], spec)   # feature out of range
         with pytest.raises(ValueError):
-            LossStream.from_components(0.0, [[1.0]], [0.0], [[1.5]], spec)   # noise out of range
+            LossStream(0.0, [[1.0]], [0.0], [[1.5]], spec)   # noise out of range
         with pytest.raises(ValueError):
-            LossStream.from_components(0.0, [[1.0]], [2.0], [[0.5]], spec)   # infeasible truth
+            LossStream(0.0, [[1.0]], [2.0], [[0.5]], spec)   # infeasible truth
 
     @pytest.mark.parametrize("value", [6.0, -6.0, 5 + 1e-11])
     def test_feature_range_is_checked_on_both_sides(self, value):
         spec = ConstraintSpec.l1_ball(2, 1.0)
         with pytest.raises(ValueError, match=r"^feature entries must lie in \[-5, 5\]$"):
-            LossStream.from_components(0.0, [[1.0, value]], [0.0, 0.0], [[0.5]], spec)
-        assert LossStream.from_components(0.0, [[-5.0, 5.0]], [0.0, 0.0], [[0.5]], spec).features.min() == -5.0
+            LossStream(0.0, [[1.0, value]], [0.0, 0.0], [[0.5]], spec)
+        assert LossStream(0.0, [[-5.0, 5.0]], [0.0, 0.0], [[0.5]], spec).features.min() == -5.0
 
     def test_building_a_stream_peaks_near_what_it_holds(self):
         # the fresh features, noise and labels are handed over without a copy,
@@ -149,36 +150,81 @@ class TestGenerateStream:
         assert peak < 1.3 * held
 
     def test_constraint_dimension_must_match_d(self):
-        with pytest.raises(ValueError, match="constraint dimension 5 does not match d = 3"):
-            LossStream.from_components(0.0, np.full((2, 3), 0.5), [1.0, 0, 0], np.zeros((2, 4)),
-                                       ConstraintSpec.simplex(5))
+        with pytest.raises(ValueError, match=r"ground_truth shape \(3,\) does not match constraint dimension 5"):
+            LossStream(0.0, np.full((2, 3), 0.5), [1.0, 0, 0], np.zeros((2, 4)),
+                       ConstraintSpec.simplex(5))
 
     def test_non_finite_features_rejected(self):
         spec = ConstraintSpec.simplex(2)
         noise = [[0.1, 0.2], [0.3, 0.4]]
         with pytest.raises(ValueError, match="features of agent 0 have non-finite"):
-            LossStream.from_components(0.0, [[1.0, np.nan], [0.5, 0.2]], [0.5, 0.5], noise, spec)
+            LossStream(0.0, [[1.0, np.nan], [0.5, 0.2]], [0.5, 0.5], noise, spec)
         redrawn = np.full((2, 2, 2), 0.5)
         redrawn[1, 0, 1] = np.inf
         with pytest.raises(ValueError, match="features of agent 0 at round 2 have non-finite"):
-            LossStream.from_components(0.0, redrawn, [0.5, 0.5], noise, spec)
+            LossStream(0.0, redrawn, [0.5, 0.5], noise, spec)
 
     def test_non_finite_noise_rejected(self):
         spec = ConstraintSpec.simplex(2)
         with pytest.raises(ValueError, match="noise of agent 1 at round 2 is not finite"):
-            LossStream.from_components(0.0, [[1.0, 0.0], [0.5, 0.2]], [0.5, 0.5],
-                                       [[0.1, 0.2], [0.3, np.nan]], spec)
+            LossStream(0.0, [[1.0, 0.0], [0.5, 0.2]], [0.5, 0.5],
+                       [[0.1, 0.2], [0.3, np.nan]], spec)
 
     @pytest.mark.parametrize("lambda1", [np.nan, np.inf, -1.0])
     def test_lambda1_must_be_finite_and_non_negative(self, lambda1):
         spec = ConstraintSpec.simplex(2)
         with pytest.raises(ValueError, match="lambda1 must be finite and >= 0"):
-            LossStream.from_components(lambda1, [[1.0, 0.0]], [0.5, 0.5], [[0.1, 0.2]], spec)
+            LossStream(lambda1, [[1.0, 0.0]], [0.5, 0.5], [[0.1, 0.2]], spec)
 
     def test_immutable_after_construction(self):
         s = generate_stream(2, 3, 0.0, ConstraintSpec.simplex(2), seed=0)
         with pytest.raises(ValueError):
             s.labels[0, 0] = 1.0
+
+
+class TestLossStreamConstructor:
+    def test_init_fields_are_the_components(self):
+        names = [f.name for f in dataclasses.fields(LossStream) if f.init]
+        assert names == ["lambda1", "features", "ground_truth", "noise", "constraint"]
+
+    @pytest.mark.parametrize("derived", [{"labels": np.zeros((3, 4))}, {"n": 3}, {"T": 4}, {"d": 2}])
+    def test_derived_values_cannot_be_passed(self, derived):
+        # labels that contradict the ground truth and noise cannot be built
+        s = generate_stream(3, 4, 1e-3, ConstraintSpec.simplex(2), seed=1)
+        with pytest.raises(TypeError):
+            LossStream(s.lambda1, s.features, s.ground_truth, s.noise, s.constraint, **derived)
+
+    @pytest.mark.parametrize("features, ground_truth, noise, name", [
+        (np.zeros((4, 2)), [1.0, 0.0, 0.0], np.zeros((4, 5)), r"features shape \(4, 2\)"),
+        (np.zeros((4, 3)), [1.0, 0.0, 0.0], np.zeros(5), r"noise shape \(5,\)"),
+        (np.zeros((4, 3)), [1.0, 0.0, 0.0], np.zeros((0, 5)), r"noise shape \(0, 5\)"),
+        (np.zeros((4, 3)), [1.0, 0.0], np.zeros((4, 5)), r"ground_truth shape \(2,\)"),
+    ])
+    def test_bad_shapes_name_the_array(self, features, ground_truth, noise, name):
+        with pytest.raises(ValueError, match=name):
+            LossStream(1e-3, features, ground_truth, noise, ConstraintSpec.simplex(3))
+
+    def test_sizes_are_read_from_the_components(self):
+        s = generate_stream(3, 4, 1e-3, ConstraintSpec.l1_ball(5, 2.0), seed=1, redraw_features=True)
+        assert (s.n, s.T, s.d) == (3, 4, 5)
+        assert s.labels.shape == (3, 4) and not s.labels.flags.writeable and s.labels.base is None
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(d=st.integers(1, 10), n=st.integers(1, 10), T=st.integers(1, 20), ball=st.booleans(),
+           radius=st.floats(0.01, 50.0), redraw=st.booleans(), seed=st.integers(0, 2 ** 16))
+    def test_labels_are_noise_steps_plus_clean_labels(self, d, n, T, ball, radius, redraw, seed):
+        # b[i, t-1] = noise[i, t-1] / (4 t) + a_i @ x*, entry by entry, with the
+        # clean part formed as one product over the agents (or rounds and agents)
+        spec = ConstraintSpec.l1_ball(d, radius) if ball else ConstraintSpec.simplex(d)
+        rng = np.random.default_rng(seed)
+        features = rng.uniform(-5, 5, (T, n, d) if redraw else (n, d))
+        truth, noise = sample_feasible(spec, rng), rng.uniform(0, 1, (n, T))
+        s = LossStream(1e-3, features, truth, noise, spec)
+        clean = np.einsum("tnd,d->tn", features, truth).T if redraw else (features @ truth)[:, None]
+        for i in range(n):
+            for t in range(1, T + 1):
+                expected = float(noise[i, t - 1]) / (4.0 * t) + float(clean[i, t - 1 if redraw else 0])
+                assert float(s.labels[i, t - 1]).hex() == expected.hex()
 
 
 class TestLossAndGrad:
@@ -252,7 +298,7 @@ class TestGlobal:
     def test_identical_agents_scale(self):
         feats = np.tile([[1.0, -0.5]], (3, 1))
         spec = ConstraintSpec.l1_ball(2, 2.0)
-        s = LossStream.from_components(0.2, feats, np.array([0.5, 0.5]), np.zeros((3, 2)), spec)
+        s = LossStream(0.2, feats, np.array([0.5, 0.5]), np.zeros((3, 2)), spec)
         x = np.array([0.3, -0.4])
         assert global_loss(s, 1, x) == pytest.approx(3 * loss_eval(s, 1, 0, x), rel=1e-14)
 
@@ -323,8 +369,8 @@ class TestFunctionVariation:
         spec = ConstraintSpec.l1_ball(d, radius) if ball else ConstraintSpec.simplex(d)
         if ties:
             rng = np.random.default_rng(seed)
-            s = LossStream.from_components(1e-3, rng.uniform(-5, 5, (n, d)), sample_feasible(spec, rng),
-                                           rng.integers(0, 3, (n, T)) / 2, spec)
+            s = LossStream(1e-3, rng.uniform(-5, 5, (n, d)), sample_feasible(spec, rng),
+                           rng.integers(0, 3, (n, T)) / 2, spec)
         else:
             s = generate_stream(n, T, 1e-3, spec, seed=seed)
         got = estimate_function_variation(s, samples=samples, seed=seed)

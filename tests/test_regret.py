@@ -123,7 +123,7 @@ class TestSolveRoundOptimum:
     def test_zero_residual_vertex(self):
         # single agent, a=(1,0), b=1, no regularizer: the vertex (1,0) is optimal
         spec = ConstraintSpec.simplex(2)
-        stream = LossStream.from_components(0.0, [[1.0, 0.0]], [1.0, 0.0], [[0.0]], spec)
+        stream = LossStream(0.0, [[1.0, 0.0]], [1.0, 0.0], [[0.0]], spec)
         rec = RoundOptimizer(stream).solve(1)
         assert rec.gap <= 1e-9
         assert rec.f_star <= 1e-9
@@ -132,7 +132,7 @@ class TestSolveRoundOptimum:
     def test_dominant_regularizer_matches_grid(self):
         # lambda1 >> ||a||^2 pulls the optimum toward the origin
         spec = ConstraintSpec.l1_ball(2, 2.0)
-        stream = LossStream.from_components(50.0, [[1.0, -0.5]], [0.5, 0.5], [[0.25]], spec)
+        stream = LossStream(50.0, [[1.0, -0.5]], [0.5, 0.5], [[0.25]], spec)
         rec = RoundOptimizer(stream).solve(1)
         grid = np.linspace(-2, 2, 4001)
         xs = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
@@ -364,7 +364,7 @@ def tie_stream(spec, seed, n=10, T=30):
     feats = np.repeat(rng.uniform(-5, 5, (n, spec.dimension // 2)), 2, axis=1)
     truth = np.zeros(spec.dimension)
     truth[0] = 1.0 if spec.kind.value == "simplex" else 0.5
-    return LossStream.from_components(0.0, feats, truth, rng.uniform(0, 1, (n, T)), spec)
+    return LossStream(0.0, feats, truth, rng.uniform(0, 1, (n, T)), spec)
 
 
 class TestSolverGolden:
@@ -629,7 +629,7 @@ class TestRegretBound:
             rng = np.random.default_rng(15)
             feats = rng.uniform(-5, 5, (4, 3))
             truth = sample_feasible(spec, rng)
-            stream = LossStream.from_components(1e-4, feats, truth, noise, spec)
+            stream = LossStream(1e-4, feats, truth, noise, spec)
         sched = random_connected_schedule(4, T, 0.5, seed=16)
         params = ScheduleParams(ScheduleMode.PER_ROUND, epsilon=2, gamma=0.5, rho=3)
         counts = [inner_count(params, t, T) for t in range(1, T + 1)]
@@ -649,6 +649,21 @@ class TestRegretBound:
                                     np.tile([1.0, 0.0], (20, 1)))
         assert report.e2 == pytest.approx(180.83246656751194, rel=1e-13)
         assert report.e2 == pytest.approx(40 / (-math.expm1(-0.25)), rel=1e-15)
+
+    @pytest.mark.parametrize("rho", [1.5, 2.0, 3.0, 4.0, 10.0, 1e16, 1e150, 1.3e154])
+    def test_rho_factor_stays_exact_for_large_rho(self, rho):
+        # 1 / (1 - e^{-1/rho}) is about rho + 1/2; 1 - exp(-1/rho) rounds to 0
+        # from rho near 1.8e16, and the expm1 form has the same bits at the
+        # rho of the benchmark workloads (1.5 to 4)
+        stream = generate_stream(20, 2, 0.0, ConstraintSpec.simplex(2), seed=17)
+        params = ScheduleParams(ScheduleMode.PER_ROUND, epsilon=4, gamma=0.5, rho=rho)
+        counts = [inner_count(params, t, 2) for t in (1, 2)]
+        report = regret_upper_bound(problem_constants(stream), MixingConstants.from_zeta(1 / 20, 20), params,
+                                    stream, counts, np.tile([1.0, 0.0], (20, 1)))
+        assert np.isfinite([report.e1, report.e2, report.e3, report.total]).all()
+        assert report.e2 == pytest.approx(40 * (rho + 0.5), rel=1e-15 + 1 / (12 * rho * rho))
+        if rho <= 4:
+            assert report.e2 == 40 * (1.0 / (1.0 - math.exp(-1.0 / rho)))
 
     def test_zero_variation_reduces_to_two_terms(self):
         spec, stream, sched, params, counts, constants, mixing = self.make_setup(noise=np.zeros((4, 6)))
