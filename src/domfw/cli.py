@@ -62,7 +62,7 @@ def main(argv=None) -> int:
             where = f"line {lineno}: " if lineno else ""
             print(f"{where}{message}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.command == "validate":

@@ -17,6 +17,7 @@ import time
 import traceback
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -174,21 +175,6 @@ def resident_bytes(n: int, d: int, T: int, k_max: int, redraw_features: bool) ->
     return 40 * 2 ** 20 + 1024 * T + 8 * floats
 
 
-# the keys resident_bytes reads, in the order a footprint violation is attributed
-_FOOTPRINT_KEYS = ("problem.n", "problem.T", "problem.d", "problem.redraw_features",
-                   "schedule.mode", "schedule.epsilon", "schedule.gamma", "schedule.fixed_count")
-
-
-def _footprint(problem: dict, schedule: dict) -> int | None:
-    """:func:`resident_bytes` of a config's problem and schedule fields; None
-    if the schedule has no inner count at round T."""
-    try:
-        k_max = inner_count(ScheduleParams(**schedule), problem["T"], problem["T"])
-    except ValueError:
-        return None
-    return resident_bytes(problem["n"], problem["d"], problem["T"], k_max, problem["redraw_features"])
-
-
 def _gib(nbytes: int) -> str:
     try:
         return f"{nbytes / 2 ** 30:.3g} GiB"
@@ -219,12 +205,114 @@ _SCHEMA = {
     "seeds.network": (int, lambda v: v >= 0, ">= 0"),
     "seeds.init": (int, lambda v: v >= 0, ">= 0"),
     "init.mode": (str, lambda v: v in ("vertex", "random"), "vertex or random"),
-    "output.directory": (str, None, None),
+    "output.directory": (str, lambda v: v != "", "non-empty"),
 }
+
+_SCHEDULE_KEYS = tuple(key for key in _SCHEMA if key.startswith("schedule."))
+_DEFAULTS = dict(zip(_SCHEMA, attrgetter(*_SCHEMA)(ExperimentConfig())))
+
+
+def _schedule(v: dict) -> dict:
+    """The :class:`ScheduleParams` fields of merged values (defaults | parsed)."""
+    return {key.removeprefix("schedule."): v[key] for key in _SCHEDULE_KEYS}
+
+
+def _footprint(v: dict) -> int | None:
+    """:func:`resident_bytes` of merged values; None if the schedule has no inner count at round T."""
+    try:
+        k_max = inner_count(ScheduleParams(**_schedule(v)), v["problem.T"], v["problem.T"])
+    except ValueError:
+        return None
+    return resident_bytes(v["problem.n"], v["problem.d"], v["problem.T"], k_max, v["problem.redraw_features"])
+
+
+def _radius(v: dict) -> tuple[str, ...]:
+    """``problem.radius`` if a rule reads it: on the l1 ball, as the simplex's radius is 1 whatever the key says."""
+    return ("problem.radius",) if v["problem.constraint"] is ConstraintKind.L1_BALL else ()
+
+
+def _schedule_rule(v, given):
+    return [(f"schedule.{attr}", message) for attr, message in schedule_violations(**_schedule(v))]
+
+
+def _step_rule(v, given):
+    # the step shrinks as K_t grows, so a schedule with a step at round T has one every round
+    params, horizon = ScheduleParams(**_schedule(v)), v["problem.T"]
+    try:
+        k_t = inner_count(params, horizon, horizon)
+    except ValueError as exc:   # its message names the round
+        return [("schedule.epsilon", str(exc))]
+    try:
+        step_size(params, k_t, horizon)
+    except ValueError as exc:
+        return [("schedule.rho", f"no step at round {horizon}: {exc}")]
+    return []
+
+
+def _footprint_rule(v, given):
+    # blamed on the set key whose default would shrink the footprint most (the first such key on a tie)
+    footprint = _footprint(v)
+    if footprint is None or footprint <= MAX_RESIDENT_BYTES:
+        return []
+
+    def shrunk(key):   # fixed_count has no default; its least value stands in
+        size = _footprint(v | {key: 2 if key == "schedule.fixed_count" else _DEFAULTS[key]})
+        return math.inf if size is None else size
+    key = min(given, key=shrunk)
+    return [(key, f"a run needs an estimated {_gib(footprint)} resident, above the {_gib(MAX_RESIDENT_BYTES)} budget")]
+
+
+def _loss_scale_rule(v, given):
+    # the loss scale of the set's radius r (1 on the simplex) and lambda1, with features in [-5, 5]^d: the
+    # solver's curvature u'Hu of H = A'A + 2 n lambda1 I along a pairwise step (||u|| <= 2 r) is at most
+    # 4 r**2 n (25 d + 2 lambda1), and a squared gradient norm at most d (r (50 + 2 lambda1))**2. The first
+    # product to overflow (to inf) fails at the set key among radius and lambda1 with the larger factor
+    try:
+        n, d = float(v["problem.n"]), float(v["problem.d"])
+    except OverflowError:   # an n or d too large for a float counts as inf
+        n = d = math.inf
+    r2, lam = (v["problem.radius"] * v["problem.radius"] if _radius(v) else 1.0), v["problem.lambda1"]
+    for expression, at, size, lam_factor in (
+            ("4 * radius**2 * n * (25 * d + 2 * lambda1)", f"n = {v['problem.n']}, d = {v['problem.d']}", 4.0 * n,
+             25.0 * d + 2 * lam),
+            ("d * (radius * (50 + 2 * lambda1))**2", f"d = {v['problem.d']}", d, (50 + 2 * lam) * (50 + 2 * lam))):
+        factors = {"problem.radius": r2, "problem.lambda1": lam_factor}
+        blamed = [key for key in given if key in factors]
+        if blamed and not math.isfinite(size * (r2 * lam_factor)):
+            key = max(blamed, key=factors.get)
+            return [(key, f"value {v[key]!r} out of range ({expression} must be finite at {at})")]
+    return []
+
+
+def _label_noise_rule(v, given):
+    # labels reach about 5 r, and the last round's noise step 1/(4T) must outlast their rounding
+    T, radius = v["problem.T"], v["problem.radius"]
+    if "problem.radius" in given and 20 * T * radius * np.finfo(float).eps >= 1:
+        return [("problem.radius", f"value {radius!r} out of range (20 * T * radius * eps must be < 1 at T = {T})")]
+    return []
+
+
+# validate's rules in the order they run: (rule, the keys it reads, given the
+# merged values; the earlier rules whose refusal silences it). A rule takes the
+# merged values and the keys it reads that the config set, in the order it
+# reads them, and returns (key, message) pairs. It runs only when every key it
+# reads parsed or was left unset, so it never judges a default in place of a
+# key that failed to parse.
+_RULES = (
+    (_schedule_rule, lambda v: _SCHEDULE_KEYS, ()),
+    (_step_rule, lambda v: (*_SCHEDULE_KEYS, "problem.T"), (_schedule_rule,)),
+    (_footprint_rule, lambda v: ("problem.n", "problem.T", "problem.d", "problem.redraw_features", "schedule.mode",
+                                 "schedule.epsilon", "schedule.gamma", "schedule.fixed_count"),
+     (_schedule_rule, _step_rule)),
+    (_loss_scale_rule, lambda v: (*_radius(v), "problem.lambda1", "problem.n", "problem.d", "problem.constraint"),
+     (_footprint_rule,)),
+    (_label_noise_rule, lambda v: (*_radius(v), "problem.constraint", "problem.T"), (_footprint_rule, _loss_scale_rule)),
+)
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate config text, reporting every violation at once."""
+    """Parse and validate config text, reporting every violation at once: each
+    key's own range, then ``_RULES``."""
     violations = []
     seen: dict[str, int] = {}
     values: dict[str, object] = {}
@@ -255,78 +343,22 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         values[key] = value
 
+    merged, unparsed, refused = _DEFAULTS | values, seen.keys() - values.keys(), set()
+    for rule, reads, silenced_by in _RULES:
+        keys = reads(merged)
+        if unparsed.isdisjoint(keys) and refused.isdisjoint(silenced_by):
+            found = rule(merged, tuple(key for key in keys if key in values))
+            if found:
+                refused.add(rule)
+            # each at its key's line, or at the mode's line for an unset schedule key
+            violations += [(seen.get(key, seen.get("schedule.mode")), f"{key}: {message}") for key, message in found]
+    if violations:
+        raise ConfigError(sorted(violations, key=lambda v: (v[0] or 0)))
+    default = ExperimentConfig()
     blocks = {f.name: {} for f in fields(ExperimentConfig)}
     for key, value in values.items():
         block, attr = key.split(".")
         blocks[block][attr] = value
-    default = ExperimentConfig()
-    schedule = vars(default.schedule) | blocks["schedule"]
-    problems = schedule_violations(**schedule)
-    # the step shrinks as K_t grows, so a schedule with a step at round T (once T parsed) has one every round
-    if not problems and ("problem.T" in values or "problem.T" not in seen):
-        params, horizon = ScheduleParams(**schedule), values.get("problem.T", default.problem.T)
-        try:
-            k_t = inner_count(params, horizon, horizon)
-        except ValueError as exc:   # its message names the round
-            problems.append(("epsilon", str(exc)))
-        else:
-            try:
-                step_size(params, k_t, horizon)
-            except ValueError as exc:
-                problems.append(("rho", f"no step at round {horizon}: {exc}"))
-    # each broken schedule rule at its key's line, or at the mode's line when the key is unset
-    for attr, message in problems:
-        key = f"schedule.{attr}"
-        violations.append((seen.get(key, seen.get("schedule.mode")), f"{key}: {message}"))
-    # the footprint of sizes that parsed, at the line of the set key whose
-    # default would shrink it most (the first such key on a tie)
-    sizes = {"problem": vars(default.problem) | blocks["problem"], "schedule": schedule}
-    fits = True
-    if not problems and all(key in values or key not in seen for key in _FOOTPRINT_KEYS):
-        footprint = _footprint(**sizes)
-        if footprint is not None and footprint > MAX_RESIDENT_BYTES:
-            def reset(key):
-                block, attr = key.split(".")
-                # fixed_count has no default; its least value stands in
-                value = 2 if key == "schedule.fixed_count" else getattr(getattr(default, block), attr)
-                shrunk = _footprint(**sizes | {block: sizes[block] | {attr: value}})
-                return math.inf if shrunk is None else shrunk
-            key = min((k for k in _FOOTPRINT_KEYS if k in values), key=reset)
-            violations.append((seen[key], f"{key}: a run needs an estimated {_gib(footprint)} resident, "
-                                          f"above the {_gib(MAX_RESIDENT_BYTES)} budget"))
-            fits = False
-    # the loss scale of the set's radius r (1 on the simplex) and lambda1, with features in [-5, 5]^d: the
-    # solver's curvature u'Hu of H = A'A + 2 n lambda1 I along a pairwise step (||u|| <= 2 r) is at most
-    # 4 r**2 n (25 d + 2 lambda1), and a squared gradient norm at most d (r (50 + 2 lambda1))**2. The first
-    # product to overflow (to inf) fails at the set key among radius and lambda1 with the larger factor
-    on_ball = values.get("problem.constraint", default.problem.constraint) is ConstraintKind.L1_BALL
-    scale = ("problem.radius", "problem.lambda1") if on_ball else ("problem.lambda1",)
-    if (fits and any(key in values for key in scale) and all(
-            key in values or key not in seen for key in ("problem.n", "problem.d", "problem.constraint", *scale))):
-        p = sizes["problem"]
-        try:
-            n, d = float(p["n"]), float(p["d"])
-        except OverflowError:   # an n or d too large for a float counts as inf
-            n = d = math.inf
-        r2, lam = (p["radius"] * p["radius"] if on_ball else 1.0), p["lambda1"]
-        for expression, at, size, lam_factor in (
-                ("4 * radius**2 * n * (25 * d + 2 * lambda1)", f"n = {p['n']}, d = {p['d']}", 4.0 * n,
-                 25.0 * d + 2 * lam),
-                ("d * (radius * (50 + 2 * lambda1))**2", f"d = {p['d']}", d, (50 + 2 * lam) * (50 + 2 * lam))):
-            if not math.isfinite(size * (r2 * lam_factor)):
-                factors = {"problem.radius": r2, "problem.lambda1": lam_factor}
-                key = max((key for key in scale if key in values), key=factors.get)
-                violations.append((seen[key], f"{key}: value {values[key]!r} out of range "
-                                              f"({expression} must be finite at {at})"))
-                break
-        else:   # labels reach about 5 r, and the last round's noise step 1/(4T) must outlast their rounding
-            T, radius = values.get("problem.T", default.problem.T), values.get("problem.radius")
-            if (on_ball and radius is not None and ("problem.T" in values or "problem.T" not in seen)
-                    and 20 * T * radius * np.finfo(float).eps >= 1):
-                violations.append((seen["problem.radius"], f"problem.radius: value {radius!r} out of range "
-                                                           f"(20 * T * radius * eps must be < 1 at T = {T})"))
-    if violations:
-        raise ConfigError(sorted(violations, key=lambda v: (v[0] or 0)))
     return replace(default, **{name: replace(getattr(default, name), **attrs) for name, attrs in blocks.items()})
 
 
@@ -344,13 +376,8 @@ def config_to_text(config: ExperimentConfig) -> str:
     One line per ``_SCHEMA`` key in schema order; optional keys left unset
     are omitted.
     """
-    lines = []
-    for key in _SCHEMA:
-        block, attr = key.split(".")
-        value = getattr(getattr(config, block), attr)
-        if value is not None:
-            lines.append(f"{key} = {_echo_value(value)}")
-    return "\n".join(lines) + "\n"
+    values = attrgetter(*_SCHEMA)(config)
+    return "".join(f"{key} = {_echo_value(value)}\n" for key, value in zip(_SCHEMA, values) if value is not None)
 
 
 _GNUPLOT = """set datafile separator ','
@@ -479,13 +506,14 @@ def run_experiment(config: ExperimentConfig, out_dir=None, dump_network: bool = 
 
 
 def read_manifest_config(path) -> ExperimentConfig:
-    """Recover the echoed config from a manifest (for exact replay)."""
+    """Recover the echoed config from a manifest (for exact replay); a
+    violation names its manifest line."""
     lines = Path(path).read_text().splitlines()
     try:
         start = lines.index("# config") + 1
     except ValueError:
         raise ConfigError([(None, "manifest has no config section")])
-    return parse_config("\n".join(lines[start:]))
+    return parse_config("\n" * start + "\n".join(lines[start:]))
 
 
 # axis -> its _SCHEMA key

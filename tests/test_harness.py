@@ -222,6 +222,49 @@ class TestParseConfig:
         assert info.value.violations == [(2, "schedule.rho: rho**2 must be finite, got 1e+300")]
         assert parse_config("problem.T = 3\nschedule.rho = 1.3e154").schedule.rho == 1.3e154
 
+    @pytest.mark.parametrize("text, violations", [
+        # a mode that failed to parse is not the per-round default
+        ("schedule.mode = horzon\nschedule.gamma = 1", [(1, "schedule.mode: cannot interpret 'horzon'")]),
+        ("schedule.mode = fixed\nschedule.fixed_count = x", [(2, "schedule.fixed_count: cannot interpret 'x'")]),
+        # the step probe does not run on the default gamma
+        ("schedule.gamma = x\nschedule.mode = horizon\nschedule.epsilon = 1e307\nproblem.T = 1000000",
+         [(1, "schedule.gamma: cannot interpret 'x'")]),
+    ])
+    def test_rules_skip_a_key_that_failed_to_parse(self, text, violations):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.violations == violations
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(st.dictionaries(st.sampled_from(list(harness._SCHEMA)),
+                           st.sampled_from(RAW_POOL + ["1e14", "1e152", "1000000000", "1e308"])))
+    def test_each_refused_key_is_named_once_at_its_line(self, raw):
+        lines = {key: lineno for lineno, key in enumerate(raw, start=1)}
+        try:
+            parse_config("\n".join(f"{key} = {value}" for key, value in raw.items()))
+        except ConfigError as exc:
+            violations = exc.violations
+        else:
+            return
+        keys = [message.split(": ", 1)[0] for _, message in violations]
+        assert len(set(keys)) == len(keys)
+        for (line, _), key in zip(violations, keys):
+            if key in lines:
+                assert line == lines[key]
+            else:   # an unset schedule key is reported at the mode's line
+                assert key.startswith("schedule.") and line == lines.get("schedule.mode")
+        # once a schedule key failed to parse, only the parse pass and the footprint name schedule keys
+        if any(message.startswith("schedule.") and ": cannot interpret " in message for _, message in violations):
+            for _, message in violations:
+                assert (not message.startswith("schedule.") or ": cannot interpret " in message
+                        or ": a run needs an estimated " in message)
+
+    def test_output_directory_must_be_named(self):
+        # an empty directory would put a run's artifacts, and its cleanup, in the working directory
+        with pytest.raises(ConfigError) as info:
+            parse_config("problem.T = 3\noutput.directory =   # empty")
+        assert info.value.violations == [(2, "output.directory: value  out of range (must be non-empty)")]
+
     def test_echo_pins_every_key(self):
         text = "\n".join([
             "problem.n = 6",
@@ -447,6 +490,16 @@ class TestRunExperiment:
         second = run_experiment(replay_cfg, out_dir=tmp_path / "second").directory
         for name in ("regret.csv", "trajectory.csv", "envelopes.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_manifest_violation_names_its_manifest_line(self, tmp_path):
+        manifest = run_experiment(parse_config(SMALL), out_dir=tmp_path / "run").directory / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        at = lines.index("problem.d = 4")
+        lines[at] = "problem.d = x"
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError) as info:
+            read_manifest_config(manifest)
+        assert info.value.violations == [(at + 1, "problem.d: cannot interpret 'x'")]
 
     def test_manifest_without_config_section(self, tmp_path):
         manifest = tmp_path / "manifest.txt"
@@ -760,6 +813,15 @@ class TestCli:
         cfgfile.write_text("problem.n = 2\n")
         assert main(["run", str(cfgfile)]) == 2
         assert capsys.readouterr().err == "error: ZeroDivisionError: division by zero\n"
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_undecodable_config_fails_without_a_traceback(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        Path("c.cfg").write_bytes(b"\xff\xfeproblem.n = 3\n")
+        assert main([command, "c.cfg"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "decode" in err and "Traceback" not in err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["c.cfg"]
 
     def test_validate_rejects_single_agent(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.cfg"
