@@ -122,7 +122,10 @@ def step_size(params: ScheduleParams, k_t: int, horizon: int) -> float:
             raise ValueError("no baseline step 1/(4 T**0.4) for a horizon this large") from None
     if k_t < 1:
         raise ValueError("K_t must be >= 1")
-    alpha = 1.0 / (params.rho * k_t)
+    try:
+        alpha = 1.0 / (params.rho * k_t)
+    except OverflowError:   # a K_t too large for a float
+        raise ValueError("K_t is too large for a float") from None
     if not 0 < alpha < math.inf:
         raise ValueError(f"step 1/(rho * K_t) = {alpha} is not a positive finite number at K_t = {k_t:.6g}")
     return alpha

@@ -3,7 +3,7 @@
 Configs are flat ``section.key = value`` text (``#`` comments allowed). The
 single master seed is hashed with a role tag to derive the stream, network,
 and initialization sub-seeds, so redrawing one component never disturbs the
-others. Every run writes its artifacts plus a manifest whose echoed config
+others. Every run writes its artifacts plus a manifest, a config file that
 reproduces the run bit-for-bit.
 """
 
@@ -13,6 +13,7 @@ import csv
 import hashlib
 import math
 import platform
+import sys
 import time
 import traceback
 from dataclasses import dataclass, field, fields, replace
@@ -242,6 +243,8 @@ def _step_rule(v, given):
         k_t = inner_count(params, horizon, horizon)
     except ValueError as exc:   # its message names the round
         return [("schedule.epsilon", str(exc))]
+    if k_t > sys.float_info.max:   # a fixed count with no float step: the footprint rule names it
+        return []
     try:
         step_size(params, k_t, horizon)
     except ValueError as exc:
@@ -420,7 +423,8 @@ class RunResult:
             items += [("e1", bound.e1), ("e2", bound.e2), ("e3", bound.e3), ("bound_total", bound.total),
                       ("bound_margin", bound.total - worst)]
         items += [("mixing_deviation", mixing.deviation), ("mixing_bound", mixing.bound),
-                  ("mixing_margin", mixing.margin), ("mixing_holds", mixing.ok),
+                  ("mixing_margin", mixing.margin), ("mixing_shifted_margin", mixing.shifted_margin),
+                  ("mixing_holds", mixing.ok),
                   ("solver_iterations", self.solver_iterations), ("max_solver_gap", self.max_solver_gap),
                   ("solver_margin", self.solver_margin), ("lo_calls", traj.lo_calls),
                   ("messages", traj.messages), ("max_conservation_gap", traj.max_conservation_gap()),
@@ -428,19 +432,23 @@ class RunResult:
         return "".join(f"{key} = {value!r}\n" for key, value in items if value is not None)
 
     def manifest_text(self) -> str:
-        """The ``manifest.txt`` record: versions, wall time, and the config echo."""
-        body = [
-            "# manifest",
-            f"package_version = {__version__}",
-            f"python_version = {platform.python_version()}",
-            f"numpy_version = {np.__version__}",
-            f"wall_seconds = {self.wall_seconds:.3f}",
-            "",
-            "# config",
-            config_to_text(self.config).rstrip("\n"),
-            "",
-        ]
-        return "\n".join(body)
+        """The ``manifest.txt`` record, a config file: the config echo under
+        ``#`` lines of the versions and the wall time."""
+        return (f"# package_version = {__version__}\n# python_version = {platform.python_version()}\n"
+                f"# numpy_version = {np.__version__}\n# wall_seconds = {self.wall_seconds:.3f}\n\n"
+                + config_to_text(self.config))
+
+
+def _artifact_dir(config: ExperimentConfig, out_dir) -> Path:
+    """``out_dir``, else the config's ``output.directory``, created. An empty
+    name is refused first: it would put the artifacts, and the stale-file
+    cleanup, in the working directory."""
+    directory = config.output.directory if out_dir is None else out_dir
+    if directory == "":
+        raise ValueError("the output directory must be non-empty")
+    out = Path(directory)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None, dump_network: bool = False) -> RunResult:
@@ -453,8 +461,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, dump_network: bool = 
     On failure the partial outputs are retained next to a new ``FAILED``
     marker and the error is re-raised.
     """
-    out = Path(out_dir if out_dir is not None else config.output.directory)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _artifact_dir(config, out_dir)
     (out / "FAILED").unlink(missing_ok=True)
     if not dump_network:
         (out / "network.csv").unlink(missing_ok=True)
@@ -505,17 +512,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None, dump_network: bool = 
         raise
 
 
-def read_manifest_config(path) -> ExperimentConfig:
-    """Recover the echoed config from a manifest (for exact replay); a
-    violation names its manifest line."""
-    lines = Path(path).read_text().splitlines()
-    try:
-        start = lines.index("# config") + 1
-    except ValueError:
-        raise ConfigError([(None, "manifest has no config section")])
-    return parse_config("\n" * start + "\n".join(lines[start:]))
-
-
 # axis -> its _SCHEMA key
 _SWEEP_AXES = {
     "gamma": "schedule.gamma",
@@ -564,8 +560,7 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir=None, dump_networ
         first[converted] = value
     if not first:
         raise ValueError(f"sweep axis {axis}: no values given")
-    out = Path(out_dir if out_dir is not None else config.output.directory)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _artifact_dir(config, out_dir)
     rows = []
     # the config's echo without the axis key's line: each value is set in the
     # text and parsed, so validate's checks name every refusal by its key

@@ -141,6 +141,11 @@ class TestStepSize:
         with pytest.raises(ValueError, match="not a positive finite number at K_t = 3.16228e"):
             step_size(params, inner_count(params, 10, 10), 10)
 
+    def test_count_past_the_float_range_rejected(self):
+        params = ScheduleParams(FIXED, fixed_count=10 ** 400)
+        with pytest.raises(ValueError, match="^K_t is too large for a float$"):
+            step_size(params, inner_count(params, 10, 10), 10)
+
     def test_baseline_reference_step(self):
         # alpha = 1 / (4 * T**0.4) at T = 1000
         alpha = 1 / (4 * 1000 ** 0.4)

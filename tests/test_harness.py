@@ -2,6 +2,7 @@ import csv
 import functools
 import math
 import tempfile
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +20,10 @@ from domfw.harness import (
     derive_seed,
     fit_loglog_slope,
     parse_config,
-    read_manifest_config,
     run_experiment,
     sweep,
 )
-from domfw.network import GraphSchedule, WeightMatrix, random_connected_schedule
+from domfw.network import GraphSchedule, MixingReport, WeightMatrix, random_connected_schedule
 from domfw.problem import ConstraintKind, generate_stream
 from domfw.regret import RoundOptimizer
 from oracles import constant_schedule, lo_call_count
@@ -292,6 +292,10 @@ class TestParseConfig:
         cfg = parse_config(text)
         assert config_to_text(cfg) == text
         assert parse_config(config_to_text(cfg)) == cfg
+        # a manifest is a config file: its environment lines are comments
+        unrun = dict.fromkeys(f.name for f in fields(harness.RunResult))
+        result = harness.RunResult(**unrun | {"config": cfg, "wall_seconds": 1.5})
+        assert parse_config(result.manifest_text()) == cfg
         # unset optional keys are left out of the echo
         assert "fixed_count" not in config_to_text(parse_config(""))
 
@@ -485,7 +489,7 @@ class TestRunExperiment:
     def test_manifest_replay_bit_identical(self, tmp_path):
         cfg = parse_config(SMALL)
         first = run_experiment(cfg, out_dir=tmp_path / "first").directory
-        replay_cfg = read_manifest_config(first / "manifest.txt")
+        replay_cfg = parse_config((first / "manifest.txt").read_text())
         assert replay_cfg == cfg
         second = run_experiment(replay_cfg, out_dir=tmp_path / "second").directory
         for name in ("regret.csv", "trajectory.csv", "envelopes.csv"):
@@ -498,14 +502,38 @@ class TestRunExperiment:
         lines[at] = "problem.d = x"
         manifest.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError) as info:
-            read_manifest_config(manifest)
+            parse_config(manifest.read_text())
         assert info.value.violations == [(at + 1, "problem.d: cannot interpret 'x'")]
 
-    def test_manifest_without_config_section(self, tmp_path):
-        manifest = tmp_path / "manifest.txt"
-        manifest.write_text("# manifest\npackage_version = 0.1.0\nproblem.n = 3\n")
-        with pytest.raises(ConfigError, match="^invalid config: manifest has no config section$"):
-            read_manifest_config(manifest)
+    def test_empty_output_directory_refused_before_anything_is_written(self, tmp_path, monkeypatch):
+        # the working directory would take the artifacts, and the cleanup its network.csv
+        monkeypatch.chdir(tmp_path)
+        Path("network.csv").write_text("mine\n")
+        cfg = parse_config(SMALL)
+        unnamed = replace(cfg, output=harness.OutputBlock(directory=""))
+        for config, out_dir in ((cfg, ""), (unnamed, None)):
+            with pytest.raises(ValueError, match="^the output directory must be non-empty$"):
+                run_experiment(config, out_dir=out_dir)
+        assert [path.name for path in tmp_path.iterdir()] == ["network.csv"]
+        assert Path("network.csv").read_text() == "mine\n"
+
+    def test_bound_report_prints_the_shifted_mixing_margin(self, tmp_path):
+        result = run_experiment(parse_config(SMALL), out_dir=tmp_path / "run")
+        assert result.mixing.shifted_margin is not None   # the first round takes 5 steps
+        entries = dict(line.split(" = ") for line in (tmp_path / "run" / "bound.txt").read_text().splitlines())
+        assert entries["mixing_shifted_margin"] == repr(result.mixing.shifted_margin)
+        keys = list(entries)
+        assert keys.index("mixing_shifted_margin") == keys.index("mixing_margin") + 1
+
+    @pytest.mark.parametrize("deviation", [0.5, 1.5])
+    @pytest.mark.parametrize("shifted_margin", [-0.25, 0.0, None])   # None: a one-step first round
+    def test_mixing_holds_when_both_margins_do(self, tmp_path, deviation, shifted_margin):
+        result = run_experiment(parse_config("problem.n = 2\nproblem.T = 2\nproblem.d = 2"), out_dir=tmp_path)
+        mixing = MixingReport(deviation=deviation, bound=1.0, shifted_margin=shifted_margin)
+        entries = dict(line.split(" = ") for line in replace(result, mixing=mixing).bound_text().splitlines())
+        margins = [mixing.margin] + ([] if shifted_margin is None else [shifted_margin])
+        assert entries["mixing_holds"] == repr(min(margins) >= 0)
+        assert entries.get("mixing_shifted_margin") == (None if shifted_margin is None else repr(shifted_margin))
 
     def test_bound_report_holds(self, tmp_path):
         cfg = parse_config(SMALL)
@@ -755,6 +783,14 @@ class TestCli:
         assert f"line 1: problem.T: value {10 ** 400} out of range (must be in 1..1000000)" in err
         assert "schedule." not in err
 
+    def test_validate_refuses_a_fixed_count_past_the_float_range(self, tmp_path, capsys):
+        # no float step for K_t = 10**400: its footprint names the key, as it does for 10**300
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(f"schedule.mode = fixed\nschedule.fixed_count = {10 ** 400}\n")
+        assert main(["validate", str(cfgfile)]) == 1
+        assert capsys.readouterr().err == ("line 2: schedule.fixed_count: a run needs an estimated more than 1e308 GiB "
+                                           "resident, above the 2 GiB budget\n")
+
     def test_run_and_seed_override(self, tmp_path):
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text("problem.n = 2\nproblem.T = 2\nproblem.d = 2\n")
@@ -773,6 +809,42 @@ class TestCli:
                    "--out-dir", str(tmp_path / "s")])
         assert rc == 0
         assert (tmp_path / "s" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "gamma", "--values", "0.4"]])
+    def test_empty_out_dir_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        Path("c.cfg").write_text(SMALL)
+        Path("network.csv").write_text("mine\n")
+        assert main([command[0], "c.cfg", *command[1:], "--out-dir", ""]) == 2
+        assert capsys.readouterr().err == "error: ValueError: the output directory must be non-empty\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["c.cfg", "network.csv"]
+        assert Path("network.csv").read_text() == "mine\n"
+
+    def test_manifest_replays_its_run(self, tmp_path):
+        def same_artifacts(source, replay):
+            names = sorted(path.name for path in source.iterdir())
+            assert names == sorted(path.name for path in replay.iterdir())
+            for name in names:
+                if name != "manifest.txt":
+                    assert (source / name).read_bytes() == (replay / name).read_bytes(), name
+            # the manifests differ at most in the wall time
+            diff = set((source / "manifest.txt").read_text().splitlines()) ^ set(
+                (replay / "manifest.txt").read_text().splitlines())
+            assert all(line.startswith("# wall_seconds = ") for line in diff)
+
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("problem.n = 3\nproblem.T = 4\nproblem.d = 3\n")
+        assert main(["run", str(cfgfile), "--seed", "7", "--dump-network", "--out-dir", str(tmp_path / "a")]) == 0
+        assert (tmp_path / "a" / "network.csv").exists()
+        assert main(["run", str(tmp_path / "a" / "manifest.txt"), "--dump-network",
+                     "--out-dir", str(tmp_path / "b")]) == 0
+        same_artifacts(tmp_path / "a", tmp_path / "b")
+        # a sweep's run directory replays the same way
+        assert main(["sweep", str(cfgfile), "--axis", "gamma", "--values", "0.4,0.6",
+                     "--out-dir", str(tmp_path / "s")]) == 0
+        assert main(["run", str(tmp_path / "s" / "run_gamma=0.6" / "manifest.txt"),
+                     "--out-dir", str(tmp_path / "r")]) == 0
+        same_artifacts(tmp_path / "s" / "run_gamma=0.6", tmp_path / "r")
 
     def test_sweep_value_validate_refuses_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.cfg"
