@@ -68,6 +68,9 @@ def main(argv=None) -> int:
     if args.command == "validate":
         print("ok")
         return 0
+    if args.out_dir == "":   # as validate refuses an empty output.directory
+        print("error: --out-dir must be non-empty", file=sys.stderr)
+        return 1
     if args.seed is not None:
         config = config.with_master_seed(args.seed)
 

@@ -377,10 +377,22 @@ def config_to_text(config: ExperimentConfig) -> str:
     """Canonical full echo of a config (parses back to an equal config).
 
     One line per ``_SCHEMA`` key in schema order; optional keys left unset
-    are omitted.
+    are omitted. A ``str`` value that :func:`parse_config` would refuse or
+    read back differently raises ``ValueError`` naming the key: one out of
+    its range, or holding ``#`` or a line break, or with leading or trailing
+    whitespace.
     """
-    values = attrgetter(*_SCHEMA)(config)
-    return "".join(f"{key} = {_echo_value(value)}\n" for key, value in zip(_SCHEMA, values) if value is not None)
+    values = dict(zip(_SCHEMA, attrgetter(*_SCHEMA)(config)))
+    for key, (convert, check, describe) in _SCHEMA.items():
+        value = values[key]
+        if convert is not str:
+            continue
+        if "#" in value or len(value.splitlines()) > 1 or value != value.strip():
+            raise ValueError(f"{key}: {value!r} would not read back from its config line "
+                             "(it holds '#' or a line break, or leading or trailing whitespace)")
+        if not check(value):
+            raise ValueError(f"{key}: value {value!r} out of range (must be {describe})")
+    return "".join(f"{key} = {_echo_value(value)}\n" for key, value in values.items() if value is not None)
 
 
 _GNUPLOT = """set datafile separator ','
@@ -439,13 +451,20 @@ class RunResult:
                 + config_to_text(self.config))
 
 
+#: every file :func:`run_experiment` can leave in its directory, in the order it writes them
+RUN_FILES = ("stream.csv", "network.csv", "trajectory.csv", "diagnostics.csv", "regret.csv", "envelopes.csv",
+             "envelopes.gp", "bound.txt", "manifest.txt", "FAILED")
+
+
 def _artifact_dir(config: ExperimentConfig, out_dir) -> Path:
     """``out_dir``, else the config's ``output.directory``, created. An empty
-    name is refused first: it would put the artifacts, and the stale-file
-    cleanup, in the working directory."""
+    name is refused first, as it would put the artifacts, and the stale-file
+    cleanup, in the working directory; then a config whose echo would not
+    replay it (:func:`config_to_text`), so no refused run creates anything."""
     directory = config.output.directory if out_dir is None else out_dir
     if directory == "":
         raise ValueError("the output directory must be non-empty")
+    config_to_text(config)
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -454,17 +473,16 @@ def _artifact_dir(config: ExperimentConfig, out_dir) -> Path:
 def run_experiment(config: ExperimentConfig, out_dir=None, dump_network: bool = False) -> RunResult:
     """End-to-end seeded run; returns its :class:`RunResult`.
 
-    Writes the stream dump, trajectory and diagnostics, regret and envelope
-    series, a bound report, and a manifest into the artifact directory
-    (``result.directory``), first removing an earlier run's ``FAILED`` marker
-    and, unless ``dump_network`` dumps a new one, its ``network.csv``.
-    On failure the partial outputs are retained next to a new ``FAILED``
-    marker and the error is re-raised.
+    Writes the stream dump, the network dump if ``dump_network``, the
+    trajectory and diagnostics, regret and envelope series, a bound report,
+    and a manifest into the artifact directory (``result.directory``), after
+    removing every file of ``RUN_FILES`` an earlier run left there; other
+    files are not touched. On failure the outputs written so far are
+    retained next to a new ``FAILED`` marker and the error is re-raised.
     """
     out = _artifact_dir(config, out_dir)
-    (out / "FAILED").unlink(missing_ok=True)
-    if not dump_network:
-        (out / "network.csv").unlink(missing_ok=True)
+    for name in RUN_FILES:
+        (out / name).unlink(missing_ok=True)
     started = time.perf_counter()
     try:
         prob = config.problem

@@ -299,6 +299,17 @@ class TestParseConfig:
         # unset optional keys are left out of the echo
         assert "fixed_count" not in config_to_text(parse_config(""))
 
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(st.text(st.one_of(st.sampled_from("#= \t\n\r\x0b\x0c\x1c\x85\u2028\u3000/ab."), st.characters())))
+    def test_echo_is_refused_naming_the_key_or_replays(self, directory):
+        cfg = replace(parse_config(SMALL), output=harness.OutputBlock(directory=directory))
+        try:
+            echo = config_to_text(cfg)
+        except ValueError as exc:
+            assert str(exc).startswith("output.directory: ")
+            return
+        assert parse_config(echo) == cfg
+
     def test_sub_seeds_non_negative(self):
         with pytest.raises(ConfigError) as info:
             parse_config("seeds.master = -1\nseeds.stream = -1\nseeds.network = -2\nseeds.init = -3")
@@ -369,18 +380,15 @@ class TestSeedDiscipline:
 
 class TestRunExperiment:
     def test_smoke_outputs(self, tmp_path):
+        # RUN_FILES names every artifact: all but FAILED, and network.csv only when dumped
         cfg = parse_config("problem.n = 2\nproblem.T = 2\nproblem.d = 3\nseeds.master = 1")
         out = run_experiment(cfg, out_dir=tmp_path / "run").directory
-        expected = {"stream.csv", "trajectory.csv", "diagnostics.csv", "regret.csv",
-                    "envelopes.csv", "envelopes.gp", "bound.txt", "manifest.txt"}
-        assert expected <= {p.name for p in out.iterdir()}
-        assert not (out / "FAILED").exists()
-        assert not (out / "network.csv").exists()
+        assert sorted(p.name for p in out.iterdir()) == sorted(set(harness.RUN_FILES) - {"FAILED", "network.csv"})
 
     def test_network_dump_optional(self, tmp_path):
         cfg = parse_config("problem.n = 2\nproblem.T = 2\nproblem.d = 2")
         out = run_experiment(cfg, out_dir=tmp_path / "run", dump_network=True).directory
-        assert (out / "network.csv").exists()
+        assert sorted(p.name for p in out.iterdir()) == sorted(set(harness.RUN_FILES) - {"FAILED"})
 
     def test_rerun_without_a_network_dump_removes_the_earlier_dump(self, tmp_path):
         cfg = parse_config("problem.n = 2\nproblem.T = 2\nproblem.d = 2")
@@ -401,6 +409,16 @@ class TestRunExperiment:
         marker = tmp_path / "run" / "FAILED"
         assert marker.exists()
         assert "synthetic failure" in marker.read_text()
+
+    def test_failed_rerun_leaves_only_its_own_files(self, tmp_path, monkeypatch):
+        # the earlier run's record would otherwise sit beside FAILED, looking current
+        out = run_experiment(parse_config(SMALL), out_dir=tmp_path / "run", dump_network=True).directory
+        (out / "notes.txt").write_text("mine\n")
+        monkeypatch.setattr(harness.RoundOptimizer, "solve", lambda self, t: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            run_experiment(parse_config(SMALL), out_dir=out)
+        assert sorted(path.name for path in out.iterdir()) == ["FAILED", "notes.txt"]
+        assert (out / "notes.txt").read_text() == "mine\n"
 
     def test_success_removes_an_earlier_failure_marker(self, tmp_path, monkeypatch):
         cfg = parse_config(SMALL)
@@ -442,7 +460,7 @@ class TestRunExperiment:
 
     def test_capped_pairwise_solve_falls_back(self, tmp_path, monkeypatch):
         # n < d leaves H singular up to the ridge: the pairwise solve stops at
-        # its cap (10**6 by default; 2000 here), and the active-set solve goes on
+        # its cap (2 * 10**4 by default; 2000 here), and the active-set solve goes on
         text = "problem.n = 2\nproblem.d = 6\nproblem.T = 4\n"
         monkeypatch.setattr(harness, "RoundOptimizer", functools.partial(harness.RoundOptimizer, max_iter=2000))
         result = run_experiment(parse_config(text), out_dir=tmp_path / "run")
@@ -516,6 +534,18 @@ class TestRunExperiment:
                 run_experiment(config, out_dir=out_dir)
         assert [path.name for path in tmp_path.iterdir()] == ["network.csv"]
         assert Path("network.csv").read_text() == "mine\n"
+
+    def test_unreplayable_directory_refused_before_anything_is_written(self, tmp_path, monkeypatch):
+        # parse_config cuts the echoed line at '#', so the manifest would name runs/
+        monkeypatch.chdir(tmp_path)
+        cfg = replace(parse_config(SMALL), output=harness.OutputBlock(directory="runs/#1"))
+        refused = "^output.directory: 'runs/#1' would not read back from its config line "
+        for out_dir in (None, "elsewhere"):
+            with pytest.raises(ValueError, match=refused):
+                run_experiment(cfg, out_dir=out_dir)
+            with pytest.raises(ValueError, match=refused):
+                sweep(cfg, "gamma", ["0.4"], out_dir=out_dir)
+        assert list(tmp_path.iterdir()) == []
 
     def test_bound_report_prints_the_shifted_mixing_margin(self, tmp_path):
         result = run_experiment(parse_config(SMALL), out_dir=tmp_path / "run")
@@ -693,6 +723,17 @@ class TestSweep:
         table = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
         assert "synthetic" in table[1]
 
+    def test_failed_value_rerun_leaves_only_its_own_files(self, tmp_path, monkeypatch):
+        cfg = parse_config(SMALL)
+        sweep(cfg, "gamma", [0.3, 0.5], out_dir=tmp_path / "sweep")
+        run_dir = tmp_path / "sweep" / "run_gamma=0.5"
+        (run_dir / "notes.txt").write_text("mine\n")
+        monkeypatch.setattr(harness.RoundOptimizer, "solve", lambda self, t: 1 / 0)
+        row, = sweep(cfg, "gamma", [0.5], out_dir=tmp_path / "sweep")
+        assert not row.ok
+        assert sorted(path.name for path in run_dir.iterdir()) == ["FAILED", "notes.txt"]
+        assert (run_dir / "notes.txt").read_text() == "mine\n"
+
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError):
             sweep(parse_config(""), "lambda1", [1])
@@ -811,12 +852,13 @@ class TestCli:
         assert (tmp_path / "s" / "sweep.csv").exists()
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "gamma", "--values", "0.4"]])
-    def test_empty_out_dir_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch, command):
+    def test_empty_out_dir_exits_1_and_writes_nothing(self, tmp_path, capsys, monkeypatch, command):
+        # a config error, as the empty output.directory key is
         monkeypatch.chdir(tmp_path)
         Path("c.cfg").write_text(SMALL)
         Path("network.csv").write_text("mine\n")
-        assert main([command[0], "c.cfg", *command[1:], "--out-dir", ""]) == 2
-        assert capsys.readouterr().err == "error: ValueError: the output directory must be non-empty\n"
+        assert main([command[0], "c.cfg", *command[1:], "--out-dir", ""]) == 1
+        assert capsys.readouterr().err == "error: --out-dir must be non-empty\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["c.cfg", "network.csv"]
         assert Path("network.csv").read_text() == "mine\n"
 
