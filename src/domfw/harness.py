@@ -168,11 +168,18 @@ def resident_bytes(n: int, d: int, T: int, k_max: int, redraw_features: bool) ->
     diagnostics' temporaries, an upper bound), twelve ``n x n`` working
     matrices (one round's weights while they are built, and the mixing
     products), and six ``(1000 + 2 d) x n`` temporaries of the sampled
-    variation estimate (its points against every agent).
+    variation estimate (its points against every agent). Then the arrays
+    that grow with ``d``, each counted in full though they do not all live
+    at once: the vertex table (the l1 ball's ``2d x d``, a bound on both
+    sets), four ``d x d`` arrays for ``H`` and its build temporaries, three
+    ``(1000 + 2 d) x d`` arrays for the variation estimate's points and
+    their draw, and six ``(d + 1) x (d + 1)`` arrays for the active-set
+    half's KKT solve over at most ``d + 1`` vertices.
     """
     features = n * d * (T if redraw_features else 1)
     floats = (features + 2 * n * T + (T + 1) * n * d + 4 * n * T
-              + 12 * k_max * n * d + 12 * n * n + 6 * (1000 + 2 * d) * n)
+              + 12 * k_max * n * d + 12 * n * n + 6 * (1000 + 2 * d) * n
+              + 2 * d * d + 4 * d * d + 3 * (1000 + 2 * d) * d + 6 * (d + 1) ** 2)
     return 40 * 2 ** 20 + 1024 * T + 8 * floats
 
 
@@ -470,6 +477,12 @@ def _artifact_dir(config: ExperimentConfig, out_dir) -> Path:
     return out
 
 
+def _clear_run_files(directory: Path) -> None:
+    """Remove every file of ``RUN_FILES`` an earlier run left in ``directory``."""
+    for name in RUN_FILES:
+        (directory / name).unlink(missing_ok=True)
+
+
 def run_experiment(config: ExperimentConfig, out_dir=None, dump_network: bool = False) -> RunResult:
     """End-to-end seeded run; returns its :class:`RunResult`.
 
@@ -481,8 +494,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, dump_network: bool = 
     retained next to a new ``FAILED`` marker and the error is re-raised.
     """
     out = _artifact_dir(config, out_dir)
-    for name in RUN_FILES:
-        (out / name).unlink(missing_ok=True)
+    _clear_run_files(out)
     started = time.perf_counter()
     try:
         prob = config.problem
@@ -562,6 +574,9 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir=None, dump_networ
     that does not convert or converts equal to an earlier one, raises
     ``ValueError`` before anything is run or written; one out of range, or
     whose config ``validate`` refuses, is a failed row naming the key.
+    Before the first run, every ``run_<axis>=<value>`` directory an earlier
+    sweep left under ``out_dir`` loses its ``RUN_FILES``, and is removed if
+    that leaves it empty; other files are not touched.
     """
     if axis not in _SWEEP_AXES:
         raise ValueError(f"axis must be one of {sorted(_SWEEP_AXES)}, got {axis!r}")
@@ -579,6 +594,14 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir=None, dump_networ
     if not first:
         raise ValueError(f"sweep axis {axis}: no values given")
     out = _artifact_dir(config, out_dir)
+    # an earlier sweep's run directories, on any axis: their run files go, and
+    # so does each directory they leave empty
+    for swept in _SWEEP_AXES:
+        for run_dir in out.glob(f"run_{swept}=*"):
+            if run_dir.is_dir():
+                _clear_run_files(run_dir)
+                if not any(run_dir.iterdir()):
+                    run_dir.rmdir()
     rows = []
     # the config's echo without the axis key's line: each value is set in the
     # text and parsed, so validate's checks name every refusal by its key

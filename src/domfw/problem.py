@@ -7,7 +7,10 @@ the linear oracle's body are unchecked private functions (taking a round's
 features and labels, or stacked ``(m, d)`` gradients) that the inner loop of
 :mod:`domfw.algorithm` runs, checking its inputs once per round; ``lmo`` is
 the oracle's checked public form, and ``LossStream`` checks its arrays once,
-when it is built.
+when it is built. A ``ConstraintSpec`` builds its vertex table once; the
+oracle's rule for stacked gradients (``_lmo``) and for one gradient
+(``_simplex_slot``, ``_l1_slot``, which :mod:`domfw.regret`'s solver uses)
+pick the same slots in it.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -62,21 +66,28 @@ class ConstraintSpec:
     def l1_ball(cls, dimension: int, radius: float = 2.0) -> "ConstraintSpec":
         return cls(ConstraintKind.L1_BALL, dimension, radius)
 
-    def vertices(self) -> np.ndarray:
-        """All extreme points, one per row.
-
-        The row order is the tie-breaking order of :func:`lmo`: simplex
-        vertices are ``e_0..e_{d-1}``; ball vertices are interleaved as
-        ``-r*e_0, +r*e_0, -r*e_1, +r*e_1, ...``.
-        """
+    @cached_property
+    def _oracle(self):
+        """The linear oracle's parts, built on first use, arrays read-only: the
+        slot rule for one gradient ``(d,)``, the vertex table, and each slot's
+        coordinate and its signed value there."""
         d = self.dimension
         if self.kind is ConstraintKind.UNIT_SIMPLEX:
-            return np.eye(d)
-        out = np.zeros((2 * d, d))
-        for j in range(d):
-            out[2 * j, j] = -self.radius
-            out[2 * j + 1, j] = self.radius
-        return out
+            rule, coord, value = _simplex_slot, np.arange(d), np.ones(d)
+        else:
+            rule, coord, value = _l1_slot, np.arange(2 * d) // 2, np.tile([-self.radius, self.radius], d)
+        table = np.zeros((coord.size, d))
+        table[np.arange(coord.size), coord] = value
+        for a in (table, coord, value):
+            a.flags.writeable = False
+        return rule, table, coord, value
+
+    def vertices(self) -> np.ndarray:
+        """All extreme points, one per row of the read-only vertex table (the
+        same array on every call), in the tie-breaking order of :func:`lmo`:
+        ``e_0..e_{d-1}`` on the simplex, ``-r*e_0, +r*e_0, -r*e_1, +r*e_1,
+        ...`` on the ball."""
+        return self._oracle[1]
 
     def feasibility_violation(self, x: np.ndarray) -> float:
         """Distance-like measure of constraint violation (0 when feasible).
@@ -110,20 +121,27 @@ def lmo(spec: ConstraintSpec, g: np.ndarray) -> np.ndarray:
     return _lmo(spec, np.atleast_2d(g)).reshape(g.shape)
 
 
+def _simplex_slot(g: np.ndarray) -> int:
+    """Slot of the first simplex vertex minimizing ``<v, g>``."""
+    return int(g.argmin())
+
+
+def _l1_slot(g: np.ndarray) -> int:
+    """Slot of the first l1-ball vertex minimizing ``<v, g>``."""
+    j = int(np.abs(g).argmax())
+    return 2 * j + 1 if g[j] < 0 else 2 * j
+
+
 def _lmo(spec: ConstraintSpec, grads: np.ndarray, out=None) -> np.ndarray:
-    """:func:`lmo`'s body on stacked ``(m, d)`` gradients, written into ``out`` when given."""
-    rows = np.arange(grads.shape[0])
-    if out is None:
-        v = np.zeros(grads.shape)
-    else:
-        v = out
-        v.fill(0.0)
+    """:func:`lmo`'s body on stacked ``(m, d)`` gradients: each row's slot by
+    the rule of :func:`_simplex_slot` or :func:`_l1_slot`, and that row of
+    the vertex table, written into ``out`` when given."""
     if spec.kind is ConstraintKind.UNIT_SIMPLEX:
-        v[rows, grads.argmin(axis=1)] = 1.0
+        slots = grads.argmin(axis=1)
     else:
         j = np.abs(grads).argmax(axis=1)
-        v[rows, j] = np.where(grads[rows, j] >= 0, -spec.radius, spec.radius)
-    return v
+        slots = 2 * j + (grads[np.arange(j.size), j] < 0)
+    return spec.vertices().take(slots, axis=0, out=out)
 
 
 def diameter(spec: ConstraintSpec) -> float:

@@ -7,7 +7,8 @@ from the worst active vertex to the linear-oracle vertex, exact line search
 on the quadratic): plain steps along ``v - x`` stall in a sublinear tail on
 boundary optima and would need orders of magnitude more iterations to reach
 tight gaps. The active vertex set is a weight per vertex slot plus the
-active slots in insertion order, and each vertex pair's direction and
+active slots in insertion order, over the set's vertex table and with its
+oracle slot rule (``ConstraintSpec``), and each vertex pair's direction and
 curvature are computed once. A step makes only the NumPy calls whose
 rounding fixes its bits (the gradient, ``<x, g>`` and the oracle; on the l1
 ball also the descent's dot and the away vertex's argmax) and does the rest
@@ -82,17 +83,6 @@ def _gap_floor(h: np.ndarray, c: np.ndarray, radius: float) -> float:
     return (3 * c.size + 2) * _EPS * radius * (radius * float(np.abs(h).max()) + float(np.abs(c).max()))
 
 
-def _simplex_slot(g: np.ndarray) -> int:
-    """Slot of the first simplex vertex minimizing ``<v, g>``."""
-    return int(g.argmin())
-
-
-def _l1_slot(g: np.ndarray) -> int:
-    """Slot of the first l1-ball vertex minimizing ``<v, g>``."""
-    j = int(np.abs(g).argmax())
-    return 2 * j + 1 if g[j] < 0 else 2 * j
-
-
 class RoundOptimizer:
     """Warm-startable pairwise Frank-Wolfe solver for the round optima.
 
@@ -105,10 +95,11 @@ class RoundOptimizer:
     takes (3,166, on redrawn l1-ball features), and hands a stalled round
     over in well under a second.
 
-    The decomposition is a weight per vertex slot, in the stream's
-    ``constraint.vertices()`` order (slot ``j`` is ``e_j`` on the simplex;
-    slot ``2j`` is ``-r e_j`` and ``2j + 1`` is ``+r e_j`` on the ball), and
-    the active slots in the order they entered. That insertion order breaks
+    The decomposition is a weight per slot of the set's vertex table (slot
+    ``j`` is ``e_j`` on the simplex; slot ``2j`` is ``-r e_j`` and ``2j + 1``
+    is ``+r e_j`` on the ball), which the solver reads from the set with
+    each slot's coordinate and sign and the oracle's slot rule, and the
+    active slots in the order they entered. That insertion order breaks
     ties for the away vertex (first maximum) and fixes the left-to-right
     order of the warm-start renormalization sum.
 
@@ -146,12 +137,9 @@ class RoundOptimizer:
         self.stream = stream
         self.tol = tol
         self.max_iter = max_iter
-        verts = self._verts = stream.constraint.vertices()
-        self._coord = np.abs(verts).argmax(axis=1)
-        self._sign_r = verts[np.arange(len(verts)), self._coord]
+        self._oracle, self._verts, self._coord, self._sign_r = stream.constraint._oracle
         self._coord_list, self._sign_list = self._coord.tolist(), self._sign_r.tolist()
         self._ball = stream.constraint.kind is ConstraintKind.L1_BALL
-        self._oracle = _l1_slot if self._ball else _simplex_slot
         self._active: tuple[list[float], list[int]] | None = None
         self._h = _quadratic(stream, 1)[0] if stream.fixed_features else None
         self._pairs: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
@@ -285,12 +273,13 @@ class RoundOptimizer:
         that vertex (Wolfe's method, Math. Programming 1976). Flat directions,
         which stall pairwise steps, cost one solve. Raises ``SolverError`` if
         the gap is not finite, if the oracle vertex is already active, or
-        after 1000 major steps (a guard against a numerical cycle)."""
+        after 1000 major steps more than the set has vertices (each adds one,
+        and an optimum may use them all; the rest guard against a cycle)."""
         h, c, tol = self._objective(t)
         verts, oracle = self._verts, self._oracle
         active, weights = [oracle(c)], np.ones(1)
         gap = math.inf
-        for it in range(1000):
+        for it in range(len(verts) + 1000):
             x = weights @ verts[active]
             g = h @ x + c
             fw = oracle(g)

@@ -290,18 +290,9 @@ class ReferenceRoundOptimizer:
         self.stream = stream
         self.tol = tol
         self.max_iter = max_iter
-        verts = stream.constraint.vertices()
-        self._coord = np.abs(verts).argmax(axis=1)
-        self._sign_r = verts[np.arange(len(verts)), self._coord]
+        self._oracle_slot, _, self._coord, self._sign_r = stream.constraint._oracle
         self._active: tuple[np.ndarray, np.ndarray] | None = None
         self._h = _quadratic(stream, 1)[0] if stream.fixed_features else None
-
-    def _oracle_slot(self, g: np.ndarray) -> int:
-        """Slot of the first vertex minimizing ``<v, g>``."""
-        if self.stream.constraint.kind is ConstraintKind.L1_BALL:
-            j = int(np.abs(g).argmax())
-            return 2 * j + 1 if g[j] < 0 else 2 * j
-        return int(g.argmin())
 
     def solve(self, t: int) -> OptimumRecord:
         stream = self.stream

@@ -2,6 +2,7 @@ import csv
 import functools
 import math
 import tempfile
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -135,6 +136,19 @@ class TestParseConfig:
         # sizes that fit run: the reference and wide-network shapes at T = 1000
         parse_config("problem.n = 200\nproblem.T = 1000\nschedule.mode = fixed\nschedule.fixed_count = 4")
         parse_config("problem.T = 1000")
+
+    def test_footprint_bounds_the_arrays_of_a_wide_run(self, tmp_path):
+        # two agents at d = 60 on the l1 ball, the larger vertex table: it, H,
+        # the active-set half's KKT solve and the variation estimate's points
+        # carry the run's arrays
+        cfg = parse_config("problem.n = 2\nproblem.d = 60\nproblem.T = 1\nproblem.constraint = l1ball")
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, out_dir=tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < harness.resident_bytes(2, 60, 1, inner_count(cfg.schedule, 1, 1), False) - 40 * 2 ** 20
 
     def test_radius_must_keep_squared_feature_products_finite(self):
         text = "problem.constraint = l1ball\nproblem.radius = 1e300"
@@ -733,6 +747,30 @@ class TestSweep:
         assert not row.ok
         assert sorted(path.name for path in run_dir.iterdir()) == ["FAILED", "notes.txt"]
         assert (run_dir / "notes.txt").read_text() == "mine\n"
+
+    @pytest.mark.parametrize("notes", [False, True], ids=["run-files-only", "with-notes"])
+    def test_rerun_clears_an_earlier_sweeps_run_directories(self, tmp_path, notes):
+        cfg = parse_config(SMALL)
+        out = tmp_path / "sweep"
+        sweep(cfg, "gamma", [0.3, 0.5], out_dir=out)
+        stale = out / "run_gamma=0.3"
+        # run directories of sweeps over other axes, and ones no sweep writes
+        for name in ("run_n=4", "run_T=5", "run_lambda1=2", "gamma=0.3"):
+            (out / name).mkdir()
+            for file in ("manifest.txt", "regret.csv"):
+                (out / name / file).write_text("old\n")
+        if notes:
+            for directory in (stale, out / "run_n=4"):
+                (directory / "notes.txt").write_text("mine\n")
+        sweep(cfg, "gamma", [0.5], out_dir=out)
+        kept = ["run_n=4", "run_gamma=0.3"] if notes else []
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            ["gamma=0.3", "run_gamma=0.5", "run_lambda1=2", "sweep.csv", *kept])
+        for name in kept:
+            assert [path.name for path in (out / name).iterdir()] == ["notes.txt"]
+            assert (out / name / "notes.txt").read_text() == "mine\n"
+        for name in ("run_lambda1=2", "gamma=0.3"):
+            assert sorted(path.name for path in (out / name).iterdir()) == ["manifest.txt", "regret.csv"]
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,9 @@ from domfw.problem import (
     ConstraintKind,
     ConstraintSpec,
     LossStream,
+    _l1_slot,
+    _lmo,
+    _simplex_slot,
     diameter,
     estimate_function_variation,
     function_variation_bound,
@@ -24,6 +27,7 @@ from domfw.problem import (
 )
 from oracles import (global_grad, grad_eval, loss_eval, read_stream_csv, reference_function_variation,
                      reference_redrawn_variation)
+from test_regret import GRADIENT_ENTRY
 
 
 def ball_stream(features, ground_truth, noise, lambda1=0.0, radius=2.0):
@@ -77,6 +81,41 @@ class TestLMO:
                 v = lmo(spec, g)
                 assert v @ g <= (verts @ g).min() + 1e-14
                 assert spec.contains(v)
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(data=st.data(), ball=st.booleans(), m=st.integers(1, 5), d=st.integers(1, 6))
+    def test_stacked_rows_are_the_scalar_rules_vertices(self, data, ball, m, d):
+        # both shapes of the oracle pick the same slot, and the stacked one
+        # gathers that row of the vertex table, bit for bit with signed zeros
+        spec = ConstraintSpec.l1_ball(d, 1.5) if ball else ConstraintSpec.simplex(d)
+        rule = _l1_slot if ball else _simplex_slot
+        # entries from a short list as well, so rows tie and zero rows occur
+        entry = st.one_of(GRADIENT_ENTRY, st.sampled_from([0.0, -0.0, 2.0, -2.0]))
+        grads = np.array(data.draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=m, max_size=m)))
+        out = np.full((m, d), np.nan)
+        assert _lmo(spec, grads, out=out) is out
+        for v in (out, _lmo(spec, grads), lmo(spec, grads)):
+            for row, g in zip(v, grads, strict=True):
+                assert row.tobytes() == spec.vertices()[rule(g)].tobytes()
+
+    @pytest.mark.parametrize("spec", [ConstraintSpec.simplex(5), ConstraintSpec.l1_ball(5, 1.5)], ids=["simplex", "ball"])
+    def test_vertex_table_is_built_once_and_read_only(self, spec):
+        verts = spec.vertices()
+        assert spec.vertices() is verts and not verts.flags.writeable
+        with pytest.raises(ValueError):
+            verts[0, 0] = 2.0
+        # the table built entry by entry, +0.0 off each vertex's axis
+        if spec.kind is ConstraintKind.UNIT_SIMPLEX:
+            want = np.eye(5)
+        else:
+            want = np.zeros((10, 5))
+            for j in range(5):
+                want[2 * j, j], want[2 * j + 1, j] = -1.5, 1.5
+        assert verts.tobytes() == want.tobytes()
+        # each slot's coordinate and signed value, as read off the table
+        _, _, coord, value = spec._oracle
+        assert coord.tolist() == np.abs(want).argmax(axis=1).tolist()
+        assert value.tobytes() == want[np.arange(len(want)), coord].tobytes()
 
     def test_invariant_under_positive_scaling(self):
         rng = np.random.default_rng(1)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import domfw.problem as problem
 import domfw.regret as regret
 from domfw.algorithm import ScheduleMode, ScheduleParams, Trajectory, inner_count, run
 from domfw.harness import derive_seed, parse_config, run_experiment
@@ -264,6 +265,16 @@ class TestActiveSetFallback:
             assert rec.x_star.tobytes() == want.x_star.tobytes()
             assert (rec.f_star, rec.gap, rec.iterations) == (want.f_star, want.gap, want.iterations + extra)
 
+    def test_full_support_round_takes_a_major_step_per_vertex(self):
+        # two agents leave H of rank 2 up to the ridge, and the optimum uses
+        # every simplex vertex: each major step adds one, so the round takes
+        # d - 1 of them (the step guard allows the vertex count plus 1000)
+        d = 40
+        stream = generate_stream(2, 1, 5e-6, ConstraintSpec.simplex(d), seed=derive_seed(0, "stream"))
+        rec = RoundOptimizer(stream)._active_set_solve(1)
+        assert rec.iterations == d - 1
+        assert (rec.x_star > 0).all() and rec.gap <= rec.tol
+
     def test_capped_round_counts_its_pairwise_iterations(self):
         stream = generate_stream(2, 4, 5e-6, ConstraintSpec.simplex(6), seed=derive_seed(0, "stream"))
         solver = RoundOptimizer(stream, max_iter=200)
@@ -287,8 +298,8 @@ def ndarray_calls(solve, t):
     ``_pairwise_solve`` and its oracle call, in call order. Operators and
     indexing (``g += c``, ``x[i] = ...``) make no profiler call, and neither
     do ufuncs such as ``np.abs``."""
-    codes = {RoundOptimizer._pairwise_solve.__code__, regret._simplex_slot.__code__,
-             regret._l1_slot.__code__}
+    codes = {RoundOptimizer._pairwise_solve.__code__, problem._simplex_slot.__code__,
+             problem._l1_slot.__code__}
     names = []
 
     def profile(frame, event, arg):
