@@ -232,7 +232,7 @@ def run_round(xs: np.ndarray, stream: LossStream, schedule: GraphSchedule, param
                                    messages=2 * k_t * wm.directed_edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Committed decisions plus the per-round diagnostics of a full run.
 

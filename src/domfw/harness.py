@@ -410,7 +410,7 @@ plot 'envelopes.csv' using 1:2 with lines, '' using 1:3 with lines, '' using 1:4
 """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
     """Everything one :func:`run_experiment` computed.
 

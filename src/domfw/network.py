@@ -19,7 +19,7 @@ from .problem import _frozen
 PRODUCT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightMatrix:
     """One round's mixing weights, held read-only as ``_frozen`` rules."""
 

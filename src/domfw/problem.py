@@ -176,7 +176,7 @@ def _frozen(a) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossStream:
     """The full time-indexed family of per-agent ridge losses.
 

@@ -5,18 +5,13 @@ The round optimum is certified by the Frank-Wolfe gap
 convex objective. The solver takes pairwise Frank-Wolfe steps (move weight
 from the worst active vertex to the linear-oracle vertex, exact line search
 on the quadratic): plain steps along ``v - x`` stall in a sublinear tail on
-boundary optima and would need orders of magnitude more iterations to reach
-tight gaps. The active vertex set is a weight per vertex slot plus the
-active slots in insertion order, over the set's vertex table and with its
-oracle slot rule (``ConstraintSpec``), and each vertex pair's direction and
-curvature are computed once. A step makes only the NumPy calls whose
-rounding fixes its bits (the gradient, ``<x, g>`` and the oracle; on the l1
-ball also the descent's dot and the away vertex's argmax) and does the rest
-in Python floats. From the first round whose pairwise solve exhausts its
+boundary optima. From the first round whose pairwise solve exhausts its
 iteration cap, the same solver takes an active-set method instead. Both
-certify a gap below the tolerance, or below the round's rounding floor where
-that is larger. The library never projects; the tests cross-check the optima
-with a projected-gradient solver of their own.
+halves read a vertex slot as the set's coordinate and signed value
+(``ConstraintSpec``), and both certify a gap below the tolerance, or below
+the round's rounding floor where that is larger. The library never
+projects; the tests cross-check the optima with a projected-gradient
+solver of their own.
 """
 
 from __future__ import annotations
@@ -50,7 +45,7 @@ class SolverError(RuntimeError):
         self.gap = gap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimumRecord:
     """A certified per-round minimizer of the global loss."""
 
@@ -68,6 +63,13 @@ def _quadratic(stream: LossStream, t: int):
     h = feats.T @ feats + 2.0 * stream.n * stream.lambda1 * np.eye(stream.d)
     c = -feats.T @ stream.labels[:, t - 1]
     return h, c
+
+
+def _place(d: int, coord: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``sum_k values[k] e_{coord[k]}`` in ``R^d``, each coordinate's values added in slot order."""
+    x = np.zeros(d)
+    np.add.at(x, coord, values)
+    return x
 
 
 def _gap_floor(h: np.ndarray, c: np.ndarray, radius: float) -> float:
@@ -95,13 +97,13 @@ class RoundOptimizer:
     takes (3,166, on redrawn l1-ball features), and hands a stalled round
     over in well under a second.
 
-    The decomposition is a weight per slot of the set's vertex table (slot
-    ``j`` is ``e_j`` on the simplex; slot ``2j`` is ``-r e_j`` and ``2j + 1``
-    is ``+r e_j`` on the ball), which the solver reads from the set with
-    each slot's coordinate and sign and the oracle's slot rule, and the
-    active slots in the order they entered. That insertion order breaks
-    ties for the away vertex (first maximum) and fixes the left-to-right
-    order of the warm-start renormalization sum.
+    The decomposition is a weight per vertex slot and the active slots in
+    the order they entered. Both halves read a slot as the set gives it, a
+    coordinate and a signed value (slot ``j`` is ``e_j`` on the simplex;
+    slot ``2j`` is ``-r e_j`` and ``2j + 1`` is ``+r e_j`` on the ball),
+    with the oracle's slot rule, and place a face's point by ``_place``. The
+    insertion order breaks ties for the away vertex (first maximum) and
+    fixes the left-to-right order of the warm-start renormalization sum.
 
     Each (oracle slot, away slot) pair's direction ``v_fw - v_away`` and
     curvature ``d'Hd`` are computed the first time the pair is stepped along
@@ -137,7 +139,7 @@ class RoundOptimizer:
         self.stream = stream
         self.tol = tol
         self.max_iter = max_iter
-        self._oracle, self._verts, self._coord, self._sign_r = stream.constraint._oracle
+        self._oracle, _, self._coord, self._sign_r = stream.constraint._oracle
         self._coord_list, self._sign_list = self._coord.tolist(), self._sign_r.tolist()
         self._ball = stream.constraint.kind is ConstraintKind.L1_BALL
         self._active: tuple[list[float], list[int]] | None = None
@@ -190,12 +192,8 @@ class RoundOptimizer:
             total = sum([weights[k] for k in active])
             weights = [w / total for w in weights]
             active = list(active)
-        if ball:
-            act_coord, act_sign = coord[active], sign_r[active]
-            x = np.zeros(stream.d)
-            np.add.at(x, act_coord, act_sign * np.array([weights[k] for k in active]))
-        else:
-            x = np.array(weights)   # slot k is e_k, and an inactive slot's weight is 0.0
+        act_coord, act_sign = coord[active], sign_r[active]
+        x = _place(stream.d, act_coord, act_sign * np.array([weights[k] for k in active]))
 
         g = np.empty(stream.d)
         gap = math.inf
@@ -268,22 +266,24 @@ class RoundOptimizer:
 
         Each major step adds the oracle vertex while the Frank-Wolfe gap,
         recomputed from the full gradient, is above ``tol``. Each minor step
-        minimizes over the affine hull of the active vertices by a KKT solve;
-        when a weight would turn negative it stops at the boundary and drops
-        that vertex (Wolfe's method, Math. Programming 1976). Flat directions,
-        which stall pairwise steps, cost one solve. Raises ``SolverError`` if
-        the gap is not finite, if the oracle vertex is already active, or
-        after 1000 major steps more than the set has vertices (each adds one,
-        and an optimum may use them all; the rest guard against a cycle)."""
+        minimizes over the affine hull of the active vertices by a KKT solve,
+        whose block is ``H`` at the slots' coordinates scaled by their signed
+        values; when a weight would turn negative it stops at the boundary
+        and drops that vertex (Wolfe's method, Math. Programming 1976). Flat
+        directions, which stall pairwise steps, cost one solve. Raises
+        ``SolverError`` if the gap is not finite, if the oracle vertex is
+        already active, or after 1000 major steps more than the set has
+        vertices (each adds one; the rest guard against a cycle)."""
         h, c, tol = self._objective(t)
-        verts, oracle = self._verts, self._oracle
+        coord, sign_r, oracle = self._coord, self._sign_r, self._oracle
         active, weights = [oracle(c)], np.ones(1)
+        cs, ss = coord[active], sign_r[active]   # the face's slots, renewed as it changes
         gap = math.inf
-        for it in range(len(verts) + 1000):
-            x = weights @ verts[active]
+        for it in range(sign_r.size + 1000):
+            x = _place(self.stream.d, cs, ss * weights)
             g = h @ x + c
             fw = oracle(g)
-            gap = float(x @ g - verts[fw] @ g)
+            gap = float(x @ g - sign_r[fw] * g[coord[fw]])
             if not math.isfinite(gap):
                 raise SolverError(f"round {t}: active-set gap {gap} is not finite at step {it}", gap=gap)
             if gap <= tol:
@@ -294,12 +294,12 @@ class RoundOptimizer:
             active.append(fw)
             weights = np.append(weights, 0.0)
             while True:
-                v = verts[active]
+                cs, ss = coord[active], sign_r[active]
                 k = len(active)
                 kkt = np.ones((k + 1, k + 1))
-                kkt[:k, :k] = v @ h @ v.T
+                kkt[:k, :k] = ss[:, None] * h[np.ix_(cs, cs)] * ss
                 kkt[k, k] = 0.0
-                u = np.linalg.lstsq(kkt, np.append(-(v @ c), 1.0), rcond=None)[0][:k]
+                u = np.linalg.lstsq(kkt, np.append(-(ss * c[cs]), 1.0), rcond=None)[0][:k]
                 if (u > 0).all():
                     weights = u
                     break
@@ -314,7 +314,7 @@ class RoundOptimizer:
         raise SolverError(f"round {t}: active-set gap {gap:.3e} above tol {tol:.1e}", gap=gap)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegretSeries:
     """Cumulative dynamic regret of every agent, rounds ``1..T``, held
     read-only and adopted or copied as ``_frozen`` rules."""
@@ -370,7 +370,7 @@ def regret_series(trajectory: Trajectory, optima, stream: LossStream,
     return RegretSeries(cumulative=cumulative)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Envelopes:
     """Pointwise mean/max/min of the per-agent average regret."""
 

@@ -24,13 +24,18 @@ checks a weight matrix against the mixing assumptions, with SciPy's
 strong-connectivity search as an oracle independent of the library's own
 connectivity check. ``exact_zeta`` (the realized smallest weight over a
 schedule) and ``lo_call_count`` (a run's oracle calls from the schedule's
-definition) are totals the simulator never needs.
+definition) are totals the simulator never needs. ``WORKLOADS`` and
+``BENCH_DIGESTS`` are the benchmark's workloads and its recorded output
+digests, read from ``perfbench/``.
 """
 
 from __future__ import annotations
 
 import csv
+import importlib.util
+import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -136,7 +141,7 @@ def global_grad(stream: LossStream, t: int, x: np.ndarray) -> np.ndarray:
     return _global_grad(stream.feature_matrix(t), stream.labels[:, t - 1], stream.lambda1, x[None])[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InnerStep:
     """All agents' variables at one inner iteration (stacked ``(n, d)`` rows)."""
 
@@ -449,3 +454,19 @@ def exact_zeta(schedule: GraphSchedule, rounds: Sequence[int] | None = None) -> 
 def lo_call_count(params: ScheduleParams, horizon: int, n: int = 1) -> int:
     """Total linear-oracle invocations of a full run: ``n * sum_t K_t``."""
     return n * sum(inner_count(params, t, horizon) for t in range(1, horizon + 1))
+
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_workloads():
+    """The benchmark's workloads, read from ``perfbench/workloads.py``."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", BENCH / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+WORKLOADS = _load_workloads()
+#: sha256 of ``trajectory.csv`` and ``regret.csv``, by workload, master seed and run directory
+BENCH_DIGESTS = json.loads((BENCH / "digests.json").read_text())

@@ -7,11 +7,20 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import domfw
 import domfw.algorithm
 import domfw.harness
 import domfw.network
 import domfw.problem
+from domfw.algorithm import Trajectory
+from domfw.harness import ExperimentConfig, RunResult
+from domfw.network import MixingReport, metropolis_weights
+from domfw.problem import ConstraintSpec, generate_stream
+from domfw.regret import Envelopes, OptimumRecord, RegretSeries
+from oracles import InnerStep
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -57,6 +66,39 @@ def test_checked_twins_stay_in_the_tests():
 def test_check_mixing_takes_a_fold_and_zeta_only():
     assert list(inspect.signature(domfw.check_mixing).parameters) == ["fold", "zeta"]
     assert list(inspect.signature(domfw.MixingFold).parameters) == ["n"]
+
+
+def array_holders():
+    """A fresh instance of every result type that holds arrays, by name."""
+    trajectory = lambda: Trajectory(decisions=np.zeros((3, 2, 3)), rounds=())
+    envelopes = lambda: Envelopes(avg=np.zeros(3), sup=np.ones(3), inf=np.zeros(3))
+    return {
+        "LossStream": lambda: generate_stream(3, 4, 5e-6, ConstraintSpec.simplex(3), seed=1),
+        "WeightMatrix": lambda: metropolis_weights([(0, 1), (1, 2)], 3),
+        "Trajectory": trajectory,
+        "OptimumRecord": lambda: OptimumRecord(t=1, x_star=np.full(3, 1 / 3), f_star=0.5, gap=0.0,
+                                               iterations=2, tol=1e-9),
+        "RegretSeries": lambda: RegretSeries(cumulative=np.zeros((2, 3))),
+        "Envelopes": envelopes,
+        "RunResult": lambda: RunResult(
+            directory=Path("out"), config=ExperimentConfig(), trajectory=trajectory(),
+            regret=RegretSeries(cumulative=np.zeros((2, 3))), envelopes=envelopes(), ht_estimate=1.0,
+            ht_upper_bound=None, bound=None, mixing=MixingReport(0.0, 1.0, None), solver_iterations=4,
+            max_solver_gap=0.0, solver_margin=1e-9, wall_seconds=0.1),
+        "InnerStep": lambda: InnerStep(*(np.zeros((2, 3)) for _ in range(7))),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(array_holders()))
+def test_array_holders_compare_and_hash_by_identity(name):
+    # a comparison of their fields would ask an array for its truth value,
+    # and a hash of them would hash an array; both raise
+    make = array_holders()[name]
+    a, b = make(), make()
+    assert a == a and not a == b
+    assert a != b and not a != a
+    assert a in [b, a] and a not in [b]
+    assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 def test_readme_library_example_runs(capsys):

@@ -1,5 +1,6 @@
 import csv
 import functools
+import hashlib
 import math
 import tempfile
 import tracemalloc
@@ -27,7 +28,7 @@ from domfw.harness import (
 from domfw.network import GraphSchedule, MixingReport, WeightMatrix, random_connected_schedule
 from domfw.problem import ConstraintKind, generate_stream
 from domfw.regret import RoundOptimizer
-from oracles import constant_schedule, lo_call_count
+from oracles import BENCH_DIGESTS, WORKLOADS, constant_schedule, lo_call_count
 
 FLOAT_KEYS = [key for key, (convert, *_) in harness._SCHEMA.items() if convert is float]
 
@@ -614,6 +615,25 @@ class TestRunExperiment:
         assert "ht_upper_bound" not in report    # needs fixed features
         assert "bound_total" not in report
         assert not (out / "FAILED").exists()
+
+
+class TestBenchmarkDigests:
+    """The benchmark's output check in tier-1: each workload's seed-0 operation
+    writes the ``trajectory.csv`` and ``regret.csv`` bytes recorded in
+    ``perfbench/digests.json``. The bytes depend on the BLAS build."""
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_seed_zero_outputs_match_the_recorded_digests(self, name, tmp_path):
+        workload = WORKLOADS[name]
+        config = parse_config(workload.config_text(0))
+        if workload.sweep_values:
+            assert all(row.ok for row in sweep(config, "gamma", workload.sweep_values, out_dir=tmp_path))
+        else:
+            run_experiment(config, out_dir=tmp_path)
+        got = {run_dir: {file: hashlib.sha256((tmp_path / run_dir / file).read_bytes()).hexdigest()
+                         for file in ("trajectory.csv", "regret.csv")}
+               for run_dir in workload.run_dirs()}
+        assert got == BENCH_DIGESTS[name][str(workload.master_seed(0))]
 
 
 class TestSweep:

@@ -1,11 +1,9 @@
 import hashlib
-import importlib.util
 import itertools
 import math
 import struct
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,19 +34,7 @@ from domfw.regret import (
     write_regret_csv,
 )
 from domfw.regret import RegretSeries
-from oracles import ReferenceRoundOptimizer, project
-
-
-def load_workloads():
-    """The benchmark's workloads, read from ``perfbench/workloads.py``."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
-
-
-WORKLOADS = load_workloads()
+from oracles import WORKLOADS, ReferenceRoundOptimizer, project
 
 
 def enumeration_projection(spec, y):
@@ -359,13 +345,18 @@ class TestSimplexStep:
             assert names == cold + step * record.iterations + step[:4] + ["copy"]
 
 
-def solver_digest(stream):
-    """sha256 over every warm-started round's x_star bytes, f_star, gap and iterations."""
+def records_digest(records):
+    """sha256 over every record's x_star bytes, f_star, gap and iterations."""
     h = hashlib.sha256()
-    for rec in all_optima(stream):
+    for rec in records:
         h.update(rec.x_star.tobytes())
         h.update(struct.pack("<ddq", rec.f_star, rec.gap, rec.iterations))
     return h.hexdigest()
+
+
+def solver_digest(stream):
+    """``records_digest`` of every warm-started round."""
+    return records_digest(all_optima(stream))
 
 
 def tie_stream(spec, seed, n=10, T=30):
@@ -409,6 +400,46 @@ class TestSolverGolden:
     def test_optima_bytes(self, name):
         spec, make = self.CASES[name]
         assert solver_digest(make(spec)) == self.DIGESTS[name]
+
+
+class TestActiveSetGolden:
+    """Pins the active-set half's bits: a cold ``_active_set_solve`` of every
+    round. The pairwise steps of all but the two tie streams stop at a cap
+    of 2000 on one of their rounds, so ``solve`` reaches this method there."""
+
+    CASES = {
+        # under-determined: H is singular up to the ridge
+        "simplex-n2-d6": lambda: generate_stream(2, 13, 5e-6, ConstraintSpec.simplex(6), seed=3),
+        "ball-r2-n3-d6": lambda: generate_stream(3, 13, 5e-6, ConstraintSpec.l1_ball(6, 2.0), seed=4),
+        "ball-r2-redraw-d11": lambda: generate_stream(11, 13, 5e-6, ConstraintSpec.l1_ball(11, 2.0), seed=18,
+                                                      redraw_features=True),
+        "simplex-redraw-d6": lambda: generate_stream(6, 13, 5e-6, ConstraintSpec.simplex(6), seed=3,
+                                                     redraw_features=True),
+        # every coordinate in the support: 39 major steps
+        "simplex-full-support-d40": lambda: generate_stream(2, 1, 5e-6, ConstraintSpec.simplex(40),
+                                                            seed=derive_seed(0, "stream")),
+        # lambda1 = 0 and twin columns: H is singular along each twin pair
+        "ties-simplex": lambda: tie_stream(ConstraintSpec.simplex(8), 24, T=8),
+        "ties-ball": lambda: tie_stream(ConstraintSpec.l1_ball(8, 1.5), 26, T=8),
+    }
+    # scipy-openblas 0.3.31 with NumPy 2.4.6, like TestSolverGolden
+    DIGESTS = {
+        "ball-r2-n3-d6": "ef7af3773987b7d35a724c09fb66e88e058f8fd57bd5b6c359c294c04a9b1f9b",
+        "ball-r2-redraw-d11": "90d6ab2f1484a4d82932c856d4944ff5ba119d5e4f2d7a757b9668b8477677fb",
+        "simplex-full-support-d40": "3d2d1eac52576391ff7875eed63d94236bdb7c7e8d8410032af92b4079631294",
+        "simplex-n2-d6": "d8e6492952721a3e141973999b402b25c462fad9d2a8355d2ad465d7da6e8427",
+        "simplex-redraw-d6": "059cf9a251333608f903b959e56b04789661530c5b139236a9a9da446525545e",
+        # interior optima: both signed slots of a coordinate are active, so the
+        # point's entry there adds two rounded products (``_place``)
+        "ties-ball": "8d5b24c9400742b819b2f80beb8ae3d48c06d6510dde758f50811521871c8c5a",
+        "ties-simplex": "fb39ea467be7c985736f722650d82bb425caede58be31b6a79f2e1bb3a13f955",
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_active_set_records_bytes(self, name):
+        stream = self.CASES[name]()
+        solver = RoundOptimizer(stream)
+        assert records_digest(solver._active_set_solve(t) for t in range(1, stream.T + 1)) == self.DIGESTS[name]
 
 
 def solve_all(solve, T):
