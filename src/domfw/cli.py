@@ -10,7 +10,17 @@ import csv
 import sys
 from pathlib import Path
 
-from .harness import _SWEEP_AXES, ConfigError, _echo_value, fit_loglog_slope, parse_config, run_experiment, sweep
+from .harness import (
+    _SWEEP_AXES,
+    SWEEP_COLUMNS,
+    ConfigError,
+    _echo_value,
+    fit_loglog_slope,
+    parse_config,
+    plan_text,
+    run_experiment,
+    sweep,
+)
 
 
 def main(argv=None) -> int:
@@ -34,7 +44,7 @@ def main(argv=None) -> int:
     p_val = sub.add_parser("validate", help="parse a config and report all violations")
     p_val.add_argument("config")
 
-    p_slope = sub.add_parser("slope", help="log-log slope of a (T, count) CSV")
+    p_slope = sub.add_parser("slope", help="log-log slope of a (T, count) CSV, or of each column of a T sweep")
     p_slope.add_argument("csv")
 
     args = parser.parse_args(argv)
@@ -44,15 +54,21 @@ def main(argv=None) -> int:
             with open(args.csv, newline="") as fh:
                 reader = csv.reader(fh)
                 rows = [row for row in reader if row]
-            try:
-                float(rows[0][0])
-            except (IndexError, ValueError):
-                rows = rows[1:]   # no rows, or a header: its first cell is not a number
-            slope = fit_loglog_slope([(float(r[0]), float(r[1])) for r in rows])
+            if rows and rows[0] == ["T", *SWEEP_COLUMNS]:   # a T sweep: each numeric column over its ok rows
+                ok = [row for row in rows[1:] if row[-1] == "ok"]
+                slopes = {name: fit_loglog_slope([(float(row[0]), float(row[at])) for row in ok])
+                          for at, name in enumerate(SWEEP_COLUMNS[:-1], start=1)}
+            else:
+                try:
+                    float(rows[0][0])
+                except (IndexError, ValueError):
+                    rows = rows[1:]   # no rows, or a header: its first cell is not a number
+                slopes = {None: fit_loglog_slope([(float(r[0]), float(r[1])) for r in rows])}
         except (OSError, ValueError, IndexError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        print(f"{slope!r}")
+        for name, slope in slopes.items():
+            print(f"{slope!r}" if name is None else f"{name} = {slope!r}")
         return 0
 
     try:
@@ -67,6 +83,7 @@ def main(argv=None) -> int:
         return 1
     if args.command == "validate":
         print("ok")
+        print(plan_text(config), end="")
         return 0
     if args.out_dir == "":   # as validate refuses an empty output.directory
         print("error: --out-dir must be non-empty", file=sys.stderr)

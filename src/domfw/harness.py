@@ -18,8 +18,10 @@ import time
 import traceback
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -128,6 +130,8 @@ class OutputBlock:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A config ``domfw validate`` accepts: building one it refuses raises ``ValueError`` (:func:`_check`)."""
+
     problem: ProblemBlock = field(default_factory=ProblemBlock)
     network: NetworkBlock = field(default_factory=NetworkBlock)
     schedule: ScheduleParams = field(default_factory=ScheduleParams)
@@ -135,6 +139,9 @@ class ExperimentConfig:
     seeds: SeedsBlock = field(default_factory=SeedsBlock)
     init: InitBlock = field(default_factory=InitBlock)
     output: OutputBlock = field(default_factory=OutputBlock)
+
+    def __post_init__(self):
+        _check(_values(self))
 
     def with_master_seed(self, seed: int) -> "ExperimentConfig":
         return replace(self, seeds=replace(self.seeds, master=seed))
@@ -217,7 +224,20 @@ _SCHEMA = {
 }
 
 _SCHEDULE_KEYS = tuple(key for key in _SCHEMA if key.startswith("schedule."))
-_DEFAULTS = dict(zip(_SCHEMA, attrgetter(*_SCHEMA)(ExperimentConfig())))
+
+
+def _values(config) -> dict:
+    """A config's value of each ``_SCHEMA`` key, in schema order."""
+    return dict(zip(_SCHEMA, attrgetter(*_SCHEMA)(config)))
+
+
+def _blocks(values: dict) -> dict:
+    """The blocks of an :class:`ExperimentConfig` holding ``values``, each block's defaults elsewhere."""
+    return {f.name: f.default_factory(**{key.split(".")[1]: value for key, value in values.items()
+                                         if key.split(".")[0] == f.name}) for f in fields(ExperimentConfig)}
+
+
+_DEFAULTS = _values(SimpleNamespace(**_blocks({})))   # not ExperimentConfig(), whose check reads it
 
 
 def _schedule(v: dict) -> dict:
@@ -320,12 +340,59 @@ _RULES = (
 )
 
 
+def _judge(lines: dict, given: dict | None = None) -> tuple[dict, list]:
+    """The one config gate: the values of a config's set keys, and its ``(line, message)`` violations in line
+    order. ``lines`` maps each set key to its line number and value text; ``given``, for a config built from
+    Python, to the value that text must read back as (an equal value of its type, NaN included). A key is
+    refused when its text does not convert (or read back) or converts out of its range; then ``_RULES`` run."""
+    violations, values = [], {}
+    for key, (lineno, raw) in lines.items():
+        convert, check, describe = _SCHEMA[key]
+        try:
+            value = convert(raw)
+        except (TypeError, ValueError):
+            value = None
+        if given is not None and not (value is not None and type(value) is type(given[key])
+                                      and (value == given[key] or value != value)):
+            kind = "bool" if convert is _parse_bool else convert.__name__
+            violations.append((lineno, f"{key}: {given[key]!r} would not read back from its config line as {kind}"))
+        elif value is None:
+            violations.append((lineno, f"{key}: cannot interpret {raw!r}"))
+        elif check is not None and not check(value):
+            violations.append((lineno, f"{key}: value {raw} out of range (must be {describe})"))
+        else:
+            values[key] = value
+    seen = {key: lineno for key, (lineno, _) in lines.items()}
+    merged, unparsed, refused = _DEFAULTS | values, lines.keys() - values.keys(), set()
+    for rule, reads, silenced_by in _RULES:
+        keys = reads(merged)
+        if unparsed.isdisjoint(keys) and refused.isdisjoint(silenced_by):
+            found = rule(merged, tuple(key for key in keys if key in values))
+            if found:
+                refused.add(rule)
+            # each at its key's line, or at the mode's line for an unset schedule key
+            violations += [(seen.get(key, seen.get("schedule.mode")), f"{key}: {message}") for key, message in found]
+    return values, sorted(violations, key=lambda v: (v[0] or 0))
+
+
+def _check(values: dict) -> None:
+    """Raise one ``ValueError`` naming each key, as :func:`sweep`'s failed rows do, where config values (one
+    per ``_SCHEMA`` key, ``None`` unset where it is the default) fail ``validate`` or read back otherwise."""
+    lines = {}
+    for position, (key, value) in enumerate(values.items(), start=1):   # the echo's line order
+        if value is not None or _DEFAULTS[key] is not None:
+            # the value text parse_config reads from the echo's line (its first, should the value break it)
+            line = f"{key} = {_echo_value(value)}".splitlines()[0].split("#", 1)[0]
+            lines[key] = (position, line.split("=", 1)[1].strip())
+    violations = _judge(lines, values)[1]
+    if violations:
+        raise ValueError("; ".join(message for _, message in violations))
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate config text, reporting every violation at once: each
-    key's own range, then ``_RULES``."""
-    violations = []
-    seen: dict[str, int] = {}
-    values: dict[str, object] = {}
+    line's syntax, then :func:`_judge`."""
+    violations, seen, lines = [], {}, {}   # seen: every key's line; lines: a _SCHEMA key's line and value text
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -338,38 +405,14 @@ def parse_config(text: str) -> ExperimentConfig:
             violations.append((lineno, f"duplicate key {key!r} (first set on line {seen[key]})"))
             continue
         seen[key] = lineno
-        entry = _SCHEMA.get(key)
-        if entry is None:
+        if key not in _SCHEMA:
             violations.append((lineno, f"unknown key {key!r}"))
             continue
-        convert, check, describe = entry
-        try:
-            value = convert(raw)
-        except (TypeError, ValueError):
-            violations.append((lineno, f"{key}: cannot interpret {raw!r}"))
-            continue
-        if check is not None and not check(value):
-            violations.append((lineno, f"{key}: value {raw} out of range (must be {describe})"))
-            continue
-        values[key] = value
-
-    merged, unparsed, refused = _DEFAULTS | values, seen.keys() - values.keys(), set()
-    for rule, reads, silenced_by in _RULES:
-        keys = reads(merged)
-        if unparsed.isdisjoint(keys) and refused.isdisjoint(silenced_by):
-            found = rule(merged, tuple(key for key in keys if key in values))
-            if found:
-                refused.add(rule)
-            # each at its key's line, or at the mode's line for an unset schedule key
-            violations += [(seen.get(key, seen.get("schedule.mode")), f"{key}: {message}") for key, message in found]
-    if violations:
-        raise ConfigError(sorted(violations, key=lambda v: (v[0] or 0)))
-    default = ExperimentConfig()
-    blocks = {f.name: {} for f in fields(ExperimentConfig)}
-    for key, value in values.items():
-        block, attr = key.split(".")
-        blocks[block][attr] = value
-    return replace(default, **{name: replace(getattr(default, name), **attrs) for name, attrs in blocks.items()})
+        lines[key] = (lineno, raw)
+    values, judged = _judge(lines)
+    if violations or judged:
+        raise ConfigError(sorted(violations + judged, key=lambda v: (v[0] or 0)))
+    return ExperimentConfig(**_blocks(values))
 
 
 def _echo_value(value) -> str:
@@ -381,25 +424,20 @@ def _echo_value(value) -> str:
 
 
 def config_to_text(config: ExperimentConfig) -> str:
-    """Canonical full echo of a config (parses back to an equal config).
+    """Canonical full echo of a config, which :func:`parse_config` reads back as an equal config: one line
+    per ``_SCHEMA`` key in schema order, optional keys left unset omitted."""
+    return "".join(f"{key} = {_echo_value(value)}\n" for key, value in _values(config).items() if value is not None)
 
-    One line per ``_SCHEMA`` key in schema order; optional keys left unset
-    are omitted. A ``str`` value that :func:`parse_config` would refuse or
-    read back differently raises ``ValueError`` naming the key: one out of
-    its range, or holding ``#`` or a line break, or with leading or trailing
-    whitespace.
-    """
-    values = dict(zip(_SCHEMA, attrgetter(*_SCHEMA)(config)))
-    for key, (convert, check, describe) in _SCHEMA.items():
-        value = values[key]
-        if convert is not str:
-            continue
-        if "#" in value or len(value.splitlines()) > 1 or value != value.strip():
-            raise ValueError(f"{key}: {value!r} would not read back from its config line "
-                             "(it holds '#' or a line break, or leading or trailing whitespace)")
-        if not check(value):
-            raise ValueError(f"{key}: value {value!r} out of range (must be {describe})")
-    return "".join(f"{key} = {_echo_value(value)}\n" for key, value in values.items() if value is not None)
+
+def plan_text(config: ExperimentConfig) -> str:
+    """The run's plan, which ``domfw validate`` prints under its ``ok`` line:
+    the inner steps and linear-oracle calls (``n`` a step) summed over the
+    rounds with the run's own :func:`inner_count`, and the
+    :func:`resident_bytes` estimate that ``validate`` holds to its budget."""
+    horizon = config.problem.T
+    steps = sum(map(inner_count, repeat(config.schedule, horizon), range(1, horizon + 1), repeat(horizon, horizon)))
+    return (f"inner_steps = {steps}\nlo_calls = {config.problem.n * steps}\n"
+            f"resident_bytes = {_footprint(_values(config))}\n")
 
 
 _GNUPLOT = """set datafile separator ','
@@ -465,14 +503,11 @@ RUN_FILES = ("stream.csv", "network.csv", "trajectory.csv", "diagnostics.csv", "
 
 def _artifact_dir(config: ExperimentConfig, out_dir) -> Path:
     """``out_dir``, else the config's ``output.directory``, created. An empty
-    name is refused first, as it would put the artifacts, and the stale-file
-    cleanup, in the working directory; then a config whose echo would not
-    replay it (:func:`config_to_text`), so no refused run creates anything."""
-    directory = config.output.directory if out_dir is None else out_dir
-    if directory == "":
+    ``out_dir`` is refused first, as it would put the artifacts, and the
+    stale-file cleanup, in the working directory."""
+    if out_dir == "":
         raise ValueError("the output directory must be non-empty")
-    config_to_text(config)
-    out = Path(directory)
+    out = Path(config.output.directory if out_dir is None else out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -553,6 +588,10 @@ _SWEEP_AXES = {
 }
 
 
+#: the columns of ``sweep.csv`` after the axis value's
+SWEEP_COLUMNS = ("final_avg_regret", "lo_calls", "messages", "status")
+
+
 @dataclass(frozen=True)
 class SweepRow:
     value: object
@@ -602,17 +641,13 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir=None, dump_networ
                 _clear_run_files(run_dir)
                 if not any(run_dir.iterdir()):
                     run_dir.rmdir()
-    rows = []
-    # the config's echo without the axis key's line: each value is set in the
-    # text and parsed, so validate's checks name every refusal by its key
-    echo = [line for line in config_to_text(config).splitlines() if not line.startswith(f"{key} = ")]
+    rows, base = [], _values(config)
     for converted, value in first.items():
         try:
-            try:   # the echo's line numbers mean nothing to the caller
-                cfg = parse_config("\n".join([*echo, f"{key} = {_echo_value(converted)}"]))
-            except ConfigError as exc:
-                raise ValueError("; ".join(message for _, message in exc.violations)) from None
-            result = run_experiment(cfg, out_dir=out / f"run_{axis}={value}", dump_network=dump_network)
+            values = base | {key: converted}
+            _check(values)   # first: a ScheduleParams refuses its own fields without the block's name
+            result = run_experiment(ExperimentConfig(**_blocks(values)), out_dir=out / f"run_{axis}={value}",
+                                    dump_network=dump_network)
             rows.append(SweepRow(value=converted, final_avg_regret=float(result.envelopes.avg[-1]),
                                  lo_calls=result.trajectory.lo_calls, messages=result.trajectory.messages))
         except Exception as exc:
@@ -620,7 +655,7 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir=None, dump_networ
                                  lo_calls=None, messages=None, error=f"{type(exc).__name__}: {exc}"))
     with (out / "sweep.csv").open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([axis, "final_avg_regret", "lo_calls", "messages", "status"])
+        writer.writerow([axis, *SWEEP_COLUMNS])
         for row in rows:   # each value as the config echo writes it
             cells = [repr(row.final_avg_regret), row.lo_calls, row.messages, "ok"] if row.ok else ["", "", "", row.error]
             writer.writerow([_echo_value(row.value), *cells])

@@ -317,8 +317,8 @@ class TestParseConfig:
     @settings(derandomize=True, deadline=None, max_examples=400)
     @given(st.text(st.one_of(st.sampled_from("#= \t\n\r\x0b\x0c\x1c\x85\u2028\u3000/ab."), st.characters())))
     def test_echo_is_refused_naming_the_key_or_replays(self, directory):
-        cfg = replace(parse_config(SMALL), output=harness.OutputBlock(directory=directory))
         try:
+            cfg = replace(parse_config(SMALL), output=harness.OutputBlock(directory=directory))
             echo = config_to_text(cfg)
         except ValueError as exc:
             assert str(exc).startswith("output.directory: ")
@@ -369,6 +369,72 @@ class TestParseConfig:
         cfg = parse_config("schedule.mode = baseline\nproblem.T = 1000")
         assert cfg.schedule.baseline_alpha is None
         assert step_size(cfg.schedule, 1, 1000) == pytest.approx(1 / (4 * 1000 ** 0.4), rel=1e-15)
+
+
+def replaced(block, **attrs):
+    """A config built from Python: ``SMALL``'s, with ``attrs`` set on one of its blocks."""
+    cfg = parse_config(SMALL)
+    return replace(cfg, **{block: replace(getattr(cfg, block), **attrs)})
+
+
+class TestConfigGate:
+    """A config built from Python passes the checks of ``domfw validate`` when it is built."""
+
+    @pytest.mark.parametrize("build, key", [
+        # a str where the key expects an enum: spec() would test it with `is` and take the l1 ball
+        (lambda: replaced("problem", constraint="simplex"), "problem.constraint"),
+        # the run would step the horizon schedule, and the manifest's replay the fixed one
+        (lambda: replaced("schedule", mode="fixed", fixed_count=3), "schedule.mode"),
+        # past the label noise: a static stream
+        (lambda: replaced("problem", constraint=ConstraintKind.L1_BALL, radius=1e50), "problem.radius"),
+        # overflows in round 1
+        (lambda: replaced("problem", constraint=ConstraintKind.L1_BALL, radius=1e300), "problem.radius"),
+        (lambda: replaced("problem", lambda1=1e308), "problem.lambda1"),
+        (lambda: replaced("problem", n=2.5), "problem.n"),
+    ])
+    def test_refused_when_built_naming_the_key(self, tmp_path, build, key):
+        for call in (lambda: run_experiment(build(), out_dir=tmp_path / "run"),
+                     lambda: sweep(build(), "gamma", ["0.4"], out_dir=tmp_path / "sweep")):
+            with pytest.raises(ValueError, match=rf"^{key}: "):
+                call()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unset_is_none_only_where_that_is_the_default(self):
+        assert replaced("seeds", stream=None) == parse_config(SMALL)
+        with pytest.raises(ValueError, match=r"^problem\.n: None would not read back from its config line as int$"):
+            replaced("problem", n=None)
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(st.dictionaries(st.sampled_from(list(harness._SCHEMA)), st.sampled_from(RAW_POOL)))
+    def test_refused_exactly_when_its_echo_is(self, raw):
+        # each raw value that converts, set on the defaults; the config's echo is the text parse_config judges
+        values = dict(harness._DEFAULTS)
+        for key, text in raw.items():
+            try:
+                values[key] = harness._SCHEMA[key][0](text)
+            except ValueError:
+                pass
+        echo = "".join(f"{key} = {harness._echo_value(value)}\n" for key, value in values.items() if value is not None)
+        try:
+            parse_config(echo)
+            refused = None
+        except ConfigError as exc:
+            refused = [message for _, message in exc.violations]
+        try:
+            ScheduleParams(**{key.removeprefix("schedule."): value for key, value in values.items()
+                              if key.startswith("schedule.")})
+        except ValueError as exc:
+            # the schedule block checks itself before any config exists, naming its fields
+            assert refused is not None
+            assert {f"schedule.{part}" for part in str(exc).split("; ")} <= set(refused)
+            return
+        try:
+            cfg = ExperimentConfig(**harness._blocks(values))   # each block from its constructor
+        except ValueError as exc:
+            assert refused is not None and str(exc) == "; ".join(refused)
+        else:
+            assert refused is None
+            assert parse_config(config_to_text(cfg)) == parse_config(echo) == cfg
 
 
 class TestSeedDiscipline:
@@ -543,23 +609,23 @@ class TestRunExperiment:
         monkeypatch.chdir(tmp_path)
         Path("network.csv").write_text("mine\n")
         cfg = parse_config(SMALL)
-        unnamed = replace(cfg, output=harness.OutputBlock(directory=""))
-        for config, out_dir in ((cfg, ""), (unnamed, None)):
-            with pytest.raises(ValueError, match="^the output directory must be non-empty$"):
-                run_experiment(config, out_dir=out_dir)
+        with pytest.raises(ValueError, match="^the output directory must be non-empty$"):
+            run_experiment(cfg, out_dir="")
+        with pytest.raises(ValueError, match=r"^output\.directory: value  out of range \(must be non-empty\)$"):
+            run_experiment(replace(cfg, output=harness.OutputBlock(directory="")), out_dir=None)
         assert [path.name for path in tmp_path.iterdir()] == ["network.csv"]
         assert Path("network.csv").read_text() == "mine\n"
 
     def test_unreplayable_directory_refused_before_anything_is_written(self, tmp_path, monkeypatch):
         # parse_config cuts the echoed line at '#', so the manifest would name runs/
         monkeypatch.chdir(tmp_path)
-        cfg = replace(parse_config(SMALL), output=harness.OutputBlock(directory="runs/#1"))
+        cfg = lambda: replace(parse_config(SMALL), output=harness.OutputBlock(directory="runs/#1"))
         refused = "^output.directory: 'runs/#1' would not read back from its config line "
         for out_dir in (None, "elsewhere"):
             with pytest.raises(ValueError, match=refused):
-                run_experiment(cfg, out_dir=out_dir)
+                run_experiment(cfg(), out_dir=out_dir)
             with pytest.raises(ValueError, match=refused):
-                sweep(cfg, "gamma", ["0.4"], out_dir=out_dir)
+                sweep(cfg(), "gamma", ["0.4"], out_dir=out_dir)
         assert list(tmp_path.iterdir()) == []
 
     def test_bound_report_prints_the_shifted_mixing_margin(self, tmp_path):
@@ -731,6 +797,17 @@ class TestSweep:
         rows = sweep(parse_config(SMALL), axis, [value], out_dir=tmp_path / "sweep")
         assert ran == []
         assert rows[0].error == f"ValueError: {message}"
+
+    def test_values_are_checked_without_parsing_text(self, tmp_path, monkeypatch):
+        parsed, ran = [], []
+        monkeypatch.setattr(harness, "parse_config", lambda text: parsed.append(text))
+        monkeypatch.setattr(harness, "run_experiment", lambda cfg, **kwargs: ran.append(cfg) or 1 / 0)
+        rows = sweep(parse_config(SMALL), "epsilon", ["nan", "inf", "2"], out_dir=tmp_path / "sweep")
+        assert parsed == []
+        assert [row.error for row in rows] == ["ValueError: schedule.epsilon: must be finite and > 0, got nan",
+                                               "ValueError: schedule.epsilon: must be finite and > 0, got inf",
+                                               "ZeroDivisionError: division by zero"]
+        assert [cfg.schedule.epsilon for cfg in ran] == [2.0]
 
     def test_mode_sweep_includes_baseline(self, tmp_path):
         cfg = parse_config("problem.n = 3\nproblem.T = 4\nproblem.d = 3")
@@ -1026,6 +1103,43 @@ class TestCli:
         assert main(["slope", str(csvfile)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == "error: log-log fit requires finite positive values\n"
+
+    @pytest.mark.parametrize("schedule", ["", "schedule.mode = horizon\n",
+                                          "schedule.mode = fixed\nschedule.fixed_count = 3\n",
+                                          "schedule.mode = baseline\n"])
+    def test_validate_prints_the_runs_plan(self, tmp_path, capsys, schedule):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(SMALL + schedule)
+        assert main(["validate", str(cfgfile)]) == 0
+        result = run_experiment(parse_config(cfgfile.read_text()), out_dir=tmp_path / "run")
+        counts = [r.inner_count for r in result.trajectory.rounds]
+        assert capsys.readouterr().out.splitlines() == [
+            "ok", f"inner_steps = {sum(counts)}", f"lo_calls = {result.trajectory.lo_calls}",
+            f"resident_bytes = {harness.resident_bytes(3, 4, 6, max(counts), False)}"]
+
+    def test_validate_plans_the_reference_shape(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("problem.T = 100000\n")
+        assert main(["validate", str(cfgfile)]) == 0
+        assert capsys.readouterr().out.splitlines()[:3] == ["ok", "inner_steps = 84477674", "lo_calls = 1689553480"]
+
+    def test_slope_fits_each_column_of_a_T_sweep(self, tmp_path, capsys):
+        cfg = parse_config("problem.n = 6\nproblem.d = 4\nschedule.epsilon = 2\nschedule.gamma = 0.5\n")
+        rows = sweep(cfg, "T", ["20", "40", "80", "160"], out_dir=tmp_path / "s")
+        assert main(["slope", str(tmp_path / "s" / "sweep.csv")]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{name} = {fit_loglog_slope([(row.value, getattr(row, name)) for row in rows])!r}"
+            for name in ("final_avg_regret", "lo_calls", "messages")]
+
+    def test_slope_of_a_T_sweep_skips_failed_rows(self, tmp_path, capsys):
+        csvfile = tmp_path / "sweep.csv"
+        csvfile.write_text("T,final_avg_regret,lo_calls,messages,status\n10,1.0,100,20,ok\n"
+                           "0,,,,ValueError: problem.T: value 0 out of range (must be in 1..1000000)\n"
+                           "100,0.1,10000,200,ok\n1000,0.01,1000000,2000,ok\n")
+        assert main(["slope", str(csvfile)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split(" = ")[0] for line in out] == ["final_avg_regret", "lo_calls", "messages"]
+        assert [float(line.split(" = ")[1]) for line in out] == pytest.approx([-1.0, 2.0, 1.0], abs=1e-12)
 
     def test_config_error_exit_code(self, tmp_path):
         cfgfile = tmp_path / "c.cfg"
