@@ -47,31 +47,37 @@ class ScheduleMode(Enum):
 
 def schedule_violations(mode: ScheduleMode, epsilon: float, gamma: float, rho: float,
                         fixed_count: int | None, baseline_alpha: float | None) -> list[tuple[str, str]]:
-    """Every broken schedule rule, as ``(field, message)`` pairs.
+    """Every broken schedule rule, as ``(config key, message)`` pairs.
 
     Each field is range-checked whatever the mode; the mode adds two rules:
     the per-round schedule needs ``gamma < 1`` and the fixed one needs
-    ``fixed_count``.
+    ``fixed_count``. The mode must be a ``ScheduleMode`` (a ``str`` would
+    step the horizon rule) and ``fixed_count`` an integer, Python or NumPy,
+    bool excluded.
     """
     problems = []
+    if not isinstance(mode, ScheduleMode):
+        problems.append(("schedule.mode", f"must be a ScheduleMode, got {mode!r}"))
     if not 0 < epsilon < math.inf:
-        problems.append(("epsilon", f"must be finite and > 0, got {epsilon}"))
+        problems.append(("schedule.epsilon", f"must be finite and > 0, got {epsilon}"))
     if mode is ScheduleMode.PER_ROUND:
         if not 0 < gamma < 1:
-            problems.append(("gamma", f"per-round schedule requires 0 < gamma < 1, got {gamma}"))
+            problems.append(("schedule.gamma", f"per-round schedule requires 0 < gamma < 1, got {gamma}"))
     elif not 0 < gamma <= 1:
-        problems.append(("gamma", f"must lie in (0, 1], got {gamma}"))
+        problems.append(("schedule.gamma", f"must lie in (0, 1], got {gamma}"))
     if not 1 <= rho < math.inf:
-        problems.append(("rho", f"must be finite and >= 1, got {rho}"))
+        problems.append(("schedule.rho", f"must be finite and >= 1, got {rho}"))
     elif not rho * rho < math.inf:   # the regret bound divides by rho**2
-        problems.append(("rho", f"rho**2 must be finite, got {rho}"))
+        problems.append(("schedule.rho", f"rho**2 must be finite, got {rho}"))
     if fixed_count is None:
         if mode is ScheduleMode.FIXED:
-            problems.append(("fixed_count", "required for mode fixed"))
+            problems.append(("schedule.fixed_count", "required for mode fixed"))
+    elif isinstance(fixed_count, bool) or not isinstance(fixed_count, (int, np.integer)):
+        problems.append(("schedule.fixed_count", f"must be an integer, got {fixed_count!r}"))
     elif not fixed_count >= 2:
-        problems.append(("fixed_count", f"must be >= 2, got {fixed_count}"))
+        problems.append(("schedule.fixed_count", f"must be >= 2, got {fixed_count}"))
     if baseline_alpha is not None and not 0 < baseline_alpha <= 1:
-        problems.append(("baseline_alpha", f"must lie in (0, 1], got {baseline_alpha}"))
+        problems.append(("schedule.baseline_alpha", f"must lie in (0, 1], got {baseline_alpha}"))
     return problems
 
 
@@ -94,7 +100,7 @@ class ScheduleParams:
     def __post_init__(self):
         problems = schedule_violations(**vars(self))
         if problems:
-            raise ValueError("; ".join(f"{name}: {message}" for name, message in problems))
+            raise ValueError("; ".join(f"{key}: {message}" for key, message in problems))
 
 
 def inner_count(params: ScheduleParams, t: int, horizon: int) -> int:

@@ -260,7 +260,7 @@ def _radius(v: dict) -> tuple[str, ...]:
 
 
 def _schedule_rule(v, given):
-    return [(f"schedule.{attr}", message) for attr, message in schedule_violations(**_schedule(v))]
+    return schedule_violations(**_schedule(v))
 
 
 def _step_rule(v, given):
@@ -342,20 +342,21 @@ _RULES = (
 
 def _judge(lines: dict, given: dict | None = None) -> tuple[dict, list]:
     """The one config gate: the values of a config's set keys, and its ``(line, message)`` violations in line
-    order. ``lines`` maps each set key to its line number and value text; ``given``, for a config built from
-    Python, to the value that text must read back as (an equal value of its type, NaN included). A key is
-    refused when its text does not convert (or read back) or converts out of its range; then ``_RULES`` run."""
+    order. ``lines`` maps each set key to its line number and value text, None if it has none; ``given`` (a
+    config built from Python) to the value that text must read back as: an equal value of its type, NaN as NaN. A
+    key is refused when its text does not convert (or read back) or is out of range; then ``_RULES`` run."""
     violations, values = [], {}
     for key, (lineno, raw) in lines.items():
         convert, check, describe = _SCHEMA[key]
         try:
-            value = convert(raw)
+            value = None if raw is None else convert(raw)
         except (TypeError, ValueError):
             value = None
         if given is not None and not (value is not None and type(value) is type(given[key])
                                       and (value == given[key] or value != value)):
             kind = "bool" if convert is _parse_bool else convert.__name__
-            violations.append((lineno, f"{key}: {given[key]!r} would not read back from its config line as {kind}"))
+            violations.append((lineno, f"{key}: {_shown(given[key])} would not read back "
+                                       f"from its config line as {kind}"))
         elif value is None:
             violations.append((lineno, f"{key}: cannot interpret {raw!r}"))
         elif check is not None and not check(value):
@@ -375,15 +376,24 @@ def _judge(lines: dict, given: dict | None = None) -> tuple[dict, list]:
     return values, sorted(violations, key=lambda v: (v[0] or 0))
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or the size of an int past the interpreter's digit limit, which it will not write."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an int of over {sys.get_int_max_str_digits()} digits"
+
+
 def _check(values: dict) -> None:
     """Raise one ``ValueError`` naming each key, as :func:`sweep`'s failed rows do, where config values (one
     per ``_SCHEMA`` key, ``None`` unset where it is the default) fail ``validate`` or read back otherwise."""
     lines = {}
     for position, (key, value) in enumerate(values.items(), start=1):   # the echo's line order
         if value is not None or _DEFAULTS[key] is not None:
-            # the value text parse_config reads from the echo's line (its first, should the value break it)
-            line = f"{key} = {_echo_value(value)}".splitlines()[0].split("#", 1)[0]
-            lines[key] = (position, line.split("=", 1)[1].strip())
+            try:   # the text after "=" on the echo's line: its first, should the value break it, up to any "#"
+                lines[key] = (position, f"={_echo_value(value)}".splitlines()[0].split("#", 1)[0][1:].strip())
+            except ValueError:   # none: str() refuses an int past the interpreter's digit limit
+                lines[key] = (position, None)
     violations = _judge(lines, values)[1]
     if violations:
         raise ValueError("; ".join(message for _, message in violations))
@@ -625,8 +635,9 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir=None, dump_networ
     for value in values:
         try:
             converted = convert(value)
+            _echo_value(converted)   # its sweep.csv cell, which an int past the digit limit has not
         except (TypeError, ValueError):
-            raise ValueError(f"sweep axis {axis}: cannot interpret {value!r}") from None
+            raise ValueError(f"sweep axis {axis}: cannot interpret {_shown(value)}") from None
         if converted in first:
             raise ValueError(f"sweep axis {axis}: value {value!r} repeats {first[converted]!r}")
         first[converted] = value
@@ -644,10 +655,8 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir=None, dump_networ
     rows, base = [], _values(config)
     for converted, value in first.items():
         try:
-            values = base | {key: converted}
-            _check(values)   # first: a ScheduleParams refuses its own fields without the block's name
-            result = run_experiment(ExperimentConfig(**_blocks(values)), out_dir=out / f"run_{axis}={value}",
-                                    dump_network=dump_network)
+            result = run_experiment(ExperimentConfig(**_blocks(base | {key: converted})),
+                                    out_dir=out / f"run_{axis}={value}", dump_network=dump_network)
             rows.append(SweepRow(value=converted, final_avg_regret=float(result.envelopes.avg[-1]),
                                  lo_calls=result.trajectory.lo_calls, messages=result.trajectory.messages))
         except Exception as exc:

@@ -51,6 +51,8 @@ class ConstraintSpec:
     radius: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.kind, ConstraintKind):   # a str would build the l1 ball
+            raise ValueError(f"kind must be a ConstraintKind, got {self.kind!r}")
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
         if not 0 < self.radius < np.inf:

@@ -169,8 +169,29 @@ class TestScheduleParamsValidation:
                                               ("epsilon", math.inf), ("epsilon", math.nan),
                                               ("fixed_count", 1), ("baseline_alpha", 1.5)])
     def test_every_field_checked_in_every_mode(self, mode, field, value):
-        with pytest.raises(ValueError, match=f"^{field}: "):
+        with pytest.raises(ValueError, match=rf"^schedule\.{field}: "):
             ScheduleParams(mode, **{"fixed_count": 3, field: value})
+
+    def test_per_round_gamma_refused_in_the_words_of_validate(self):
+        message = "schedule.gamma: per-round schedule requires 0 < gamma < 1, got 1.5"
+        with pytest.raises(ValueError) as refused:
+            ScheduleParams(PER_ROUND, gamma=1.5)
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("mode", ["fixed", "per_round", None])
+    def test_mode_of_another_type_refused(self, mode):
+        # a str is no ScheduleMode: inner_count would step the horizon rule (K_t = 9 at T = 4 for "fixed")
+        with pytest.raises(ValueError, match=rf"^schedule\.mode: must be a ScheduleMode, got {mode!r}$"):
+            ScheduleParams(mode, fixed_count=3)
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, True, "3"])
+    def test_fixed_count_must_be_an_integer(self, count):
+        # 2.5 would step K_t = 2 silently
+        with pytest.raises(ValueError, match=r"^schedule\.fixed_count: must be an integer, got "):
+            ScheduleParams(FIXED, fixed_count=count)
+
+    def test_fixed_count_may_be_a_numpy_integer(self):
+        assert inner_count(ScheduleParams(FIXED, fixed_count=np.int64(3)), 2, 4) == 3
 
     def test_fixed_count_required(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import csv
 import functools
 import hashlib
 import math
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import fields, replace
@@ -399,6 +400,28 @@ class TestConfigGate:
                 call()
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("block, attr", [("seeds", "master"), ("problem", "T"), ("schedule", "fixed_count")])
+    def test_an_int_no_config_line_holds_is_refused_by_key(self, tmp_path, block, attr):
+        # str() refuses an int past the interpreter's digit limit, so the echo has no line for it
+        message = (f"{block}.{attr}: an int of over {sys.get_int_max_str_digits()} digits would not read back "
+                   "from its config line as int")
+        for call in (lambda: run_experiment(replaced(block, **{attr: 10 ** 5000}), out_dir=tmp_path / "run"),
+                     lambda: sweep(replaced(block, **{attr: 10 ** 5000}), "gamma", ["0.4"], out_dir=tmp_path / "s")):
+            with pytest.raises(ValueError) as refused:
+                call()
+            assert str(refused.value) == message
+        assert list(tmp_path.iterdir()) == []
+
+    def test_schedule_fault_in_the_words_of_validate(self, tmp_path, capsys):
+        message = "schedule.gamma: per-round schedule requires 0 < gamma < 1, got 1.5"
+        with pytest.raises(ValueError) as refused:
+            replaced("schedule", gamma=1.5)
+        assert str(refused.value) == message
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("schedule.gamma = 1.5\n")
+        assert main(["validate", str(cfgfile)]) == 1
+        assert capsys.readouterr().err == f"line 1: {message}\n"
+
     def test_unset_is_none_only_where_that_is_the_default(self):
         assert replaced("seeds", stream=None) == parse_config(SMALL)
         with pytest.raises(ValueError, match=r"^problem\.n: None would not read back from its config line as int$"):
@@ -424,9 +447,9 @@ class TestConfigGate:
             ScheduleParams(**{key.removeprefix("schedule."): value for key, value in values.items()
                               if key.startswith("schedule.")})
         except ValueError as exc:
-            # the schedule block checks itself before any config exists, naming its fields
+            # the schedule block checks itself before any config exists, so it reports its own faults alone
             assert refused is not None
-            assert {f"schedule.{part}" for part in str(exc).split("; ")} <= set(refused)
+            assert str(exc).split("; ") == [message for message in refused if message.startswith("schedule.")]
             return
         try:
             cfg = ExperimentConfig(**harness._blocks(values))   # each block from its constructor
@@ -797,6 +820,25 @@ class TestSweep:
         rows = sweep(parse_config(SMALL), axis, [value], out_dir=tmp_path / "sweep")
         assert ran == []
         assert rows[0].error == f"ValueError: {message}"
+
+    def test_an_int_no_config_line_holds_fails_before_any_run(self, tmp_path, monkeypatch):
+        # no sweep.csv cell or run directory name can write it
+        ran = []
+        monkeypatch.setattr(harness, "run_experiment", lambda *args, **kwargs: ran.append(args))
+        digits = sys.get_int_max_str_digits()
+        with pytest.raises(ValueError, match=f"^sweep axis T: cannot interpret an int of over {digits} digits$"):
+            sweep(parse_config(SMALL), "T", [3, 10 ** 5000], out_dir=tmp_path / "sweep")
+        assert ran == []
+        assert not (tmp_path / "sweep").exists()
+
+    def test_each_value_is_judged_once(self, tmp_path, monkeypatch):
+        # the config gate is the one check of a swept value, whether it is refused or runs
+        cfg, checked, check = parse_config(SMALL), [], harness._check
+        monkeypatch.setattr(harness, "_check", lambda values: checked.append(values) or check(values))
+        monkeypatch.setattr(harness, "run_experiment", lambda cfg, **kwargs: 1 / 0)
+        rows = sweep(cfg, "T", ["3", "0", "1000001"], out_dir=tmp_path / "sweep")
+        assert [row.error.split(":")[0] for row in rows] == ["ZeroDivisionError", "ValueError", "ValueError"]
+        assert [values["problem.T"] for values in checked] == [3, 0, 1000001]
 
     def test_values_are_checked_without_parsing_text(self, tmp_path, monkeypatch):
         parsed, ran = [], []

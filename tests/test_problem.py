@@ -117,6 +117,12 @@ class TestLMO:
         assert coord.tolist() == np.abs(want).argmax(axis=1).tolist()
         assert value.tobytes() == want[np.arange(len(want)), coord].tobytes()
 
+    @pytest.mark.parametrize("kind", ["simplex", "l1ball", None])
+    def test_kind_of_another_type_refused(self, kind):
+        # a str is no ConstraintKind: the oracle would take the l1 ball, whose vertices leave the simplex
+        with pytest.raises(ValueError, match=rf"^kind must be a ConstraintKind, got {kind!r}$"):
+            ConstraintSpec(kind=kind, dimension=3)
+
     def test_invariant_under_positive_scaling(self):
         rng = np.random.default_rng(1)
         for spec in (ConstraintSpec.simplex(6), ConstraintSpec.l1_ball(6, 3.0)):
