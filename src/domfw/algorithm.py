@@ -25,12 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
 from .network import GraphSchedule, MixingFold
-from .problem import ConstraintSpec, LossStream, _frozen, _global_grad, _lmo, _local_grads, sample_feasible
+from .problem import ConstraintSpec, LossStream, _frozen, _global_grad, _lmo, _local_grads, _shown, sample_feasible
 
 CONSERVATION_TOL = 1e-9
 FEASIBILITY_RUN_TOL = 1e-10
@@ -57,27 +56,27 @@ def schedule_violations(mode: ScheduleMode, epsilon: float, gamma: float, rho: f
     """
     problems = []
     if not isinstance(mode, ScheduleMode):
-        problems.append(("schedule.mode", f"must be a ScheduleMode, got {mode!r}"))
+        problems.append(("schedule.mode", f"must be a ScheduleMode, got {_shown(mode, repr)}"))
     if not 0 < epsilon < math.inf:
-        problems.append(("schedule.epsilon", f"must be finite and > 0, got {epsilon}"))
+        problems.append(("schedule.epsilon", f"must be finite and > 0, got {_shown(epsilon)}"))
     if mode is ScheduleMode.PER_ROUND:
         if not 0 < gamma < 1:
-            problems.append(("schedule.gamma", f"per-round schedule requires 0 < gamma < 1, got {gamma}"))
+            problems.append(("schedule.gamma", f"per-round schedule requires 0 < gamma < 1, got {_shown(gamma)}"))
     elif not 0 < gamma <= 1:
-        problems.append(("schedule.gamma", f"must lie in (0, 1], got {gamma}"))
+        problems.append(("schedule.gamma", f"must lie in (0, 1], got {_shown(gamma)}"))
     if not 1 <= rho < math.inf:
-        problems.append(("schedule.rho", f"must be finite and >= 1, got {rho}"))
+        problems.append(("schedule.rho", f"must be finite and >= 1, got {_shown(rho)}"))
     elif not rho * rho < math.inf:   # the regret bound divides by rho**2
-        problems.append(("schedule.rho", f"rho**2 must be finite, got {rho}"))
+        problems.append(("schedule.rho", f"rho**2 must be finite, got {_shown(rho)}"))
     if fixed_count is None:
         if mode is ScheduleMode.FIXED:
             problems.append(("schedule.fixed_count", "required for mode fixed"))
     elif isinstance(fixed_count, bool) or not isinstance(fixed_count, (int, np.integer)):
-        problems.append(("schedule.fixed_count", f"must be an integer, got {fixed_count!r}"))
+        problems.append(("schedule.fixed_count", f"must be an integer, got {_shown(fixed_count, repr)}"))
     elif not fixed_count >= 2:
-        problems.append(("schedule.fixed_count", f"must be >= 2, got {fixed_count}"))
+        problems.append(("schedule.fixed_count", f"must be >= 2, got {_shown(fixed_count)}"))
     if baseline_alpha is not None and not 0 < baseline_alpha <= 1:
-        problems.append(("schedule.baseline_alpha", f"must lie in (0, 1], got {baseline_alpha}"))
+        problems.append(("schedule.baseline_alpha", f"must lie in (0, 1], got {_shown(baseline_alpha)}"))
     return problems
 
 
@@ -332,26 +331,3 @@ def run(stream: LossStream, schedule: GraphSchedule, params: ScheduleParams,
         rounds.append(diag)
     decisions.flags.writeable = False   # handed over without a copy
     return Trajectory(decisions=decisions, rounds=tuple(rounds), mixing=fold)
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Rows ``t, agent, x_1..x_d`` for every committed decision."""
-    d = traj.decisions.shape[2]
-    with Path(path).open("w", newline="") as fh:
-        fh.write("t,agent," + ",".join(f"x_{j + 1}" for j in range(d)) + "\n")
-        for t in range(1, traj.horizon + 2):
-            for i, row in enumerate(traj.decisions[t - 1].tolist()):
-                fh.write(f"{t},{i}," + ",".join(map(repr, row)) + "\n")
-
-
-def write_diagnostics_csv(traj: Trajectory, path) -> None:
-    """Per-round schedule, error, and cumulative counter columns."""
-    lo_calls = messages = 0
-    with Path(path).open("w", newline="") as fh:
-        fh.write("t,K_t,alpha_t,consistency_error,tracking_residual,"
-                 "lo_calls_cumulative,messages_cumulative\n")
-        for r in traj.rounds:
-            lo_calls += r.lo_calls
-            messages += r.messages
-            fh.write(f"{r.t},{r.inner_count},{r.alpha!r},{r.consistency_error!r},"
-                     f"{r.tracking_residual!r},{lo_calls},{messages}\n")

@@ -4,7 +4,9 @@ Configs are flat ``section.key = value`` text (``#`` comments allowed). The
 single master seed is hashed with a role tag to derive the stream, network,
 and initialization sub-seeds, so redrawing one component never disturbs the
 others. Every run writes its artifacts plus a manifest, a config file that
-reproduces the run bit-for-bit.
+reproduces the run bit-for-bit. This module alone writes a run's files
+(``RUN_FILES``): their names, their columns, and floats as ``repr`` text,
+which reads back bit for bit.
 """
 
 from __future__ import annotations
@@ -26,26 +28,17 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .algorithm import (
-    ScheduleMode,
-    ScheduleParams,
-    Trajectory,
-    inner_count,
-    run,
-    schedule_violations,
-    step_size,
-    write_diagnostics_csv,
-    write_trajectory_csv,
-)
-from .network import MixingConstants, MixingReport, check_mixing, random_connected_schedule, write_schedule_csv
+from .algorithm import ScheduleMode, ScheduleParams, Trajectory, inner_count, run, schedule_violations, step_size
+from .network import GraphSchedule, MixingConstants, MixingReport, check_mixing, random_connected_schedule
 from .problem import (
     ConstraintKind,
     ConstraintSpec,
+    LossStream,
+    _shown,
     estimate_function_variation,
     function_variation_bound,
     generate_stream,
     problem_constants,
-    write_stream_csv,
 )
 from .regret import (
     BoundReport,
@@ -55,8 +48,6 @@ from .regret import (
     envelopes,
     regret_series,
     regret_upper_bound,
-    write_envelopes_csv,
-    write_regret_csv,
 )
 
 
@@ -355,7 +346,7 @@ def _judge(lines: dict, given: dict | None = None) -> tuple[dict, list]:
         if given is not None and not (value is not None and type(value) is type(given[key])
                                       and (value == given[key] or value != value)):
             kind = "bool" if convert is _parse_bool else convert.__name__
-            violations.append((lineno, f"{key}: {_shown(given[key])} would not read back "
+            violations.append((lineno, f"{key}: {_shown(given[key], repr)} would not read back "
                                        f"from its config line as {kind}"))
         elif value is None:
             violations.append((lineno, f"{key}: cannot interpret {raw!r}"))
@@ -374,14 +365,6 @@ def _judge(lines: dict, given: dict | None = None) -> tuple[dict, list]:
             # each at its key's line, or at the mode's line for an unset schedule key
             violations += [(seen.get(key, seen.get("schedule.mode")), f"{key}: {message}") for key, message in found]
     return values, sorted(violations, key=lambda v: (v[0] or 0))
-
-
-def _shown(value) -> str:
-    """``repr(value)``, or the size of an int past the interpreter's digit limit, which it will not write."""
-    try:
-        return repr(value)
-    except ValueError:
-        return f"an int of over {sys.get_int_max_str_digits()} digits"
 
 
 def _check(values: dict) -> None:
@@ -511,6 +494,72 @@ RUN_FILES = ("stream.csv", "network.csv", "trajectory.csv", "diagnostics.csv", "
              "envelopes.gp", "bound.txt", "manifest.txt", "FAILED")
 
 
+def write_stream_csv(stream: LossStream, path) -> None:
+    """Dump the stream as rows ``agent, t, a_1..a_d, b`` for replay."""
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(["agent", "t"] + [f"a_{j + 1}" for j in range(stream.d)] + ["b"]) + "\n")
+        for i in range(stream.n):
+            if stream.fixed_features:
+                rows = repeat(",".join(map(repr, stream.features[i].tolist())))
+            else:
+                rows = (",".join(map(repr, a)) for a in stream.features[:, i].tolist())
+            for t, (row, b) in enumerate(zip(rows, stream.labels[i].tolist()), start=1):
+                fh.write(f"{i},{t},{row},{b!r}\n")
+
+
+def write_schedule_csv(schedule: GraphSchedule, path) -> None:
+    """Dump every round's nonzero weights as rows ``round, i, j, weight``."""
+    with Path(path).open("w", newline="") as fh:
+        fh.write("round,i,j,weight\n")
+        for t in range(1, schedule.horizon + 1):
+            a = schedule.matrix(t).weights
+            ii, jj = np.nonzero(a)   # row-major order
+            for i, j, w in zip(ii.tolist(), jj.tolist(), a[ii, jj].tolist()):
+                fh.write(f"{t},{i},{j},{w!r}\n")
+
+
+def write_trajectory_csv(traj: Trajectory, path) -> None:
+    """Rows ``t, agent, x_1..x_d`` for every committed decision."""
+    d = traj.decisions.shape[2]
+    with Path(path).open("w", newline="") as fh:
+        fh.write("t,agent," + ",".join(f"x_{j + 1}" for j in range(d)) + "\n")
+        for t in range(1, traj.horizon + 2):
+            for i, row in enumerate(traj.decisions[t - 1].tolist()):
+                fh.write(f"{t},{i}," + ",".join(map(repr, row)) + "\n")
+
+
+def write_diagnostics_csv(traj: Trajectory, path) -> None:
+    """Per-round schedule, error, and cumulative counter columns."""
+    lo_calls = messages = 0
+    with Path(path).open("w", newline="") as fh:
+        fh.write("t,K_t,alpha_t,consistency_error,tracking_residual,"
+                 "lo_calls_cumulative,messages_cumulative\n")
+        for r in traj.rounds:
+            lo_calls += r.lo_calls
+            messages += r.messages
+            fh.write(f"{r.t},{r.inner_count},{r.alpha!r},{r.consistency_error!r},"
+                     f"{r.tracking_residual!r},{lo_calls},{messages}\n")
+
+
+def write_regret_csv(series: RegretSeries, path) -> None:
+    """Rows ``t, agent, cumulative_regret, average_regret``."""
+    cumulative = series.cumulative
+    average = series.average
+    with Path(path).open("w", newline="") as fh:
+        fh.write("t,agent,cumulative_regret,average_regret\n")
+        for t in range(1, cumulative.shape[1] + 1):
+            for j, (c, a) in enumerate(zip(cumulative[:, t - 1].tolist(), average[:, t - 1].tolist())):
+                fh.write(f"{t},{j},{c!r},{a!r}\n")
+
+
+def write_envelopes_csv(env: Envelopes, path) -> None:
+    """Rows ``t, avg, sup, inf`` of the average-regret envelopes."""
+    with Path(path).open("w", newline="") as fh:
+        fh.write("t,avg,sup,inf\n")
+        for t, (avg, sup, inf) in enumerate(zip(env.avg.tolist(), env.sup.tolist(), env.inf.tolist()), start=1):
+            fh.write(f"{t},{avg!r},{sup!r},{inf!r}\n")
+
+
 def _artifact_dir(config: ExperimentConfig, out_dir) -> Path:
     """``out_dir``, else the config's ``output.directory``, created. An empty
     ``out_dir`` is refused first, as it would put the artifacts, and the
@@ -545,6 +594,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None, dump_network: bool = 
         prob = config.problem
         stream = generate_stream(prob.n, prob.T, prob.lambda1, prob.spec(), seed=config.seeds.stream_seed(),
                                  redraw_features=prob.redraw_features)
+        ht_estimate = estimate_function_variation(stream)
+        ht_upper_bound = function_variation_bound(stream) if stream.fixed_features else None
         schedule = random_connected_schedule(prob.n, prob.T, config.network.edge_prob,
                                              seed=config.seeds.network_seed())
         trajectory = run(stream, schedule, config.schedule,
@@ -564,8 +615,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None, dump_network: bool = 
         write_envelopes_csv(env, out / "envelopes.csv")
         (out / "envelopes.gp").write_text(_GNUPLOT)
 
-        ht_estimate = estimate_function_variation(stream)
-        ht_upper_bound = function_variation_bound(stream) if stream.fixed_features else None
         bound = None
         # the analytic bound needs fixed features and a tracked multi-iteration schedule
         if stream.fixed_features and config.schedule.mode is not ScheduleMode.BASELINE:
@@ -637,7 +686,7 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir=None, dump_networ
             converted = convert(value)
             _echo_value(converted)   # its sweep.csv cell, which an int past the digit limit has not
         except (TypeError, ValueError):
-            raise ValueError(f"sweep axis {axis}: cannot interpret {_shown(value)}") from None
+            raise ValueError(f"sweep axis {axis}: cannot interpret {_shown(value, repr)}") from None
         if converted in first:
             raise ValueError(f"sweep axis {axis}: value {value!r} repeats {first[converted]!r}")
         first[converted] = value

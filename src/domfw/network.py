@@ -9,7 +9,6 @@ with a fixed association order for bit determinism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -270,14 +269,3 @@ def check_mixing(fold: MixingFold, zeta: float) -> MixingReport:
     shifted = [b - d for b, d in zip(bounds[1:], deviations[1:])]
     return MixingReport(deviation=deviations[0], bound=float(bounds[0]),
                         shifted_margin=min(shifted) if shifted else None)
-
-
-def write_schedule_csv(schedule: GraphSchedule, path) -> None:
-    """Dump every round's nonzero weights as rows ``round, i, j, weight``."""
-    with Path(path).open("w", newline="") as fh:
-        fh.write("round,i,j,weight\n")
-        for t in range(1, schedule.horizon + 1):
-            a = schedule.matrix(t).weights
-            ii, jj = np.nonzero(a)   # row-major order
-            for i, j, w in zip(ii.tolist(), jj.tolist(), a[ii, jj].tolist()):
-                fh.write(f"{t},{i},{j},{w!r}\n")

@@ -15,11 +15,10 @@ pick the same slots in it.
 
 from __future__ import annotations
 
-import itertools
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 # NumPy 2 loads numpy.random on first use; every run draws from it, so load it
@@ -28,6 +27,14 @@ import numpy.random  # noqa: F401
 
 #: absolute tolerance for feasibility checks
 FEASIBILITY_TOL = 1e-12
+
+
+def _shown(value, show=str) -> str:
+    """``show(value)``, or the size of an int past the interpreter's digit limit, which it will not write."""
+    try:
+        return show(value)
+    except ValueError:
+        return f"an int of over {sys.get_int_max_str_digits()} digits"
 
 
 class ConstraintKind(Enum):
@@ -52,11 +59,13 @@ class ConstraintSpec:
 
     def __post_init__(self):
         if not isinstance(self.kind, ConstraintKind):   # a str would build the l1 ball
-            raise ValueError(f"kind must be a ConstraintKind, got {self.kind!r}")
+            raise ValueError(f"kind must be a ConstraintKind, got {_shown(self.kind, repr)}")
         if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
+            raise ValueError(f"dimension must be >= 1, got {_shown(self.dimension)}")
         if not 0 < self.radius < np.inf:
-            raise ValueError(f"radius must be finite and > 0, got {self.radius}")
+            raise ValueError(f"radius must be finite and > 0, got {_shown(self.radius)}")
+        if self.radius > sys.float_info.max:   # an int with no float: the vertex table would overflow
+            raise ValueError(f"radius must fit in a float, got {_shown(self.radius)}")
         if self.kind is ConstraintKind.UNIT_SIMPLEX and self.radius != 1.0:
             raise ValueError("the unit simplex has radius fixed at 1")
 
@@ -393,17 +402,3 @@ def problem_constants(stream: LossStream) -> ProblemConstants:
     lip = float((anorm * (anorm * r_x + bmax) + 2.0 * stream.lambda1 * r_x).max())
     smooth = float((anorm ** 2).max() + 2.0 * stream.lambda1)
     return ProblemConstants(diameter=diameter(stream.constraint), grad_norm_bound=lip, grad_lipschitz=smooth)
-
-
-def write_stream_csv(stream: LossStream, path) -> None:
-    """Dump the stream as rows ``agent, t, a_1..a_d, b`` for replay."""
-    with Path(path).open("w", newline="") as fh:
-        fh.write(",".join(["agent", "t"] + [f"a_{j + 1}" for j in range(stream.d)] + ["b"]) + "\n")
-        for i in range(stream.n):
-            if stream.fixed_features:
-                rows = itertools.repeat(",".join(map(repr, stream.features[i].tolist())))
-            else:
-                rows = (",".join(map(repr, a)) for a in stream.features[:, i].tolist())
-            for t, (row, b) in enumerate(zip(rows, stream.labels[i].tolist()), start=1):
-                fh.write(f"{i},{t},{row},{b!r}\n")
-

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -449,22 +448,3 @@ def regret_upper_bound(constants: ProblemConstants, mixing: MixingConstants,
     inv_sum = float(sum(1.0 / k for k in counts[:stream.T]))
     return BoundReport(e1=float(e1), e2=float(e2), e3=float(e3),
                        variation_bound=variation, inv_count_sum=inv_sum)
-
-
-def write_regret_csv(series: RegretSeries, path) -> None:
-    """Rows ``t, agent, cumulative_regret, average_regret``."""
-    cumulative = series.cumulative
-    average = series.average
-    with Path(path).open("w", newline="") as fh:
-        fh.write("t,agent,cumulative_regret,average_regret\n")
-        for t in range(1, cumulative.shape[1] + 1):
-            for j, (c, a) in enumerate(zip(cumulative[:, t - 1].tolist(), average[:, t - 1].tolist())):
-                fh.write(f"{t},{j},{c!r},{a!r}\n")
-
-
-def write_envelopes_csv(env: Envelopes, path) -> None:
-    """Rows ``t, avg, sup, inf`` of the average-regret envelopes."""
-    with Path(path).open("w", newline="") as fh:
-        fh.write("t,avg,sup,inf\n")
-        for t, (avg, sup, inf) in enumerate(zip(env.avg.tolist(), env.sup.tolist(), env.inf.tolist()), start=1):
-            fh.write(f"{t},{avg!r},{sup!r},{inf!r}\n")

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,9 +20,8 @@ from domfw.algorithm import (
     run,
     run_round,
     step_size,
-    write_diagnostics_csv,
-    write_trajectory_csv,
 )
+from domfw.harness import write_diagnostics_csv, write_trajectory_csv
 from domfw.network import WeightMatrix, metropolis_weights, random_connected_schedule
 from domfw.problem import ConstraintSpec, LossStream, _global_grad, generate_stream, global_loss, lmo, sample_feasible
 from oracles import (
@@ -189,6 +189,13 @@ class TestScheduleParamsValidation:
         # 2.5 would step K_t = 2 silently
         with pytest.raises(ValueError, match=r"^schedule\.fixed_count: must be an integer, got "):
             ScheduleParams(FIXED, fixed_count=count)
+
+    @pytest.mark.parametrize("mode, field", [(PER_ROUND, "epsilon"), (FIXED, "fixed_count")])
+    def test_an_int_past_the_digit_limit_is_named_by_its_size(self, mode, field):
+        # str() refuses to write such an int; the message names the key and the int's size instead
+        digits = sys.get_int_max_str_digits()
+        with pytest.raises(ValueError, match=rf"^schedule\.{field}: must be [^;]*, got an int of over {digits} digits$"):
+            ScheduleParams(mode, **{"fixed_count": 3, field: -10 ** 5000})
 
     def test_fixed_count_may_be_a_numpy_integer(self):
         assert inner_count(ScheduleParams(FIXED, fixed_count=np.int64(3)), 2, 4) == 3

@@ -15,6 +15,7 @@ import domfw.algorithm
 import domfw.harness
 import domfw.network
 import domfw.problem
+import domfw.regret
 from domfw.algorithm import Trajectory
 from domfw.harness import ExperimentConfig, RunResult
 from domfw.network import MixingReport, metropolis_weights
@@ -61,6 +62,27 @@ def test_checked_twins_stay_in_the_tests():
     for module in (domfw, domfw.algorithm, domfw.problem, domfw.network):
         assert [name for name in TEST_ONLY if hasattr(module, name)] == [], module.__name__
     assert not hasattr(domfw.LossStream, "_check_agent")
+
+
+# the file each CSV of a run is written by, all in domfw.harness
+CSV_WRITERS = {"stream.csv": "write_stream_csv", "network.csv": "write_schedule_csv",
+               "trajectory.csv": "write_trajectory_csv", "diagnostics.csv": "write_diagnostics_csv",
+               "regret.csv": "write_regret_csv", "envelopes.csv": "write_envelopes_csv"}
+
+
+@pytest.mark.parametrize("module", [domfw.problem, domfw.network, domfw.algorithm, domfw.regret],
+                         ids=lambda module: module.__name__)
+def test_computing_layers_do_no_file_io(module):
+    writers = [name for name, obj in vars(module).items() if name.startswith("write_") and inspect.isfunction(obj)]
+    assert not hasattr(module, "Path") and writers == []
+    assert not re.search(r"\bopen\(|pathlib|\.write_(text|bytes)\(", inspect.getsource(module))
+
+
+def test_harness_defines_one_writer_for_each_run_csv():
+    assert sorted(CSV_WRITERS) == sorted(name for name in domfw.harness.RUN_FILES if name.endswith(".csv"))
+    defined = sorted(name for name, obj in vars(domfw.harness).items()
+                     if name.startswith("write_") and inspect.isfunction(obj) and obj.__module__ == "domfw.harness")
+    assert defined == sorted(CSV_WRITERS.values())
 
 
 def test_check_mixing_takes_a_fold_and_zeta_only():

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import domfw.harness as harness
-from domfw.algorithm import ScheduleMode, ScheduleParams, inner_count, step_size
+from domfw.algorithm import ScheduleMode, ScheduleParams, inner_count, run, step_size
 from domfw.cli import main
 from domfw.harness import (
     ConfigError,
@@ -25,10 +25,15 @@ from domfw.harness import (
     parse_config,
     run_experiment,
     sweep,
+    write_diagnostics_csv,
+    write_envelopes_csv,
+    write_regret_csv,
+    write_schedule_csv,
+    write_trajectory_csv,
 )
 from domfw.network import GraphSchedule, MixingReport, WeightMatrix, random_connected_schedule
-from domfw.problem import ConstraintKind, generate_stream
-from domfw.regret import RoundOptimizer
+from domfw.problem import ConstraintKind, ConstraintSpec, generate_stream
+from domfw.regret import RoundOptimizer, envelopes, regret_series
 from oracles import BENCH_DIGESTS, WORKLOADS, constant_schedule, lo_call_count
 
 FLOAT_KEYS = [key for key, (convert, *_) in harness._SCHEMA.items() if convert is float]
@@ -704,6 +709,103 @@ class TestRunExperiment:
         assert "ht_upper_bound" not in report    # needs fixed features
         assert "bound_total" not in report
         assert not (out / "FAILED").exists()
+
+
+def small_run(n, T, d, ball, redraw, seed):
+    """A small run's stream, schedule, trajectory, regret series and envelopes, all drawn from ``seed``."""
+    spec = ConstraintSpec.l1_ball(d) if ball else ConstraintSpec.simplex(d)
+    stream = generate_stream(n, T, 1e-4, spec, seed=seed, redraw_features=redraw)
+    schedule = random_connected_schedule(n, T, 0.4, seed=seed + 1)
+    trajectory = run(stream, schedule, ScheduleParams(), init="random", init_seed=seed + 2)
+    solver = RoundOptimizer(stream)
+    series = regret_series(trajectory, [solver.solve(t) for t in range(1, T + 1)], stream)
+    return stream, schedule, trajectory, series, envelopes(series)
+
+
+def written(writer, result, name):
+    """``writer``'s file of ``result`` read back as text: its header cells and its rows of cells."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        writer(result, path)
+        header, *rows = path.read_text().splitlines()
+    return header.split(","), [row.split(",") for row in rows]
+
+
+def float_bits(cells) -> bytes:
+    """The float64 bytes of number cells (a list, or a list of rows), each parsed by ``float``; signed zeros kept."""
+    return np.array([[float(c) for c in row] if isinstance(row, list) else float(row) for row in cells]).tobytes()
+
+
+# small runs on both sets, with fixed and redrawn features
+SMALL_RUNS = dict(n=st.integers(2, 4), T=st.integers(1, 4), d=st.integers(1, 4), ball=st.booleans(),
+                  redraw=st.booleans(), seed=st.integers(0, 2 ** 32))
+
+
+class TestRunFilesReadBack:
+    """Each CSV the harness writes, parsed as text, gives back bit for bit the
+    arrays it was written from (``stream.csv``: ``TestStreamCsv`` in
+    ``test_problem.py``)."""
+
+    @settings(derandomize=True, deadline=None, max_examples=15)
+    @given(**SMALL_RUNS)
+    def test_trajectory_csv(self, n, T, d, ball, redraw, seed):
+        trajectory = small_run(n, T, d, ball, redraw, seed)[2]
+        header, rows = written(write_trajectory_csv, trajectory, "trajectory.csv")
+        assert header == ["t", "agent"] + [f"x_{j + 1}" for j in range(d)]
+        assert [(int(row[0]), int(row[1])) for row in rows] == [(t, i) for t in range(1, T + 2) for i in range(n)]
+        assert float_bits([row[2:] for row in rows]) == trajectory.decisions.tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=15)
+    @given(**SMALL_RUNS)
+    def test_diagnostics_csv(self, n, T, d, ball, redraw, seed):
+        trajectory = small_run(n, T, d, ball, redraw, seed)[2]
+        header, rows = written(write_diagnostics_csv, trajectory, "diagnostics.csv")
+        assert header == ["t", "K_t", "alpha_t", "consistency_error", "tracking_residual",
+                          "lo_calls_cumulative", "messages_cumulative"]
+        assert len(rows) == len(trajectory.rounds) == T
+        lo_calls = messages = 0
+        for row, r in zip(rows, trajectory.rounds):
+            lo_calls += r.lo_calls
+            messages += r.messages
+            assert [int(row[0]), int(row[1]), int(row[5]), int(row[6])] == [r.t, r.inner_count, lo_calls, messages]
+            assert float_bits(row[2:5]) == np.array([r.alpha, r.consistency_error, r.tracking_residual]).tobytes()
+        assert (lo_calls, messages) == (trajectory.lo_calls, trajectory.messages)
+
+    @settings(derandomize=True, deadline=None, max_examples=15)
+    @given(**SMALL_RUNS)
+    def test_regret_csv(self, n, T, d, ball, redraw, seed):
+        series = small_run(n, T, d, ball, redraw, seed)[3]
+        header, rows = written(write_regret_csv, series, "regret.csv")
+        assert header == ["t", "agent", "cumulative_regret", "average_regret"]
+        assert [(int(row[0]), int(row[1])) for row in rows] == [(t, j) for t in range(1, T + 1) for j in range(n)]
+        # rows run over the agents within a round, the arrays' columns are the rounds
+        assert float_bits([row[2] for row in rows]) == series.cumulative.T.tobytes()
+        assert float_bits([row[3] for row in rows]) == series.average.T.tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=15)
+    @given(**SMALL_RUNS)
+    def test_envelopes_csv(self, n, T, d, ball, redraw, seed):
+        env = small_run(n, T, d, ball, redraw, seed)[4]
+        header, rows = written(write_envelopes_csv, env, "envelopes.csv")
+        assert header == ["t", "avg", "sup", "inf"]
+        assert [int(row[0]) for row in rows] == list(range(1, T + 1))
+        for column, values in enumerate((env.avg, env.sup, env.inf), start=1):
+            assert float_bits([row[column] for row in rows]) == values.tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=15)
+    @given(**SMALL_RUNS)
+    def test_network_csv(self, n, T, d, ball, redraw, seed):
+        schedule = small_run(n, T, d, ball, redraw, seed)[1]
+        header, rows = written(write_schedule_csv, schedule, "network.csv")
+        assert header == ["round", "i", "j", "weight"]
+        want_cells, want_weights = [], []
+        for t in range(1, T + 1):   # each round's nonzero weights in row-major order
+            a = schedule.matrix(t).weights
+            ii, jj = np.nonzero(a)
+            want_cells += [(t, i, j) for i, j in zip(ii.tolist(), jj.tolist())]
+            want_weights.append(a[ii, jj])
+        assert [(int(row[0]), int(row[1]), int(row[2])) for row in rows] == want_cells
+        assert float_bits([row[3] for row in rows]) == np.concatenate(want_weights).tobytes()
 
 
 class TestBenchmarkDigests:

@@ -12,6 +12,7 @@ from scipy.sparse.csgraph import connected_components
 
 import domfw.algorithm as algorithm
 from domfw.algorithm import ScheduleParams, run
+from domfw.harness import write_schedule_csv
 from domfw.network import (
     GraphSchedule,
     MixingConstants,
@@ -20,7 +21,6 @@ from domfw.network import (
     check_mixing,
     metropolis_weights,
     random_connected_schedule,
-    write_schedule_csv,
 )
 from domfw.problem import ConstraintSpec, generate_stream
 from oracles import (

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from domfw.harness import write_stream_csv
 from domfw.problem import (
     ConstraintKind,
     ConstraintSpec,
@@ -23,7 +25,6 @@ from domfw.problem import (
     lmo,
     problem_constants,
     sample_feasible,
-    write_stream_csv,
 )
 from oracles import (global_grad, grad_eval, loss_eval, read_stream_csv, reference_function_variation,
                      reference_redrawn_variation)
@@ -69,6 +70,22 @@ class TestLMO:
     def test_radius_must_be_finite_and_positive(self, radius):
         with pytest.raises(ValueError, match="radius must be finite and > 0"):
             ConstraintSpec.l1_ball(3, radius)
+
+    @pytest.mark.parametrize("make, rule", [(lambda: ConstraintSpec.simplex(-10 ** 5000), "dimension must be >= 1"),
+                                            (lambda: ConstraintSpec.l1_ball(3, -10 ** 5000),
+                                             "radius must be finite and > 0")])
+    def test_an_int_past_the_digit_limit_is_named_by_its_size(self, make, rule):
+        # str() refuses to write such an int; the message names the field and the int's size instead
+        digits = sys.get_int_max_str_digits()
+        with pytest.raises(ValueError, match=rf"^{rule}, got an int of over {digits} digits$"):
+            make()
+
+    @pytest.mark.parametrize("radius", [10 ** 400, 2 ** 1024])
+    def test_a_radius_with_no_float_is_refused(self, radius):
+        # accepted, it would overflow the vertex table on first use
+        with pytest.raises(ValueError, match=rf"^radius must fit in a float, got {radius}$"):
+            ConstraintSpec.l1_ball(3, radius)
+        assert ConstraintSpec.l1_ball(3, int(sys.float_info.max)).radius == sys.float_info.max
 
     @pytest.mark.parametrize("make", [ConstraintSpec.simplex, lambda d: ConstraintSpec.l1_ball(d, 1.7)])
     def test_minimizes_over_all_vertices(self, make):

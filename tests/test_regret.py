@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import domfw.problem as problem
 import domfw.regret as regret
 from domfw.algorithm import ScheduleMode, ScheduleParams, Trajectory, inner_count, run
-from domfw.harness import derive_seed, parse_config, run_experiment
+from domfw.harness import derive_seed, parse_config, run_experiment, write_envelopes_csv, write_regret_csv
 from domfw.network import MixingConstants, random_connected_schedule
 from domfw.problem import (
     FEASIBILITY_TOL,
@@ -30,8 +30,6 @@ from domfw.regret import (
     envelopes,
     regret_series,
     regret_upper_bound,
-    write_envelopes_csv,
-    write_regret_csv,
 )
 from domfw.regret import RegretSeries
 from oracles import WORKLOADS, ReferenceRoundOptimizer, project
