@@ -54,7 +54,10 @@ def main(argv=None) -> int:
             with open(args.csv, newline="") as fh:
                 reader = csv.reader(fh)
                 rows = [row for row in reader if row]
-            if rows and rows[0] == ["T", *SWEEP_COLUMNS]:   # a T sweep: each numeric column over its ok rows
+            if rows and rows[0][0] in _SWEEP_AXES and rows[0][1:] == list(SWEEP_COLUMNS):   # a sweep.csv
+                if rows[0][0] != "T":
+                    raise ValueError(f"{args.csv} is a sweep over {rows[0][0]}; slope fits a T sweep")
+                # each numeric column over the ok rows
                 ok = [row for row in rows[1:] if row[-1] == "ok"]
                 slopes = {name: fit_loglog_slope([(float(row[0]), float(row[at])) for row in ok])
                           for at, name in enumerate(SWEEP_COLUMNS[:-1], start=1)}

@@ -172,7 +172,9 @@ def resident_bytes(n: int, d: int, T: int, k_max: int, redraw_features: bool) ->
     sets), four ``d x d`` arrays for ``H`` and its build temporaries, three
     ``(1000 + 2 d) x d`` arrays for the variation estimate's points and
     their draw, and six ``(d + 1) x (d + 1)`` arrays for the active-set
-    half's KKT solve over at most ``d + 1`` vertices.
+    half's face of at most ``d + 1`` vertices: its ``P``, that matrix's
+    temporaries and Cholesky factor, and the old and new inverse factor
+    while it grows or is rebuilt.
     """
     features = n * d * (T if redraw_features else 1)
     floats = (features + 2 * n * T + (T + 1) * n * d + 4 * n * T

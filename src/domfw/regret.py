@@ -6,11 +6,9 @@ convex objective. The solver takes pairwise Frank-Wolfe steps (move weight
 from the worst active vertex to the linear-oracle vertex, exact line search
 on the quadratic): plain steps along ``v - x`` stall in a sublinear tail on
 boundary optima. From the first round whose pairwise solve exhausts its
-iteration cap, the same solver takes an active-set method instead. Both
-halves read a vertex slot as the set's coordinate and signed value
-(``ConstraintSpec``), and both certify a gap below the tolerance, or below
-the round's rounding floor where that is larger. The library never
-projects; the tests cross-check the optima with a projected-gradient
+iteration cap, the same solver takes Wolfe's active-set method, which grows
+an inverse Cholesky factor of each face (``RoundOptimizer``). The library
+never projects; the tests cross-check the optima with a projected-gradient
 solver of their own.
 """
 
@@ -37,7 +35,7 @@ _EPS = float(np.finfo(float).eps)
 
 
 class SolverError(RuntimeError):
-    """Raised when an optimum solver exhausts its iteration cap."""
+    """Raised when an optimum solver cannot certify a round; ``gap`` is its last gap."""
 
     def __init__(self, message: str, gap: float):
         super().__init__(message)
@@ -90,11 +88,9 @@ class RoundOptimizer:
     Keeps the active vertex decomposition between calls, so sweeping
     ``t = 1..T`` (where consecutive objectives differ only through the
     decaying label noise) costs a handful of iterations per round. The round
-    whose pairwise steps exhaust ``max_iter`` with a finite gap, and every
-    later one, goes to an active-set method. The default cap, 2 * 10**4,
-    is several times the most a certified round of the benchmark streams
-    takes (3,166, on redrawn l1-ball features), and hands a stalled round
-    over in well under a second.
+    whose pairwise steps exhaust ``max_iter`` (by default 2 * 10**4, several
+    times the most a certified benchmark round takes) with a finite gap, and
+    every later one, goes to an active-set method that factors each face.
 
     The decomposition is a weight per vertex slot and the active slots in
     the order they entered. Both halves read a slot as the set gives it, a
@@ -261,23 +257,22 @@ class RoundOptimizer:
                           f"after {self.max_iter} iterations", gap=gap)
 
     def _active_set_solve(self, t: int) -> OptimumRecord:
-        """A cold-started primal active-set method over vertex weights.
+        """A cold-started primal active-set method (Wolfe, Math. Programming 1976).
 
         Each major step adds the oracle vertex while the Frank-Wolfe gap,
         recomputed from the full gradient, is above ``tol``. Each minor step
-        minimizes over the affine hull of the active vertices by a KKT solve,
-        whose block is ``H`` at the slots' coordinates scaled by their signed
-        values; when a weight would turn negative it stops at the boundary
-        and drops that vertex (Wolfe's method, Math. Programming 1976). Flat
-        directions, which stall pairwise steps, cost one solve. Raises
-        ``SolverError`` if the gap is not finite, if the oracle vertex is
-        already active, or after 1000 major steps more than the set has
-        vertices (each adds one; the rest guard against a cycle)."""
+        minimizes ``0.5 w'Mw + b'w`` (``H`` and ``c`` at the face's slots times
+        their signed values) over ``1'w = 1``: ``w = (1 - mu) R'R 1 - R'R b``,
+        where ``R = L^-1`` for ``P = 11' + M = LL'`` gains a row, O(k^2), as a
+        vertex enters. A weight that would turn negative stops the step at the
+        boundary, drops its vertex and refactors ``P``. Raises ``SolverError``
+        if the gap is not finite, the oracle vertex is already active or ``P``
+        is not positive definite, or after 1000 major steps more than the set has vertices."""
         h, c, tol = self._objective(t)
         coord, sign_r, oracle = self._coord, self._sign_r, self._oracle
         active, weights = [oracle(c)], np.ones(1)
         cs, ss = coord[active], sign_r[active]   # the face's slots, renewed as it changes
-        gap = math.inf
+        r = 1.0 / np.sqrt(1.0 + ss[:, None] * h[np.ix_(cs, cs)] * ss)   # R = L^-1 of the one-slot face's P
         for it in range(sign_r.size + 1000):
             x = _place(self.stream.d, cs, ss * weights)
             g = h @ x + c
@@ -292,13 +287,18 @@ class RoundOptimizer:
                 break
             active.append(fw)
             weights = np.append(weights, 0.0)
+            cs, ss = coord[active], sign_r[active]
+            # fw's column p of P: R gains the row [-l'R, 1] / sqrt(p_kk - l'l), l = R p
+            p = 1.0 + ss * h[cs, cs[-1]] * ss[-1]
+            l = r @ p[:-1]
+            pivot = p[-1] - l @ l
+            if not pivot > 0:
+                raise SolverError(f"round {t}: face not positive definite at step {it}", gap=gap)
+            r = np.pad(r, ((0, 1), (0, 1)))
+            r[-1] = np.append(-(l @ r[:-1, :-1]), 1.0) / math.sqrt(pivot)
             while True:
-                cs, ss = coord[active], sign_r[active]
-                k = len(active)
-                kkt = np.ones((k + 1, k + 1))
-                kkt[:k, :k] = ss[:, None] * h[np.ix_(cs, cs)] * ss
-                kkt[k, k] = 0.0
-                u = np.linalg.lstsq(kkt, np.append(-(ss * c[cs]), 1.0), rcond=None)[0][:k]
+                y1, yb = r.sum(axis=1), r @ (ss * c[cs])
+                u = ((1.0 + y1 @ yb) / (y1 @ y1) * y1 - yb) @ r
                 if (u > 0).all():
                     weights = u
                     break
@@ -310,6 +310,11 @@ class RoundOptimizer:
                 weights[i] = 0.0
                 active = [slot for slot, w in zip(active, weights) if w > 0]
                 weights = weights[weights > 0]
+                cs, ss = coord[active], sign_r[active]
+                try:
+                    r = np.linalg.inv(np.linalg.cholesky(1.0 + ss[:, None] * h[np.ix_(cs, cs)] * ss))
+                except np.linalg.LinAlgError:
+                    raise SolverError(f"round {t}: face not positive definite at step {it}", gap=gap) from None
         raise SolverError(f"round {t}: active-set gap {gap:.3e} above tol {tol:.1e}", gap=gap)
 
 
@@ -415,13 +420,8 @@ def regret_upper_bound(constants: ProblemConstants, mixing: MixingConstants,
     if counts[0] < 2:
         raise ValueError("the bound requires at least two inner iterations per round")
 
-    n = stream.n
-    m = constants.diameter
-    l_x = constants.grad_norm_bound
-    g_x = constants.grad_lipschitz
-    sig = mixing.rate
-    gam = mixing.coeff
-    rho = params.rho
+    n, m, l_x, g_x = stream.n, constants.diameter, constants.grad_norm_bound, constants.grad_lipschitz
+    sig, gam, rho = mixing.rate, mixing.coeff, params.rho
 
     x_init = np.asarray(x_init, dtype=float)
     sum_norm = float(np.linalg.norm(x_init, axis=1).sum())

@@ -15,7 +15,8 @@ folds rounds ``s..t`` of a schedule into a ``MixingFold`` for
 ``check_mixing``, and ``transition_product`` is that window's checked
 product. ``read_stream_csv`` reads a ``stream.csv`` dump back. ``project`` and
 ``projected_gradient_optimum`` are an independent route to the round optima
-(the algorithm under study never projects). ``ReferenceRoundOptimizer`` and
+(the algorithm under study never projects), certified by a gap taken over
+every vertex. ``ReferenceRoundOptimizer`` and
 ``reference_function_variation`` and ``reference_redrawn_variation`` are the
 straightforward forms of the library's pairwise Frank-Wolfe solver and its
 fixed- and redrawn-feature variation estimates; the library's faster forms
@@ -256,26 +257,57 @@ def project(spec: ConstraintSpec, y: np.ndarray) -> np.ndarray:
     return np.sign(y) * w
 
 
+def _face_points(spec: ConstraintSpec, h: np.ndarray, c: np.ndarray, x: np.ndarray):
+    """Least points of ``0.5 z'Hz + c'z`` on the affine hulls of ``x``'s face:
+    the points with ``x``'s support and signs on the set's surface
+    (``sum |z| = r``) and, on the ball, inside it. Each comes from a
+    least-squares solve of its KKT system and is yielded if it keeps the
+    signs and lies in the set."""
+    support = np.flatnonzero(x)
+    sign, k = np.sign(x[support]), support.size
+    kkt = np.zeros((k + 1, k + 1))
+    kkt[:k, :k] = h[np.ix_(support, support)]
+    kkt[:k, k] = kkt[k, :k] = sign
+    solves = [np.linalg.lstsq(kkt, np.append(-c[support], spec.radius), rcond=None)[0][:k]]
+    if spec.kind is ConstraintKind.L1_BALL:
+        solves.append(np.linalg.lstsq(kkt[:k, :k], -c[support], rcond=None)[0])
+    for z in solves:
+        point = np.zeros(spec.dimension)
+        point[support] = z
+        if (sign * z >= 0).all() and spec.contains(point):
+            yield point
+
+
 def projected_gradient_optimum(stream: LossStream, t: int,
                                tol: float = 1e-9, max_iter: int = 2 * 10 ** 6) -> OptimumRecord:
     """Independent round-optimum solver: projected gradient with step ``1/L``.
 
     The stopping certificate is the same Frank-Wolfe gap, but evaluated by
-    brute enumeration of the vertex set rather than through the oracle.
+    brute enumeration of the vertex set rather than through the oracle. On a
+    nearly singular round the steps find the optimum's face long before
+    their gap falls below ``tol``, so whenever the iterate enters a new face
+    the certificate is also tried at that face's least points
+    (``_face_points``): any point it certifies is a round optimum, however
+    it was found.
     """
     spec = stream.constraint
     h, c = _quadratic(stream, t)
     lips = float(np.linalg.eigvalsh(h)[-1])
     verts = spec.vertices()
     x = np.full(stream.d, 1.0 / stream.d) if spec.kind is ConstraintKind.UNIT_SIMPLEX else np.zeros(stream.d)
-    gap = math.inf
+    face, gap = None, math.inf
     for it in range(max_iter):
-        g = h @ x + c
-        gap = float(x @ g - (verts @ g).min())
-        if gap <= tol:
-            return OptimumRecord(t=t, x_star=x, f_star=global_loss(stream, t, x),
-                                 gap=gap, iterations=it, tol=tol)
-        x = project(spec, x - g / lips)
+        points = [x]
+        if face != np.sign(x).tobytes():
+            face = np.sign(x).tobytes()
+            points = [*_face_points(spec, h, c, x), x]
+        for point in points:
+            g = h @ point + c
+            gap = float(point @ g - (verts @ g).min())
+            if gap <= tol:
+                return OptimumRecord(t=t, x_star=point, f_star=global_loss(stream, t, point),
+                                     gap=gap, iterations=it, tol=tol)
+        x = project(spec, x - g / lips)   # g is x's gradient: x is the last point tried
     raise SolverError(f"projected gradient: gap {gap:.3e} above tol after {max_iter} iterations", gap=gap)
 
 

@@ -146,7 +146,7 @@ class TestParseConfig:
 
     def test_footprint_bounds_the_arrays_of_a_wide_run(self, tmp_path):
         # two agents at d = 60 on the l1 ball, the larger vertex table: it, H,
-        # the active-set half's KKT solve and the variation estimate's points
+        # the active-set half's face factor and the variation estimate's points
         # carry the run's arrays
         cfg = parse_config("problem.n = 2\nproblem.d = 60\nproblem.T = 1\nproblem.constraint = l1ball")
         tracemalloc.start()
@@ -1284,6 +1284,24 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert [line.split(" = ")[0] for line in out] == ["final_avg_regret", "lo_calls", "messages"]
         assert [float(line.split(" = ")[1]) for line in out] == pytest.approx([-1.0, 2.0, 1.0], abs=1e-12)
+
+    @pytest.mark.parametrize("axis", sorted(set(harness._SWEEP_AXES) - {"T"}))
+    def test_slope_refuses_a_sweep_over_another_axis(self, tmp_path, capsys, axis):
+        csvfile = tmp_path / "sweep.csv"
+        csvfile.write_text(f"{axis},final_avg_regret,lo_calls,messages,status\n3,0.5,100,20,ok\n"
+                           "1,,,,ValueError: problem.n: value 1 out of range (must be >= 2)\n")
+        assert main(["slope", str(csvfile)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {csvfile} is a sweep over {axis}; slope fits a T sweep\n"
+
+    def test_slope_of_an_n_sweep_names_its_axis(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("problem.n = 3\nproblem.d = 2\nproblem.T = 4\n")
+        out_dir = tmp_path / "s"
+        assert main(["sweep", str(cfgfile), "--axis", "n", "--values", "3,1", "--out-dir", str(out_dir)]) == 2
+        capsys.readouterr()
+        assert main(["slope", str(out_dir / "sweep.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {out_dir / 'sweep.csv'} is a sweep over n; slope fits a T sweep\n"
 
     def test_config_error_exit_code(self, tmp_path):
         cfgfile = tmp_path / "c.cfg"

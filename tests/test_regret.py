@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import math
@@ -32,7 +33,7 @@ from domfw.regret import (
     regret_upper_bound,
 )
 from domfw.regret import RegretSeries
-from oracles import WORKLOADS, ReferenceRoundOptimizer, project
+from oracles import WORKLOADS, ReferenceRoundOptimizer, project, projected_gradient_optimum
 
 
 def enumeration_projection(spec, y):
@@ -259,6 +260,87 @@ class TestActiveSetFallback:
         assert rec.iterations == d - 1
         assert (rec.x_star > 0).all() and rec.gap <= rec.tol
 
+    @pytest.mark.parametrize("kind", ["plain", "twins", "near-singular"])
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(n=st.integers(2, 8), d=st.integers(1, 6), ball=st.booleans(), radius=st.floats(0.5, 3.0),
+           redraw=st.booleans(), lambda1=st.sampled_from([0.0, 5e-6]) | st.floats(1e-2, 1.0),
+           seed=st.integers(0, 2 ** 16))
+    def test_degenerate_faces_agree_with_projected_gradient(self, kind, n, d, ball, radius, redraw, lambda1, seed):
+        if kind == "twins":   # lambda1 = 0 and twin columns: H is singular along each twin pair
+            d += d % 2
+        elif kind == "near-singular":   # square redrawn features, some rounds nearly singular
+            n = d = max(d, 2)
+            lambda1, redraw = 5e-6, True
+        spec = ConstraintSpec.l1_ball(d, radius) if ball else ConstraintSpec.simplex(d)
+        if kind == "twins":
+            stream = tie_stream(spec, seed, n=n, T=3, redraw=redraw)
+        else:
+            stream = generate_stream(n, 3, lambda1, spec, seed=seed, redraw_features=redraw)
+        solver = RoundOptimizer(stream, tol=1e-10)
+        for t in range(1, stream.T + 1):
+            rec = solver._active_set_solve(t)
+            assert spec.contains(rec.x_star, tol=FEASIBILITY_TOL)
+            assert rec.gap <= rec.tol
+            ref = projected_gradient_optimum(stream, t, tol=rec.tol)
+            assert abs(rec.f_star - ref.f_star) <= max(rec.gap, ref.gap) + 1e-12 * max(1.0, abs(ref.f_star))
+
+    def test_an_entering_vertex_makes_no_factorization(self, monkeypatch):
+        # every coordinate enters the support and none leaves: each of the 39
+        # entering vertices adds a row to the factor, O(k^2) work
+        stream = TestActiveSetGolden.CASES["simplex-full-support-d40"]()
+        calls = linalg_spy(monkeypatch)
+        rec = RoundOptimizer(stream)._active_set_solve(1)
+        assert rec.iterations == 39 and not calls
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate_stream(3, 13, 5e-6, ConstraintSpec.simplex(8), seed=1),
+        lambda: generate_stream(6, 13, 5e-6, ConstraintSpec.simplex(6), seed=3, redraw_features=True),
+    ], ids=["simplex-n3-d8", "simplex-redraw-d6"])
+    def test_only_a_leaving_vertex_refactors(self, monkeypatch, make):
+        stream = make()
+        solver = RoundOptimizer(stream)
+        calls = linalg_spy(monkeypatch)
+        drops = 0
+        for t in range(1, stream.T + 1):
+            rec = solver._active_set_solve(t)
+            # on the simplex each active slot is a positive coordinate; the face
+            # starts with one vertex and gains one a major step
+            drops += 1 + rec.iterations - np.count_nonzero(rec.x_star)
+        assert drops > 0
+        assert calls["lstsq"] == calls["solve"] == 0
+        assert calls["cholesky"] <= drops and calls["inv"] <= drops
+
+    def test_an_entering_twin_is_named(self):
+        # lambda1 = 0 and twin columns of +-1 entries: a slot and its twin make
+        # P = [[4, 4], [4, 4]], whose entering pivot 4 - (4 / 2)^2 is exactly 0
+        feats = np.repeat([[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]], 2, axis=1)
+        stream = LossStream(0.0, feats, np.eye(4)[0], np.full((3, 1), 0.5), ConstraintSpec.simplex(4))
+        solver = RoundOptimizer(stream)
+        # a twin's gap is that of its active slot, 0 at the face's least point,
+        # so no gap may certify for the twin to enter
+        objective, slot, slots = solver._objective, solver._oracle, []
+        solver._objective = lambda t: (*objective(t)[:2], -math.inf)
+
+        def twin_of_the_first(g):   # the slot rule, but its second call returns the first slot's twin
+            slots.append(slot(g))
+            return slots[0] ^ 1 if len(slots) == 2 else slots[-1]
+
+        solver._oracle = twin_of_the_first
+        with pytest.raises(SolverError, match=r"^round 1: face not positive definite at step 0$"):
+            solver._active_set_solve(1)
+
+    def test_a_failed_refactor_is_named(self, monkeypatch):
+        # round 1's first drop refactors the face
+        stream = generate_stream(3, 13, 5e-6, ConstraintSpec.simplex(8), seed=1)
+
+        def not_positive_definite(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
+        with pytest.raises(SolverError, match=r"^round 1: face not positive definite at step \d+$") as err:
+            RoundOptimizer(stream)._active_set_solve(1)
+        assert err.value.gap > 1e-9
+
     def test_capped_round_counts_its_pairwise_iterations(self):
         stream = generate_stream(2, 4, 5e-6, ConstraintSpec.simplex(6), seed=derive_seed(0, "stream"))
         solver = RoundOptimizer(stream, max_iter=200)
@@ -267,6 +349,17 @@ class TestActiveSetFallback:
         steps = [cold._active_set_solve(t).iterations for t in range(1, 5)]
         # round 1 caps: its 200 pairwise iterations ran before the active-set steps
         assert [rec.iterations for rec in records] == [200 + steps[0]] + steps[1:]
+
+
+def linalg_spy(monkeypatch):
+    """A count, by name, of the calls to NumPy's dense solvers and factorizations."""
+    calls = collections.Counter()
+    for name in ("lstsq", "solve", "cholesky", "inv"):
+        def spy(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
 
 
 # finite floats with exact ties, signed zeros, subnormals and the largest magnitudes
@@ -357,11 +450,12 @@ def solver_digest(stream):
     return records_digest(all_optima(stream))
 
 
-def tie_stream(spec, seed, n=10, T=30):
+def tie_stream(spec, seed, n=10, T=30, redraw=False):
     """Duplicated feature columns and lambda1 = 0: twin columns get equal gradients,
     so away values tie exactly whenever both twins are active."""
     rng = np.random.default_rng(seed)
-    feats = np.repeat(rng.uniform(-5, 5, (n, spec.dimension // 2)), 2, axis=1)
+    feats = np.repeat(rng.uniform(-5, 5, (T, n, spec.dimension // 2) if redraw else (n, spec.dimension // 2)),
+                      2, axis=-1)
     truth = np.zeros(spec.dimension)
     truth[0] = 1.0 if spec.kind.value == "simplex" else 0.5
     return LossStream(0.0, feats, truth, rng.uniform(0, 1, (n, T)), spec)
@@ -422,15 +516,15 @@ class TestActiveSetGolden:
     }
     # scipy-openblas 0.3.31 with NumPy 2.4.6, like TestSolverGolden
     DIGESTS = {
-        "ball-r2-n3-d6": "ef7af3773987b7d35a724c09fb66e88e058f8fd57bd5b6c359c294c04a9b1f9b",
-        "ball-r2-redraw-d11": "90d6ab2f1484a4d82932c856d4944ff5ba119d5e4f2d7a757b9668b8477677fb",
-        "simplex-full-support-d40": "3d2d1eac52576391ff7875eed63d94236bdb7c7e8d8410032af92b4079631294",
-        "simplex-n2-d6": "d8e6492952721a3e141973999b402b25c462fad9d2a8355d2ad465d7da6e8427",
-        "simplex-redraw-d6": "059cf9a251333608f903b959e56b04789661530c5b139236a9a9da446525545e",
+        "ball-r2-n3-d6": "c75eaa7e633513d246ea62a1bf93655ca5dd6133456912884b93f61b33d17838",
+        "ball-r2-redraw-d11": "be0eb07c175bbd4df5126ef3768e80576ba4ea0b0b754a4e73f8bf7b84dd841d",
+        "simplex-full-support-d40": "0a9b834764eb2887ac357564908324d33240b9620f7105bd6ad5031b3d679320",
+        "simplex-n2-d6": "a3f5a3f8f0cf4a47c45b896aaada96e59449835c6e1f0892e1875990ad344128",
+        "simplex-redraw-d6": "00d5c784edd890c1195b92a5d9f56b14fa594f4bc61af53421ee130c12c3f776",
         # interior optima: both signed slots of a coordinate are active, so the
         # point's entry there adds two rounded products (``_place``)
-        "ties-ball": "8d5b24c9400742b819b2f80beb8ae3d48c06d6510dde758f50811521871c8c5a",
-        "ties-simplex": "fb39ea467be7c985736f722650d82bb425caede58be31b6a79f2e1bb3a13f955",
+        "ties-ball": "4727ce7e777a9e3dd22a323042976bf838a644153334eb25e96f411fc46ac4e2",
+        "ties-simplex": "5caa0e165997bc3dc3bb445bb674b9f30836148be3f38e52e0ee1b9762851884",
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
