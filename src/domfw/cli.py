@@ -51,7 +51,7 @@ def main(argv=None) -> int:
 
     if args.command == "slope":
         try:
-            with open(args.csv, newline="") as fh:
+            with open(args.csv, newline="", encoding="utf-8-sig") as fh:
                 reader = csv.reader(fh)
                 rows = [row for row in reader if row]
             if rows and rows[0][0] in _SWEEP_AXES and rows[0][1:] == list(SWEEP_COLUMNS):   # a sweep.csv
@@ -75,7 +75,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        config = parse_config(Path(args.config).read_text())
+        config = parse_config(Path(args.config).read_text(encoding="utf-8-sig"))
     except ConfigError as exc:
         for lineno, message in exc.violations:
             where = f"line {lineno}: " if lineno else ""

@@ -43,6 +43,7 @@ from .problem import (
 from .regret import (
     BoundReport,
     Envelopes,
+    OptimumRecord,
     RegretSeries,
     RoundOptimizer,
     envelopes,
@@ -445,9 +446,11 @@ plot 'envelopes.csv' using 1:2 with lines, '' using 1:3 with lines, '' using 1:4
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    """Everything one :func:`run_experiment` computed.
+    """Everything one :func:`run_experiment` computed, the certified round
+    optima included.
 
-    ``bound.txt`` and ``manifest.txt`` are rendered from it, and
+    ``bound.txt`` and ``manifest.txt`` are rendered from it, ``bound.txt``'s
+    summaries computed from the optima and the trajectory's rounds, and
     :func:`sweep` builds its rows from it.
     """
 
@@ -460,15 +463,13 @@ class RunResult:
     ht_upper_bound: float | None    # analytic variation bound; needs fixed features
     bound: BoundReport | None       # regret bound; needs fixed features and a tracked schedule
     mixing: MixingReport
-    solver_iterations: int          # the round optima's solver iterations, summed over the rounds
-    max_solver_gap: float           # the largest certified gap of a round optimum
-    solver_margin: float            # least over the rounds of the bound a gap is certified below, less the gap
+    optima: tuple[OptimumRecord, ...]   # the certified round optima, in round order
     wall_seconds: float
 
     def bound_text(self) -> str:
         """The ``bound.txt`` report: bounds, certificate margins, counters."""
         worst = float(self.regret.cumulative[:, -1].max())
-        bound, mixing, traj = self.bound, self.mixing, self.trajectory
+        bound, mixing, traj, optima = self.bound, self.mixing, self.trajectory, self.optima
         items = [("ht_estimate", self.ht_estimate), ("ht_upper_bound", self.ht_upper_bound),
                  ("max_final_regret", worst)]
         if bound is not None:
@@ -476,9 +477,9 @@ class RunResult:
                       ("bound_margin", bound.total - worst)]
         items += [("mixing_deviation", mixing.deviation), ("mixing_bound", mixing.bound),
                   ("mixing_margin", mixing.margin), ("mixing_shifted_margin", mixing.shifted_margin),
-                  ("mixing_holds", mixing.ok),
-                  ("solver_iterations", self.solver_iterations), ("max_solver_gap", self.max_solver_gap),
-                  ("solver_margin", self.solver_margin), ("lo_calls", traj.lo_calls),
+                  ("mixing_holds", mixing.ok), ("solver_iterations", sum(rec.iterations for rec in optima)),
+                  ("max_solver_gap", max(rec.gap for rec in optima)),
+                  ("solver_margin", min(rec.tol - rec.gap for rec in optima)), ("lo_calls", traj.lo_calls),
                   ("messages", traj.messages), ("max_conservation_gap", traj.max_conservation_gap()),
                   ("max_feasibility_gap", traj.max_feasibility_gap())]
         return "".join(f"{key} = {value!r}\n" for key, value in items if value is not None)
@@ -604,7 +605,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, dump_network: bool = 
                          init=config.init.mode, init_seed=config.seeds.init_seed())
 
         solver = RoundOptimizer(stream, tol=config.solver.tolerance)
-        optima = [solver.solve(t) for t in range(1, prob.T + 1)]
+        optima = tuple(solver.solve(t) for t in range(1, prob.T + 1))
         series = regret_series(trajectory, optima, stream, tol=config.solver.tolerance)
         env = envelopes(series)
 
@@ -626,12 +627,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None, dump_network: bool = 
         mixing = check_mixing(trajectory.mixing, schedule.zeta)
         result = RunResult(directory=out, config=config, trajectory=trajectory, regret=series,
                            envelopes=env, ht_estimate=ht_estimate, ht_upper_bound=ht_upper_bound,
-                           bound=bound, mixing=mixing, solver_iterations=sum(rec.iterations for rec in optima),
-                           max_solver_gap=max(rec.gap for rec in optima),
-                           solver_margin=min(rec.tol - rec.gap for rec in optima),
-                           wall_seconds=time.perf_counter() - started)
+                           bound=bound, mixing=mixing, optima=optima, wall_seconds=time.perf_counter() - started)
         (out / "bound.txt").write_text(result.bound_text())
-        (out / "manifest.txt").write_text(result.manifest_text())
+        (out / "manifest.txt").write_text(result.manifest_text(), encoding="utf-8")
         return result
     except Exception:
         (out / "FAILED").write_text(traceback.format_exc())

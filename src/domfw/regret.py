@@ -44,7 +44,8 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class OptimumRecord:
-    """A certified per-round minimizer of the global loss."""
+    """A certified per-round minimizer of the global loss, its point held
+    read-only and adopted or copied as ``_frozen`` rules."""
 
     t: int
     x_star: np.ndarray
@@ -52,6 +53,9 @@ class OptimumRecord:
     gap: float
     iterations: int
     tol: float   # the bound the gap is certified below: the solver's tolerance or the round's rounding floor
+
+    def __post_init__(self):
+        object.__setattr__(self, "x_star", _frozen(self.x_star))
 
 
 def _quadratic(stream: LossStream, t: int):
@@ -202,7 +206,9 @@ class RoundOptimizer:
                 raise SolverError(f"round {t}: gap {gap} is not finite at iteration {it}", gap=gap)
             if gap <= tol:
                 self._active = (weights, active)
-                return OptimumRecord(t=t, x_star=x.copy(), f_star=global_loss(stream, t, x),
+                x_star = x.copy()
+                x_star.flags.writeable = False   # handed over without a second copy
+                return OptimumRecord(t=t, x_star=x_star, f_star=global_loss(stream, t, x),
                                      gap=gap, iterations=it, tol=tol)
             if ball:
                 # argmax takes the first maximum in insertion order: the tie-break
@@ -281,6 +287,7 @@ class RoundOptimizer:
             if not math.isfinite(gap):
                 raise SolverError(f"round {t}: active-set gap {gap} is not finite at step {it}", gap=gap)
             if gap <= tol:
+                x.flags.writeable = False   # handed over without a copy
                 return OptimumRecord(t=t, x_star=x, f_star=global_loss(self.stream, t, x), gap=gap,
                                      iterations=it, tol=tol)
             if fw in active:
@@ -376,16 +383,23 @@ def regret_series(trajectory: Trajectory, optima, stream: LossStream,
 
 @dataclass(frozen=True, eq=False)
 class Envelopes:
-    """Pointwise mean/max/min of the per-agent average regret."""
+    """Pointwise mean/max/min of the per-agent average regret, held read-only
+    and adopted or copied as ``_frozen`` rules."""
 
     avg: np.ndarray
     sup: np.ndarray
     inf: np.ndarray
 
+    def __post_init__(self):
+        for name in ("avg", "sup", "inf"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+
 
 def envelopes(series: RegretSeries) -> Envelopes:
     a = series.average
-    return Envelopes(avg=a.mean(axis=0), sup=a.max(axis=0), inf=a.min(axis=0))
+    avg, sup, inf = a.mean(axis=0), a.max(axis=0), a.min(axis=0)
+    avg.flags.writeable = sup.flags.writeable = inf.flags.writeable = False   # handed over without a copy
+    return Envelopes(avg=avg, sup=sup, inf=inf)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ the feasible set from ``stream.constraint`` instead of taking it again. Each
 operation has one implementation in the library, and README's library
 example runs against it."""
 
+import dataclasses
 import inspect
 import re
 from pathlib import Path
@@ -94,19 +95,19 @@ def array_holders():
     """A fresh instance of every result type that holds arrays, by name."""
     trajectory = lambda: Trajectory(decisions=np.zeros((3, 2, 3)), rounds=())
     envelopes = lambda: Envelopes(avg=np.zeros(3), sup=np.ones(3), inf=np.zeros(3))
+    optimum = lambda: OptimumRecord(t=1, x_star=np.full(3, 1 / 3), f_star=0.5, gap=0.0, iterations=2, tol=1e-9)
     return {
         "LossStream": lambda: generate_stream(3, 4, 5e-6, ConstraintSpec.simplex(3), seed=1),
         "WeightMatrix": lambda: metropolis_weights([(0, 1), (1, 2)], 3),
         "Trajectory": trajectory,
-        "OptimumRecord": lambda: OptimumRecord(t=1, x_star=np.full(3, 1 / 3), f_star=0.5, gap=0.0,
-                                               iterations=2, tol=1e-9),
+        "OptimumRecord": optimum,
         "RegretSeries": lambda: RegretSeries(cumulative=np.zeros((2, 3))),
         "Envelopes": envelopes,
         "RunResult": lambda: RunResult(
             directory=Path("out"), config=ExperimentConfig(), trajectory=trajectory(),
             regret=RegretSeries(cumulative=np.zeros((2, 3))), envelopes=envelopes(), ht_estimate=1.0,
-            ht_upper_bound=None, bound=None, mixing=MixingReport(0.0, 1.0, None), solver_iterations=4,
-            max_solver_gap=0.0, solver_margin=1e-9, wall_seconds=0.1),
+            ht_upper_bound=None, bound=None, mixing=MixingReport(0.0, 1.0, None), optima=(optimum(),),
+            wall_seconds=0.1),
         "InnerStep": lambda: InnerStep(*(np.zeros((2, 3)) for _ in range(7))),
     }
 
@@ -121,6 +122,28 @@ def test_array_holders_compare_and_hash_by_identity(name):
     assert a != b and not a != a
     assert a in [b, a] and a not in [b]
     assert hash(a) == hash(a) and len({a, b}) == 2
+
+
+def arrays_held(value):
+    """Every array ``value`` holds: itself, or through dataclass fields and tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from arrays_held(item)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from arrays_held(getattr(value, f.name))
+
+
+@pytest.mark.parametrize("name", sorted(set(array_holders()) - {"InnerStep"}))
+def test_array_holders_hold_their_arrays_read_only(name):
+    # a caller handed a result cannot edit what it records in place
+    arrays = list(arrays_held(array_holders()[name]()))
+    assert arrays
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
 
 
 def test_readme_library_example_runs(capsys):

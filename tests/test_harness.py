@@ -583,21 +583,19 @@ class TestRunExperiment:
         stream = generate_stream(prob.n, prob.T, prob.lambda1, prob.spec(), seed=cfg.seeds.stream_seed())
         solver = RoundOptimizer(stream, tol=cfg.solver.tolerance)
         records = [solver.solve(t) for t in range(1, prob.T + 1)]
-        assert result.solver_iterations == sum(rec.iterations for rec in records) > 0
-        assert result.max_solver_gap == max(rec.gap for rec in records)
-        assert result.solver_margin == min(rec.tol - rec.gap for rec in records) > 0
+        assert list(map(record_bits, result.optima)) == list(map(record_bits, records))
         entries = dict(line.split(" = ") for line in (tmp_path / "run" / "bound.txt").read_text().splitlines())
-        assert entries["solver_iterations"] == str(result.solver_iterations)
-        assert float(entries["max_solver_gap"]) == result.max_solver_gap
-        assert float(entries["solver_margin"]) == result.solver_margin
+        assert int(entries["solver_iterations"]) == sum(rec.iterations for rec in records) > 0
+        assert float(entries["max_solver_gap"]) == max(rec.gap for rec in records)
+        assert float(entries["solver_margin"]) == min(rec.tol - rec.gap for rec in records) > 0
 
     def test_large_radius_certifies_at_its_gap_floor(self, tmp_path):
         # gaps of this scale round at about 1e-8, above the 1e-9 tolerance: each
         # round certifies below its rounding floor instead of failing
         text = "problem.constraint = l1ball\nproblem.radius = 1e3\nproblem.d = 8\nproblem.n = 20\nproblem.T = 3\n"
         result = run_experiment(parse_config(text), out_dir=tmp_path / "run")
-        assert result.max_solver_gap > 1e-9
-        assert result.solver_margin >= 0
+        assert max(rec.gap for rec in result.optima) > 1e-9
+        assert min(rec.tol - rec.gap for rec in result.optima) >= 0
         assert not (tmp_path / "run" / "FAILED").exists()
 
     def test_large_rho_bound_runs_to_the_end(self, tmp_path):
@@ -736,6 +734,11 @@ def float_bits(cells) -> bytes:
     return np.array([[float(c) for c in row] if isinstance(row, list) else float(row) for row in cells]).tobytes()
 
 
+def record_bits(rec):
+    """An optimum record's fields, its point as bytes and its floats as hex: equal when the records are bit for bit."""
+    return rec.t, rec.x_star.tobytes(), float.hex(rec.f_star), float.hex(rec.gap), float.hex(rec.tol), rec.iterations
+
+
 # small runs on both sets, with fixed and redrawn features
 SMALL_RUNS = dict(n=st.integers(2, 4), T=st.integers(1, 4), d=st.integers(1, 4), ball=st.booleans(),
                   redraw=st.booleans(), seed=st.integers(0, 2 ** 32))
@@ -806,6 +809,37 @@ class TestRunFilesReadBack:
             want_weights.append(a[ii, jj])
         assert [(int(row[0]), int(row[1]), int(row[2])) for row in rows] == want_cells
         assert float_bits([row[3] for row in rows]) == np.concatenate(want_weights).tobytes()
+
+
+class TestBoundTxt:
+    """``bound.txt``'s per-round summaries, parsed as text, are the ``repr``
+    of the sum or extreme over the records the result holds, and those
+    records are the round optima a fresh solver certifies, bit for bit."""
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(**SMALL_RUNS)
+    def test_summaries_equal_their_records(self, n, T, d, ball, redraw, seed):
+        cfg = parse_config(f"problem.n = {n}\nproblem.T = {T}\nproblem.d = {d}\nseeds.master = {seed}\n"
+                           f"problem.constraint = {'l1ball' if ball else 'simplex'}\n"
+                           f"problem.redraw_features = {str(redraw).lower()}\n")
+        with tempfile.TemporaryDirectory() as tmp:
+            result = run_experiment(cfg, out_dir=tmp)
+            lines = (Path(tmp) / "bound.txt").read_text().splitlines()
+        entries = dict(line.split(" = ") for line in lines)
+        optima, rounds = result.optima, result.trajectory.rounds
+        assert [rec.t for rec in optima] == [r.t for r in rounds] == list(range(1, T + 1))
+        assert entries["solver_iterations"] == repr(sum(rec.iterations for rec in optima))
+        assert entries["max_solver_gap"] == repr(max(rec.gap for rec in optima))
+        assert entries["solver_margin"] == repr(min(rec.tol - rec.gap for rec in optima))
+        assert entries["lo_calls"] == repr(sum(r.lo_calls for r in rounds))
+        assert entries["messages"] == repr(sum(r.messages for r in rounds))
+        assert entries["max_conservation_gap"] == repr(max(r.conservation_gap for r in rounds))
+        assert entries["max_feasibility_gap"] == repr(max(r.feasibility_gap for r in rounds))
+        prob = cfg.problem
+        stream = generate_stream(prob.n, prob.T, prob.lambda1, prob.spec(), seed=cfg.seeds.stream_seed(),
+                                 redraw_features=prob.redraw_features)
+        solver = RoundOptimizer(stream, tol=cfg.solver.tolerance)
+        assert list(map(record_bits, optima)) == [record_bits(solver.solve(t)) for t in range(1, T + 1)]
 
 
 class TestBenchmarkDigests:
@@ -1215,6 +1249,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "decode" in err and "Traceback" not in err
         assert sorted(path.name for path in tmp_path.iterdir()) == ["c.cfg"]
+
+    def test_validate_reads_a_config_with_a_byte_order_mark(self, tmp_path, capsys):
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(SMALL, encoding="utf-8")
+        marked.write_text(SMALL, encoding="utf-8-sig")
+        assert main(["validate", str(plain)]) == 0
+        expected = capsys.readouterr()
+        assert main(["validate", str(marked)]) == 0
+        assert capsys.readouterr() == expected
+
+    def test_slope_reads_a_two_column_csv_with_a_byte_order_mark(self, tmp_path, capsys):
+        # the marked first row is a data point, not a header
+        rows = [(10, 100), (20, 400), (40, 1600), (80, 7000)]
+        csvfile = tmp_path / "counts.csv"
+        csvfile.write_text("".join(f"{t},{c}\n" for t, c in rows), encoding="utf-8-sig")
+        assert main(["slope", str(csvfile)]) == 0
+        assert capsys.readouterr().out == f"{fit_loglog_slope(rows)!r}\n"
+
+    def test_slope_reads_a_T_sweep_with_a_byte_order_mark(self, tmp_path, capsys):
+        text = ("T,final_avg_regret,lo_calls,messages,status\n10,1.0,100,20,ok\n"
+                "100,0.1,10000,300,ok\n1000,0.01,1000000,2000,ok\n")
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert main(["slope", str(plain)]) == 0
+        expected = capsys.readouterr().out
+        assert [line.split(" = ")[0] for line in expected.splitlines()] == ["final_avg_regret", "lo_calls", "messages"]
+        assert main(["slope", str(marked)]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_validate_rejects_single_agent(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.cfg"
