@@ -34,6 +34,7 @@ from .problem import (
     ConstraintKind,
     ConstraintSpec,
     LossStream,
+    VARIATION_SAMPLES,
     _shown,
     estimate_function_variation,
     function_variation_bound,
@@ -166,21 +167,21 @@ def resident_bytes(n: int, d: int, T: int, k_max: int, redraw_features: bool) ->
     buffers plus an ``(n, d)`` scratch, the last round's iterates and the
     diagnostics' temporaries, an upper bound), twelve ``n x n`` working
     matrices (one round's weights while they are built, and the mixing
-    products), and six ``(1000 + 2 d) x n`` temporaries of the sampled
+    products), and six ``(VARIATION_SAMPLES + 2 d) x n`` temporaries of the
     variation estimate (its points against every agent). Then the arrays
     that grow with ``d``, each counted in full though they do not all live
     at once: the vertex table (the l1 ball's ``2d x d``, a bound on both
     sets), four ``d x d`` arrays for ``H`` and its build temporaries, three
-    ``(1000 + 2 d) x d`` arrays for the variation estimate's points and
-    their draw, and six ``(d + 1) x (d + 1)`` arrays for the active-set
+    ``(VARIATION_SAMPLES + 2 d) x d`` arrays for the variation estimate's
+    points and their draw, and six ``(d + 1) x (d + 1)`` arrays for the active-set
     half's face of at most ``d + 1`` vertices: its ``P``, that matrix's
     temporaries and Cholesky factor, and the old and new inverse factor
     while it grows or is rebuilt.
     """
     features = n * d * (T if redraw_features else 1)
     floats = (features + 2 * n * T + (T + 1) * n * d + 4 * n * T
-              + 12 * k_max * n * d + 12 * n * n + 6 * (1000 + 2 * d) * n
-              + 2 * d * d + 4 * d * d + 3 * (1000 + 2 * d) * d + 6 * (d + 1) ** 2)
+              + 12 * k_max * n * d + 12 * n * n + 6 * (VARIATION_SAMPLES + 2 * d) * n
+              + 2 * d * d + 4 * d * d + 3 * (VARIATION_SAMPLES + 2 * d) * d + 6 * (d + 1) ** 2)
     return 40 * 2 ** 20 + 1024 * T + 8 * floats
 
 
@@ -459,7 +460,7 @@ class RunResult:
     trajectory: Trajectory
     regret: RegretSeries
     envelopes: Envelopes
-    ht_estimate: float              # sampled lower estimate of the function variation
+    ht_estimate: float              # function variation: exact on fixed features, a lower estimate on redrawn ones
     ht_upper_bound: float | None    # analytic variation bound; needs fixed features
     bound: BoundReport | None       # regret bound; needs fixed features and a tracked schedule
     mixing: MixingReport

@@ -28,6 +28,9 @@ import numpy.random  # noqa: F401
 #: absolute tolerance for feasibility checks
 FEASIBILITY_TOL = 1e-12
 
+#: seeded feasible points the redrawn-feature variation estimate adds to the vertex table
+VARIATION_SAMPLES = 1000
+
 
 def _shown(value, show=str) -> str:
     """``show(value)``, or the size of an int past the interpreter's digit limit, which it will not write."""
@@ -314,26 +317,20 @@ def _global_grad(feats: np.ndarray, labels: np.ndarray, lambda1: float, xs: np.n
     return np.matmul(feats.T, resid[:, :, None])[..., 0] + 2.0 * feats.shape[0] * lambda1 * xs
 
 
-def estimate_function_variation(stream: LossStream, samples: int = 1000, seed: int = 0) -> float:
-    """Sampled lower estimate of the cumulative worst-case loss change.
-
-    For each consecutive round pair the inner maximization of
-    ``|f_{i,t+1}(x) - f_{i,t}(x)|`` over the set is replaced by a maximum
-    over all vertices plus ``samples`` seeded uniform feasible points, so the
-    result is a lower bound of the true variation. Sample points are drawn
-    from a single generator, so the estimate is nondecreasing in ``samples``
-    for a fixed seed.
+def estimate_function_variation(stream: LossStream) -> float:
+    """The function variation ``H_T``: the sum over round pairs of the largest
+    ``|f_{i,t+1}(x) - f_{i,t}(x)|`` over agents and the set. On fixed features
+    the change is affine in ``a_i @ x`` and peaks at a vertex, so the maximum
+    over the vertex table is exact up to its own rounding. On redrawn features
+    the table adds ``VARIATION_SAMPLES`` seeded feasible points (seed 0), and
+    the result is a lower estimate.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     spec = stream.constraint
-    pts = np.vstack([spec.vertices(), sample_feasible(spec, np.random.default_rng(seed), samples)])
     total = 0.0
     if stream.fixed_features:
-        # agent i's change at a point is |delta_i * (z - mid_i)| in z = a_i @ x;
-        # rounding is monotone, so over the points it peaks at the largest or
-        # the smallest z, and the two extremes give the exact maximum
-        z = pts @ stream.features.T   # (m, n): a_i @ x per point and agent
+        # agent i's change is |delta_i * (z - mid_i)| in z = a_i @ x; rounding is
+        # monotone, so it peaks at the largest or the smallest z over the vertices
+        z = spec.vertices() @ stream.features.T   # (m, n): a_i @ v per vertex and agent
         z_hi, z_lo = z.max(axis=0)[:, None], z.min(axis=0)[:, None]
         b0, b1 = stream.labels[:, :-1], stream.labels[:, 1:]
         delta, mid = b0 - b1, 0.5 * (b0 + b1)
@@ -341,6 +338,7 @@ def estimate_function_variation(stream: LossStream, samples: int = 1000, seed: i
         for value in per_round.tolist():
             total += value
     else:
+        pts = np.vstack([spec.vertices(), sample_feasible(spec, np.random.default_rng(0), VARIATION_SAMPLES)])
         ridge = stream.lambda1 * np.einsum("md,md->m", pts, pts)[:, None]
         prev = None
         for t in range(stream.T):
@@ -361,7 +359,7 @@ def function_variation_bound(stream: LossStream) -> float:
     Requires fixed per-agent features: the loss difference between rounds is
     then affine in the residual and is bounded by
     ``|b_t - b_{t+1}| * (||a|| R + max(|b_t|, |b_{t+1}|))`` with ``R`` the
-    set's radius, its largest norm. Always at least the sampled estimate.
+    set's radius, its largest norm. Never below the exact fixed-feature variation.
     """
     if not stream.fixed_features:
         raise ValueError("upper bound requires features fixed per agent")

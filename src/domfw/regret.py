@@ -267,18 +267,28 @@ class RoundOptimizer:
 
         Each major step adds the oracle vertex while the Frank-Wolfe gap,
         recomputed from the full gradient, is above ``tol``. Each minor step
-        minimizes ``0.5 w'Mw + b'w`` (``H`` and ``c`` at the face's slots times
-        their signed values) over ``1'w = 1``: ``w = (1 - mu) R'R 1 - R'R b``,
-        where ``R = L^-1`` for ``P = 11' + M = LL'`` gains a row, O(k^2), as a
-        vertex enters. A weight that would turn negative stops the step at the
-        boundary, drops its vertex and refactors ``P``. Raises ``SolverError``
-        if the gap is not finite, the oracle vertex is already active or ``P``
-        is not positive definite, or after 1000 major steps more than the set has vertices."""
+        moves the weights ``w`` to the minimizer of ``0.5 w'Mw + b'w`` (``H``
+        and ``c`` at the face's slots times their signed values, over
+        ``kappa``) on ``1'w = 1``, by ``-R'(Re - (y'Re / y'y) y)`` with
+        ``y = R1``, where ``R = L^-1`` for ``P = 11' + M = LL'`` gains a row,
+        O(k^2), as a vertex enters. The face's gradient ``e = Mw + b`` is read
+        from the full gradient ``g``, not rebuilt through the factor, so the
+        factor's rounding errs in the step alone. The round's scale ``kappa``,
+        a power of two near ``r**2 max|H|``, keeps ``M``'s entries near 1: past
+        about ``1/eps`` they would round away the ``11'`` that makes ``P``
+        positive definite where ``M`` is singular. A weight that would turn
+        negative stops the step at the boundary, drops its vertex, refactors
+        ``P`` and renews ``g``. Raises ``SolverError`` if the gap is not
+        finite, the oracle vertex is already active or ``P`` is not positive
+        definite, or after 1000 major steps more than the set has vertices."""
         h, c, tol = self._objective(t)
         coord, sign_r, oracle = self._coord, self._sign_r, self._oracle
         active, weights = [oracle(c)], np.ones(1)
+        # the largest power of two at most r**2 max|H|, exact to divide by (1/2 where that is 0 or inf)
+        radius = self.stream.constraint.radius
+        kappa = math.ldexp(0.5, math.frexp(radius * (radius * float(np.abs(h).max())))[1])
         cs, ss = coord[active], sign_r[active]   # the face's slots, renewed as it changes
-        r = 1.0 / np.sqrt(1.0 + ss[:, None] * h[np.ix_(cs, cs)] * ss)   # R = L^-1 of the one-slot face's P
+        r = 1.0 / np.sqrt(1.0 + ss[:, None] * h[np.ix_(cs, cs)] * (ss / kappa))   # R = L^-1 of the one-slot face's P
         for it in range(sign_r.size + 1000):
             x = _place(self.stream.d, cs, ss * weights)
             g = h @ x + c
@@ -296,7 +306,7 @@ class RoundOptimizer:
             weights = np.append(weights, 0.0)
             cs, ss = coord[active], sign_r[active]
             # fw's column p of P: R gains the row [-l'R, 1] / sqrt(p_kk - l'l), l = R p
-            p = 1.0 + ss * h[cs, cs[-1]] * ss[-1]
+            p = 1.0 + ss * h[cs, cs[-1]] * (ss[-1] / kappa)
             l = r @ p[:-1]
             pivot = p[-1] - l @ l
             if not pivot > 0:
@@ -304,8 +314,8 @@ class RoundOptimizer:
             r = np.pad(r, ((0, 1), (0, 1)))
             r[-1] = np.append(-(l @ r[:-1, :-1]), 1.0) / math.sqrt(pivot)
             while True:
-                y1, yb = r.sum(axis=1), r @ (ss * c[cs])
-                u = ((1.0 + y1 @ yb) / (y1 @ y1) * y1 - yb) @ r
+                y1, ye = r.sum(axis=1), r @ (ss * g[cs] / kappa)
+                u = weights - (ye - (y1 @ ye) / (y1 @ y1) * y1) @ r
                 if (u > 0).all():
                     weights = u
                     break
@@ -319,9 +329,10 @@ class RoundOptimizer:
                 weights = weights[weights > 0]
                 cs, ss = coord[active], sign_r[active]
                 try:
-                    r = np.linalg.inv(np.linalg.cholesky(1.0 + ss[:, None] * h[np.ix_(cs, cs)] * ss))
+                    r = np.linalg.inv(np.linalg.cholesky(1.0 + ss[:, None] * h[np.ix_(cs, cs)] * (ss / kappa)))
                 except np.linalg.LinAlgError:
                     raise SolverError(f"round {t}: face not positive definite at step {it}", gap=gap) from None
+                g = h @ _place(self.stream.d, cs, ss * weights) + c
         raise SolverError(f"round {t}: active-set gap {gap:.3e} above tol {tol:.1e}", gap=gap)
 
 

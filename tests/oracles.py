@@ -27,12 +27,15 @@ connectivity check. ``exact_zeta`` (the realized smallest weight over a
 schedule) and ``lo_call_count`` (a run's oracle calls from the schedule's
 definition) are totals the simulator never needs. ``WORKLOADS`` and
 ``BENCH_DIGESTS`` are the benchmark's workloads and its recorded output
-digests, read from ``perfbench/``.
+digests, read from ``perfbench/``. ``kernel_note`` names, for a failed
+golden pin, the OpenBLAS kernel its bits were recorded on and the one this
+process runs (``blas_kernel``).
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import importlib.util
 import json
 import math
@@ -388,12 +391,13 @@ class ReferenceRoundOptimizer:
                           f"after {self.max_iter} iterations", gap=gap)
 
 
-def reference_function_variation(stream: LossStream, samples: int = 1000, seed: int = 0) -> float:
-    """The fixed-feature variation estimate over every sample point of every round.
+def reference_function_variation(stream: LossStream, samples: int, seed: int = 0) -> float:
+    """The fixed-feature variation over the vertices and ``samples`` seeded
+    feasible points, maximized over the whole ``(points, agents)`` array each
+    round.
 
-    Same points and the same per-entry arithmetic as
-    ``domfw.problem.estimate_function_variation``, maximized over the whole
-    ``(points, agents)`` array each round.
+    With ``samples = 0``, the same points and the same per-entry arithmetic as
+    ``domfw.problem.estimate_function_variation``.
     """
     if not stream.fixed_features:
         raise ValueError("the reference loop covers fixed features only")
@@ -409,7 +413,7 @@ def reference_function_variation(stream: LossStream, samples: int = 1000, seed: 
     return total
 
 
-def reference_redrawn_variation(stream: LossStream, samples: int = 1000, seed: int = 0) -> float:
+def reference_redrawn_variation(stream: LossStream, samples: int, seed: int) -> float:
     """The redrawn-feature variation estimate with both loss tables of every
     round pair computed afresh.
 
@@ -502,3 +506,20 @@ def _load_workloads():
 WORKLOADS = _load_workloads()
 #: sha256 of ``trajectory.csv`` and ``regret.csv``, by workload, master seed and run directory
 BENCH_DIGESTS = json.loads((BENCH / "digests.json").read_text())
+
+
+def blas_kernel() -> str:
+    """The kernel that the OpenBLAS bundled with NumPy runs in this process
+    (``SkylakeX``, ``Haswell``, ...; ``OPENBLAS_CORETYPE`` overrides the
+    CPU's pick), read through ``ctypes``; ``"unknown"`` without that library."""
+    for path in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("libscipy_openblas*.so*")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
+def kernel_note() -> str:
+    """The message of a failed golden pin: golden bits depend on the BLAS kernel."""
+    return f"recorded on SkylakeX; this process runs {blas_kernel()}"

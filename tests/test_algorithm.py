@@ -31,6 +31,7 @@ from oracles import (
     global_grad,
     grad_eval,
     inner_steps,
+    kernel_note,
     lo_call_count,
     local_grads,
     tracking_step,
@@ -700,7 +701,7 @@ class TestRunGolden:
         digests = tuple(hashlib.sha256(data).hexdigest() for data in (
             (tmp_path / "trajectory.csv").read_bytes(), (tmp_path / "diagnostics.csv").read_bytes(),
             repr(traj.rounds).encode()))
-        assert digests == self.DIGESTS[name]
+        assert digests == self.DIGESTS[name], kernel_note()
 
 
 class TestExports:

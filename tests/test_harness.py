@@ -34,7 +34,8 @@ from domfw.harness import (
 from domfw.network import GraphSchedule, MixingReport, WeightMatrix, random_connected_schedule
 from domfw.problem import ConstraintKind, ConstraintSpec, generate_stream
 from domfw.regret import RoundOptimizer, envelopes, regret_series
-from oracles import BENCH_DIGESTS, WORKLOADS, constant_schedule, lo_call_count
+from oracles import BENCH_DIGESTS, WORKLOADS, constant_schedule, kernel_note, lo_call_count
+from test_regret import log_uniform
 
 FLOAT_KEYS = [key for key, (convert, *_) in harness._SCHEMA.items() if convert is float]
 
@@ -369,6 +370,28 @@ class TestParseConfig:
         with tempfile.TemporaryDirectory() as out:
             result = run_experiment(cfg, out_dir=out)
             assert result.trajectory.horizon == horizon
+            assert not (Path(out) / "FAILED").exists()
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(n=st.integers(2, 6), d=st.integers(1, 8), horizon=st.integers(1, 6), ball=st.booleans(),
+           redraw=st.booleans(), mode=st.sampled_from(ScheduleMode), lambda1=st.sampled_from([0.0, 5e-6, 1.0, 1e6]),
+           data=st.data(), seed=st.integers(0, 2 ** 16))
+    def test_generated_config_runs_end_to_end(self, n, d, horizon, ball, redraw, mode, lambda1, data, seed):
+        # every set, feature regime and schedule mode, with l1 radii log-uniform
+        # up to the label-noise rule's limit 20 T r eps < 1: the large radii that
+        # scale the round optima's faces far past 1/eps
+        lines = [f"problem.n = {n}", f"problem.d = {d}", f"problem.T = {horizon}", f"problem.lambda1 = {lambda1!r}",
+                 f"problem.redraw_features = {str(redraw).lower()}", f"schedule.mode = {mode.value}",
+                 f"seeds.master = {seed}"]
+        if ball:
+            radius = data.draw(log_uniform(1e-3, 0.99 / (20 * horizon * np.finfo(float).eps)), label="radius")
+            lines += ["problem.constraint = l1ball", f"problem.radius = {radius!r}"]
+        if mode is ScheduleMode.FIXED:
+            lines.append(f"schedule.fixed_count = {data.draw(st.integers(2, 4), label='fixed_count')}")
+        cfg = parse_config("\n".join(lines))
+        with tempfile.TemporaryDirectory() as out:
+            result = run_experiment(cfg, out_dir=out)
+            assert len(result.optima) == horizon
             assert not (Path(out) / "FAILED").exists()
 
     def test_baseline_alpha_defaults_from_horizon(self):
@@ -858,7 +881,7 @@ class TestBenchmarkDigests:
         got = {run_dir: {file: hashlib.sha256((tmp_path / run_dir / file).read_bytes()).hexdigest()
                          for file in ("trajectory.csv", "regret.csv")}
                for run_dir in workload.run_dirs()}
-        assert got == BENCH_DIGESTS[name][str(workload.master_seed(0))]
+        assert got == BENCH_DIGESTS[name][str(workload.master_seed(0))], kernel_note()
 
 
 class TestSweep:

@@ -33,7 +33,7 @@ from domfw.regret import (
     regret_upper_bound,
 )
 from domfw.regret import RegretSeries
-from oracles import WORKLOADS, ReferenceRoundOptimizer, project, projected_gradient_optimum
+from oracles import WORKLOADS, ReferenceRoundOptimizer, kernel_note, project, projected_gradient_optimum
 
 
 def enumeration_projection(spec, y):
@@ -311,9 +311,10 @@ class TestActiveSetFallback:
         assert calls["cholesky"] <= drops and calls["inv"] <= drops
 
     def test_an_entering_twin_is_named(self):
-        # lambda1 = 0 and twin columns of +-1 entries: a slot and its twin make
-        # P = [[4, 4], [4, 4]], whose entering pivot 4 - (4 / 2)^2 is exactly 0
-        feats = np.repeat([[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]], 2, axis=1)
+        # lambda1 = 0 and a twin pair of zero columns: H is 0 there, so the first
+        # slot (c is 0 there and positive elsewhere) and its twin make P = 11'
+        # whatever the round's scale, and the entering pivot 1 - 1 is exactly 0
+        feats = np.repeat([[0.0, -1.0], [0.0, -1.0], [0.0, 1.0]], 2, axis=1)
         stream = LossStream(0.0, feats, np.eye(4)[0], np.full((3, 1), 0.5), ConstraintSpec.simplex(4))
         solver = RoundOptimizer(stream)
         # a twin's gap is that of its active slot, 0 at the face's least point,
@@ -491,7 +492,7 @@ class TestSolverGolden:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_optima_bytes(self, name):
         spec, make = self.CASES[name]
-        assert solver_digest(make(spec)) == self.DIGESTS[name]
+        assert solver_digest(make(spec)) == self.DIGESTS[name], kernel_note()
 
 
 class TestActiveSetGolden:
@@ -516,22 +517,23 @@ class TestActiveSetGolden:
     }
     # scipy-openblas 0.3.31 with NumPy 2.4.6, like TestSolverGolden
     DIGESTS = {
-        "ball-r2-n3-d6": "c75eaa7e633513d246ea62a1bf93655ca5dd6133456912884b93f61b33d17838",
-        "ball-r2-redraw-d11": "be0eb07c175bbd4df5126ef3768e80576ba4ea0b0b754a4e73f8bf7b84dd841d",
-        "simplex-full-support-d40": "0a9b834764eb2887ac357564908324d33240b9620f7105bd6ad5031b3d679320",
-        "simplex-n2-d6": "a3f5a3f8f0cf4a47c45b896aaada96e59449835c6e1f0892e1875990ad344128",
-        "simplex-redraw-d6": "00d5c784edd890c1195b92a5d9f56b14fa594f4bc61af53421ee130c12c3f776",
+        "ball-r2-n3-d6": "7564f95b7708e356783bdd047c7d83e992c7848140892138972d3f0a3b59c288",
+        "ball-r2-redraw-d11": "2622af546adf552c9f288b3551915e85d0a149ad735246afb9c1785b4191dd37",
+        "simplex-full-support-d40": "fbf50503addde865c031c2724dfbc12a26099ae6ba97070390397fdcb06a1ae2",
+        "simplex-n2-d6": "e5bdf9bcc322e80a5dabee752e0b60318c722d967332f021c8b2ee90e2d11cbd",
+        "simplex-redraw-d6": "67516d2d598fb36c5537203d0fbb16a66617f379acbaf1d4ba0028a5e9a45ed5",
         # interior optima: both signed slots of a coordinate are active, so the
         # point's entry there adds two rounded products (``_place``)
-        "ties-ball": "4727ce7e777a9e3dd22a323042976bf838a644153334eb25e96f411fc46ac4e2",
-        "ties-simplex": "5caa0e165997bc3dc3bb445bb674b9f30836148be3f38e52e0ee1b9762851884",
+        "ties-ball": "7a975ce4d0cc44417b148ff1325fccf1ae26a330053a17d89ba3434ba8099c38",
+        "ties-simplex": "f7792a3180b9bf9702eda5a464fac04213df0363af02f68bdc4631ea3021975d",
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_active_set_records_bytes(self, name):
         stream = self.CASES[name]()
         solver = RoundOptimizer(stream)
-        assert records_digest(solver._active_set_solve(t) for t in range(1, stream.T + 1)) == self.DIGESTS[name]
+        got = records_digest(solver._active_set_solve(t) for t in range(1, stream.T + 1))
+        assert got == self.DIGESTS[name], kernel_note()
 
 
 def solve_all(solve, T):
