@@ -28,8 +28,18 @@ from enum import Enum
 
 import numpy as np
 
-from .network import GraphSchedule, MixingFold
-from .problem import ConstraintSpec, LossStream, _frozen, _global_grad, _lmo, _local_grads, _shown, sample_feasible
+from .network import GraphSchedule, MixingFold, WeightMatrix
+from .problem import (
+    ConstraintSpec,
+    LossStream,
+    _frozen,
+    _global_grad,
+    _is_integer,
+    _lmo,
+    _local_grads,
+    _shown,
+    sample_feasible,
+)
 
 CONSERVATION_TOL = 1e-9
 FEASIBILITY_RUN_TOL = 1e-10
@@ -71,7 +81,7 @@ def schedule_violations(mode: ScheduleMode, epsilon: float, gamma: float, rho: f
     if fixed_count is None:
         if mode is ScheduleMode.FIXED:
             problems.append(("schedule.fixed_count", "required for mode fixed"))
-    elif isinstance(fixed_count, bool) or not isinstance(fixed_count, (int, np.integer)):
+    elif not _is_integer(fixed_count):
         problems.append(("schedule.fixed_count", f"must be an integer, got {_shown(fixed_count, repr)}"))
     elif not fixed_count >= 2:
         problems.append(("schedule.fixed_count", f"must be >= 2, got {_shown(fixed_count)}"))
@@ -86,7 +96,8 @@ class ScheduleParams:
 
     Non-baseline modes derive the step as ``alpha_t = 1 / (rho * K_t)``; the
     baseline mode runs one inner iteration per round with ``baseline_alpha``,
-    or ``1 / (4 T**0.4)`` of the run's horizon ``T`` when it is unset.
+    or ``1 / (4 T**0.4)`` when it is unset. ``T`` is the horizon of the
+    stream being run, not that of its graph schedule.
     """
 
     mode: ScheduleMode = ScheduleMode.PER_ROUND
@@ -103,7 +114,8 @@ class ScheduleParams:
 
 
 def inner_count(params: ScheduleParams, t: int, horizon: int) -> int:
-    """Number of inner iterations for round ``t`` (always >= 2 except baseline)."""
+    """Number of inner iterations for round ``t`` of a stream whose horizon
+    ``T`` is ``horizon`` (always >= 2 except baseline)."""
     if not 1 <= t <= horizon:
         raise ValueError(f"round {t} out of range 1..{horizon}")
     if params.mode is ScheduleMode.FIXED:
@@ -179,12 +191,13 @@ class RoundDiagnostics:
     messages: int                  # messages this round: 2 * K_t * directed edges
 
 
-def run_round(xs: np.ndarray, stream: LossStream, schedule: GraphSchedule, params: ScheduleParams, t: int,
-              fold: MixingFold | None = None):
-    """Execute round ``t``'s inner loop for all agents.
+def run_round(xs: np.ndarray, stream: LossStream, wm: WeightMatrix, params: ScheduleParams, t: int):
+    """Execute round ``t``'s inner loop for all agents, mixing with the
+    round's weights ``wm``.
 
-    Returns ``(xs_next, RoundDiagnostics)``. Checks the shape of ``xs`` and
-    the size of the round's weights, then allocates the round's buffers once
+    Returns ``(xs_next, RoundDiagnostics)``. ``K_t`` and ``alpha_t`` are read
+    on the stream's horizon ``T``. Checks the shape of ``xs`` and the size of
+    ``wm``, then allocates the round's buffers once
     and fills step ``k`` of each in place through the step bodies: ``x`` has
     ``K_t + 1`` rows, ``x[k + 1]`` being step ``k``'s iterate after the
     Frank-Wolfe step and ``x[K_t]`` the committed decision; ``x_mixed``,
@@ -193,18 +206,16 @@ def run_round(xs: np.ndarray, stream: LossStream, schedule: GraphSchedule, param
     diagnostics are read straight from the buffers; the tracking residual
     takes its reference gradients from one stacked ``_global_grad`` call and
     sums its steps left to right. Raises if any tracked gradient is not
-    finite. The round's weights are built once; a ``fold`` gets them with
-    ``K_t``.
+    finite.
     """
     n, d, spec = stream.n, stream.d, stream.constraint
-    wm = schedule.matrix(t)
-    k_t = inner_count(params, t, schedule.horizon)
-    alpha = step_size(params, k_t, schedule.horizon)
+    k_t = inner_count(params, t, stream.T)
+    alpha = step_size(params, k_t, stream.T)
     xs = np.asarray(xs, dtype=float)
     if xs.shape != (n, d):
         raise ValueError(f"expected ({n}, {d}) stacked decisions, got {xs.shape}")
     if wm.n != n:
-        raise ValueError("schedule size does not match the stream")
+        raise ValueError("weight matrix size does not match the stream")
     feats, labels, lambda1, weights = stream.feature_matrix(t), stream.labels[:, t - 1], stream.lambda1, wm.weights
     x = np.empty((k_t + 1, n, d))
     x[0] = xs
@@ -218,8 +229,6 @@ def run_round(xs: np.ndarray, stream: LossStream, schedule: GraphSchedule, param
         _track(grad_hat, fresh_prev, fresh, weights, out=(grad_bar, hat))
         _fw_step(x_hat, _lmo(spec, hat, out=vertex), alpha, out=x_next)
         grad_hat, fresh_prev = hat, fresh
-    if fold is not None:
-        fold.add(wm, k_t)
 
     if not np.isfinite(grad_tracked).all():
         raise ValueError("gradient has non-finite entries")
@@ -250,7 +259,7 @@ class Trajectory:
 
     decisions: np.ndarray          # (T + 1, n, d)
     rounds: tuple                  # RoundDiagnostics for t = 1 .. T
-    mixing: MixingFold | None = None
+    mixing: MixingFold
 
     def __post_init__(self):
         object.__setattr__(self, "decisions", _frozen(self.decisions))
@@ -309,8 +318,8 @@ def run(stream: LossStream, schedule: GraphSchedule, params: ScheduleParams,
     """Run the full horizon and return the committed trajectory.
 
     Deterministic for fixed inputs. Raises with the offending round index if
-    any round fails. Each round's weights are built once, folded into
-    ``Trajectory.mixing`` and then dropped.
+    any round fails. Each round's weights are built once, stepped by
+    ``run_round``, folded into ``Trajectory.mixing`` and then dropped.
     """
     if schedule.n != stream.n:
         raise ValueError("schedule and stream disagree on the number of agents")
@@ -324,7 +333,9 @@ def run(stream: LossStream, schedule: GraphSchedule, params: ScheduleParams,
     fold = MixingFold(stream.n)
     for t in range(1, stream.T + 1):
         try:
-            xs, diag = run_round(xs, stream, schedule, params, t, fold)
+            wm = schedule.matrix(t)
+            xs, diag = run_round(xs, stream, wm, params, t)
+            fold = fold.add(wm, diag.inner_count)
         except Exception as exc:
             raise RuntimeError(f"round {t} failed: {exc}") from exc
         decisions[t] = xs

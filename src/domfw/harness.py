@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .algorithm import ScheduleMode, ScheduleParams, Trajectory, inner_count, run, schedule_violations, step_size
-from .network import GraphSchedule, MixingConstants, MixingReport, check_mixing, random_connected_schedule
+from .network import GraphSchedule, MixingReport, check_mixing, random_connected_schedule
 from .problem import (
     ConstraintKind,
     ConstraintSpec,
@@ -622,9 +622,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None, dump_network: bool = 
         bound = None
         # the analytic bound needs fixed features and a tracked multi-iteration schedule
         if stream.fixed_features and config.schedule.mode is not ScheduleMode.BASELINE:
-            mixing_constants = MixingConstants.from_zeta(schedule.zeta, stream.n)
-            bound = regret_upper_bound(problem_constants(stream), mixing_constants, config.schedule,
-                                       stream, [r.inner_count for r in trajectory.rounds], trajectory.x_init)
+            bound = regret_upper_bound(problem_constants(stream), schedule.zeta, config.schedule, stream,
+                                       trajectory.x_init)
         mixing = check_mixing(trajectory.mixing, schedule.zeta)
         result = RunResult(directory=out, config=config, trajectory=trajectory, regret=series,
                            envelopes=env, ht_estimate=ht_estimate, ht_upper_bound=ht_upper_bound,

@@ -8,12 +8,13 @@ with a fixed association order for bit determinism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .problem import _frozen
+from .problem import _frozen, _is_integer, _shown
 
 PRODUCT_TOL = 1e-10
 
@@ -170,6 +171,7 @@ class MixingConstants:
         return cls(rate=1.0 - zeta / (4.0 * n * n))
 
 
+@dataclass(frozen=True, eq=False)
 class MixingFold:
     """The ordered products ``A_t^{K_t} ... A_s^{K_s}`` of rounds ``s..t``,
     folded one round at a time.
@@ -178,32 +180,41 @@ class MixingFold:
     ``A_s`` and count ``K_s``, and left-multiplies each later round's power
     onto ``rest``, the product of rounds ``s+1..t`` (the identity until the
     second round); nothing else of a round is kept. :meth:`closed` finishes
-    a product on the first round's power.
+    a product on the first round's power. A fold is a frozen value: ``add``
+    returns a new fold and leaves its receiver as it was, and every array a
+    fold holds is read-only.
     :func:`run <domfw.algorithm.run>` folds its rounds ``1..T`` as it steps
     them and returns the fold as ``Trajectory.mixing``.
     """
 
-    def __init__(self, n: int):
-        self.n = n
-        self.rounds = 0                   # rounds folded
-        self.total = 0                    # sum of the folded counts
-        self.first_count = 0              # K_s
-        self.first: np.ndarray | None = None
-        self.rest = np.eye(n)
+    n: int
+    rounds: int = field(default=0, init=False)        # rounds folded
+    total: int = field(default=0, init=False)         # sum of the folded counts
+    first_count: int = field(default=0, init=False)   # K_s
+    first: np.ndarray | None = field(default=None, init=False)
+    rest: np.ndarray = field(init=False)
 
-    def add(self, wm: WeightMatrix, k: int) -> None:
-        """Fold in the next round, with weights ``wm`` and count ``k``."""
-        k = int(k)
+    def __post_init__(self):
+        object.__setattr__(self, "rest", _frozen(np.eye(self.n)))
+
+    def add(self, wm: WeightMatrix, k: int) -> MixingFold:
+        """This fold with the next round, with weights ``wm`` and count ``k``, folded in."""
+        if not _is_integer(k):
+            raise ValueError(f"inner count k must be an integer, got {_shown(k, repr)}")
         if k < 1:
             raise ValueError("inner counts must be >= 1")
         if wm.n != self.n:
             raise ValueError("weight matrix size does not match the fold")
+        k = int(k)
         if self.rounds:
-            self.rest = np.linalg.matrix_power(wm.weights, k) @ self.rest
+            rest = np.linalg.matrix_power(wm.weights, k) @ self.rest
+            rest.flags.writeable = False   # handed over without a copy
+            changed = {"rest": rest}
         else:
-            self.first, self.first_count = wm.weights, k
-        self.rounds += 1
-        self.total += k
+            changed = {"first": wm.weights, "first_count": k}
+        fold = copy.copy(self)
+        vars(fold).update(changed, rounds=self.rounds + 1, total=self.total + k)
+        return fold
 
     def closed(self, l: int = 0) -> np.ndarray:
         """``rest @ A_s^{K_s - l}``: the full product at ``l = 0``, and the

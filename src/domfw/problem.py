@@ -40,6 +40,11 @@ def _shown(value, show=str) -> str:
         return f"an int of over {sys.get_int_max_str_digits()} digits"
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or NumPy integer, bool excluded: the rule for every count, cap and size."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class ConstraintKind(Enum):
     """Supported feasible sets."""
 
@@ -63,6 +68,8 @@ class ConstraintSpec:
     def __post_init__(self):
         if not isinstance(self.kind, ConstraintKind):   # a str would build the l1 ball
             raise ValueError(f"kind must be a ConstraintKind, got {_shown(self.kind, repr)}")
+        if not _is_integer(self.dimension):
+            raise ValueError(f"dimension must be an integer, got {_shown(self.dimension, repr)}")
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {_shown(self.dimension)}")
         if not 0 < self.radius < np.inf:

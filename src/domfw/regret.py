@@ -19,13 +19,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algorithm import ScheduleMode, ScheduleParams, Trajectory
+from .algorithm import ScheduleMode, ScheduleParams, Trajectory, inner_count
 from .network import MixingConstants
 from .problem import (
     ConstraintKind,
     LossStream,
     ProblemConstants,
     _frozen,
+    _is_integer,
+    _shown,
     function_variation_bound,
     global_loss,
 )
@@ -133,6 +135,8 @@ class RoundOptimizer:
     def __init__(self, stream: LossStream, tol: float = 1e-9, max_iter: int = 2 * 10 ** 4):
         if not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+        if not _is_integer(max_iter):
+            raise ValueError(f"max_iter must be an integer, got {_shown(max_iter, repr)}")
         if max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
         self.stream = stream
@@ -357,17 +361,22 @@ def regret_series(trajectory: Trajectory, optima, stream: LossStream,
                   tol: float = 1e-9) -> RegretSeries:
     """Cumulative ``F_t(x_{j,t}) - F_t(x_t^*)`` for all agents.
 
-    Decisions are the committed round-start iterates. Raises if the optima
-    do not cover the horizon, or if an increment falls below ``-tol`` (or
-    minus the record's gap, when a round certified at its gap floor has a
-    larger one) less a rounding floor, which would contradict the optimality
-    certificates: a loss, a sum of ``n + d`` nonnegative terms, rounds by up
+    Decisions are the committed round-start iterates. Raises if the
+    trajectory's agents, dimension or horizon do not fit the stream, if the
+    optima do not cover the horizon, or if an increment falls below
+    ``-tol`` (or minus the record's gap, when a round certified at its gap
+    floor has a larger one) less a rounding floor, which would contradict
+    the optimality certificates: a loss, a sum of ``n + d`` nonnegative terms, rounds by up
     to ``(n + d) * eps`` times its value; and a decision is never projected,
     so rounding leaves it ``v`` off the set (``feasibility_violation``),
     within ``(2d + 1) v`` of it in l1, where by convexity its loss is at most
     that distance times its largest gradient entry below the set's minimum.
     """
     T, n, d = stream.T, stream.n, stream.d
+    shape = trajectory.decisions.shape
+    if shape[1:] != (n, d) or shape[0] < T + 1:
+        raise ValueError(f"trajectory decisions of shape {shape} do not fit the stream, "
+                         f"which needs ({T + 1}, {n}, {d})")
     if len(optima) < T:
         raise ValueError(f"need optima for all {T} rounds, got {len(optima)}")
     increments = np.empty((n, T))
@@ -428,22 +437,21 @@ class BoundReport:
         return self.e1 + self.e2 * self.variation_bound + self.e3 * self.inv_count_sum
 
 
-def regret_upper_bound(constants: ProblemConstants, mixing: MixingConstants,
-                       params: ScheduleParams, stream: LossStream,
-                       counts, x_init: np.ndarray) -> BoundReport:
-    """Evaluate the analytic dynamic-regret bound for a tracked run.
+def regret_upper_bound(constants: ProblemConstants, zeta: float, params: ScheduleParams,
+                       stream: LossStream, x_init: np.ndarray) -> BoundReport:
+    """Evaluate the analytic dynamic-regret bound for a tracked run of ``stream``.
 
-    Valid for the multi-iteration modes with ``alpha_t = 1/(rho K_t)``; the
-    variation term uses the analytic upper bound, so the result is a true
-    upper bound on every agent's final dynamic regret.
+    Valid for the multi-iteration modes with ``alpha_t = 1/(rho K_t)``. The
+    inner counts are the ones every run of the stream steps,
+    ``inner_count(params, t, stream.T)``, and the mixing rate is that of a
+    schedule whose nonzero weights are at least ``zeta``. The variation term
+    uses the analytic upper bound, so the result is a true upper bound on
+    every agent's final dynamic regret.
     """
     if params.mode is ScheduleMode.BASELINE:
         raise ValueError("the bound does not cover the fixed-step baseline")
-    counts = [int(k) for k in counts]
-    if len(counts) < stream.T:
-        raise ValueError("need an inner count for every round")
-    if counts[0] < 2:
-        raise ValueError("the bound requires at least two inner iterations per round")
+    counts = [inner_count(params, t, stream.T) for t in range(1, stream.T + 1)]
+    mixing = MixingConstants.from_zeta(zeta, stream.n)
 
     n, m, l_x, g_x = stream.n, constants.diameter, constants.grad_norm_bound, constants.grad_lipschitz
     sig, gam, rho = mixing.rate, mixing.coeff, params.rho
@@ -470,6 +478,6 @@ def regret_upper_bound(constants: ProblemConstants, mixing: MixingConstants,
           + n * n * l_x * m / rho * (n * gam / (sig * one_minus_sig * one_minus_sig_k1) + 2.0))
 
     variation = function_variation_bound(stream)
-    inv_sum = float(sum(1.0 / k for k in counts[:stream.T]))
+    inv_sum = float(sum(1.0 / k for k in counts))
     return BoundReport(e1=float(e1), e2=float(e2), e3=float(e3),
                        variation_bound=variation, inv_count_sum=inv_sum)

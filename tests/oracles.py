@@ -221,7 +221,7 @@ def fold_window(schedule: GraphSchedule, counts: Sequence[int], t: int, s: int) 
         raise ValueError(f"need 1 <= s <= t + 1 <= {schedule.horizon + 1}, got t={t} s={s}")
     fold = MixingFold(schedule.n)
     for p in range(s, t + 1):
-        fold.add(schedule.matrix(p), counts[p - 1])
+        fold = fold.add(schedule.matrix(p), counts[p - 1])
     return fold
 
 

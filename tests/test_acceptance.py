@@ -13,7 +13,7 @@ import pytest
 from domfw.algorithm import ScheduleMode, ScheduleParams, inner_count, run
 from domfw.cli import main
 from domfw.harness import derive_seed, fit_loglog_slope
-from domfw.network import MixingConstants, check_mixing, random_connected_schedule
+from domfw.network import check_mixing, random_connected_schedule
 from domfw.problem import ConstraintSpec, generate_stream, lmo, problem_constants
 from domfw.regret import RoundOptimizer, envelopes, regret_series, regret_upper_bound
 from oracles import fold_window, lo_call_count, projected_gradient_optimum
@@ -163,13 +163,11 @@ def test_criterion_7_regret_bound_inequality(reference_runs):
         stream = data["stream"]
         schedule = data["schedule"]
         constants = problem_constants(stream)
-        mixing = MixingConstants.from_zeta(schedule.zeta, stream.n)
         for name, bundle in data["runs"].items():
             if bundle["params"].mode is ScheduleMode.BASELINE:
                 continue   # the bound covers the tracked multi-iteration schedules
-            counts = [inner_count(bundle["params"], t, HORIZON) for t in range(1, HORIZON + 1)]
-            bound = regret_upper_bound(constants, mixing, bundle["params"], stream,
-                                       counts, bundle["trajectory"].x_init)
+            bound = regret_upper_bound(constants, schedule.zeta, bundle["params"], stream,
+                                       bundle["trajectory"].x_init)
             finals = bundle["series"].cumulative[:, -1]
             worst_margin = min(worst_margin, float(bound.total - finals.max()))
             checked += finals.size

@@ -22,8 +22,18 @@ from domfw.algorithm import (
     step_size,
 )
 from domfw.harness import write_diagnostics_csv, write_trajectory_csv
-from domfw.network import WeightMatrix, metropolis_weights, random_connected_schedule
-from domfw.problem import ConstraintSpec, LossStream, _global_grad, generate_stream, global_loss, lmo, sample_feasible
+from domfw.network import MixingFold, WeightMatrix, metropolis_weights, random_connected_schedule
+from domfw.problem import (
+    ConstraintSpec,
+    LossStream,
+    _global_grad,
+    generate_stream,
+    global_loss,
+    lmo,
+    problem_constants,
+    sample_feasible,
+)
+from domfw.regret import regret_upper_bound
 from oracles import (
     consensus_step,
     constant_schedule,
@@ -54,9 +64,9 @@ def round_steps(xs, stream, sched, params, t):
     """Round ``t``'s oracle inner steps, with the weights, count and step the
     run uses; the last step's ``x_next`` is checked to be ``run_round``'s
     decision bit for bit, which ties a per-step property to the library."""
-    k_t = inner_count(params, t, sched.horizon)
-    steps = list(inner_steps(xs, stream, sched.matrix(t), step_size(params, k_t, sched.horizon), k_t, t))
-    assert np.array_equal(steps[-1].x_next, run_round(xs, stream, sched, params, t)[0])
+    k_t = inner_count(params, t, stream.T)
+    steps = list(inner_steps(xs, stream, sched.matrix(t), step_size(params, k_t, stream.T), k_t, t))
+    assert np.array_equal(steps[-1].x_next, run_round(xs, stream, sched.matrix(t), params, t)[0])
     return steps
 
 
@@ -74,8 +84,8 @@ def per_step_round(xs, stream, sched, params, t):
     oracle for ``run_round``'s diagnostics."""
     n, spec = stream.n, stream.constraint
     wm = sched.matrix(t)
-    k_t = inner_count(params, t, sched.horizon)
-    alpha = step_size(params, k_t, sched.horizon)
+    k_t = inner_count(params, t, stream.T)
+    alpha = step_size(params, k_t, stream.T)
     consistency = float(np.linalg.norm(xs - xs.mean(axis=0), axis=1).sum())
     tracking_residual = conservation_gap = feasibility_gap = 0.0
     for s in inner_steps(xs, stream, wm, alpha, k_t, t):
@@ -344,7 +354,7 @@ class TestRunRound:
         sched = constant_schedule(WeightMatrix(np.array([[1.0]])), 1)
         params = ScheduleParams(BASELINE, baseline_alpha=0.3)
         x0 = np.array([[2.0, 0.0]])
-        xs, diag = run_round(x0, stream, sched, params, 1)
+        xs, diag = run_round(x0, stream, sched.matrix(1), params, 1)
         g = grad_eval(stream, 1, 0, x0[0])
         expected, _ = fw_step(x0[0], g, 0.3, stream.constraint)
         assert np.allclose(xs[0], expected, atol=1e-15)
@@ -371,7 +381,7 @@ class TestRunRound:
         steps = round_steps(x0, stream, sched, params, 1)
         engine_path = [float(s.x_next[0, 0]) for s in steps]
         assert np.allclose(engine_path, scalar_path, atol=1e-14)
-        xs, _ = run_round(x0, stream, sched, params, 1)
+        xs, _ = run_round(x0, stream, sched.matrix(1), params, 1)
         assert xs[0, 0] == pytest.approx(scalar_path[-1], abs=1e-14)
 
     def test_inner_objective_decreases_after_transient(self):
@@ -395,7 +405,7 @@ class TestRunRound:
         xs = initial_decisions(spec, 8)
         for t in range(1, 6):
             steps = round_steps(xs, stream, sched, params, t)
-            assert recursion_gap(steps, step_size(params, len(steps), sched.horizon)) <= 1e-10
+            assert recursion_gap(steps, step_size(params, len(steps), stream.T)) <= 1e-10
             xs = steps[-1].x_next
 
     def test_inner_step_snapshot(self):
@@ -428,7 +438,7 @@ class TestRunRound:
                 assert spec.feasibility_violation(s.x_mixed) <= FEASIBILITY_RUN_TOL
                 assert spec.feasibility_violation(s.x_next) <= FEASIBILITY_RUN_TOL
                 assert np.abs(s.grad_tracked_pre.sum(axis=0) - s.grad_local.sum(axis=0)).max() <= CONSERVATION_TOL
-            assert recursion_gap(steps, step_size(params, len(steps), sched.horizon)) <= 1e-10
+            assert recursion_gap(steps, step_size(params, len(steps), stream.T)) <= 1e-10
             xs = steps[-1].x_next
 
     @settings(derandomize=True, deadline=None, max_examples=50)
@@ -443,7 +453,7 @@ class TestRunRound:
         xs = initial_decisions(spec, n, init="random", seed=seed + 2)
         for t in range(1, 4):
             expected_xs, expected = per_step_round(xs, stream, sched, params, t)
-            xs, diag = run_round(xs, stream, sched, params, t)
+            xs, diag = run_round(xs, stream, sched.matrix(t), params, t)
             assert np.array_equal(xs, expected_xs)
             assert diag == expected
 
@@ -467,14 +477,14 @@ class TestRunRound:
 
     @pytest.mark.parametrize("change, message", [
         ({"xs": np.zeros((3, 2))}, r"^expected \(4, 3\) stacked decisions, got \(3, 2\)$"),
-        ({"sched": constant_schedule(WeightMatrix(np.eye(3)), 2)}, r"^schedule size does not match the stream$"),
+        ({"wm": WeightMatrix(np.eye(3))}, r"^weight matrix size does not match the stream$"),
     ])
     def test_run_round_checks_inputs(self, change, message):
         spec = ConstraintSpec.simplex(3)
         stream = generate_stream(4, 2, 1e-3, spec, seed=27)
-        args = {"xs": initial_decisions(spec, 4), "sched": random_connected_schedule(4, 2, 0.5, seed=28)} | change
+        args = {"xs": initial_decisions(spec, 4), "wm": random_connected_schedule(4, 2, 0.5, seed=28).matrix(1)} | change
         with pytest.raises(ValueError, match=message):
-            run_round(args["xs"], stream, args["sched"], ScheduleParams(FIXED, fixed_count=3, rho=2), 1)
+            run_round(args["xs"], stream, args["wm"], ScheduleParams(FIXED, fixed_count=3, rho=2), 1)
 
 
 class TestRun:
@@ -487,13 +497,27 @@ class TestRun:
         assert not traj.decisions.flags.writeable
         # an array the caller can still write to is copied, and left writeable
         mine = np.zeros((2, 1, 1))
-        kept = Trajectory(decisions=mine, rounds=()).decisions
+        kept = Trajectory(decisions=mine, rounds=(), mixing=MixingFold(1)).decisions
         assert kept is not mine and mine.flags.writeable and not kept.flags.writeable
 
     def test_schedule_shorter_than_the_stream_is_rejected(self):
         stream = generate_stream(3, 4, 1e-3, ConstraintSpec.simplex(2), seed=31)
         with pytest.raises(ValueError, match="^schedule horizon is shorter than the stream$"):
             run(stream, random_connected_schedule(3, 3, 0.5, seed=32), ScheduleParams())
+
+    def test_counts_steps_and_bound_read_the_streams_horizon(self):
+        # a T = 4 stream on a 100-round schedule: the horizon schedule steps
+        # ceil(4 * 4**0.5) + 1 = 9 inner steps a round, not ceil(4 * 100**0.5) + 1 = 41
+        stream = generate_stream(4, 4, 1e-4, ConstraintSpec.simplex(3), seed=33)
+        sched = random_connected_schedule(4, 100, 0.5, seed=34)
+        params = ScheduleParams(HORIZON, epsilon=4, gamma=0.5, rho=4)
+        traj = run(stream, sched, params)
+        assert [r.inner_count for r in traj.rounds] == [9] * 4
+        assert all(r.alpha == 1 / (4 * 9) for r in traj.rounds)
+        baseline = run(stream, sched, ScheduleParams(BASELINE))
+        assert [r.alpha for r in baseline.rounds] == [1 / (4 * 4 ** 0.4)] * 4
+        report = regret_upper_bound(problem_constants(stream), sched.zeta, params, stream, traj.x_init)
+        assert report.inv_count_sum == sum(1 / r.inner_count for r in traj.rounds)
 
     def test_minimal_run_counters(self):
         stream = single_agent_stream([1.0], [0.5], [[0.3]])

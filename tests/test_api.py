@@ -3,7 +3,6 @@ the feasible set from ``stream.constraint`` instead of taking it again. Each
 operation has one implementation in the library, and README's library
 example runs against it."""
 
-import dataclasses
 import inspect
 import re
 from pathlib import Path
@@ -19,7 +18,7 @@ import domfw.problem
 import domfw.regret
 from domfw.algorithm import Trajectory
 from domfw.harness import ExperimentConfig, RunResult
-from domfw.network import MixingReport, metropolis_weights
+from domfw.network import MixingFold, MixingReport, metropolis_weights
 from domfw.problem import ConstraintSpec, generate_stream
 from domfw.regret import Envelopes, OptimumRecord, RegretSeries
 from oracles import InnerStep
@@ -91,15 +90,25 @@ def test_check_mixing_takes_a_fold_and_zeta_only():
     assert list(inspect.signature(domfw.MixingFold).parameters) == ["n"]
 
 
+def test_round_and_bound_take_no_schedule_or_counts():
+    # both read the horizon from the stream: no caller-supplied schedule or count list
+    assert list(inspect.signature(domfw.run_round).parameters) == ["xs", "stream", "wm", "params", "t"]
+    assert list(inspect.signature(domfw.regret_upper_bound).parameters) == [
+        "constants", "zeta", "params", "stream", "x_init"]
+
+
 def array_holders():
     """A fresh instance of every result type that holds arrays, by name."""
-    trajectory = lambda: Trajectory(decisions=np.zeros((3, 2, 3)), rounds=())
+    trajectory = lambda: Trajectory(decisions=np.zeros((3, 2, 3)), rounds=(), mixing=MixingFold(2))
+    stream = lambda: generate_stream(3, 4, 5e-6, ConstraintSpec.simplex(3), seed=1)
+    run = lambda: domfw.run(stream(), domfw.random_connected_schedule(3, 4, 0.5, seed=2), domfw.ScheduleParams())
     envelopes = lambda: Envelopes(avg=np.zeros(3), sup=np.ones(3), inf=np.zeros(3))
     optimum = lambda: OptimumRecord(t=1, x_star=np.full(3, 1 / 3), f_star=0.5, gap=0.0, iterations=2, tol=1e-9)
     return {
-        "LossStream": lambda: generate_stream(3, 4, 5e-6, ConstraintSpec.simplex(3), seed=1),
+        "LossStream": stream,
         "WeightMatrix": lambda: metropolis_weights([(0, 1), (1, 2)], 3),
         "Trajectory": trajectory,
+        "Trajectory of a run": run,
         "OptimumRecord": optimum,
         "RegretSeries": lambda: RegretSeries(cumulative=np.zeros((2, 3))),
         "Envelopes": envelopes,
@@ -125,15 +134,16 @@ def test_array_holders_compare_and_hash_by_identity(name):
 
 
 def arrays_held(value):
-    """Every array ``value`` holds: itself, or through dataclass fields and tuples."""
+    """Every array ``value`` holds: itself, or through tuples and the
+    attributes of ``domfw`` objects, such as a trajectory's mixing fold."""
     if isinstance(value, np.ndarray):
         yield value
     elif isinstance(value, tuple):
         for item in value:
             yield from arrays_held(item)
-    elif dataclasses.is_dataclass(value):
-        for f in dataclasses.fields(value):
-            yield from arrays_held(getattr(value, f.name))
+    elif type(value).__module__.startswith("domfw.") and hasattr(value, "__dict__"):
+        for item in vars(value).values():
+            yield from arrays_held(item)
 
 
 @pytest.mark.parametrize("name", sorted(set(array_holders()) - {"InnerStep"}))

@@ -1,5 +1,7 @@
+import dataclasses
 import gc
 import hashlib
+import re
 import types
 import weakref
 
@@ -331,6 +333,29 @@ class TestCheckMixing:
             MixingFold(5).add(sched.matrix(5), 0)
         with pytest.raises(ValueError, match="^weight matrix size does not match the fold$"):
             MixingFold(4).add(sched.matrix(5), 2)
+
+    @pytest.mark.parametrize("k", [2.7, True, np.float64(2.0)])
+    def test_a_count_that_is_not_an_integer_is_refused(self, k):
+        # 2.7 would fold A**2 and add 2 to the total
+        sched = random_connected_schedule(5, 6, 0.3, seed=4)
+        with pytest.raises(ValueError, match=rf"^inner count k must be an integer, got {re.escape(repr(k))}$"):
+            MixingFold(5).add(sched.matrix(5), k)
+        assert MixingFold(5).add(sched.matrix(5), np.int64(2)).total == 2
+
+    def test_a_run_fold_cannot_change_after_the_run(self):
+        stream = generate_stream(4, 5, 1e-4, ConstraintSpec.simplex(3), seed=1)
+        sched = random_connected_schedule(4, 5, 0.5, seed=2)
+        fold = run(stream, sched, ScheduleParams()).mixing
+        before = check_mixing(fold, sched.zeta)
+        grown = fold.add(sched.matrix(1), 3)
+        assert (fold.rounds, grown.rounds, grown.total) == (5, 6, fold.total + 3)
+        assert check_mixing(fold, sched.zeta) == before != check_mixing(grown, sched.zeta)
+        for held in (fold, grown):
+            for a in (held.first, held.rest):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fold.rest = np.eye(4)
 
 
 def reachable(root):

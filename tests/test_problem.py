@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 import tempfile
 import tracemalloc
@@ -81,6 +82,13 @@ class TestLMO:
         digits = sys.get_int_max_str_digits()
         with pytest.raises(ValueError, match=rf"^{rule}, got an int of over {digits} digits$"):
             make()
+
+    @pytest.mark.parametrize("dimension", [2.5, True, np.float64(3.0)])
+    def test_a_dimension_that_is_not_an_integer_is_refused(self, dimension):
+        # built, it would fail at the first vertices() call with a bare TypeError
+        with pytest.raises(ValueError, match=rf"^dimension must be an integer, got {re.escape(repr(dimension))}$"):
+            ConstraintSpec.simplex(dimension)
+        assert ConstraintSpec.simplex(np.int64(3)).vertices().shape == (3, 3)
 
     @pytest.mark.parametrize("radius", [10 ** 400, 2 ** 1024])
     def test_a_radius_with_no_float_is_refused(self, radius):

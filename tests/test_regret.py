@@ -2,6 +2,7 @@ import collections
 import hashlib
 import itertools
 import math
+import re
 import struct
 import sys
 from dataclasses import replace
@@ -15,7 +16,7 @@ import domfw.problem as problem
 import domfw.regret as regret
 from domfw.algorithm import ScheduleMode, ScheduleParams, Trajectory, inner_count, run
 from domfw.harness import derive_seed, parse_config, run_experiment, write_envelopes_csv, write_regret_csv
-from domfw.network import MixingConstants, random_connected_schedule
+from domfw.network import MixingFold, random_connected_schedule
 from domfw.problem import (
     FEASIBILITY_TOL,
     ConstraintSpec,
@@ -168,6 +169,13 @@ class TestSolveRoundOptimum:
     def test_max_iter_must_be_at_least_one(self, max_iter):
         stream = generate_stream(3, 2, 1e-3, ConstraintSpec.simplex(2), seed=0)
         with pytest.raises(ValueError, match=rf"^max_iter must be >= 1, got {max_iter}$"):
+            RoundOptimizer(stream, max_iter=max_iter)
+
+    @pytest.mark.parametrize("max_iter", [2.5, True, np.float64(3.0)])
+    def test_max_iter_must_be_an_integer(self, max_iter):
+        # 2.5 would fail in solve with a bare TypeError, and True cap every round at one iteration
+        stream = generate_stream(3, 2, 1e-3, ConstraintSpec.simplex(2), seed=0)
+        with pytest.raises(ValueError, match=rf"^max_iter must be an integer, got {re.escape(repr(max_iter))}$"):
             RoundOptimizer(stream, max_iter=max_iter)
 
     def test_non_finite_gap_raises_at_once(self):
@@ -595,7 +603,7 @@ def assert_same_records(got, want):
 def constant_decision_trajectory(points, T):
     """A fake trajectory committing the same stacked decisions each round."""
     stacked = np.tile(points, (T + 1, 1, 1))
-    return Trajectory(decisions=stacked, rounds=())
+    return Trajectory(decisions=stacked, rounds=(), mixing=MixingFold(len(points)))
 
 
 class TestDynamicRegret:
@@ -604,7 +612,7 @@ class TestDynamicRegret:
         stream = generate_stream(2, 4, 1e-4, spec, seed=7)
         optima = all_optima(stream, tol=1e-12)
         decisions = np.stack([np.tile(rec.x_star, (2, 1)) for rec in optima] + [np.tile(optima[-1].x_star, (2, 1))])
-        traj = Trajectory(decisions=decisions, rounds=())
+        traj = Trajectory(decisions=decisions, rounds=(), mixing=MixingFold(2))
         series = regret_series(traj, optima, stream, tol=1e-9)
         assert np.all(np.abs(series.cumulative) <= 4 * 1e-9)
 
@@ -721,6 +729,17 @@ class TestDynamicRegret:
         with pytest.raises(ValueError, match="^optimum record at position 1 is for round 3$"):
             regret_series(traj, [optima[0], optima[2], optima[1]], stream)
 
+    @pytest.mark.parametrize("points, T", [(np.tile([1.0, 0.0], (4, 1)), 3), (np.tile([1.0, 0.0, 0.0], (5, 1)), 3),
+                                           (np.tile([1.0, 0.0], (5, 1)), 2)])
+    def test_trajectory_that_does_not_fit_the_stream_is_rejected(self, points, T):
+        # an n = 5, d = 2, T = 3 stream, against too few agents, coordinates or rounds
+        stream = generate_stream(5, 3, 1e-4, ConstraintSpec.simplex(2), seed=14)
+        traj = constant_decision_trajectory(points, T)
+        shape = re.escape(str(traj.decisions.shape))
+        with pytest.raises(ValueError, match=rf"^trajectory decisions of shape {shape} do not fit the stream, "
+                                             r"which needs \(4, 5, 2\)$"):
+            regret_series(traj, all_optima(stream), stream)
+
     def test_dynamic_regret_single_agent_view(self):
         spec = ConstraintSpec.simplex(2)
         stream = generate_stream(3, 4, 1e-4, spec, seed=13)
@@ -769,20 +788,15 @@ class TestRegretBound:
         sched = random_connected_schedule(4, T, 0.5, seed=16)
         params = ScheduleParams(ScheduleMode.PER_ROUND, epsilon=2, gamma=0.5, rho=3)
         counts = [inner_count(params, t, T) for t in range(1, T + 1)]
-        constants = problem_constants(stream)
-        mixing = MixingConstants.from_zeta(sched.zeta, 4)
-        return spec, stream, sched, params, counts, constants, mixing
+        return spec, stream, sched, params, counts, problem_constants(stream)
 
     def test_e2_reference_value(self):
         # 2 * 20 / (1 - e^{-1/4}), cross-checked via expm1
         spec = ConstraintSpec.simplex(2)
         stream = generate_stream(20, 2, 0.0, spec, seed=17)
         params = ScheduleParams(ScheduleMode.PER_ROUND, epsilon=4, gamma=0.5, rho=4)
-        counts = [inner_count(params, t, 2) for t in (1, 2)]
         constants = problem_constants(stream)
-        mixing = MixingConstants.from_zeta(1 / 20, 20)
-        report = regret_upper_bound(constants, mixing, params, stream, counts,
-                                    np.tile([1.0, 0.0], (20, 1)))
+        report = regret_upper_bound(constants, 1 / 20, params, stream, np.tile([1.0, 0.0], (20, 1)))
         assert report.e2 == pytest.approx(180.83246656751194, rel=1e-13)
         assert report.e2 == pytest.approx(40 / (-math.expm1(-0.25)), rel=1e-15)
 
@@ -793,54 +807,41 @@ class TestRegretBound:
         # rho of the benchmark workloads (1.5 to 4)
         stream = generate_stream(20, 2, 0.0, ConstraintSpec.simplex(2), seed=17)
         params = ScheduleParams(ScheduleMode.PER_ROUND, epsilon=4, gamma=0.5, rho=rho)
-        counts = [inner_count(params, t, 2) for t in (1, 2)]
-        report = regret_upper_bound(problem_constants(stream), MixingConstants.from_zeta(1 / 20, 20), params,
-                                    stream, counts, np.tile([1.0, 0.0], (20, 1)))
+        report = regret_upper_bound(problem_constants(stream), 1 / 20, params, stream,
+                                    np.tile([1.0, 0.0], (20, 1)))
         assert np.isfinite([report.e1, report.e2, report.e3, report.total]).all()
         assert report.e2 == pytest.approx(40 * (rho + 0.5), rel=1e-15 + 1 / (12 * rho * rho))
         if rho <= 4:
             assert report.e2 == 40 * (1.0 / (1.0 - math.exp(-1.0 / rho)))
 
     def test_zero_variation_reduces_to_two_terms(self):
-        spec, stream, sched, params, counts, constants, mixing = self.make_setup(noise=np.zeros((4, 6)))
+        spec, stream, sched, params, counts, constants = self.make_setup(noise=np.zeros((4, 6)))
         x_init = np.tile([1.0, 0.0, 0.0], (4, 1))
-        report = regret_upper_bound(constants, mixing, params, stream, counts, x_init)
+        report = regret_upper_bound(constants, sched.zeta, params, stream, x_init)
         assert report.variation_bound == 0
         assert report.total == report.e1 + report.e3 * report.inv_count_sum
 
     def test_bound_parts_positive_and_finite(self):
-        spec, stream, sched, params, counts, constants, mixing = self.make_setup()
+        spec, stream, sched, params, counts, constants = self.make_setup()
         x_init = np.tile([1.0, 0.0, 0.0], (4, 1))
-        report = regret_upper_bound(constants, mixing, params, stream, counts, x_init)
+        report = regret_upper_bound(constants, sched.zeta, params, stream, x_init)
         for part in (report.e1, report.e2, report.e3, report.total):
             assert np.isfinite(part) and part > 0
         assert report.inv_count_sum == pytest.approx(sum(1 / k for k in counts), rel=1e-15)
 
     def test_dominates_empirical_regret_small_run(self):
-        spec, stream, sched, params, counts, constants, mixing = self.make_setup(T=6)
+        spec, stream, sched, params, counts, constants = self.make_setup(T=6)
         traj = run(stream, sched, params)
         optima = all_optima(stream)
         series = regret_series(traj, optima, stream)
-        report = regret_upper_bound(constants, mixing, params, stream, counts, traj.x_init)
+        report = regret_upper_bound(constants, sched.zeta, params, stream, traj.x_init)
         assert series.cumulative[:, -1].max() < report.total
 
     def test_baseline_mode_rejected(self):
-        spec, stream, sched, params, counts, constants, mixing = self.make_setup()
+        spec, stream, sched, params, counts, constants = self.make_setup()
         baseline = ScheduleParams(ScheduleMode.BASELINE, baseline_alpha=0.05)
         with pytest.raises(ValueError):
-            regret_upper_bound(constants, mixing, baseline, stream, [1] * 6,
-                               np.tile([1.0, 0.0, 0.0], (4, 1)))
-
-    def test_every_round_needs_an_inner_count(self):
-        spec, stream, sched, params, counts, constants, mixing = self.make_setup()
-        with pytest.raises(ValueError, match="^need an inner count for every round$"):
-            regret_upper_bound(constants, mixing, params, stream, counts[:-1], np.tile([1.0, 0.0, 0.0], (4, 1)))
-
-    def test_first_round_count_must_be_at_least_two(self):
-        spec, stream, sched, params, counts, constants, mixing = self.make_setup()
-        with pytest.raises(ValueError):
-            regret_upper_bound(constants, mixing, params, stream, [1] + counts[1:],
-                               np.tile([1.0, 0.0, 0.0], (4, 1)))
+            regret_upper_bound(constants, sched.zeta, baseline, stream, np.tile([1.0, 0.0, 0.0], (4, 1)))
 
 
 class TestRegretCsv:
