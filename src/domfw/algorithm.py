@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .network import GraphSchedule, MixingFold, WeightMatrix
+from .network import GraphSchedule, MixingConstants, MixingFold, WeightMatrix, is_vacuous
 from .problem import (
     ConstraintSpec,
     LossStream,
@@ -253,8 +253,10 @@ class Trajectory:
     ``decisions[t - 1]`` holds all agents' committed points for round ``t``,
     for ``t = 1 .. T + 1`` (the last row is the decision the agents would
     commit at round ``T + 1``). ``mixing`` is the run's fold of its rounds'
-    weights, the products that ``check_mixing`` certifies. The decisions are
-    held read-only, adopted or copied as ``_frozen`` rules.
+    weights, the products that ``check_mixing`` certifies; it keeps the
+    product only when the run's certificate can fail (``MixingFold.product``),
+    and otherwise the sums that its double stochasticity check reads. The
+    decisions are held read-only, adopted or copied as ``_frozen`` rules.
     """
 
     decisions: np.ndarray          # (T + 1, n, d)
@@ -319,18 +321,28 @@ def run(stream: LossStream, schedule: GraphSchedule, params: ScheduleParams,
 
     Deterministic for fixed inputs. Raises with the offending round index if
     any round fails. Each round's weights are built once, stepped by
-    ``run_round``, folded into ``Trajectory.mixing`` and then dropped.
+    ``run_round``, folded into ``Trajectory.mixing`` and then dropped. The
+    fold keeps the full product unless the mixing certificate of the run's
+    inner counts at ``schedule.zeta`` is vacuous, which is known before
+    round 1 (``network.is_vacuous``).
     """
     if schedule.n != stream.n:
         raise ValueError("schedule and stream disagree on the number of agents")
     if schedule.horizon < stream.T:
         raise ValueError("schedule horizon is shorter than the stream")
 
+    total = 0
+    for t in range(1, stream.T + 1):
+        try:
+            total += inner_count(params, t, stream.T)
+        except ValueError as exc:
+            raise RuntimeError(f"round {t} failed: {exc}") from exc
+    bound = MixingConstants.from_zeta(schedule.zeta, stream.n).bound(total)
     xs = initial_decisions(stream.constraint, stream.n, init=init, seed=init_seed)
     decisions = np.empty((stream.T + 1, stream.n, stream.d))
     decisions[0] = xs
     rounds = []
-    fold = MixingFold(stream.n)
+    fold = MixingFold(stream.n, product=not is_vacuous(bound, stream.n))
     for t in range(1, stream.T + 1):
         try:
             wm = schedule.matrix(t)

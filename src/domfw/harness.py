@@ -468,7 +468,9 @@ class RunResult:
     wall_seconds: float
 
     def bound_text(self) -> str:
-        """The ``bound.txt`` report: bounds, certificate margins, counters."""
+        """The ``bound.txt`` report: bounds, certificate margins, counters.
+        A line whose value was not computed is left out, such as the mixing
+        deviation and margins of a run whose mixing bound is vacuous."""
         worst = float(self.regret.cumulative[:, -1].max())
         bound, mixing, traj, optima = self.bound, self.mixing, self.trajectory, self.optima
         items = [("ht_estimate", self.ht_estimate), ("ht_upper_bound", self.ht_upper_bound),
@@ -477,7 +479,8 @@ class RunResult:
             items += [("e1", bound.e1), ("e2", bound.e2), ("e3", bound.e3), ("bound_total", bound.total),
                       ("bound_margin", bound.total - worst)]
         items += [("mixing_deviation", mixing.deviation), ("mixing_bound", mixing.bound),
-                  ("mixing_margin", mixing.margin), ("mixing_shifted_margin", mixing.shifted_margin),
+                  ("mixing_trivial_bound", mixing.trivial_bound), ("mixing_margin", mixing.margin),
+                  ("mixing_shifted_margin", mixing.shifted_margin),
                   ("mixing_holds", mixing.ok), ("solver_iterations", sum(rec.iterations for rec in optima)),
                   ("max_solver_gap", max(rec.gap for rec in optima)),
                   ("solver_margin", min(rec.tol - rec.gap for rec in optima)), ("lo_calls", traj.lo_calls),

@@ -29,6 +29,9 @@ class WeightMatrix:
         w = _frozen(self.weights)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("weights must be a square matrix")
+        if w.size and not (w.min() >= 0 and w.max() < np.inf):   # a negative, infinite or NaN weight
+            i, j = np.argwhere(~((w >= 0) & (w < np.inf)))[0]
+            raise ValueError(f"weight ({i}, {j}) must be finite and >= 0, got {w[i, j]}")
         object.__setattr__(self, "weights", w)
 
     @property
@@ -101,13 +104,15 @@ class GraphSchedule:
     round twice holds on to it, or pays the build again.
 
     ``zeta`` is a lower bound on nonzero entries valid for every round (the
-    Metropolis construction guarantees ``1/n``); each round's
+    Metropolis construction guarantees ``1/n``), in ``(0, 1]``; each round's
     ``WeightMatrix.zeta`` reads its realized minimum.
     """
 
     def __init__(self, n: int, horizon: int, builder: Callable[[int], WeightMatrix], zeta: float):
         if n < 1 or horizon < 1:
             raise ValueError("n and horizon must be >= 1")
+        if not 0.0 < zeta <= 1.0:
+            raise ValueError(f"zeta must lie in (0, 1], got {zeta}")
         self.n = n
         self.horizon = horizon
         self.zeta = float(zeta)
@@ -170,32 +175,67 @@ class MixingConstants:
     def from_zeta(cls, zeta: float, n: int) -> "MixingConstants":
         return cls(rate=1.0 - zeta / (4.0 * n * n))
 
+    def bound(self, factors: int) -> float:
+        """The certificate of a product of ``factors`` weight matrices."""
+        try:
+            return self.coeff * self.rate ** (factors - 1)
+        except OverflowError:   # an exponent too large for a float, where the power is 0
+            return 0.0
+
+
+def is_vacuous(bound: float, n: int) -> bool:
+    """Whether every nonnegative ``n x n`` product whose row sums lie within
+    ``PRODUCT_TOL`` of 1 meets ``max_ij |P_ij - 1/n| <= bound``.
+
+    Such a product's entries lie in ``[0, 1 + PRODUCT_TOL]``, so their
+    deviation from ``1/n`` is at most ``1 - 1/n + PRODUCT_TOL``.
+    """
+    return bound >= 1.0 - 1.0 / n + PRODUCT_TOL
+
 
 @dataclass(frozen=True, eq=False)
 class MixingFold:
     """The ordered products ``A_t^{K_t} ... A_s^{K_s}`` of rounds ``s..t``,
     folded one round at a time.
 
-    ``add`` takes the rounds in order. It keeps the first round's weights
-    ``A_s`` and count ``K_s``, and left-multiplies each later round's power
-    onto ``rest``, the product of rounds ``s+1..t`` (the identity until the
-    second round); nothing else of a round is kept. :meth:`closed` finishes
-    a product on the first round's power. A fold is a frozen value: ``add``
-    returns a new fold and leaves its receiver as it was, and every array a
-    fold holds is read-only.
+    ``add`` takes the rounds in order. With ``product`` set (the default) it
+    keeps the first round's weights ``A_s`` and count ``K_s``, and
+    left-multiplies each later round's power onto ``rest``, the product of
+    rounds ``s+1..t`` (the identity until the second round); nothing else of
+    a round is kept. :meth:`closed` finishes a product on the first round's
+    power.
+
+    Without ``product`` the fold keeps no ``n x n`` array, only what the
+    double stochasticity check reads: ``rows``, the product's row sums
+    (``r <- A r``, ``K`` times a round), and ``column_drift``, the largest
+    ``max_j |[1' A^K]_j - 1|`` of any one round's power. Column sums of a
+    left product cannot be folded forward as a vector, so that side is
+    checked round by round. :func:`check_mixing` accepts such a fold only
+    where its certificate is vacuous (:func:`is_vacuous`).
+
+    A fold is a frozen value: ``add`` returns a new fold and leaves its
+    receiver as it was, and every array a fold holds is read-only.
     :func:`run <domfw.algorithm.run>` folds its rounds ``1..T`` as it steps
-    them and returns the fold as ``Trajectory.mixing``.
+    them and returns the fold as ``Trajectory.mixing``; it keeps the product
+    unless the run's certificate, known from its counts before round 1, is
+    vacuous.
     """
 
     n: int
+    product: bool = True
     rounds: int = field(default=0, init=False)        # rounds folded
     total: int = field(default=0, init=False)         # sum of the folded counts
     first_count: int = field(default=0, init=False)   # K_s
     first: np.ndarray | None = field(default=None, init=False)
-    rest: np.ndarray = field(init=False)
+    rest: np.ndarray | None = field(default=None, init=False)
+    rows: np.ndarray | None = field(default=None, init=False)
+    column_drift: float = field(default=0.0, init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rest", _frozen(np.eye(self.n)))
+        if self.product:
+            object.__setattr__(self, "rest", _frozen(np.eye(self.n)))
+        else:
+            object.__setattr__(self, "rows", _frozen(np.ones(self.n)))
 
     def add(self, wm: WeightMatrix, k: int) -> MixingFold:
         """This fold with the next round, with weights ``wm`` and count ``k``, folded in."""
@@ -206,7 +246,15 @@ class MixingFold:
         if wm.n != self.n:
             raise ValueError("weight matrix size does not match the fold")
         k = int(k)
-        if self.rounds:
+        if not self.product:
+            rows, columns, a, a_t = self.rows, np.ones(self.n), wm.weights, wm.weights.T
+            for _ in range(k):   # ndarray.dot: about half the call cost of @ on a vector
+                rows = a.dot(rows)
+                columns = a_t.dot(columns)
+            rows.flags.writeable = False   # handed over without a copy
+            drift = float(np.maximum(self.column_drift, np.abs(columns - 1.0).max()))   # NaN stays NaN
+            changed = {"rows": rows, "column_drift": drift}
+        elif self.rounds:
             rest = np.linalg.matrix_power(wm.weights, k) @ self.rest
             rest.flags.writeable = False   # handed over without a copy
             changed = {"rest": rest}
@@ -219,30 +267,54 @@ class MixingFold:
     def closed(self, l: int = 0) -> np.ndarray:
         """``rest @ A_s^{K_s - l}``: the full product at ``l = 0``, and the
         product starting ``l`` steps into round ``s`` for ``1 <= l < K_s``."""
+        if not self.product:
+            raise ValueError("the fold keeps no product")
         return self.rest @ np.linalg.matrix_power(self.first, self.first_count - l)
 
 
-def _check_drift(product: np.ndarray) -> None:
-    drift = max(np.abs(product.sum(axis=0) - 1.0).max(), np.abs(product.sum(axis=1) - 1.0).max())
-    if drift > PRODUCT_TOL:
+def _refuse_drift(drift: float) -> None:
+    if not drift <= PRODUCT_TOL:
         raise RuntimeError(f"transition product lost double stochasticity (drift {drift:.3e})")
+
+
+def _check_drift(product: np.ndarray) -> None:
+    _refuse_drift(max(np.abs(product.sum(axis=0) - 1.0).max(), np.abs(product.sum(axis=1) - 1.0).max()))
 
 
 @dataclass(frozen=True)
 class MixingReport:
-    """Entrywise deviation from uniform averaging against its certificate."""
+    """Entrywise deviation from uniform averaging against its certificate.
 
-    deviation: float
+    ``deviation`` is ``None`` when the fold kept no product, which
+    :func:`check_mixing` allows only where the bound is vacuous; ``margin``
+    and ``shifted_margin`` are ``None`` with it. ``trivial_bound``,
+    ``1 - 1/n``, is what every nonnegative doubly stochastic product meets.
+    """
+
+    deviation: float | None
     bound: float
-    shifted_margin: float | None   # None when the first round has one step
+    shifted_margin: float | None   # None when the first round has one step, or without the product
+    n: int
+
+    def __post_init__(self):
+        if self.deviation is None and not self.vacuous:
+            raise ValueError("a report without a deviation needs a vacuous bound")
 
     @property
-    def margin(self) -> float:
-        return self.bound - self.deviation
+    def trivial_bound(self) -> float:
+        return 1.0 - 1.0 / self.n
+
+    @property
+    def vacuous(self) -> bool:
+        return is_vacuous(self.bound, self.n)
+
+    @property
+    def margin(self) -> float | None:
+        return None if self.deviation is None else self.bound - self.deviation
 
     @property
     def holds(self) -> bool:
-        return self.margin >= 0
+        return self.margin is None or self.margin >= 0
 
     @property
     def shifted_holds(self) -> bool:
@@ -264,11 +336,23 @@ def check_mixing(fold: MixingFold, zeta: float) -> MixingReport:
     bound on the folded rounds' nonzero weights, such as the schedule's
     ``zeta``. Raises if the fold is empty or a product lost double
     stochasticity, the full one first.
+
+    A fold that kept no product is checked only for double stochasticity,
+    from its row sums and per-round column drift, and its report carries no
+    deviation. Its bound must be vacuous, and then so are the shifted
+    bounds, which are larger; otherwise this raises.
     """
     if not fold.rounds:
         raise ValueError("the fold holds no round")
     n = fold.n
     mc = MixingConstants.from_zeta(zeta, n)
+    if not fold.product:
+        bound = mc.bound(fold.total)
+        if not is_vacuous(bound, n):
+            raise ValueError(f"the fold keeps no product, but its bound {bound!r} at zeta {zeta!r} "
+                             f"is below 1 - 1/n + PRODUCT_TOL")
+        _refuse_drift(float(np.maximum(np.abs(fold.rows - 1.0).max(), fold.column_drift)))
+        return MixingReport(deviation=None, bound=bound, shifted_margin=None, n=n)
     deviations, bounds = [], []   # at l = 0, 1, ..., K_s - 1
     for l in range(fold.first_count):
         part = fold.closed(l)
@@ -276,7 +360,7 @@ def check_mixing(fold: MixingFold, zeta: float) -> MixingReport:
             _check_drift(part)
             _check_drift(fold.rest)
         deviations.append(float(np.abs(part - 1.0 / n).max()))
-        bounds.append(mc.coeff * mc.rate ** (fold.total - l - 1))
+        bounds.append(mc.bound(fold.total - l))
     shifted = [b - d for b, d in zip(bounds[1:], deviations[1:])]
     return MixingReport(deviation=deviations[0], bound=float(bounds[0]),
-                        shifted_margin=min(shifted) if shifted else None)
+                        shifted_margin=min(shifted) if shifted else None, n=n)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import sys
 
 import numpy as np
@@ -582,6 +583,18 @@ class TestRun:
         sched = random_connected_schedule(5, 5, 0.5, seed=17)   # wrong agent count
         params = ScheduleParams(FIXED, fixed_count=2)
         with pytest.raises(ValueError):
+            run(stream, sched, params)
+
+    @pytest.mark.parametrize("params, failure", [
+        # the counts are summed before round 1; round 4's count is past the float range
+        (ScheduleParams(PER_ROUND, epsilon=1e308, gamma=0.5), "round 4 failed: round 4: epsilon * t**gamma"),
+        # a sum of counts too large for the mixing bound's float power keeps the product
+        (ScheduleParams(FIXED, fixed_count=10 ** 400), "round 1 failed: K_t is too large for a float"),
+    ])
+    def test_a_count_that_cannot_run_names_its_round(self, params, failure):
+        stream = generate_stream(4, 4, 1e-3, ConstraintSpec.simplex(3), seed=29)
+        sched = random_connected_schedule(4, 4, 0.5, seed=30)
+        with pytest.raises(RuntimeError, match=f"^{re.escape(failure)}"):
             run(stream, sched, params)
 
     def test_overflowing_gradient_names_the_round(self):

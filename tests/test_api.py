@@ -87,7 +87,7 @@ def test_harness_defines_one_writer_for_each_run_csv():
 
 def test_check_mixing_takes_a_fold_and_zeta_only():
     assert list(inspect.signature(domfw.check_mixing).parameters) == ["fold", "zeta"]
-    assert list(inspect.signature(domfw.MixingFold).parameters) == ["n"]
+    assert list(inspect.signature(domfw.MixingFold).parameters) == ["n", "product"]
 
 
 def test_round_and_bound_take_no_schedule_or_counts():
@@ -115,7 +115,7 @@ def array_holders():
         "RunResult": lambda: RunResult(
             directory=Path("out"), config=ExperimentConfig(), trajectory=trajectory(),
             regret=RegretSeries(cumulative=np.zeros((2, 3))), envelopes=envelopes(), ht_estimate=1.0,
-            ht_upper_bound=None, bound=None, mixing=MixingReport(0.0, 1.0, None), optima=(optimum(),),
+            ht_upper_bound=None, bound=None, mixing=MixingReport(0.0, 1.0, None, 2), optima=(optimum(),),
             wall_seconds=0.1),
         "InnerStep": lambda: InnerStep(*(np.zeros((2, 3)) for _ in range(7))),
     }

@@ -31,7 +31,7 @@ from domfw.harness import (
     write_schedule_csv,
     write_trajectory_csv,
 )
-from domfw.network import GraphSchedule, MixingReport, WeightMatrix, random_connected_schedule
+from domfw.network import GraphSchedule, MixingReport, WeightMatrix, check_mixing, random_connected_schedule
 from domfw.problem import ConstraintKind, ConstraintSpec, generate_stream
 from domfw.regret import RoundOptimizer, envelopes, regret_series
 from oracles import BENCH_DIGESTS, WORKLOADS, constant_schedule, kernel_note, lo_call_count
@@ -590,6 +590,32 @@ class TestRunExperiment:
         assert written == {"stream.csv", "trajectory.csv", "diagnostics.csv", "regret.csv", "envelopes.csv",
                            "envelopes.gp", "FAILED"}
 
+    @pytest.mark.parametrize("axis", [1, 0])
+    def test_vacuous_mixing_drift_fails_after_the_writers(self, tmp_path, monkeypatch, axis):
+        # at n = 12 the bound is about 0.993 against 11/12, so the run keeps
+        # no product (at SMALL's n = 3 it is about 0.64 against 2/3); column 0
+        # (axis 1) or row 0 (axis 0) sums to 1 + 1.2e-5, and the run steps
+        def drifting(n, horizon, edge_prob, seed):
+            w = np.full((n, n), 1.0 / n)
+            np.moveaxis(w, axis, 0)[0] += 1e-6
+            np.moveaxis(w, axis, 0)[1] -= 1e-6
+            return constant_schedule(WeightMatrix(w), horizon)
+
+        folds = []
+
+        def checked(fold, zeta):
+            folds.append(fold)
+            return check_mixing(fold, zeta)
+
+        monkeypatch.setattr(harness, "random_connected_schedule", drifting)
+        monkeypatch.setattr(harness, "check_mixing", checked)
+        with pytest.raises(RuntimeError, match="transition product lost double stochasticity"):
+            run_experiment(parse_config(SMALL.replace("problem.n = 3", "problem.n = 12")), out_dir=tmp_path / "run")
+        assert [fold.product for fold in folds] == [False]
+        written = {path.name for path in (tmp_path / "run").iterdir()}
+        assert written == {"stream.csv", "trajectory.csv", "diagnostics.csv", "regret.csv", "envelopes.csv",
+                           "envelopes.gp", "FAILED"}
+
     def test_capped_pairwise_solve_falls_back(self, tmp_path, monkeypatch):
         # n < d leaves H singular up to the ridge: the pairwise solve stops at
         # its cap (2 * 10**4 by default; 2000 here), and the active-set solve goes on
@@ -685,11 +711,26 @@ class TestRunExperiment:
         keys = list(entries)
         assert keys.index("mixing_shifted_margin") == keys.index("mixing_margin") + 1
 
+    @pytest.mark.parametrize("n, vacuous", [(3, False), (12, True)])
+    def test_bound_report_states_the_trivial_mixing_bound(self, tmp_path, n, vacuous):
+        # a vacuous run computes no deviation or margins, so it writes none
+        result = run_experiment(parse_config(SMALL.replace("problem.n = 3", f"problem.n = {n}")), out_dir=tmp_path)
+        assert result.mixing.vacuous is vacuous is not result.trajectory.mixing.product
+        keys = [line.split(" = ")[0] for line in (tmp_path / "bound.txt").read_text().splitlines()]
+        entries = dict(line.split(" = ") for line in (tmp_path / "bound.txt").read_text().splitlines())
+        assert entries["mixing_trivial_bound"] == repr(1 - 1 / n)
+        assert entries["mixing_bound"] == repr(result.mixing.bound)
+        assert entries["mixing_holds"] == "True"
+        mixing_keys = [key for key in keys if key.startswith("mixing_")]
+        assert mixing_keys == (["mixing_bound", "mixing_trivial_bound", "mixing_holds"] if vacuous else
+                               ["mixing_deviation", "mixing_bound", "mixing_trivial_bound", "mixing_margin",
+                                "mixing_shifted_margin", "mixing_holds"])
+
     @pytest.mark.parametrize("deviation", [0.5, 1.5])
     @pytest.mark.parametrize("shifted_margin", [-0.25, 0.0, None])   # None: a one-step first round
     def test_mixing_holds_when_both_margins_do(self, tmp_path, deviation, shifted_margin):
         result = run_experiment(parse_config("problem.n = 2\nproblem.T = 2\nproblem.d = 2"), out_dir=tmp_path)
-        mixing = MixingReport(deviation=deviation, bound=1.0, shifted_margin=shifted_margin)
+        mixing = MixingReport(deviation=deviation, bound=1.0, shifted_margin=shifted_margin, n=2)
         entries = dict(line.split(" = ") for line in replace(result, mixing=mixing).bound_text().splitlines())
         margins = [mixing.margin] + ([] if shifted_margin is None else [shifted_margin])
         assert entries["mixing_holds"] == repr(min(margins) >= 0)

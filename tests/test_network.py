@@ -13,14 +13,17 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 import domfw.algorithm as algorithm
-from domfw.algorithm import ScheduleParams, run
+from domfw.algorithm import ScheduleMode, ScheduleParams, run
 from domfw.harness import write_schedule_csv
 from domfw.network import (
+    PRODUCT_TOL,
     GraphSchedule,
     MixingConstants,
     MixingFold,
+    MixingReport,
     WeightMatrix,
     check_mixing,
+    is_vacuous,
     metropolis_weights,
     random_connected_schedule,
 )
@@ -307,9 +310,11 @@ class TestCheckMixing:
     @example(n=2, counts=[1], seed=0)          # T = 1
     @example(n=3, counts=[4], seed=1)          # T = 1 with a shifted check
     @example(n=6, counts=[1, 3, 2, 5], seed=2)  # K_1 = 1: no shifted product
+    @example(n=2, counts=[5] * 6, seed=3)       # a bound of 0.41 < 0.5: the run keeps its product
     def test_run_fold_matches_schedule_fold(self, n, counts, seed):
-        # the report on the products a run folded equals the report on the
-        # schedule's rounds folded afresh, bit for bit
+        # where the run kept its product, the report on it equals the report
+        # on the schedule's rounds folded afresh, bit for bit; where the bound
+        # is vacuous, the run kept none and reports the same bound alone
         horizon = len(counts)
         sched = random_connected_schedule(n, horizon, 0.3, seed=seed)
         stream = generate_stream(n, horizon, 5e-6, ConstraintSpec.simplex(2), seed=seed)
@@ -322,7 +327,12 @@ class TestCheckMixing:
 
         def bits(report):
             return [v.hex() if isinstance(v, float) else v for v in vars(report).values()]
-        assert bits(folded) == bits(fresh)
+        assert trajectory.mixing.product is not fresh.vacuous
+        if trajectory.mixing.product:
+            assert bits(folded) == bits(fresh)
+        else:
+            assert bits(folded) == [None, fresh.bound.hex(), None, n]
+            assert folded.ok and fresh.ok
         assert (fresh.shifted_margin is None) == (counts[0] == 1)
 
     def test_empty_fold_and_zero_count_are_rejected(self):
@@ -345,17 +355,118 @@ class TestCheckMixing:
     def test_a_run_fold_cannot_change_after_the_run(self):
         stream = generate_stream(4, 5, 1e-4, ConstraintSpec.simplex(3), seed=1)
         sched = random_connected_schedule(4, 5, 0.5, seed=2)
-        fold = run(stream, sched, ScheduleParams()).mixing
-        before = check_mixing(fold, sched.zeta)
-        grown = fold.add(sched.matrix(1), 3)
-        assert (fold.rounds, grown.rounds, grown.total) == (5, 6, fold.total + 3)
-        assert check_mixing(fold, sched.zeta) == before != check_mixing(grown, sched.zeta)
-        for held in (fold, grown):
-            for a in (held.first, held.rest):
-                with pytest.raises(ValueError, match="read-only"):
-                    a[...] = 0
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            fold.rest = np.eye(4)
+        # 39 inner steps give a vacuous bound, 0.865 against 0.75, and the fold
+        # keeps only its sums; 80 give 0.737, and it keeps the product
+        for params, product in ((ScheduleParams(), False),
+                                (ScheduleParams(mode=ScheduleMode.FIXED, fixed_count=16), True)):
+            fold = run(stream, sched, params).mixing
+            assert fold.product is product
+            before = check_mixing(fold, sched.zeta)
+            grown = fold.add(sched.matrix(1), 3)
+            assert (fold.rounds, grown.rounds, grown.total) == (5, 6, fold.total + 3)
+            assert check_mixing(fold, sched.zeta) == before != check_mixing(grown, sched.zeta)
+            for held in (fold, grown):
+                for a in (held.first, held.rest) if product else (held.rows,):
+                    with pytest.raises(ValueError, match="read-only"):
+                        a[...] = 0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                fold.rest = np.eye(4)
+
+
+RING = metropolis_weights([(i, (i + 1) % 4) for i in range(4)], 4)   # every nonzero weight 1/3
+
+
+def ring_run(zeta: float):
+    """19 rounds of 4 steps on the ring, certified against ``zeta``."""
+    stream = generate_stream(4, 19, 5e-6, ConstraintSpec.simplex(3), seed=3)
+    schedule = GraphSchedule(4, 19, lambda t: RING, zeta)
+    return run(stream, schedule, ScheduleParams(mode=ScheduleMode.FIXED, fixed_count=4))
+
+
+def threshold_zetas(n: int, total: int) -> tuple[float, float]:
+    """Neighbouring floats ``lo < hi``: at ``lo`` the bound of a product of
+    ``total`` factors is vacuous, at ``hi`` it is not."""
+    def vacuous(zeta):
+        return is_vacuous(MixingConstants.from_zeta(zeta, n).bound(total), n)
+    lo, hi = 1e-3, 1.0
+    assert vacuous(lo) and not vacuous(hi)
+    while np.nextafter(lo, hi) < hi:
+        mid = lo + (hi - lo) / 2
+        lo, hi = (mid, hi) if vacuous(mid) else (lo, mid)
+    return lo, hi
+
+
+class TestVacuousBound:
+    def test_the_threshold_is_exact(self):
+        lo, hi = threshold_zetas(4, 76)
+        assert lo < 1 / 3   # both bound the ring's weights
+        assert 0 < 1 - 1 / 4 + PRODUCT_TOL - MixingConstants.from_zeta(hi, 4).bound(76) < 1e-14
+        kept, dropped = ring_run(hi), ring_run(lo)
+        assert np.array_equal(kept.decisions, dropped.decisions)
+        report = check_mixing(kept.mixing, hi)
+        assert kept.mixing.product and not report.vacuous
+        assert report.margin > 0 and report.shifted_margin > 0
+        assert not dropped.mixing.product and dropped.mixing.rest is None
+        report = check_mixing(dropped.mixing, lo)
+        assert report.vacuous and report.ok
+        assert (report.deviation, report.margin, report.shifted_margin) == (None, None, None)
+        with pytest.raises(ValueError, match="^the fold keeps no product, but its bound .* is below "):
+            check_mixing(dropped.mixing, hi)
+        with pytest.raises(ValueError, match="^the fold keeps no product$"):
+            dropped.mixing.closed()
+
+    def test_only_a_bound_that_can_fail_pays_for_matrix_powers(self, monkeypatch):
+        lo, hi = threshold_zetas(4, 76)
+        calls = []
+        power = np.linalg.matrix_power
+        monkeypatch.setattr(np.linalg, "matrix_power", lambda a, k: calls.append(k) or power(a, k))
+        # the product: one power a round after the first, and one per step of
+        # the first round in the check
+        for zeta, in_run, in_check in ((lo, 0, 0), (hi, 18, 4)):
+            calls.clear()
+            trajectory = ring_run(zeta)
+            assert len(calls) == in_run
+            calls.clear()
+            check_mixing(trajectory.mixing, zeta)
+            assert len(calls) == in_check
+
+    def test_a_report_without_a_deviation_needs_a_vacuous_bound(self):
+        assert MixingReport(None, 0.5 + PRODUCT_TOL, None, 2).ok
+        with pytest.raises(ValueError, match="^a report without a deviation needs a vacuous bound$"):
+            MixingReport(None, 0.5, None, 2)
+
+    def test_sums_agree_with_the_product(self):
+        sched = random_connected_schedule(6, 5, 0.3, seed=8)
+        counts = [3, 1, 4, 2, 5]
+        sums, full = MixingFold(6, product=False), MixingFold(6)
+        for t, k in enumerate(counts, 1):
+            sums, full = sums.add(sched.matrix(t), k), full.add(sched.matrix(t), k)
+        assert (sums.rounds, sums.total) == (full.rounds, full.total)
+        np.testing.assert_allclose(sums.rows, full.closed().sum(axis=1), rtol=0, atol=1e-14)
+        columns = [np.abs(np.linalg.matrix_power(sched.matrix(t).weights, k).sum(axis=0) - 1).max()
+                   for t, k in enumerate(counts, 1)]
+        assert sums.column_drift == pytest.approx(max(columns), abs=1e-15)
+
+    def test_column_drift_is_the_largest_of_one_round_not_a_sum(self):
+        # each round's column 0 sums to 1 + 6e-11: below PRODUCT_TOL in every
+        # round, above it summed over three, as it would grow over a long run
+        w = np.full((12, 12), 1 / 12)
+        w[:, 0] += 5e-12
+        w[:, 1] -= 5e-12
+        fold = MixingFold(12, product=False)
+        for _ in range(3):
+            fold = fold.add(WeightMatrix(w), 1)
+        assert fold.column_drift == pytest.approx(6e-11, rel=1e-3)
+        assert check_mixing(fold, 1 / 12).ok
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_a_drifting_fold_without_its_product_is_refused(self, axis):
+        w = np.full((12, 12), 1 / 12)
+        np.moveaxis(w, axis, 0)[0] += 1e-6   # a row (axis 0) or a column (axis 1) gains 1.2e-5
+        np.moveaxis(w, axis, 0)[1] -= 1e-6
+        fold = MixingFold(12, product=False).add(WeightMatrix(w), 3)
+        with pytest.raises(RuntimeError, match="^transition product lost double stochasticity"):
+            check_mixing(fold, 1 / 12)
 
 
 def reachable(root):
@@ -415,8 +526,23 @@ class TestWeightMatrix:
         frozen.flags.writeable = False
         assert WeightMatrix(frozen).weights is frozen
 
+    @pytest.mark.parametrize("weights, shown", [
+        ([[1.5, -0.5], [-0.5, 1.5]], "(0, 1) must be finite and >= 0, got -0.5"),
+        ([[np.nan, 1.0], [1.0, 0.0]], "(0, 0) must be finite and >= 0, got nan"),
+        ([[np.inf, 0.0], [0.0, 1.0]], "(0, 0) must be finite and >= 0, got inf"),
+        ([[1.0, 0.0], [0.0, -np.inf]], "(1, 1) must be finite and >= 0, got -inf"),
+    ])
+    def test_a_negative_or_non_finite_weight_is_refused(self, weights, shown):
+        with pytest.raises(ValueError, match=f"^weight {re.escape(shown)}$"):
+            WeightMatrix(np.array(weights))
+
 
 class TestGraphScheduleContract:
+    @pytest.mark.parametrize("zeta", [0.0, -0.5, 1.5, float("nan")])
+    def test_zeta_outside_the_unit_interval_is_refused(self, zeta):
+        with pytest.raises(ValueError, match=rf"^zeta must lie in \(0, 1\], got {zeta}$"):
+            GraphSchedule(2, 2, lambda t: metropolis_weights([(0, 1)], 2), zeta=zeta)
+
     def test_builder_size_mismatch_rejected(self):
         bad = GraphSchedule(3, 2, lambda t: metropolis_weights([(0, 1)], 2), zeta=0.5)
         with pytest.raises(ValueError):
