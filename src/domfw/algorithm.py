@@ -155,16 +155,13 @@ def _mix(weights: np.ndarray, xs: np.ndarray, out=None) -> np.ndarray:
 
 def _track(grad_tracked_prev, grad_prev, grad_fresh: np.ndarray, weights: np.ndarray, out=None):
     """Gradient tracking: ``(grad_tracked_pre, grad_tracked)``, written into
-    the pair of arrays ``out`` when given. The pre-mix estimate is the fresh
-    gradient at the first step (no previous state), then the last mixed
-    estimate plus the gradient increment; its sum over agents stays the sum
-    of the fresh gradients, as the weights are column stochastic."""
-    bar, hat = (np.empty_like(grad_fresh), None) if out is None else out
-    if grad_tracked_prev is None:
-        bar[...] = grad_fresh
-    else:
-        np.add(grad_tracked_prev, grad_fresh, out=bar)
-        bar -= grad_prev
+    the pair of arrays ``out`` when given. The pre-mix estimate is the last
+    mixed estimate plus the gradient increment, so from the zero state of
+    the first step it is the fresh gradient; its sum over agents stays the
+    sum of the fresh gradients, as the weights are column stochastic."""
+    bar, hat = (None, None) if out is None else out
+    bar = np.add(grad_tracked_prev, grad_fresh, out=bar)
+    bar -= grad_prev
     return bar, _mix(weights, bar, out=hat)
 
 
@@ -202,7 +199,8 @@ def run_round(xs: np.ndarray, stream: LossStream, wm: WeightMatrix, params: Sche
     ``K_t + 1`` rows, ``x[k + 1]`` being step ``k``'s iterate after the
     Frank-Wolfe step and ``x[K_t]`` the committed decision; ``x_mixed``,
     ``grad_local``, ``grad_tracked_pre`` and ``grad_tracked`` have ``K_t``.
-    The oracle vertices go into one ``(n, d)`` scratch array. The
+    The oracle vertices go into one ``(n, d)`` scratch array, and tracking
+    starts from one ``(n, d)`` zero array as both previous states. The
     diagnostics are read straight from the buffers; the tracking residual
     takes its reference gradients from one stacked ``_global_grad`` call and
     sums its steps left to right. Raises if any tracked gradient is not
@@ -221,7 +219,7 @@ def run_round(xs: np.ndarray, stream: LossStream, wm: WeightMatrix, params: Sche
     x[0] = xs
     x_mixed, grad_local, grad_tracked_pre, grad_tracked = (np.empty((k_t, n, d)) for _ in range(4))
     vertex = np.empty((n, d))
-    grad_hat = fresh_prev = None
+    grad_hat = fresh_prev = np.zeros((n, d))
     for x_k, x_next, x_hat, fresh, grad_bar, hat in zip(x, x[1:], x_mixed, grad_local, grad_tracked_pre,
                                                         grad_tracked):
         _mix(weights, x_k, out=x_hat)

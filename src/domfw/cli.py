@@ -27,19 +27,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="domfw", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one experiment from a config file")
-    p_run.add_argument("config")
-    p_run.add_argument("--seed", type=int, default=None, help="override the master seed")
-    p_run.add_argument("--out-dir", default=None, help="override the output directory")
-    p_run.add_argument("--dump-network", action="store_true", help="also dump the weight schedule")
+    run_options = argparse.ArgumentParser(add_help=False)   # shared by run and sweep
+    run_options.add_argument("config")
+    run_options.add_argument("--seed", type=int, default=None, help="override the master seed")
+    run_options.add_argument("--out-dir", default=None, help="override the output directory")
+    run_options.add_argument("--dump-network", action="store_true", help="also dump the weight schedule")
 
-    p_sweep = sub.add_parser("sweep", help="run the config once per axis value")
-    p_sweep.add_argument("config")
+    sub.add_parser("run", parents=[run_options], help="run one experiment from a config file")
+    p_sweep = sub.add_parser("sweep", parents=[run_options], help="run the config once per axis value")
     p_sweep.add_argument("--axis", required=True, choices=list(_SWEEP_AXES))
     p_sweep.add_argument("--values", required=True, help="comma-separated axis values")
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--out-dir", default=None)
-    p_sweep.add_argument("--dump-network", action="store_true")
 
     p_val = sub.add_parser("validate", help="parse a config and report all violations")
     p_val.add_argument("config")

@@ -101,14 +101,11 @@ class SeedsBlock:
     network: int | None = None
     init: int | None = None
 
-    def stream_seed(self) -> int:
-        return self.stream if self.stream is not None else derive_seed(self.master, "stream")
-
-    def network_seed(self) -> int:
-        return self.network if self.network is not None else derive_seed(self.master, "network")
-
-    def init_seed(self) -> int:
-        return self.init if self.init is not None else derive_seed(self.master, "init")
+    def seed(self, role: str) -> int:
+        """The ``"stream"``, ``"network"`` or ``"init"`` sub-seed: that key if set,
+        else ``derive_seed(master, role)``."""
+        key = getattr(self, role)
+        return key if key is not None else derive_seed(self.master, role)
 
 
 @dataclass(frozen=True)
@@ -599,14 +596,14 @@ def run_experiment(config: ExperimentConfig, out_dir=None, dump_network: bool = 
     started = time.perf_counter()
     try:
         prob = config.problem
-        stream = generate_stream(prob.n, prob.T, prob.lambda1, prob.spec(), seed=config.seeds.stream_seed(),
+        stream = generate_stream(prob.n, prob.T, prob.lambda1, prob.spec(), seed=config.seeds.seed("stream"),
                                  redraw_features=prob.redraw_features)
         ht_estimate = estimate_function_variation(stream)
         ht_upper_bound = function_variation_bound(stream) if stream.fixed_features else None
         schedule = random_connected_schedule(prob.n, prob.T, config.network.edge_prob,
-                                             seed=config.seeds.network_seed())
+                                             seed=config.seeds.seed("network"))
         trajectory = run(stream, schedule, config.schedule,
-                         init=config.init.mode, init_seed=config.seeds.init_seed())
+                         init=config.init.mode, init_seed=config.seeds.seed("init"))
 
         solver = RoundOptimizer(stream, tol=config.solver.tolerance)
         optima = tuple(solver.solve(t) for t in range(1, prob.T + 1))

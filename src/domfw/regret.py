@@ -26,14 +26,16 @@ from .problem import (
     LossStream,
     ProblemConstants,
     _frozen,
-    _is_integer,
-    _shown,
     function_variation_bound,
     global_loss,
 )
 
 
 _EPS = float(np.finfo(float).eps)
+
+#: pairwise iterations after which ``RoundOptimizer`` turns to the active-set
+#: method, several times the most a certified benchmark round takes
+PAIRWISE_MAX_ITER = 2 * 10 ** 4
 
 
 class SolverError(RuntimeError):
@@ -94,8 +96,7 @@ class RoundOptimizer:
     Keeps the active vertex decomposition between calls, so sweeping
     ``t = 1..T`` (where consecutive objectives differ only through the
     decaying label noise) costs a handful of iterations per round. The round
-    whose pairwise steps exhaust ``max_iter`` (by default 2 * 10**4, several
-    times the most a certified benchmark round takes) with a finite gap, and
+    whose pairwise steps exhaust ``PAIRWISE_MAX_ITER`` with a finite gap, and
     every later one, goes to an active-set method that factors each face.
 
     The decomposition is a weight per vertex slot and the active slots in
@@ -132,16 +133,11 @@ class RoundOptimizer:
     ``tol``.
     """
 
-    def __init__(self, stream: LossStream, tol: float = 1e-9, max_iter: int = 2 * 10 ** 4):
+    def __init__(self, stream: LossStream, tol: float = 1e-9):
         if not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-        if not _is_integer(max_iter):
-            raise ValueError(f"max_iter must be an integer, got {_shown(max_iter, repr)}")
-        if max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
         self.stream = stream
         self.tol = tol
-        self.max_iter = max_iter
         self._oracle, _, self._coord, self._sign_r = stream.constraint._oracle
         self._coord_list, self._sign_list = self._coord.tolist(), self._sign_r.tolist()
         self._ball = stream.constraint.kind is ConstraintKind.L1_BALL
@@ -153,8 +149,8 @@ class RoundOptimizer:
     def solve(self, t: int) -> OptimumRecord:
         """Round ``t``'s certified optimum; raises ``SolverError`` carrying the
         last gap if a gap is not finite (at once) or if neither method certifies it.
-        The round the active-set method takes over counts ``max_iter`` pairwise
-        iterations plus its own steps."""
+        The round the active-set method takes over counts ``PAIRWISE_MAX_ITER``
+        pairwise iterations plus its own steps."""
         self.stream._check_round(t)
         spent = 0
         if not self._capped:
@@ -163,7 +159,7 @@ class RoundOptimizer:
             except SolverError as exc:
                 if not math.isfinite(exc.gap):
                     raise
-                self._capped, spent = True, self.max_iter
+                self._capped, spent = True, PAIRWISE_MAX_ITER
         record = self._active_set_solve(t)
         return replace(record, iterations=spent + record.iterations)
 
@@ -177,7 +173,7 @@ class RoundOptimizer:
         return h, c, max(self.tol, _gap_floor(h, c, self.stream.constraint.radius))
 
     def _pairwise_solve(self, t: int) -> OptimumRecord:
-        """Warm-started pairwise steps; raises ``SolverError`` at ``max_iter``."""
+        """Warm-started pairwise steps; raises ``SolverError`` at ``PAIRWISE_MAX_ITER``."""
         stream = self.stream
         h, c, tol = self._objective(t)
         pairs = self._pairs if self._h is not None else {}
@@ -200,7 +196,7 @@ class RoundOptimizer:
 
         g = np.empty(stream.d)
         gap = math.inf
-        for it in range(self.max_iter):
+        for it in range(PAIRWISE_MAX_ITER):
             h.dot(x, out=g)
             g += c
             gl = g.tolist()
@@ -264,7 +260,7 @@ class RoundOptimizer:
             if changed and ball:
                 act_coord, act_sign = coord[active], sign_r[active]
         raise SolverError(f"round {t}: gap {gap:.3e} above tol {tol:.1e} "
-                          f"after {self.max_iter} iterations", gap=gap)
+                          f"after {PAIRWISE_MAX_ITER} iterations", gap=gap)
 
     def _active_set_solve(self, t: int) -> OptimumRecord:
         """A cold-started primal active-set method (Wolfe, Math. Programming 1976).

@@ -75,15 +75,18 @@ def tracking_step(grad_tracked_prev: np.ndarray | None, grad_prev: np.ndarray | 
                   grad_fresh: np.ndarray, wm: WeightMatrix, k: int):
     """One gradient-tracking update for all agents at inner step ``k``.
 
-    Returns ``(grad_tracked_pre, grad_tracked)``; raises if the ``k > 1``
-    update is requested without the previous state.
+    Returns ``(grad_tracked_pre, grad_tracked)``. Step ``k = 1`` starts from
+    the zero state, as a run's rounds do; a ``k > 1`` update requested
+    without the previous state raises.
     """
     grad_fresh = np.asarray(grad_fresh, dtype=float)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > 1 and (grad_tracked_prev is None or grad_prev is None):
+    if k == 1:
+        grad_tracked_prev = grad_prev = np.zeros_like(grad_fresh)
+    elif grad_tracked_prev is None or grad_prev is None:
         raise RuntimeError("tracking update at k > 1 requires the previous tracked and local gradients")
-    return _track(grad_tracked_prev if k > 1 else None, grad_prev, grad_fresh, wm.weights)
+    return _track(grad_tracked_prev, grad_prev, grad_fresh, wm.weights)
 
 
 def fw_step(x_mixed: np.ndarray, grad_tracked: np.ndarray, alpha: float, spec: ConstraintSpec):

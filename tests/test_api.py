@@ -97,6 +97,11 @@ def test_round_and_bound_take_no_schedule_or_counts():
         "constants", "zeta", "params", "stream", "x_init"]
 
 
+def test_round_optimizer_takes_no_iteration_cap():
+    # the pairwise cap is the module constant regret.PAIRWISE_MAX_ITER
+    assert list(inspect.signature(domfw.RoundOptimizer).parameters) == ["stream", "tol"]
+
+
 def array_holders():
     """A fresh instance of every result type that holds arrays, by name."""
     trajectory = lambda: Trajectory(decisions=np.zeros((3, 2, 3)), rounds=(), mixing=MixingFold(2))

@@ -1,5 +1,4 @@
 import csv
-import functools
 import hashlib
 import math
 import sys
@@ -14,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import domfw.harness as harness
+import domfw.regret as regret
 from domfw.algorithm import ScheduleMode, ScheduleParams, inner_count, run, step_size
 from domfw.cli import main
 from domfw.harness import (
@@ -352,7 +352,7 @@ class TestParseConfig:
             k_t = inner_count(cfg.schedule, t, horizon)
             assert k_t >= 1
             assert 0 < step_size(cfg.schedule, k_t, horizon) <= 1
-        for seed in (cfg.seeds.stream_seed(), cfg.seeds.network_seed(), cfg.seeds.init_seed()):
+        for seed in map(cfg.seeds.seed, ("stream", "network", "init")):
             np.random.default_rng(seed)
         assert parse_config(config_to_text(cfg)) == cfg
 
@@ -504,10 +504,19 @@ class TestSeedDiscipline:
             solver=base.solver, seeds=harness.SeedsBlock(master=5, network=123),
             init=base.init, output=base.output)
         spec = base.problem.spec()
-        a = generate_stream(3, 6, base.problem.lambda1, spec, seed=base.seeds.stream_seed())
-        b = generate_stream(3, 6, other.problem.lambda1, spec, seed=other.seeds.stream_seed())
+        a = generate_stream(3, 6, base.problem.lambda1, spec, seed=base.seeds.seed("stream"))
+        b = generate_stream(3, 6, other.problem.lambda1, spec, seed=other.seeds.seed("stream"))
         assert np.array_equal(a.labels, b.labels)
-        assert base.seeds.network_seed() != other.seeds.network_seed()
+        assert base.seeds.seed("network") != other.seeds.seed("network")
+
+    @pytest.mark.parametrize("role", ["stream", "network", "init"])
+    def test_seed_is_its_key_if_set_else_derived(self, role):
+        derived = harness.SeedsBlock(master=5)
+        assert derived.seed(role) == derive_seed(5, role)
+        keyed = harness.SeedsBlock(master=5, **{role: 123})
+        assert keyed.seed(role) == 123
+        for other in {"stream", "network", "init"} - {role}:
+            assert keyed.seed(other) == derive_seed(5, other)
 
 
 class TestRunExperiment:
@@ -618,9 +627,9 @@ class TestRunExperiment:
 
     def test_capped_pairwise_solve_falls_back(self, tmp_path, monkeypatch):
         # n < d leaves H singular up to the ridge: the pairwise solve stops at
-        # its cap (2 * 10**4 by default; 2000 here), and the active-set solve goes on
+        # its cap (PAIRWISE_MAX_ITER, 2 * 10**4; 2000 here), and the active-set solve goes on
         text = "problem.n = 2\nproblem.d = 6\nproblem.T = 4\n"
-        monkeypatch.setattr(harness, "RoundOptimizer", functools.partial(harness.RoundOptimizer, max_iter=2000))
+        monkeypatch.setattr(regret, "PAIRWISE_MAX_ITER", 2000)
         result = run_experiment(parse_config(text), out_dir=tmp_path / "run")
         assert result.regret.cumulative.min() >= 0
         assert not (tmp_path / "run" / "FAILED").exists()
@@ -629,7 +638,7 @@ class TestRunExperiment:
         cfg = parse_config(SMALL)
         result = run_experiment(cfg, out_dir=tmp_path / "run")
         prob = cfg.problem
-        stream = generate_stream(prob.n, prob.T, prob.lambda1, prob.spec(), seed=cfg.seeds.stream_seed())
+        stream = generate_stream(prob.n, prob.T, prob.lambda1, prob.spec(), seed=cfg.seeds.seed("stream"))
         solver = RoundOptimizer(stream, tol=cfg.solver.tolerance)
         records = [solver.solve(t) for t in range(1, prob.T + 1)]
         assert list(map(record_bits, result.optima)) == list(map(record_bits, records))
@@ -900,7 +909,7 @@ class TestBoundTxt:
         assert entries["max_conservation_gap"] == repr(max(r.conservation_gap for r in rounds))
         assert entries["max_feasibility_gap"] == repr(max(r.feasibility_gap for r in rounds))
         prob = cfg.problem
-        stream = generate_stream(prob.n, prob.T, prob.lambda1, prob.spec(), seed=cfg.seeds.stream_seed(),
+        stream = generate_stream(prob.n, prob.T, prob.lambda1, prob.spec(), seed=cfg.seeds.seed("stream"),
                                  redraw_features=prob.redraw_features)
         solver = RoundOptimizer(stream, tol=cfg.solver.tolerance)
         assert list(map(record_bits, optima)) == [record_bits(solver.solve(t)) for t in range(1, T + 1)]
@@ -1227,6 +1236,15 @@ class TestCli:
                    "--out-dir", str(tmp_path / "s")])
         assert rc == 0
         assert (tmp_path / "s" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_run_and_sweep_describe_their_shared_options(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        for text in ("override the master seed", "override the output directory", "also dump the weight schedule"):
+            assert text in out
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "gamma", "--values", "0.4"]])
     def test_empty_out_dir_exits_1_and_writes_nothing(self, tmp_path, capsys, monkeypatch, command):

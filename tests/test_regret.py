@@ -6,6 +6,7 @@ import re
 import struct
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -144,19 +145,20 @@ class TestSolveRoundOptimum:
         assert grid_best >= rec.f_star - 1e-12
 
     def test_iteration_cap_raises_with_gap(self, monkeypatch):
-        # the pairwise steps stop at their cap of 3, and the active-set method
+        # the pairwise steps stop at a cap of 3, and the active-set method
         # ends on a rounding-level gap: above the 1e-16 tolerance, but not
         # above the round's gap floor, so it certifies at the floor
+        monkeypatch.setattr(regret, "PAIRWISE_MAX_ITER", 3)
         spec = ConstraintSpec.simplex(4)
         stream = generate_stream(6, 2, 1e-4, spec, seed=5)
-        rec = RoundOptimizer(stream, tol=1e-16, max_iter=3).solve(1)
+        rec = RoundOptimizer(stream, tol=1e-16).solve(1)
         h, c = regret._quadratic(stream, 1)
         assert rec.tol == regret._gap_floor(h, c, 1.0) > 1e-16
         assert 1e-16 < rec.gap <= rec.tol
         # without the floor neither half certifies
         monkeypatch.setattr(regret, "_gap_floor", lambda h, c, radius: 0.0)
         with pytest.raises(SolverError, match=r"^round 1: active-set gap .* above tol 1\.0e-16$") as info:
-            RoundOptimizer(stream, tol=1e-16, max_iter=3).solve(1)
+            RoundOptimizer(stream, tol=1e-16).solve(1)
         assert 1e-16 < info.value.gap < math.inf
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
@@ -164,19 +166,6 @@ class TestSolveRoundOptimum:
         stream = generate_stream(3, 2, 1e-3, ConstraintSpec.simplex(2), seed=0)
         with pytest.raises(ValueError, match=r"^tol must be finite and > 0, got "):
             RoundOptimizer(stream, tol=tol)
-
-    @pytest.mark.parametrize("max_iter", [0, -1])
-    def test_max_iter_must_be_at_least_one(self, max_iter):
-        stream = generate_stream(3, 2, 1e-3, ConstraintSpec.simplex(2), seed=0)
-        with pytest.raises(ValueError, match=rf"^max_iter must be >= 1, got {max_iter}$"):
-            RoundOptimizer(stream, max_iter=max_iter)
-
-    @pytest.mark.parametrize("max_iter", [2.5, True, np.float64(3.0)])
-    def test_max_iter_must_be_an_integer(self, max_iter):
-        # 2.5 would fail in solve with a bare TypeError, and True cap every round at one iteration
-        stream = generate_stream(3, 2, 1e-3, ConstraintSpec.simplex(2), seed=0)
-        with pytest.raises(ValueError, match=rf"^max_iter must be an integer, got {re.escape(repr(max_iter))}$"):
-            RoundOptimizer(stream, max_iter=max_iter)
 
     def test_non_finite_gap_raises_at_once(self):
         # the products with a radius of 1e300 overflow, so the first gap is inf
@@ -236,10 +225,11 @@ class TestActiveSetFallback:
         (11, 11, True, True, 18),   # a nearly singular redrawn round
         (6, 6, False, True, 3),     # capped at round 7: six pairwise records come first
     ])
-    def test_capped_rounds_are_certified(self, n, d, ball, redraw, seed):
+    def test_capped_rounds_are_certified(self, n, d, ball, redraw, seed, monkeypatch):
+        monkeypatch.setattr(regret, "PAIRWISE_MAX_ITER", 2000)
         spec = ConstraintSpec.l1_ball(d, 2.0) if ball else ConstraintSpec.simplex(d)
         stream = generate_stream(n, 13, 5e-6, spec, seed=seed, redraw_features=redraw)
-        solver = RoundOptimizer(stream, tol=1e-9, max_iter=2000)
+        solver = RoundOptimizer(stream, tol=1e-9)
         records = [solver.solve(t) for t in range(1, 14)]
         pairwise, error = solve_all(ReferenceRoundOptimizer(stream, tol=1e-9, max_iter=2000).solve, 13)
         assert error is not None   # pairwise steps alone stop at the cap
@@ -350,9 +340,10 @@ class TestActiveSetFallback:
             RoundOptimizer(stream)._active_set_solve(1)
         assert err.value.gap > 1e-9
 
-    def test_capped_round_counts_its_pairwise_iterations(self):
+    def test_capped_round_counts_its_pairwise_iterations(self, monkeypatch):
+        monkeypatch.setattr(regret, "PAIRWISE_MAX_ITER", 200)
         stream = generate_stream(2, 4, 5e-6, ConstraintSpec.simplex(6), seed=derive_seed(0, "stream"))
-        solver = RoundOptimizer(stream, max_iter=200)
+        solver = RoundOptimizer(stream)
         records = [solver.solve(t) for t in range(1, 5)]
         cold = RoundOptimizer(stream)
         steps = [cold._active_set_solve(t).iterations for t in range(1, 5)]
@@ -572,8 +563,10 @@ class TestAgainstReferenceSolver:
         spec = ConstraintSpec.l1_ball(d, radius) if ball else ConstraintSpec.simplex(d)
         stream = generate_stream(n, T, lambda1, spec, seed=seed, redraw_features=redraw)
         # a low cap keeps ill-conditioned draws short; the pairwise half must
-        # stop at a capped round alike, before the active-set method takes over
-        got, got_error = solve_all(RoundOptimizer(stream, tol=1e-10, max_iter=3000)._pairwise_solve, T)
+        # stop at a capped round alike, before the active-set method takes over;
+        # patched in the body, as hypothesis refuses a function-scoped monkeypatch
+        with mock.patch.object(regret, "PAIRWISE_MAX_ITER", 3000):
+            got, got_error = solve_all(RoundOptimizer(stream, tol=1e-10)._pairwise_solve, T)
         want, want_error = solve_all(ReferenceRoundOptimizer(stream, tol=1e-10, max_iter=3000).solve, T)
         assert got_error == want_error
         assert_same_records(got, want)
@@ -583,7 +576,7 @@ class TestAgainstReferenceSolver:
         # the seed-0 stream of each benchmark workload, the traffic the solver serves
         cfg = parse_config(WORKLOADS[name].config_text(0))
         prob = cfg.problem
-        stream = generate_stream(prob.n, prob.T, prob.lambda1, prob.spec(), seed=cfg.seeds.stream_seed(),
+        stream = generate_stream(prob.n, prob.T, prob.lambda1, prob.spec(), seed=cfg.seeds.seed("stream"),
                                  redraw_features=prob.redraw_features)
         got, got_error = solve_all(RoundOptimizer(stream, tol=cfg.solver.tolerance).solve, prob.T)
         want, want_error = solve_all(ReferenceRoundOptimizer(stream, tol=cfg.solver.tolerance).solve, prob.T)
