@@ -41,9 +41,6 @@ from .problem import (
     sample_feasible,
 )
 
-CONSERVATION_TOL = 1e-9
-FEASIBILITY_RUN_TOL = 1e-10
-
 
 class ScheduleMode(Enum):
     """How the inner iteration count evolves with the round number."""

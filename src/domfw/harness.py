@@ -607,7 +607,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, dump_network: bool = 
 
         solver = RoundOptimizer(stream, tol=config.solver.tolerance)
         optima = tuple(solver.solve(t) for t in range(1, prob.T + 1))
-        series = regret_series(trajectory, optima, stream, tol=config.solver.tolerance)
+        series = regret_series(trajectory, optima, stream)
         env = envelopes(series)
 
         write_stream_csv(stream, out / "stream.csv")

@@ -26,6 +26,7 @@ from .problem import (
     LossStream,
     ProblemConstants,
     _frozen,
+    _global_grad,
     function_variation_bound,
     global_loss,
 )
@@ -109,9 +110,9 @@ class RoundOptimizer:
 
     Each (oracle slot, away slot) pair's direction ``v_fw - v_away`` and
     curvature ``d'Hd`` are computed the first time the pair is stepped along
-    and reused after, on the solver while ``H`` is fixed and within one round
-    when the features are redrawn. A reused entry is the same product of the
-    same inputs, so it has the same bits.
+    and reused after, on the solver on fixed features and within one round
+    on redrawn ones. Each round builds ``H`` afresh, the same product of the
+    same inputs on fixed features, so every reused entry has the same bits.
 
     A step keeps as NumPy calls the products whose rounding fixes the bits:
     ``g = Hx + c`` into one buffer, the BLAS dot ``<x, g>``, and the oracle.
@@ -142,7 +143,6 @@ class RoundOptimizer:
         self._coord_list, self._sign_list = self._coord.tolist(), self._sign_r.tolist()
         self._ball = stream.constraint.kind is ConstraintKind.L1_BALL
         self._active: tuple[list[float], list[int]] | None = None
-        self._h = _quadratic(stream, 1)[0] if stream.fixed_features else None
         self._pairs: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
         self._capped = False
 
@@ -164,19 +164,16 @@ class RoundOptimizer:
         return replace(record, iterations=spent + record.iterations)
 
     def _objective(self, t: int):
-        """``H`` and ``c`` of round ``t``'s quadratic, and the bound its gap
+        """``_quadratic``'s ``H`` and ``c`` for round ``t``, and the bound its gap
         must fall below: ``tol``, or the gap's rounding floor if that is larger."""
-        if self._h is None:
-            h, c = _quadratic(self.stream, t)
-        else:
-            h, c = self._h, -self.stream.features.T @ self.stream.labels[:, t - 1]
+        h, c = _quadratic(self.stream, t)
         return h, c, max(self.tol, _gap_floor(h, c, self.stream.constraint.radius))
 
     def _pairwise_solve(self, t: int) -> OptimumRecord:
         """Warm-started pairwise steps; raises ``SolverError`` at ``PAIRWISE_MAX_ITER``."""
         stream = self.stream
         h, c, tol = self._objective(t)
-        pairs = self._pairs if self._h is not None else {}
+        pairs = self._pairs if stream.fixed_features else {}
         coord, sign_r, oracle = self._coord, self._sign_r, self._oracle
         coord_list, sign_list, ball = self._coord_list, self._sign_list, self._ball
 
@@ -353,16 +350,15 @@ class RegretSeries:
         return self.cumulative / t_grid
 
 
-def regret_series(trajectory: Trajectory, optima, stream: LossStream,
-                  tol: float = 1e-9) -> RegretSeries:
+def regret_series(trajectory: Trajectory, optima, stream: LossStream) -> RegretSeries:
     """Cumulative ``F_t(x_{j,t}) - F_t(x_t^*)`` for all agents.
 
     Decisions are the committed round-start iterates. Raises if the
     trajectory's agents, dimension or horizon do not fit the stream, if the
-    optima do not cover the horizon, or if an increment falls below
-    ``-tol`` (or minus the record's gap, when a round certified at its gap
-    floor has a larger one) less a rounding floor, which would contradict
-    the optimality certificates: a loss, a sum of ``n + d`` nonnegative terms, rounds by up
+    optima do not cover the horizon, or if an increment falls below minus
+    the bound its record is certified below (its ``tol``, or its ``gap`` if
+    that is larger) less a rounding floor, which would contradict the
+    optimality certificates: a loss, a sum of ``n + d`` nonnegative terms, rounds by up
     to ``(n + d) * eps`` times its value; and a decision is never projected,
     so rounding leaves it ``v`` off the set (``feasibility_violation``),
     within ``(2d + 1) v`` of it in l1, where by convexity its loss is at most
@@ -385,9 +381,9 @@ def regret_series(trajectory: Trajectory, optima, stream: LossStream,
         if rec.t != t:
             raise ValueError(f"optimum record at position {t - 1} is for round {rec.t}")
         inc = increments[:, t - 1] = f_vals - rec.f_star
-        grads = feats.T @ resid + (2.0 * n * stream.lambda1) * xs.T   # (d, n decisions), from the residuals
-        slack = (max(tol, rec.gap) + (n + d) * _EPS * (f_vals + rec.f_star)
-                 + (2 * d + 1) * stream.constraint.feasibility_violation(xs) * np.abs(grads).max(axis=0))
+        grads = _global_grad(feats, stream.labels[:, t - 1], stream.lambda1, xs)   # (n decisions, d)
+        slack = (max(rec.tol, rec.gap) + (n + d) * _EPS * (f_vals + rec.f_star)
+                 + (2 * d + 1) * stream.constraint.feasibility_violation(xs) * np.abs(grads).max(axis=1))
         j = int((inc + slack).argmin())
         if inc[j] < -slack[j]:
             raise ValueError(f"round {t}: agent {j}'s regret increment {inc[j]:.3e} is below "

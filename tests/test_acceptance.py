@@ -53,7 +53,7 @@ def reference_runs():
         runs = {}
         for name, params in RUN_PARAMS.items():
             trajectory = run(stream, schedule, params)
-            series = regret_series(trajectory, optima, stream, tol=1e-9)
+            series = regret_series(trajectory, optima, stream)
             runs[name] = dict(params=params, trajectory=trajectory, series=series,
                               envelopes=envelopes(series))
         seeds_data[master] = dict(stream=stream, schedule=schedule, optima=optima, runs=runs)

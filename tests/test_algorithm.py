@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 import domfw.algorithm as algorithm
 from domfw.algorithm import (
-    CONSERVATION_TOL,
-    FEASIBILITY_RUN_TOL,
     RoundDiagnostics,
     ScheduleMode,
     ScheduleParams,
@@ -36,6 +34,8 @@ from domfw.problem import (
 )
 from domfw.regret import regret_upper_bound
 from oracles import (
+    CONSERVATION_TOL,
+    FEASIBILITY_RUN_TOL,
     consensus_step,
     constant_schedule,
     fw_step,

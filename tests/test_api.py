@@ -102,6 +102,11 @@ def test_round_optimizer_takes_no_iteration_cap():
     assert list(inspect.signature(domfw.RoundOptimizer).parameters) == ["stream", "tol"]
 
 
+def test_regret_series_takes_no_tolerance():
+    # each round's slack starts from the bound its optimum record is certified below
+    assert list(inspect.signature(domfw.regret_series).parameters) == ["trajectory", "optima", "stream"]
+
+
 def array_holders():
     """A fresh instance of every result type that holds arrays, by name."""
     trajectory = lambda: Trajectory(decisions=np.zeros((3, 2, 3)), rounds=(), mixing=MixingFold(2))

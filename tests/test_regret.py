@@ -606,7 +606,7 @@ class TestDynamicRegret:
         optima = all_optima(stream, tol=1e-12)
         decisions = np.stack([np.tile(rec.x_star, (2, 1)) for rec in optima] + [np.tile(optima[-1].x_star, (2, 1))])
         traj = Trajectory(decisions=decisions, rounds=(), mixing=MixingFold(2))
-        series = regret_series(traj, optima, stream, tol=1e-9)
+        series = regret_series(traj, optima, stream)
         assert np.all(np.abs(series.cumulative) <= 4 * 1e-9)
 
     def test_single_round_direct_difference(self):
@@ -649,7 +649,7 @@ class TestDynamicRegret:
         params = ScheduleParams(ScheduleMode.PER_ROUND, epsilon=2, gamma=0.5, rho=3)
         traj = run(stream, sched, params)
         optima = all_optima(stream)
-        series = regret_series(traj, optima, stream, tol=1e-9)
+        series = regret_series(traj, optima, stream)
         diffs = np.diff(series.cumulative, axis=1)
         assert diffs.min() >= -1e-9
 
@@ -700,6 +700,19 @@ class TestDynamicRegret:
         optima[1] = replace(rec, f_star=rec.f_star + 1e-5)
         with pytest.raises(ValueError, match=r"^round 2: agent \d+'s regret increment -1\.\d+e-05 is below "
                                              r"-\(tol \+ rounding floor\) = -\d\.\d+e-07$"):
+            regret_series(traj, optima, stream)
+
+    def test_slack_starts_from_the_records_certified_bound(self):
+        # optima certified at 1e-12 leave no 1e-9 slack: an optimum raised by
+        # 5e-10 contradicts its certificate
+        stream = generate_stream(3, 4, 1e-4, ConstraintSpec.simplex(3), seed=7)
+        solver = RoundOptimizer(stream, tol=1e-12)
+        optima = [solver.solve(t) for t in range(1, 5)]
+        decisions = np.stack([np.tile(rec.x_star, (3, 1)) for rec in optima] + [np.tile(optima[-1].x_star, (3, 1))])
+        traj = Trajectory(decisions=decisions, rounds=(), mixing=MixingFold(3))
+        regret_series(traj, optima, stream)
+        optima[1] = replace(optima[1], f_star=optima[1].f_star + 5e-10)
+        with pytest.raises(ValueError, match=r"^round 2: agent 0's regret increment -5\.000e-10 "):
             regret_series(traj, optima, stream)
 
     def test_record_gap_above_tol_is_allowed(self):
