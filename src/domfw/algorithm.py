@@ -191,17 +191,17 @@ def run_round(xs: np.ndarray, stream: LossStream, wm: WeightMatrix, params: Sche
 
     Returns ``(xs_next, RoundDiagnostics)``. ``K_t`` and ``alpha_t`` are read
     on the stream's horizon ``T``. Checks the shape of ``xs`` and the size of
-    ``wm``, then allocates the round's buffers once
-    and fills step ``k`` of each in place through the step bodies: ``x`` has
-    ``K_t + 1`` rows, ``x[k + 1]`` being step ``k``'s iterate after the
-    Frank-Wolfe step and ``x[K_t]`` the committed decision; ``x_mixed``,
-    ``grad_local``, ``grad_tracked_pre`` and ``grad_tracked`` have ``K_t``.
-    The oracle vertices go into one ``(n, d)`` scratch array, and tracking
-    starts from one ``(n, d)`` zero array as both previous states. The
-    diagnostics are read straight from the buffers; the tracking residual
-    takes its reference gradients from one stacked ``_global_grad`` call and
-    sums its steps left to right. Raises if any tracked gradient is not
-    finite.
+    ``wm``, then allocates the round's buffers once and fills step ``k`` of
+    each in place through the step bodies: ``x`` has ``K_t + 1`` rows,
+    ``x[k + 1]`` being step ``k``'s iterate after the Frank-Wolfe step and
+    ``x[K_t]`` the committed decision, and the mixed points ``x_mixed`` follow
+    them in one block, read past ``x[0]`` by one feasibility pass;
+    ``grad_local``, ``grad_tracked_pre`` and ``grad_tracked`` have ``K_t``. The
+    oracle vertices go into one ``(n, d)`` scratch array, and tracking starts
+    from one ``(n, d)`` zero array as both previous states. The diagnostics are
+    read straight from the buffers; the tracking residual takes its reference
+    gradients from one stacked ``_global_grad`` call and sums its steps left to
+    right. Raises if any tracked gradient is not finite.
     """
     n, d, spec = stream.n, stream.d, stream.constraint
     k_t = inner_count(params, t, stream.T)
@@ -212,9 +212,10 @@ def run_round(xs: np.ndarray, stream: LossStream, wm: WeightMatrix, params: Sche
     if wm.n != n:
         raise ValueError("weight matrix size does not match the stream")
     feats, labels, lambda1, weights = stream.feature_matrix(t), stream.labels[:, t - 1], stream.lambda1, wm.weights
-    x = np.empty((k_t + 1, n, d))
+    block = np.empty((2 * k_t + 1, n, d))   # the iterates x[0..K_t], then the K_t mixed points
+    x, x_mixed = block[:k_t + 1], block[k_t + 1:]
     x[0] = xs
-    x_mixed, grad_local, grad_tracked_pre, grad_tracked = (np.empty((k_t, n, d)) for _ in range(4))
+    grad_local, grad_tracked_pre, grad_tracked = (np.empty((k_t, n, d)) for _ in range(3))
     vertex = np.empty((n, d))
     grad_hat = fresh_prev = np.zeros((n, d))
     for x_k, x_next, x_hat, fresh, grad_bar, hat in zip(x, x[1:], x_mixed, grad_local, grad_tracked_pre,
@@ -229,8 +230,7 @@ def run_round(xs: np.ndarray, stream: LossStream, wm: WeightMatrix, params: Sche
         raise ValueError("gradient has non-finite entries")
     consistency = float(np.linalg.norm(x[0] - x[0].mean(axis=0), axis=1).sum())
     conservation_gap = float(np.abs(grad_tracked_pre.sum(axis=1) - grad_local.sum(axis=1)).max())
-    feasibility_gap = max(spec.feasibility_violation(x_mixed.reshape(-1, d)),
-                          spec.feasibility_violation(x[1:].reshape(-1, d)))
+    feasibility_gap = spec.feasibility_violation(block[1:].reshape(-1, d))
     mean_grads = _global_grad(feats, labels, lambda1, x[:-1].mean(axis=1)) / n
     residuals = np.linalg.norm(grad_tracked - mean_grads[:, None], axis=2).sum(axis=1)
     tracking_residual = float(np.cumsum(alpha * residuals)[-1])   # strictly left to right over the steps

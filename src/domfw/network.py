@@ -45,8 +45,8 @@ class WeightMatrix:
 
     @property
     def directed_edges(self) -> int:
-        """Number of off-diagonal nonzero entries (one per transmission)."""
-        return int(np.count_nonzero(self.weights) - np.count_nonzero(np.diagonal(self.weights)))
+        """Number of off-diagonal nonzero, so positive, entries (one per transmission)."""
+        return int(np.count_nonzero(self.weights > 0) - np.count_nonzero(self.weights.diagonal() > 0))
 
 
 def _connected(adj: np.ndarray) -> bool:
@@ -67,7 +67,7 @@ def _metropolis(adj: np.ndarray) -> WeightMatrix:
     n = adj.shape[0]
     deg = adj.sum(axis=1)
     a = np.zeros((n, n))
-    ii, jj = np.nonzero(adj)
+    ii, jj = np.divmod(np.flatnonzero(adj), n)   # row-major, as np.nonzero
     a[ii, jj] = 1.0 / (1.0 + np.maximum(deg[ii], deg[jj]))
     np.fill_diagonal(a, 1.0 - a.sum(axis=1))
     a.flags.writeable = False   # adopted without a copy

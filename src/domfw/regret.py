@@ -26,7 +26,6 @@ from .problem import (
     LossStream,
     ProblemConstants,
     _frozen,
-    _global_grad,
     function_variation_bound,
     global_loss,
 )
@@ -363,6 +362,7 @@ def regret_series(trajectory: Trajectory, optima, stream: LossStream) -> RegretS
     so rounding leaves it ``v`` off the set (``feasibility_violation``),
     within ``(2d + 1) v`` of it in l1, where by convexity its loss is at most
     that distance times its largest gradient entry below the set's minimum.
+    That entry reads the losses' residual, a rounding of ``_global_grad`` no artifact shows.
     """
     T, n, d = stream.T, stream.n, stream.d
     shape = trajectory.decisions.shape
@@ -381,7 +381,7 @@ def regret_series(trajectory: Trajectory, optima, stream: LossStream) -> RegretS
         if rec.t != t:
             raise ValueError(f"optimum record at position {t - 1} is for round {rec.t}")
         inc = increments[:, t - 1] = f_vals - rec.f_star
-        grads = _global_grad(feats, stream.labels[:, t - 1], stream.lambda1, xs)   # (n decisions, d)
+        grads = resid.T @ feats + (2.0 * n * stream.lambda1) * xs   # (n decisions, d)
         slack = (max(rec.tol, rec.gap) + (n + d) * _EPS * (f_vals + rec.f_star)
                  + (2 * d + 1) * stream.constraint.feasibility_violation(xs) * np.abs(grads).max(axis=1))
         j = int((inc + slack).argmin())

@@ -3,6 +3,7 @@ the feasible set from ``stream.constraint`` instead of taking it again. Each
 operation has one implementation in the library, and README's library
 example runs against it."""
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -76,6 +77,31 @@ def test_computing_layers_do_no_file_io(module):
     writers = [name for name, obj in vars(module).items() if name.startswith("write_") and inspect.isfunction(obj)]
     assert not hasattr(module, "Path") and writers == []
     assert not re.search(r"\bopen\(|pathlib|\.write_(text|bytes)\(", inspect.getsource(module))
+
+
+# the one import kept for its side effect: problem.py loads numpy.random with the package
+SIDE_EFFECT_IMPORTS = {("problem.py", "numpy.random")}
+
+
+@pytest.mark.parametrize("path", sorted(Path(domfw.__file__).parent.glob("*.py")), ids=lambda path: path.name)
+def test_every_imported_name_is_used(path):
+    # a name a module imports and never reads is a dead dependency; the
+    # package's __init__ reads its imports by exporting them
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound = [(alias.asname or alias.name.split(".")[0], alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [(alias.asname or alias.name, alias.name) for alias in node.names]
+        else:
+            continue
+        for name, imported in bound:
+            exported = path.name == "__init__.py" and not name.startswith("_")
+            if name not in read and not exported and (path.name, imported) not in SIDE_EFFECT_IMPORTS:
+                unused.append(name)
+    assert unused == []
 
 
 def test_harness_defines_one_writer_for_each_run_csv():

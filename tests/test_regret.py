@@ -35,7 +35,14 @@ from domfw.regret import (
     regret_upper_bound,
 )
 from domfw.regret import RegretSeries
-from oracles import WORKLOADS, ReferenceRoundOptimizer, kernel_note, project, projected_gradient_optimum
+from oracles import (
+    WORKLOADS,
+    ReferenceRoundOptimizer,
+    global_grad,
+    kernel_note,
+    project,
+    projected_gradient_optimum,
+)
 
 
 def enumeration_projection(spec, y):
@@ -714,6 +721,25 @@ class TestDynamicRegret:
         optima[1] = replace(optima[1], f_star=optima[1].f_star + 5e-10)
         with pytest.raises(ValueError, match=r"^round 2: agent 0's regret increment -5\.000e-10 "):
             regret_series(traj, optima, stream)
+
+    def test_slack_pairs_each_decision_with_its_own_gradient(self):
+        # decision 0 sits 1e-6 off the simplex at the optimum, where the largest
+        # gradient entry is about eight times that of the other two decisions; its
+        # slack, (2d + 1) v times that entry of the whole gradient (every agent's
+        # residual and the ridge term), is the window a raised optimum must fit
+        spec = ConstraintSpec.simplex(2)
+        stream = LossStream(0.02, np.array([[3.8, 4.4], [-2.2, -2.5], [4.4, 4.5]]), np.array([0.3, 0.7]),
+                            np.array([[0.7], [0.8], [0.0]]), spec)
+        rec, = all_optima(stream, tol=1e-12)
+        xs = np.array([rec.x_star * (1 + 1e-6), [0.25, 0.75], [0.25, 0.75]])
+        top = [float(np.abs(global_grad(stream, 1, x)).max()) for x in xs]
+        assert top[0] > 7 * max(top[1:])
+        slack = 5 * spec.feasibility_violation(xs) * top[0]   # far above the tol and loss-rounding terms
+        inc = global_loss(stream, 1, xs[0]) - rec.f_star
+        traj = constant_decision_trajectory(xs, 1)
+        regret_series(traj, [replace(rec, f_star=rec.f_star + inc + 0.999 * slack)], stream)
+        with pytest.raises(ValueError, match="^round 1: agent 0's regret increment"):
+            regret_series(traj, [replace(rec, f_star=rec.f_star + inc + 1.001 * slack)], stream)
 
     def test_record_gap_above_tol_is_allowed(self):
         # a round certified at its gap floor may sit that far above the optimum
