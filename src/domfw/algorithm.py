@@ -35,6 +35,7 @@ from .problem import (
     _frozen,
     _global_grad,
     _is_integer,
+    _left_sum,
     _lmo,
     _local_grads,
     _shown,
@@ -233,7 +234,7 @@ def run_round(xs: np.ndarray, stream: LossStream, wm: WeightMatrix, params: Sche
     feasibility_gap = spec.feasibility_violation(block[1:].reshape(-1, d))
     mean_grads = _global_grad(feats, labels, lambda1, x[:-1].mean(axis=1)) / n
     residuals = np.linalg.norm(grad_tracked - mean_grads[:, None], axis=2).sum(axis=1)
-    tracking_residual = float(np.cumsum(alpha * residuals)[-1])   # strictly left to right over the steps
+    tracking_residual = _left_sum((alpha * residuals).tolist())
 
     return x[-1], RoundDiagnostics(t=t, inner_count=k_t, alpha=alpha, consistency_error=consistency,
                                    tracking_residual=tracking_residual, conservation_gap=conservation_gap,

@@ -40,6 +40,15 @@ def _shown(value, show=str) -> str:
         return f"an int of over {sys.get_int_max_str_digits()} digits"
 
 
+def _left_sum(values) -> float:
+    """The floats in ``values`` added left to right from ``0.0``: every float total the library takes in
+    Python. The builtin ``sum`` compensates float sums from Python 3.12 on, so its bits depend on the interpreter."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _is_integer(value) -> bool:
     """Whether ``value`` is a Python or NumPy integer, bool excluded: the rule for every count, cap and size."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -342,8 +351,7 @@ def estimate_function_variation(stream: LossStream) -> float:
         b0, b1 = stream.labels[:, :-1], stream.labels[:, 1:]
         delta, mid = b0 - b1, 0.5 * (b0 + b1)
         per_round = np.maximum(np.abs(delta * (z_hi - mid)), np.abs(delta * (z_lo - mid))).max(axis=0)
-        for value in per_round.tolist():
-            total += value
+        total = _left_sum(per_round.tolist())
     else:
         pts = np.vstack([spec.vertices(), sample_feasible(spec, np.random.default_rng(0), VARIATION_SAMPLES)])
         ridge = stream.lambda1 * np.einsum("md,md->m", pts, pts)[:, None]

@@ -26,6 +26,7 @@ from .problem import (
     LossStream,
     ProblemConstants,
     _frozen,
+    _left_sum,
     function_variation_bound,
     global_loss,
 )
@@ -181,10 +182,9 @@ class RoundOptimizer:
             weights = [0.0] * sign_r.size
             weights[active[0]] = 1.0
         else:
-            # renormalize carried-over weights so float drift cannot pile up;
-            # the sum runs left to right in insertion order
+            # renormalize carried-over weights so float drift cannot pile up
             weights, active = self._active
-            total = sum([weights[k] for k in active])
+            total = _left_sum(weights[k] for k in active)
             weights = [w / total for w in weights]
             active = list(active)
         act_coord, act_sign = coord[active], sign_r[active]
@@ -470,6 +470,6 @@ def regret_upper_bound(constants: ProblemConstants, zeta: float, params: Schedul
           + n * n * l_x * m / rho * (n * gam / (sig * one_minus_sig * one_minus_sig_k1) + 2.0))
 
     variation = function_variation_bound(stream)
-    inv_sum = float(sum(1.0 / k for k in counts))
+    inv_sum = _left_sum(1.0 / k for k in counts)
     return BoundReport(e1=float(e1), e2=float(e2), e3=float(e3),
                        variation_bound=variation, inv_count_sum=inv_sum)

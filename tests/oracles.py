@@ -30,25 +30,30 @@ definition) are totals the simulator never needs. ``WORKLOADS`` and
 ``BENCH_DIGESTS`` are the benchmark's workloads and its recorded output
 digests, read from ``perfbench/``. ``kernel_note`` names, for a failed
 golden pin, the OpenBLAS kernel its bits were recorded on and the one this
-process runs (``blas_kernel``).
+process runs (``blas_kernel``). ``shadow_sum`` puts a stand-in for the
+builtin ``sum`` in every ``domfw`` module: ``neumaier_sum``, the compensated
+float sum of Python 3.12 on, or ``float_refusing_sum``.
 """
 
 from __future__ import annotations
 
+import builtins
 import csv
 import ctypes
 import importlib.util
 import json
 import math
+import pkgutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+import domfw
 from domfw.algorithm import ScheduleParams, _fw_step, _mix, _track, inner_count
 from domfw.network import GraphSchedule, MixingFold, WeightMatrix, _check_drift, metropolis_weights
 from domfw.problem import (
@@ -56,6 +61,7 @@ from domfw.problem import (
     ConstraintSpec,
     LossStream,
     _global_grad,
+    _left_sum,
     _local_grads,
     global_loss,
     lmo,
@@ -350,10 +356,9 @@ class ReferenceRoundOptimizer:
             weights = np.zeros(sign_r.size)
             weights[active] = 1.0
         else:
-            # renormalize carried-over weights so float drift cannot pile up;
-            # the sum runs left to right in insertion order
+            # renormalize carried-over weights so float drift cannot pile up
             weights, active = self._active
-            weights = weights / sum(weights[active].tolist())
+            weights = weights / _left_sum(weights[active].tolist())
         x = np.zeros(stream.d)
         np.add.at(x, coord[active], sign_r[active] * weights[active])
 
@@ -528,3 +533,36 @@ def blas_kernel() -> str:
 def kernel_note() -> str:
     """The message of a failed golden pin: golden bits depend on the BLAS kernel."""
     return f"recorded on SkylakeX; this process runs {blas_kernel()}"
+
+
+def neumaier_sum(iterable, /, start=0):
+    """The builtin ``sum`` as CPython 3.12 and later runs it on floats: each
+    float item goes through Neumaier's compensated update and the compensation
+    is added at the end if it is finite and nonzero. Other items take the
+    builtin ``sum`` of the interpreter running the tests."""
+    items = list(iterable)
+    if not items or not all(type(item) is float for item in items):
+        return builtins.sum(items, start)
+    if type(start) is not float:   # an int start adds the first item as it stands
+        start, items = start + items[0], items[1:]
+    total, compensation = start, 0.0
+    for item in items:
+        step = total + item
+        compensation += (total - step) + item if abs(total) >= abs(item) else (item - step) + total
+        total = step
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def float_refusing_sum(iterable, /, start=0):
+    """The builtin ``sum``, which raises ``TypeError`` on a float start or item."""
+    items = list(iterable)
+    if any(isinstance(item, float) for item in [start, *items]):
+        raise TypeError(f"builtin sum over floats: {items[:4]}")
+    return builtins.sum(items, start)
+
+
+def shadow_sum(monkeypatch, replacement: Callable) -> None:
+    """Make ``replacement`` the ``sum`` every ``domfw`` module calls."""
+    for info in pkgutil.iter_modules(domfw.__path__, "domfw."):
+        monkeypatch.setattr(importlib.import_module(info.name), "sum", replacement, raising=False)
+    monkeypatch.setattr(domfw, "sum", replacement, raising=False)

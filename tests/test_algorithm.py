@@ -26,6 +26,7 @@ from domfw.problem import (
     ConstraintSpec,
     LossStream,
     _global_grad,
+    _left_sum,
     generate_stream,
     global_loss,
     lmo,
@@ -462,8 +463,8 @@ class TestRunRound:
     @given(k=st.integers(1, 150), n=st.integers(1, 200), d=st.integers(1, 16), lambda1=st.floats(0.0, 1e3),
            alpha=st.floats(1e-6, 1.0), seed=st.integers(0, 2 ** 16))
     def test_stacked_summary_rounds_as_per_step_loops(self, k, n, d, lambda1, alpha, seed):
-        # run_round's one stacked gradient call and its cumsum stand for a
-        # per-step loop of gradient products and a left-to-right sum: every bit
+        # run_round's one stacked gradient call and its sum of the stacked
+        # alpha-weighted residuals stand for a per-step loop: every bit
         rng = np.random.default_rng(seed)
         feats, labels, xs = rng.uniform(-5, 5, (n, d)), rng.uniform(-5, 5, n), rng.uniform(-1, 1, (k, d))
         stacked = _global_grad(feats, labels, lambda1, xs)
@@ -474,7 +475,7 @@ class TestRunRound:
         total = 0.0
         for residual in residuals.tolist():
             total += alpha * residual
-        assert float(np.cumsum(alpha * residuals)[-1]).hex() == total.hex()
+        assert _left_sum((alpha * residuals).tolist()).hex() == total.hex()
 
     @pytest.mark.parametrize("change, message", [
         ({"xs": np.zeros((3, 2))}, r"^expected \(4, 3\) stacked decisions, got \(3, 2\)$"),
@@ -518,7 +519,7 @@ class TestRun:
         baseline = run(stream, sched, ScheduleParams(BASELINE))
         assert [r.alpha for r in baseline.rounds] == [1 / (4 * 4 ** 0.4)] * 4
         report = regret_upper_bound(problem_constants(stream), sched.zeta, params, stream, traj.x_init)
-        assert report.inv_count_sum == sum(1 / r.inner_count for r in traj.rounds)
+        assert report.inv_count_sum == _left_sum(1 / r.inner_count for r in traj.rounds)
 
     def test_minimal_run_counters(self):
         stream = single_agent_stream([1.0], [0.5], [[0.3]])

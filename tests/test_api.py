@@ -22,7 +22,7 @@ from domfw.harness import ExperimentConfig, RunResult
 from domfw.network import MixingFold, MixingReport, metropolis_weights
 from domfw.problem import ConstraintSpec, generate_stream
 from domfw.regret import Envelopes, OptimumRecord, RegretSeries
-from oracles import InnerStep
+from oracles import InnerStep, float_refusing_sum, shadow_sum
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -205,3 +205,33 @@ def test_readme_config_block_parses_and_names_every_key():
     domfw.harness.parse_config(block)
     named = re.findall(r"^#? *([a-z]+\.\w+) *=", block, flags=re.MULTILINE)
     assert sorted(named) == sorted(domfw.harness._SCHEMA)
+
+
+# small runs over both sets, fixed and redrawn features and every schedule mode
+SUMMED_RUNS = {
+    "simplex-per_round": "problem.constraint = simplex\nschedule.mode = per_round\n",
+    "l1ball-redrawn-horizon": "problem.constraint = l1ball\nproblem.redraw_features = true\nschedule.mode = horizon\n",
+    "simplex-redrawn-fixed": "problem.redraw_features = true\nschedule.mode = fixed\nschedule.fixed_count = 3\n",
+    "l1ball-baseline": "problem.constraint = l1ball\nproblem.radius = 1.5\nschedule.mode = baseline\n",
+}
+
+
+@pytest.mark.parametrize("text", SUMMED_RUNS.values(), ids=SUMMED_RUNS)
+def test_no_float_total_goes_through_the_builtin_sum(text, tmp_path, monkeypatch):
+    # the builtin sum of floats compensates from Python 3.12 on, so a float
+    # total goes through problem._left_sum; integer totals may use the builtin
+    shadow_sum(monkeypatch, float_refusing_sum)
+    config = domfw.harness.parse_config("problem.n = 4\nproblem.T = 5\nproblem.d = 3\n" + text)
+    assert "inner_steps = " in domfw.harness.plan_text(config)
+    result = domfw.harness.run_experiment(config, out_dir=tmp_path / "run")
+    assert result.trajectory.lo_calls > 0 and not (tmp_path / "run" / "FAILED").exists()
+    rows = domfw.harness.sweep(config, "gamma", ["0.3", "0.6"], out_dir=tmp_path / "sweep")
+    assert [row.ok for row in rows] == [True, True]
+
+
+def test_the_active_set_half_takes_no_float_builtin_sum(tmp_path, monkeypatch):
+    # n < d: the pairwise solve stops at its lowered cap and the active-set half takes over
+    shadow_sum(monkeypatch, float_refusing_sum)
+    monkeypatch.setattr(domfw.regret, "PAIRWISE_MAX_ITER", 2000)
+    config = domfw.harness.parse_config("problem.n = 2\nproblem.d = 6\nproblem.T = 4\n")
+    assert max(rec.iterations for rec in domfw.harness.run_experiment(config, out_dir=tmp_path).optima) >= 2000

@@ -34,7 +34,15 @@ from domfw.harness import (
 from domfw.network import GraphSchedule, MixingReport, WeightMatrix, check_mixing, random_connected_schedule
 from domfw.problem import ConstraintKind, ConstraintSpec, generate_stream
 from domfw.regret import RoundOptimizer, envelopes, regret_series
-from oracles import BENCH_DIGESTS, WORKLOADS, constant_schedule, kernel_note, lo_call_count
+from oracles import (
+    BENCH_DIGESTS,
+    WORKLOADS,
+    constant_schedule,
+    kernel_note,
+    lo_call_count,
+    neumaier_sum,
+    shadow_sum,
+)
 from test_regret import log_uniform
 
 FLOAT_KEYS = [key for key, (convert, *_) in harness._SCHEMA.items() if convert is float]
@@ -932,6 +940,31 @@ class TestBenchmarkDigests:
                          for file in ("trajectory.csv", "regret.csv")}
                for run_dir in workload.run_dirs()}
         assert got == BENCH_DIGESTS[name][str(workload.master_seed(0))], kernel_note()
+
+
+class TestLeftToRightSums:
+    """A run's bytes do not depend on how the interpreter's builtin ``sum``
+    adds floats: with ``sum`` in every ``domfw`` module shadowed by the
+    compensated rule of Python 3.12 on, each workload's seed-0 outputs equal
+    an unshadowed run's in the same process, on whatever BLAS kernel it runs."""
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_compensated_builtin_sum_moves_no_byte(self, name, tmp_path, monkeypatch):
+        workload = WORKLOADS[name]
+
+        def outputs(out_dir):
+            config = parse_config(workload.config_text(0))
+            if workload.sweep_values:
+                assert all(row.ok for row in sweep(config, "gamma", workload.sweep_values, out_dir=out_dir))
+            else:
+                run_experiment(config, out_dir=out_dir)
+            return {f"{run_dir}/{file}": (out_dir / run_dir / file).read_bytes() for run_dir in workload.run_dirs()
+                    for file in ("trajectory.csv", "diagnostics.csv", "regret.csv", "envelopes.csv", "bound.txt")}
+
+        plain = outputs(tmp_path / "plain")
+        shadow_sum(monkeypatch, neumaier_sum)
+        compensated = outputs(tmp_path / "compensated")
+        assert [file for file in plain if compensated[file] != plain[file]] == []
 
 
 class TestSweep:
