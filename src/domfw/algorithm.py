@@ -316,11 +316,12 @@ def run(stream: LossStream, schedule: GraphSchedule, params: ScheduleParams,
     """Run the full horizon and return the committed trajectory.
 
     Deterministic for fixed inputs. Raises with the offending round index if
-    any round fails. Each round's weights are built once, stepped by
-    ``run_round``, folded into ``Trajectory.mixing`` and then dropped. The
-    fold keeps the full product unless the mixing certificate of the run's
-    inner counts at ``schedule.zeta`` is vacuous, which is known before
-    round 1 (``network.is_vacuous``).
+    any round fails. Each round starts from its committed row of the
+    decisions; its weights are built once, stepped by ``run_round``, folded
+    into ``Trajectory.mixing`` and dropped, with its step block, before the
+    next round is drawn. The fold keeps the full product unless the mixing
+    certificate of the run's inner counts at ``schedule.zeta`` is vacuous,
+    which is known before round 1 (``network.is_vacuous``).
     """
     if schedule.n != stream.n:
         raise ValueError("schedule and stream disagree on the number of agents")
@@ -334,19 +335,19 @@ def run(stream: LossStream, schedule: GraphSchedule, params: ScheduleParams,
         except ValueError as exc:
             raise RuntimeError(f"round {t} failed: {exc}") from exc
     bound = MixingConstants.from_zeta(schedule.zeta, stream.n).bound(total)
-    xs = initial_decisions(stream.constraint, stream.n, init=init, seed=init_seed)
     decisions = np.empty((stream.T + 1, stream.n, stream.d))
-    decisions[0] = xs
+    decisions[0] = initial_decisions(stream.constraint, stream.n, init=init, seed=init_seed)
     rounds = []
     fold = MixingFold(stream.n, product=not is_vacuous(bound, stream.n))
     for t in range(1, stream.T + 1):
         try:
             wm = schedule.matrix(t)
-            xs, diag = run_round(xs, stream, wm, params, t)
+            xs, diag = run_round(decisions[t - 1], stream, wm, params, t)
             fold = fold.add(wm, diag.inner_count)
         except Exception as exc:
             raise RuntimeError(f"round {t} failed: {exc}") from exc
         decisions[t] = xs
         rounds.append(diag)
+        del wm, xs   # round t's weights, and the step block xs views, go before round t + 1 is drawn
     decisions.flags.writeable = False   # handed over without a copy
     return Trajectory(decisions=decisions, rounds=tuple(rounds), mixing=fold)

@@ -163,9 +163,12 @@ def resident_bytes(n: int, d: int, T: int, k_max: int, redraw_features: bool) ->
     regret arrays, twelve ``(K_max, n, d)`` arrays (a round's five step
     buffers plus an ``(n, d)`` scratch, the last round's iterates and the
     diagnostics' temporaries, an upper bound), twelve ``n x n`` working
-    matrices (one round's weights while they are built, and the mixing
-    products), and six ``(VARIATION_SAMPLES + 2 d) x n`` temporaries of the
-    variation estimate (its points against every agent). Then the arrays
+    matrices (one round's weights and the mixing products; a run whose fold
+    keeps no product holds about 1.3, one round's weights or the next
+    round's build, or ``regret_series``'s one residual, but a smaller count
+    would move every ``validate`` message and ``plan_text`` line), and six
+    ``(VARIATION_SAMPLES + 2 d) x n`` temporaries of the variation estimate
+    (its points against every agent). Then the arrays
     that grow with ``d``, each counted in full though they do not all live
     at once: the vertex table (the l1 ball's ``2d x d``, a bound on both
     sets), four ``d x d`` arrays for ``H`` and its build temporaries, three
@@ -520,6 +523,7 @@ def write_schedule_csv(schedule: GraphSchedule, path) -> None:
             ii, jj = np.nonzero(a)   # row-major order
             for i, j, w in zip(ii.tolist(), jj.tolist(), a[ii, jj].tolist()):
                 fh.write(f"{t},{i},{j},{w!r}\n")
+            del a   # before the next round is built
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

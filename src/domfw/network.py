@@ -148,10 +148,12 @@ def random_connected_schedule(n: int, horizon: int, edge_prob: float, seed: int)
 
     def build(t: int) -> WeightMatrix:
         rng = np.random.default_rng((seed, t))
-        adj = (rng.random((n, n)) < edge_prob) & upper
+        adj = rng.random((n, n)) < edge_prob
+        adj &= upper
         perm = rng.permutation(n)
         adj[perm, perm[successor]] = True
-        return _metropolis(adj | adj.T)
+        adj |= adj.T   # NumPy buffers the overlapping transpose, so this is adj | adj.T
+        return _metropolis(adj)
 
     return GraphSchedule(n=n, horizon=horizon, builder=build, zeta=1.0 / n)
 

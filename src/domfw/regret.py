@@ -363,6 +363,7 @@ def regret_series(trajectory: Trajectory, optima, stream: LossStream) -> RegretS
     within ``(2d + 1) v`` of it in l1, where by convexity its loss is at most
     that distance times its largest gradient entry below the set's minimum.
     That entry reads the losses' residual, a rounding of ``_global_grad`` no artifact shows.
+    Every round refills one ``(n, n)`` residual block in place.
     """
     T, n, d = stream.T, stream.n, stream.d
     shape = trajectory.decisions.shape
@@ -371,11 +372,12 @@ def regret_series(trajectory: Trajectory, optima, stream: LossStream) -> RegretS
                          f"which needs ({T + 1}, {n}, {d})")
     if len(optima) < T:
         raise ValueError(f"need optima for all {T} rounds, got {len(optima)}")
-    increments = np.empty((n, T))
+    increments, resid = np.empty((n, T)), np.empty((n, n))   # resid: (n agents', n decisions), reused each round
     for t in range(1, T + 1):
         xs = trajectory.decision(t)
         feats = stream.feature_matrix(t)
-        resid = feats @ xs.T - stream.labels[:, t - 1][:, None]   # (n agents', n decisions)
+        np.matmul(feats, xs.T, out=resid)
+        resid -= stream.labels[:, t - 1][:, None]
         f_vals = 0.5 * np.einsum("ij,ij->j", resid, resid) + n * stream.lambda1 * np.einsum("jd,jd->j", xs, xs)
         rec = optima[t - 1]
         if rec.t != t:

@@ -63,6 +63,18 @@ seeds.master = 5
 network.edge_prob = 0.5
 """
 
+# a wide network whose n x n arrays carry a run's memory: one is 1.28 MB, every
+# (n, d) and step array at most 64 KB, and the mixing bound is vacuous, so the
+# fold keeps no n x n product
+WIDE = """
+problem.n = 400
+problem.d = 4
+problem.T = 3
+schedule.mode = fixed
+schedule.fixed_count = 2
+network.edge_prob = 0.02
+"""
+
 
 class TestParseConfig:
     def test_minimal_fills_reference_defaults(self):
@@ -165,6 +177,17 @@ class TestParseConfig:
         finally:
             tracemalloc.stop()
         assert peak < harness.resident_bytes(2, 60, 1, inner_count(cfg.schedule, 1, 1), False) - 40 * 2 ** 20
+
+    def test_footprint_bounds_the_arrays_of_a_wide_network_run(self, tmp_path):
+        # four hundred agents: the n x n working matrices carry the estimate
+        cfg = parse_config(WIDE)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, out_dir=tmp_path, dump_network=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < harness.resident_bytes(400, 4, 3, 2, False) - 40 * 2 ** 20
 
     def test_radius_must_keep_squared_feature_products_finite(self):
         text = "problem.constraint = l1ball\nproblem.radius = 1e300"
@@ -788,6 +811,38 @@ class TestRunExperiment:
         assert "ht_upper_bound" not in report    # needs fixed features
         assert "bound_total" not in report
         assert not (out / "FAILED").exists()
+
+
+class TestOneRoundInMemory:
+    """Each loop over rounds holds one round's n x n arrays at a time."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        cfg = parse_config(WIDE)
+        p = cfg.problem
+        stream = generate_stream(p.n, p.T, p.lambda1, p.spec(), seed=cfg.seeds.seed("stream"))
+        schedule = random_connected_schedule(p.n, p.T, cfg.network.edge_prob, seed=cfg.seeds.seed("network"))
+        trajectory = run(stream, schedule, cfg.schedule)
+        solver = RoundOptimizer(stream)
+        optima = [solver.solve(t) for t in range(1, p.T + 1)]
+        return cfg, stream, schedule, trajectory, optima
+
+    @pytest.mark.parametrize("stage", ["run", "regret_series", "write_schedule_csv"])
+    def test_peak_holds_one_round(self, wide, stage, tmp_path):
+        # a round's weights, or its build with the boolean masks, or one (n, n)
+        # residual reads at most about 1.3 n x n; an earlier round's matrix
+        # still held beside them reads 2.4 or more
+        cfg, stream, schedule, trajectory, optima = wide
+        call = {"run": lambda: run(stream, schedule, cfg.schedule),
+                "regret_series": lambda: regret_series(trajectory, optima, stream),
+                "write_schedule_csv": lambda: write_schedule_csv(schedule, tmp_path / "network.csv")}[stage]
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * stream.n ** 2 * 8
 
 
 def small_run(n, T, d, ball, redraw, seed):
