@@ -65,6 +65,8 @@ def schedule_violations(mode: ScheduleMode, epsilon: float, gamma: float, rho: f
     problems = []
     if not isinstance(mode, ScheduleMode):
         problems.append(("schedule.mode", f"must be a ScheduleMode, got {_shown(mode, repr)}"))
+    if fixed_count is None and mode is ScheduleMode.FIXED:   # first: validate reports it at the mode's line
+        problems.append(("schedule.fixed_count", "required for mode fixed"))
     if not 0 < epsilon < math.inf:
         problems.append(("schedule.epsilon", f"must be finite and > 0, got {_shown(epsilon)}"))
     if mode is ScheduleMode.PER_ROUND:
@@ -76,13 +78,11 @@ def schedule_violations(mode: ScheduleMode, epsilon: float, gamma: float, rho: f
         problems.append(("schedule.rho", f"must be finite and >= 1, got {_shown(rho)}"))
     elif not rho * rho < math.inf:   # the regret bound divides by rho**2
         problems.append(("schedule.rho", f"rho**2 must be finite, got {_shown(rho)}"))
-    if fixed_count is None:
-        if mode is ScheduleMode.FIXED:
-            problems.append(("schedule.fixed_count", "required for mode fixed"))
-    elif not _is_integer(fixed_count):
-        problems.append(("schedule.fixed_count", f"must be an integer, got {_shown(fixed_count, repr)}"))
-    elif not fixed_count >= 2:
-        problems.append(("schedule.fixed_count", f"must be >= 2, got {_shown(fixed_count)}"))
+    if fixed_count is not None:
+        if not _is_integer(fixed_count):
+            problems.append(("schedule.fixed_count", f"must be an integer, got {_shown(fixed_count, repr)}"))
+        elif not fixed_count >= 2:
+            problems.append(("schedule.fixed_count", f"must be >= 2, got {_shown(fixed_count)}"))
     if baseline_alpha is not None and not 0 < baseline_alpha <= 1:
         problems.append(("schedule.baseline_alpha", f"must lie in (0, 1], got {_shown(baseline_alpha)}"))
     return problems

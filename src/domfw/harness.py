@@ -1,12 +1,12 @@
 """Experiment orchestration: config files, seeded runs, sweeps, slope fits.
 
 Configs are flat ``section.key = value`` text (``#`` comments allowed). The
-single master seed is hashed with a role tag to derive the stream, network,
-and initialization sub-seeds, so redrawing one component never disturbs the
-others. Every run writes its artifacts plus a manifest, a config file that
-reproduces the run bit-for-bit. This module alone writes a run's files
-(``RUN_FILES``): their names, their columns, and floats as ``repr`` text,
-which reads back bit for bit.
+single master seed is hashed with a role tag to derive the stream and network
+sub-seeds, so redrawing one component never disturbs the other. Every run
+writes its artifacts plus a manifest, a config file that reproduces the run
+bit-for-bit. This module alone writes a run's files (``RUN_FILES``): their
+names, their columns, and floats as ``repr`` text, which reads back bit for
+bit.
 """
 
 from __future__ import annotations
@@ -90,27 +90,8 @@ class NetworkBlock:
 
 
 @dataclass(frozen=True)
-class SolverBlock:
-    tolerance: float = 1e-9
-
-
-@dataclass(frozen=True)
 class SeedsBlock:
     master: int = 0
-    stream: int | None = None
-    network: int | None = None
-    init: int | None = None
-
-    def seed(self, role: str) -> int:
-        """The ``"stream"``, ``"network"`` or ``"init"`` sub-seed: that key if set,
-        else ``derive_seed(master, role)``."""
-        key = getattr(self, role)
-        return key if key is not None else derive_seed(self.master, role)
-
-
-@dataclass(frozen=True)
-class InitBlock:
-    mode: str = "vertex"   # "vertex" or "random"
 
 
 @dataclass(frozen=True)
@@ -125,9 +106,7 @@ class ExperimentConfig:
     problem: ProblemBlock = field(default_factory=ProblemBlock)
     network: NetworkBlock = field(default_factory=NetworkBlock)
     schedule: ScheduleParams = field(default_factory=ScheduleParams)
-    solver: SolverBlock = field(default_factory=SolverBlock)
     seeds: SeedsBlock = field(default_factory=SeedsBlock)
-    init: InitBlock = field(default_factory=InitBlock)
     output: OutputBlock = field(default_factory=OutputBlock)
 
     def __post_init__(self):
@@ -209,12 +188,7 @@ _SCHEMA = {
     "schedule.rho": (float, None, None),
     "schedule.fixed_count": (int, None, None),
     "schedule.baseline_alpha": (float, None, None),
-    "solver.tolerance": (float, lambda v: 0 < v < np.inf, "finite and > 0"),
     "seeds.master": (int, None, None),
-    "seeds.stream": (int, lambda v: v >= 0, ">= 0"),
-    "seeds.network": (int, lambda v: v >= 0, ">= 0"),
-    "seeds.init": (int, lambda v: v >= 0, ">= 0"),
-    "init.mode": (str, lambda v: v in ("vertex", "random"), "vertex or random"),
     "output.directory": (str, lambda v: v != "", "non-empty"),
 }
 
@@ -599,17 +573,16 @@ def run_experiment(config: ExperimentConfig, out_dir=None, dump_network: bool = 
     _clear_run_files(out)
     started = time.perf_counter()
     try:
-        prob = config.problem
-        stream = generate_stream(prob.n, prob.T, prob.lambda1, prob.spec(), seed=config.seeds.seed("stream"),
+        prob, master = config.problem, config.seeds.master
+        stream = generate_stream(prob.n, prob.T, prob.lambda1, prob.spec(), seed=derive_seed(master, "stream"),
                                  redraw_features=prob.redraw_features)
         ht_estimate = estimate_function_variation(stream)
         ht_upper_bound = function_variation_bound(stream) if stream.fixed_features else None
         schedule = random_connected_schedule(prob.n, prob.T, config.network.edge_prob,
-                                             seed=config.seeds.seed("network"))
-        trajectory = run(stream, schedule, config.schedule,
-                         init=config.init.mode, init_seed=config.seeds.seed("init"))
+                                             seed=derive_seed(master, "network"))
+        trajectory = run(stream, schedule, config.schedule)
 
-        solver = RoundOptimizer(stream, tol=config.solver.tolerance)
+        solver = RoundOptimizer(stream)
         optima = tuple(solver.solve(t) for t in range(1, prob.T + 1))
         series = regret_series(trajectory, optima, stream)
         env = envelopes(series)

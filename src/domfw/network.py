@@ -143,7 +143,7 @@ def random_connected_schedule(n: int, horizon: int, edge_prob: float, seed: int)
         raise ValueError("need at least two agents for a communication graph")
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError("edge_prob must lie in [0, 1]")
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    upper = np.arange(n)[:, None] < np.arange(n)   # one n x n boolean; np.triu of a ones array holds three
     successor = np.roll(np.arange(n), -1)
 
     def build(t: int) -> WeightMatrix:

@@ -342,7 +342,6 @@ def estimate_function_variation(stream: LossStream) -> float:
     the result is a lower estimate.
     """
     spec = stream.constraint
-    total = 0.0
     if stream.fixed_features:
         # agent i's change is |delta_i * (z - mid_i)| in z = a_i @ x; rounding is
         # monotone, so it peaks at the largest or the smallest z over the vertices
@@ -350,12 +349,11 @@ def estimate_function_variation(stream: LossStream) -> float:
         z_hi, z_lo = z.max(axis=0)[:, None], z.min(axis=0)[:, None]
         b0, b1 = stream.labels[:, :-1], stream.labels[:, 1:]
         delta, mid = b0 - b1, 0.5 * (b0 + b1)
-        per_round = np.maximum(np.abs(delta * (z_hi - mid)), np.abs(delta * (z_lo - mid))).max(axis=0)
-        total = _left_sum(per_round.tolist())
+        per_round = np.maximum(np.abs(delta * (z_hi - mid)), np.abs(delta * (z_lo - mid))).max(axis=0).tolist()
     else:
         pts = np.vstack([spec.vertices(), sample_feasible(spec, np.random.default_rng(0), VARIATION_SAMPLES)])
         ridge = stream.lambda1 * np.einsum("md,md->m", pts, pts)[:, None]
-        prev = None
+        per_round, prev = [], None
         for t in range(stream.T):
             cur = pts @ stream.features[t].T   # round t's (m, n) loss table, built once and in place
             cur -= stream.labels[:, t]
@@ -363,9 +361,9 @@ def estimate_function_variation(stream: LossStream) -> float:
             cur *= 0.5
             cur += ridge
             if prev is not None:   # the spent previous table takes the |difference|
-                total += float(np.abs(np.subtract(cur, prev, out=prev), out=prev).max())
+                per_round.append(float(np.abs(np.subtract(cur, prev, out=prev), out=prev).max()))
             prev = cur
-    return total
+    return _left_sum(per_round)
 
 
 def function_variation_bound(stream: LossStream) -> float:

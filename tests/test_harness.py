@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import domfw.harness as harness
@@ -49,8 +49,8 @@ FLOAT_KEYS = [key for key, (convert, *_) in harness._SCHEMA.items() if convert i
 
 # raw values for generated configs: numbers at and around the range edges,
 # non-finite and unparseable values, and every enum and boolean name
-RAW_POOL = (["-1", "0", "1", "2", "3", "0.5", "1.0", "1.5", "1e300", "inf", "nan", "x", "true", "false",
-             "vertex", "random"] + [m.value for m in ScheduleMode] + [k.value for k in ConstraintKind])
+RAW_POOL = (["-1", "0", "1", "2", "3", "0.5", "1.0", "1.5", "1e300", "inf", "nan", "x", "true", "false"]
+            + [m.value for m in ScheduleMode] + [k.value for k in ConstraintKind])
 
 # keys the end-to-end test sets itself: the sizes, drawn small, and the output directory
 RUN_KEYS_SET_BY_TEST = ("problem.n", "problem.d", "problem.T", "output.directory")
@@ -86,7 +86,6 @@ class TestParseConfig:
         assert cfg.problem.n == 20
         assert cfg.problem.lambda1 == 5e-6
         assert cfg.problem.constraint is ConstraintKind.UNIT_SIMPLEX
-        assert cfg.solver.tolerance == 1e-9
 
     def test_gamma_range_depends_on_mode(self):
         with pytest.raises(ConfigError) as info:
@@ -334,12 +333,7 @@ class TestParseConfig:
             "schedule.rho = 2.0",
             "schedule.fixed_count = 7",
             "schedule.baseline_alpha = 0.05",
-            "solver.tolerance = 1e-08",
             "seeds.master = 9",
-            "seeds.stream = 11",
-            "seeds.network = 12",
-            "seeds.init = 13",
-            "init.mode = random",
             "output.directory = results/run",
         ]) + "\n"
         cfg = parse_config(text)
@@ -363,11 +357,7 @@ class TestParseConfig:
             return
         assert parse_config(echo) == cfg
 
-    def test_sub_seeds_non_negative(self):
-        with pytest.raises(ConfigError) as info:
-            parse_config("seeds.master = -1\nseeds.stream = -1\nseeds.network = -2\nseeds.init = -3")
-        assert [(line, message.split(":")[0]) for line, message in info.value.violations] == [
-            (2, "seeds.stream"), (3, "seeds.network"), (4, "seeds.init")]
+    def test_master_seed_may_be_negative(self):
         assert parse_config("seeds.master = -1").seeds.master == -1   # only hashed
 
     @settings(derandomize=True, deadline=None, max_examples=150)
@@ -383,8 +373,8 @@ class TestParseConfig:
             k_t = inner_count(cfg.schedule, t, horizon)
             assert k_t >= 1
             assert 0 < step_size(cfg.schedule, k_t, horizon) <= 1
-        for seed in map(cfg.seeds.seed, ("stream", "network", "init")):
-            np.random.default_rng(seed)
+        for role in ("stream", "network"):
+            np.random.default_rng(derive_seed(cfg.seeds.master, role))
         assert parse_config(config_to_text(cfg)) == cfg
 
     @settings(derandomize=True, deadline=None, max_examples=60)
@@ -482,12 +472,13 @@ class TestConfigGate:
         assert capsys.readouterr().err == f"line 1: {message}\n"
 
     def test_unset_is_none_only_where_that_is_the_default(self):
-        assert replaced("seeds", stream=None) == parse_config(SMALL)
+        assert replaced("schedule", fixed_count=None) == parse_config(SMALL)
         with pytest.raises(ValueError, match=r"^problem\.n: None would not read back from its config line as int$"):
             replaced("problem", n=None)
 
     @settings(derandomize=True, deadline=None, max_examples=400)
     @given(st.dictionaries(st.sampled_from(list(harness._SCHEMA)), st.sampled_from(RAW_POOL)))
+    @example({"schedule.mode": "fixed", "schedule.epsilon": "-1"})   # validate names the unset count at the mode line
     def test_refused_exactly_when_its_echo_is(self, raw):
         # each raw value that converts, set on the defaults; the config's echo is the text parse_config judges
         values = dict(harness._DEFAULTS)
@@ -527,27 +518,6 @@ class TestSeedDiscipline:
         assert len({s, n, i}) == 3
         assert derive_seed(42, "stream") == s       # stable
         assert derive_seed(43, "stream") != s
-
-    def test_changing_network_seed_keeps_stream(self):
-        base = parse_config(SMALL)
-        other = harness.ExperimentConfig(
-            problem=base.problem, network=base.network, schedule=base.schedule,
-            solver=base.solver, seeds=harness.SeedsBlock(master=5, network=123),
-            init=base.init, output=base.output)
-        spec = base.problem.spec()
-        a = generate_stream(3, 6, base.problem.lambda1, spec, seed=base.seeds.seed("stream"))
-        b = generate_stream(3, 6, other.problem.lambda1, spec, seed=other.seeds.seed("stream"))
-        assert np.array_equal(a.labels, b.labels)
-        assert base.seeds.seed("network") != other.seeds.seed("network")
-
-    @pytest.mark.parametrize("role", ["stream", "network", "init"])
-    def test_seed_is_its_key_if_set_else_derived(self, role):
-        derived = harness.SeedsBlock(master=5)
-        assert derived.seed(role) == derive_seed(5, role)
-        keyed = harness.SeedsBlock(master=5, **{role: 123})
-        assert keyed.seed(role) == 123
-        for other in {"stream", "network", "init"} - {role}:
-            assert keyed.seed(other) == derive_seed(5, other)
 
 
 class TestRunExperiment:
@@ -669,8 +639,9 @@ class TestRunExperiment:
         cfg = parse_config(SMALL)
         result = run_experiment(cfg, out_dir=tmp_path / "run")
         prob = cfg.problem
-        stream = generate_stream(prob.n, prob.T, prob.lambda1, prob.spec(), seed=cfg.seeds.seed("stream"))
-        solver = RoundOptimizer(stream, tol=cfg.solver.tolerance)
+        stream = generate_stream(prob.n, prob.T, prob.lambda1, prob.spec(),
+                                 seed=derive_seed(cfg.seeds.master, "stream"))
+        solver = RoundOptimizer(stream)
         records = [solver.solve(t) for t in range(1, prob.T + 1)]
         assert list(map(record_bits, result.optima)) == list(map(record_bits, records))
         entries = dict(line.split(" = ") for line in (tmp_path / "run" / "bound.txt").read_text().splitlines())
@@ -820,8 +791,9 @@ class TestOneRoundInMemory:
     def wide(self):
         cfg = parse_config(WIDE)
         p = cfg.problem
-        stream = generate_stream(p.n, p.T, p.lambda1, p.spec(), seed=cfg.seeds.seed("stream"))
-        schedule = random_connected_schedule(p.n, p.T, cfg.network.edge_prob, seed=cfg.seeds.seed("network"))
+        stream = generate_stream(p.n, p.T, p.lambda1, p.spec(), seed=derive_seed(cfg.seeds.master, "stream"))
+        schedule = random_connected_schedule(p.n, p.T, cfg.network.edge_prob,
+                                             seed=derive_seed(cfg.seeds.master, "network"))
         trajectory = run(stream, schedule, cfg.schedule)
         solver = RoundOptimizer(stream)
         optima = [solver.solve(t) for t in range(1, p.T + 1)]
@@ -972,9 +944,9 @@ class TestBoundTxt:
         assert entries["max_conservation_gap"] == repr(max(r.conservation_gap for r in rounds))
         assert entries["max_feasibility_gap"] == repr(max(r.feasibility_gap for r in rounds))
         prob = cfg.problem
-        stream = generate_stream(prob.n, prob.T, prob.lambda1, prob.spec(), seed=cfg.seeds.seed("stream"),
-                                 redraw_features=prob.redraw_features)
-        solver = RoundOptimizer(stream, tol=cfg.solver.tolerance)
+        stream = generate_stream(prob.n, prob.T, prob.lambda1, prob.spec(),
+                                 seed=derive_seed(cfg.seeds.master, "stream"), redraw_features=prob.redraw_features)
+        solver = RoundOptimizer(stream)
         assert list(map(record_bits, optima)) == [record_bits(solver.solve(t)) for t in range(1, T + 1)]
 
 
@@ -995,6 +967,49 @@ class TestBenchmarkDigests:
                          for file in ("trajectory.csv", "regret.csv")}
                for run_dir in workload.run_dirs()}
         assert got == BENCH_DIGESTS[name][str(workload.master_seed(0))], kernel_note()
+
+    def test_a_manifest_with_removed_keys_is_refused_and_replays_without_them(self, tmp_path, capsys):
+        # wide-network's seed-0 manifest as written while configs had the solver.tolerance and init.mode keys
+        old = tmp_path / "old.txt"
+        old.write_text(OLD_WIDE_NETWORK_MANIFEST)
+        assert main(["run", str(old), "--out-dir", str(tmp_path / "refused")]) == 1
+        assert capsys.readouterr().err == "line 19: unknown key 'solver.tolerance'\nline 21: unknown key 'init.mode'\n"
+        assert not (tmp_path / "refused").exists()
+        removed = ("solver.tolerance = 1e-09", "init.mode = vertex")
+        kept = [line for line in OLD_WIDE_NETWORK_MANIFEST.splitlines() if line not in removed]
+        old.write_text("\n".join(kept) + "\n")
+        assert main(["run", str(old), "--out-dir", str(tmp_path / "replay")]) == 0
+        got = {file: hashlib.sha256((tmp_path / "replay" / file).read_bytes()).hexdigest()
+               for file in ("trajectory.csv", "regret.csv")}
+        assert {".": got} == BENCH_DIGESTS["wide-network"]["7"], kernel_note()
+        # the replay's manifest is the old one less the two lines, under its own version and wall-time comments
+        assert (tmp_path / "replay" / "manifest.txt").read_text().splitlines()[4:] == kept[4:]
+
+
+OLD_WIDE_NETWORK_MANIFEST = """\
+# package_version = 0.1.0
+# python_version = 3.11.7
+# numpy_version = 2.4.6
+# wall_seconds = 0.190
+
+problem.n = 200
+problem.T = 50
+problem.d = 8
+problem.lambda1 = 5e-06
+problem.constraint = simplex
+problem.radius = 2.0
+problem.redraw_features = false
+network.edge_prob = 0.05
+schedule.mode = fixed
+schedule.epsilon = 4.0
+schedule.gamma = 0.5
+schedule.rho = 4.0
+schedule.fixed_count = 4
+solver.tolerance = 1e-09
+seeds.master = 7
+init.mode = vertex
+output.directory = out
+"""
 
 
 class TestLeftToRightSums:
@@ -1261,8 +1276,7 @@ class TestCli:
         assert "line 1" in err and "line 2" in err
         assert main(["validate", str(tmp_path / "missing.cfg")]) == 1
 
-    @pytest.mark.parametrize("text", ["seeds.stream = -1", "seeds.init = -1", "seeds.network = -1",
-                                      *[f"{key} = {raw}" for key in FLOAT_KEYS for raw in ("inf", "nan")]])
+    @pytest.mark.parametrize("text", [f"{key} = {raw}" for key in FLOAT_KEYS for raw in ("inf", "nan")])
     def test_validate_rejects_what_run_cannot_run(self, tmp_path, capsys, text):
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text(f"problem.T = 5\n{text}\n")

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import re
+import tracemalloc
 import types
 import weakref
 
@@ -152,6 +153,19 @@ class TestRandomSchedule:
         for t in range(1, 61):
             want = plain_connected_round(n, edge_prob, seed, t)
             assert sched.matrix(t).weights.tobytes() == want.weights.tobytes(), f"round {t}"
+
+    def test_creation_holds_one_n_by_n_mask(self):
+        # the strict upper mask is one n x n boolean, and its rounds keep the plain construction's bytes
+        n, edge_prob, seed = 2000, 0.002, 5
+        tracemalloc.start()
+        try:
+            sched = random_connected_schedule(n, 2, edge_prob, seed=seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * n * n
+        for t in (1, 2):
+            assert sched.matrix(t).weights.tobytes() == plain_connected_round(n, edge_prob, seed, t).weights.tobytes()
 
     def test_seeded_reproducibility_per_round(self):
         a = random_connected_schedule(8, 10, 0.4, seed=5)

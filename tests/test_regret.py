@@ -583,10 +583,10 @@ class TestAgainstReferenceSolver:
         # the seed-0 stream of each benchmark workload, the traffic the solver serves
         cfg = parse_config(WORKLOADS[name].config_text(0))
         prob = cfg.problem
-        stream = generate_stream(prob.n, prob.T, prob.lambda1, prob.spec(), seed=cfg.seeds.seed("stream"),
-                                 redraw_features=prob.redraw_features)
-        got, got_error = solve_all(RoundOptimizer(stream, tol=cfg.solver.tolerance).solve, prob.T)
-        want, want_error = solve_all(ReferenceRoundOptimizer(stream, tol=cfg.solver.tolerance).solve, prob.T)
+        stream = generate_stream(prob.n, prob.T, prob.lambda1, prob.spec(),
+                                 seed=derive_seed(cfg.seeds.master, "stream"), redraw_features=prob.redraw_features)
+        got, got_error = solve_all(RoundOptimizer(stream).solve, prob.T)
+        want, want_error = solve_all(ReferenceRoundOptimizer(stream).solve, prob.T)
         assert got_error is None and want_error is None
         assert_same_records(got, want)
 
