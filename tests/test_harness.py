@@ -950,42 +950,7 @@ class TestBoundTxt:
         assert list(map(record_bits, optima)) == [record_bits(solver.solve(t)) for t in range(1, T + 1)]
 
 
-class TestBenchmarkDigests:
-    """The benchmark's output check in tier-1: each workload's seed-0 operation
-    writes the ``trajectory.csv`` and ``regret.csv`` bytes recorded in
-    ``perfbench/digests.json``. The bytes depend on the BLAS build."""
-
-    @pytest.mark.parametrize("name", sorted(WORKLOADS))
-    def test_seed_zero_outputs_match_the_recorded_digests(self, name, tmp_path):
-        workload = WORKLOADS[name]
-        config = parse_config(workload.config_text(0))
-        if workload.sweep_values:
-            assert all(row.ok for row in sweep(config, "gamma", workload.sweep_values, out_dir=tmp_path))
-        else:
-            run_experiment(config, out_dir=tmp_path)
-        got = {run_dir: {file: hashlib.sha256((tmp_path / run_dir / file).read_bytes()).hexdigest()
-                         for file in ("trajectory.csv", "regret.csv")}
-               for run_dir in workload.run_dirs()}
-        assert got == BENCH_DIGESTS[name][str(workload.master_seed(0))], kernel_note()
-
-    def test_a_manifest_with_removed_keys_is_refused_and_replays_without_them(self, tmp_path, capsys):
-        # wide-network's seed-0 manifest as written while configs had the solver.tolerance and init.mode keys
-        old = tmp_path / "old.txt"
-        old.write_text(OLD_WIDE_NETWORK_MANIFEST)
-        assert main(["run", str(old), "--out-dir", str(tmp_path / "refused")]) == 1
-        assert capsys.readouterr().err == "line 19: unknown key 'solver.tolerance'\nline 21: unknown key 'init.mode'\n"
-        assert not (tmp_path / "refused").exists()
-        removed = ("solver.tolerance = 1e-09", "init.mode = vertex")
-        kept = [line for line in OLD_WIDE_NETWORK_MANIFEST.splitlines() if line not in removed]
-        old.write_text("\n".join(kept) + "\n")
-        assert main(["run", str(old), "--out-dir", str(tmp_path / "replay")]) == 0
-        got = {file: hashlib.sha256((tmp_path / "replay" / file).read_bytes()).hexdigest()
-               for file in ("trajectory.csv", "regret.csv")}
-        assert {".": got} == BENCH_DIGESTS["wide-network"]["7"], kernel_note()
-        # the replay's manifest is the old one less the two lines, under its own version and wall-time comments
-        assert (tmp_path / "replay" / "manifest.txt").read_text().splitlines()[4:] == kept[4:]
-
-
+# wide-network's seed-0 manifest as written while configs had the solver.tolerance and init.mode keys
 OLD_WIDE_NETWORK_MANIFEST = """\
 # package_version = 0.1.0
 # python_version = 3.11.7
@@ -1010,6 +975,41 @@ seeds.master = 7
 init.mode = vertex
 output.directory = out
 """
+
+
+class TestBenchmarkDigests:
+    """The benchmark's output check in tier-1: each workload's seed-0 operation
+    writes the ``trajectory.csv`` and ``regret.csv`` bytes recorded in
+    ``perfbench/digests.json``. The bytes depend on the BLAS build."""
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_seed_zero_outputs_match_the_recorded_digests(self, name, tmp_path):
+        workload = WORKLOADS[name]
+        config = parse_config(workload.config_text(0))
+        if workload.sweep_values:
+            assert all(row.ok for row in sweep(config, "gamma", workload.sweep_values, out_dir=tmp_path))
+        else:
+            run_experiment(config, out_dir=tmp_path)
+        got = {run_dir: {file: hashlib.sha256((tmp_path / run_dir / file).read_bytes()).hexdigest()
+                         for file in ("trajectory.csv", "regret.csv")}
+               for run_dir in workload.run_dirs()}
+        assert got == BENCH_DIGESTS[name][str(workload.master_seed(0))], kernel_note()
+
+    def test_a_manifest_with_removed_keys_is_refused_and_replays_without_them(self, tmp_path, capsys):
+        old = tmp_path / "old.txt"
+        old.write_text(OLD_WIDE_NETWORK_MANIFEST)
+        assert main(["run", str(old), "--out-dir", str(tmp_path / "refused")]) == 1
+        assert capsys.readouterr().err == "line 19: unknown key 'solver.tolerance'\nline 21: unknown key 'init.mode'\n"
+        assert not (tmp_path / "refused").exists()
+        removed = ("solver.tolerance = 1e-09", "init.mode = vertex")
+        kept = [line for line in OLD_WIDE_NETWORK_MANIFEST.splitlines() if line not in removed]
+        old.write_text("\n".join(kept) + "\n")
+        assert main(["run", str(old), "--out-dir", str(tmp_path / "replay")]) == 0
+        got = {file: hashlib.sha256((tmp_path / "replay" / file).read_bytes()).hexdigest()
+               for file in ("trajectory.csv", "regret.csv")}
+        assert {".": got} == BENCH_DIGESTS["wide-network"]["7"], kernel_note()
+        # the replay's manifest is the old one less the two lines, under its own version and wall-time comments
+        assert (tmp_path / "replay" / "manifest.txt").read_text().splitlines()[4:] == kept[4:]
 
 
 class TestLeftToRightSums:
