@@ -47,6 +47,9 @@ from test_regret import log_uniform
 
 FLOAT_KEYS = [key for key, (convert, *_) in harness._SCHEMA.items() if convert is float]
 
+# keys earlier configs and manifests held; a config that sets one is refused
+REMOVED_KEYS = ("solver.tolerance", "init.mode", "seeds.stream", "seeds.network", "seeds.init")
+
 # raw values for generated configs: numbers at and around the range edges,
 # non-finite and unparseable values, and every enum and boolean name
 RAW_POOL = (["-1", "0", "1", "2", "3", "0.5", "1.0", "1.5", "1e300", "inf", "nan", "x", "true", "false"]
@@ -359,6 +362,18 @@ class TestParseConfig:
 
     def test_master_seed_may_be_negative(self):
         assert parse_config("seeds.master = -1").seeds.master == -1   # only hashed
+
+    def test_sub_seeds_non_negative(self):
+        # the stream and network seeds are derived, in numpy's seed range whatever the master
+        for master in (-(2 ** 70), -1, 0, 1, 2 ** 70):
+            for role in ("stream", "network"):
+                seed = derive_seed(master, role)
+                assert 0 <= seed < 2 ** 63
+                np.random.default_rng(seed)
+        with pytest.raises(ConfigError) as info:
+            parse_config("seeds.master = -1\nseeds.stream = -1\nseeds.network = -2\nseeds.init = -3")
+        assert info.value.violations == [(2, "unknown key 'seeds.stream'"), (3, "unknown key 'seeds.network'"),
+                                         (4, "unknown key 'seeds.init'")]
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(st.dictionaries(st.sampled_from(list(harness._SCHEMA)), st.sampled_from(RAW_POOL)))
@@ -1276,12 +1291,21 @@ class TestCli:
         assert "line 1" in err and "line 2" in err
         assert main(["validate", str(tmp_path / "missing.cfg")]) == 1
 
-    @pytest.mark.parametrize("text", [f"{key} = {raw}" for key in FLOAT_KEYS for raw in ("inf", "nan")])
+    @pytest.mark.parametrize("text", [
+        "seeds.stream = -1", "seeds.init = -1", "seeds.network = -1", "solver.tolerance = inf",
+        "solver.tolerance = nan", "init.mode = vertex", "init.mode = random",
+        *[f"{key} = {raw}" for key in FLOAT_KEYS for raw in ("inf", "nan")]])
     def test_validate_rejects_what_run_cannot_run(self, tmp_path, capsys, text):
+        # a removed key is unknown whatever its value; a kept key is refused for its value
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text(f"problem.T = 5\n{text}\n")
         assert main(["validate", str(cfgfile)]) == 1
-        assert f"line 2: {text.split(' = ')[0]}: " in capsys.readouterr().err
+        key = text.split(" = ")[0]
+        err = capsys.readouterr().err
+        if key in REMOVED_KEYS:
+            assert err == f"line 2: unknown key '{key}'\n"
+        else:
+            assert f"line 2: {key}: " in err
 
     @pytest.mark.parametrize("text, line", [
         ("schedule.epsilon = 1e300\nschedule.rho = 1e150", 3),   # the step underflows to 0
